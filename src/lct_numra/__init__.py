@@ -52,6 +52,7 @@ from .sampling import (
 )
 from .wavelets import (
     ConvergenceError,
+    HatEngine,
     HatFunction,
     WaveletFamily,
     cascade,

@@ -218,7 +218,7 @@ def _cmd_cascade(args) -> int:
     window = _parse_window(args.window)
     refinement = max(1, round(1.0 / (2 * pair.ts.N * args.step)))
     grid = numra_grid(pair.ts, window, refinement=refinement)
-    result = cascade(pair, J=args.J, tol=args.tol, grid=grid)
+    result = cascade(pair, J=args.J, tol=args.tol, grid=grid, depth=0)
     write_signal_csv(args.out, result.signal)
     return EXIT_OK
 
@@ -242,26 +242,22 @@ def _cmd_verify(args) -> int:
 
 def _cmd_packets(args) -> int:
     from .filters import TranslationSet
-    from .io import read_signal_csv, write_json, write_signal_csv
-    from .packets import generate_packets, packet_gram
-    from .sampling import SampledSignal
-    from .wavelets import haar_filter_bank
+    from .io import config_hash, read_signal_csv, write_json, write_signal_csv
+    from .packets import generate_packets, translate_gram
+    from .wavelets import default_time_grid, haar_filter_bank
 
+    ts = TranslationSet(N=args.N, r=args.r)
+    m = _parse_matrix(args.matrix)
     if args.packets_command == "gen":
-        ts = TranslationSet(N=args.N, r=args.r)
-        m = _parse_matrix(args.matrix)
         bank = haar_filter_bank(ts, m)
-        from .wavelets import default_time_grid
-
         grid = default_time_grid(ts, window=_parse_window(args.window), target_step=args.step)
-        nodes = generate_packets(args.n_max, bank, grid=grid)
+        # oversample 1 keeps every packet in the band the Gram quadrature resolves
+        nodes = generate_packets(args.n_max, bank, grid=grid, oversample=1)
         out = Path(args.out_dir)
         for node in nodes:
             write_signal_csv(out / f"packet_{node.index.n}.csv", node.signal)
         return EXIT_OK
 
-    ts = TranslationSet(N=args.N, r=args.r)
-    m = _parse_matrix(args.matrix)
     nodes_dir = Path(args.nodes)
     signals = []
     n = 0
@@ -272,15 +268,7 @@ def _cmd_packets(args) -> int:
         print(f"no packet_*.csv files in {nodes_dir}", file=sys.stderr)
         return EXIT_USAGE
     window = _parse_window(args.window)
-    from .filters import omega_enumerate
-    from .sampling import translate_chirp
-    from .wavelets import gram
-
-    lambdas = omega_enumerate(ts, window)
-    system = [translate_chirp(sig, lam, m) for sig in signals for lam in lambdas]
-    _, off = gram(system)
-    from .io import config_hash
-
+    _, off = translate_gram(signals, ts, m, window)
     cfg = {
         "matrix": m.to_dict(),
         "translation": ts.to_dict(),
@@ -348,6 +336,12 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (OSError, ValueError, RuntimeError) as exc:
+        from .filters import FilterConditionError
+        from .wavelets import ConvergenceError
+
+        if isinstance(exc, (FilterConditionError, ConvergenceError)):
+            print(f"verification failed: {exc}", file=sys.stderr)
+            return EXIT_VERIFICATION
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,10 +4,15 @@ Packet n is addressed by the base-2N expansion of n; its hat is the
 product of the digit filters at successively finer dilations, continued
 with the low-pass cascade tail:
 
-    hat(W_n)(u) = L_{d_0}(u/2N) ... L_{d_{q-1}}(u/(2N)^q) hat(phi)(u/(2N)^q)
+    hat(W_n)(u) = L_{d_0}(u/2N) ... L_{d_{q-1}}(u/(2N)^q) T_q(u),
+    T_q(u) = prod_{j=q+1..q+J} L_0(u/(2N)^j) = hat(phi)(u/(2N)^q)
 
-for digits d_0..d_{q-1}.  Analysis and synthesis are quadrature against
-chirped dilated translates; bases must be Gram-certified before use.
+for digits d_0..d_{q-1} (the packet recursion of Coifman & Wickerhauser,
+IEEE Trans. IT 38(2), 1992).  All packets of one cascade share its
+``wavelets.HatEngine``, and a synthesised node keeps its lattice values,
+so bases and fold sums over it evaluate no filter again.  Analysis and
+synthesis are quadrature against chirped dilated translates; bases must
+be Gram-certified before use.
 """
 
 from __future__ import annotations
@@ -17,9 +22,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import CanonicalMatrix
-from .filters import PeriodicFilterPair, TranslationSet, filter_eval, omega_enumerate
-from .sampling import Grid, SampledSignal, translate_chirp
-from .wavelets import CascadeResult, HatFunction, cascade, gram, hat_to_signal
+from .filters import PeriodicFilterPair, TranslationSet, omega_enumerate
+from .sampling import (
+    Grid,
+    SampledSignal,
+    chirp_phase,
+    chirped_translates,
+    gram_matrix,
+    identity_deviation,
+)
+from .wavelets import (
+    CascadeResult,
+    HatFunction,
+    cascade,
+    gram,
+    hat_to_signal,
+    lattice_to_grid,
+    lattice_values,
+)
 
 
 class UncertifiedBasisError(RuntimeError):
@@ -97,7 +117,8 @@ def packet_hat(
 
         hat(W_{2Nn + k})(u) = L_k(u/2N) hat(W_n)(u/2N)
 
-    holds exactly along the code path.
+    holds exactly along the code path.  A synthesised node keeps its
+    values on the cascade's lattice.
     """
     ts = bank[0].ts
     if len(bank) != 2 * ts.N:
@@ -105,23 +126,16 @@ def packet_hat(
     if any(d < 0 or d >= 2 * ts.N for d in idx.digits):
         raise ValueError("digit out of range for this bank")
     if scaling is None:
-        scaling = cascade(bank[0], J=J, tol=tol, grid=grid, span=span, oversample=oversample)
+        scaling = cascade(bank[0], J=J, tol=tol, grid=grid, span=span, oversample=oversample,
+                          depth=len(idx.digits))
     if grid is None:
         grid = scaling.signal.grid
-    two_n = ts.dilation
-    digit_seq = idx.digits
-    phi_hat = scaling.hat
-
-    def hat_fn(u: np.ndarray) -> np.ndarray:
-        out = np.ones(u.shape, dtype=np.complex128)
-        x = u / two_n
-        for d in digit_seq:
-            out = out * filter_eval(bank[d], x)
-            x = x / two_n
-        return out * phi_hat(x * two_n)
-
-    hat = HatFunction(hat_fn)
-    signal = hat_to_signal(hat, grid, span=span, oversample=oversample) if synthesize else None
+    hat = HatFunction(scaling.engine, tuple(bank[d] for d in idx.digits))
+    signal = None
+    if synthesize:
+        if scaling.engine.serves(grid, span=span, oversample=oversample):
+            scaling.engine.lattice([hat], keep=True)
+        signal = hat_to_signal(hat, grid, span=span, oversample=oversample)
     return PacketNode(index=idx, hat=hat, signal=signal)
 
 
@@ -135,16 +149,32 @@ def generate_packets(
     span: float = 16.0,
     oversample: int = 16,
 ) -> list[PacketNode]:
-    """Packets 0..n_max sharing one cascade tail and one time grid."""
+    """Packets 0..n_max sharing one cascade, one lattice pass and one time grid."""
     ts = bank[0].ts
-    scaling = cascade(bank[0], J=J, tol=tol, grid=grid, span=span, oversample=oversample)
+    indices = [digits(n, ts.N) for n in range(n_max + 1)]
+    scaling = cascade(bank[0], J=J, tol=tol, grid=grid, span=span, oversample=oversample,
+                      depth=len(indices[-1].digits))
+    hats = [HatFunction(scaling.engine, tuple(bank[d] for d in idx.digits)) for idx in indices]
+    scaling.engine.lattice(hats, keep=True)
+    grid = scaling.signal.grid
     return [
-        packet_hat(
-            digits(n, ts.N), bank, scaling=scaling, grid=scaling.signal.grid,
-            span=span, oversample=oversample,
-        )
-        for n in range(n_max + 1)
+        PacketNode(idx, hat, hat_to_signal(hat, grid, span=span, oversample=oversample))
+        for idx, hat in zip(indices, hats)
     ]
+
+
+def translate_gram(
+    system: list[SampledSignal],
+    ts: TranslationSet,
+    m: CanonicalMatrix,
+    lambda_window: tuple[float, float],
+) -> tuple[np.ndarray, float]:
+    """Gram of all chirped translates of the given signals; max |G - I|."""
+    if not system:
+        return gram([])
+    rows = chirped_translates(system, omega_enumerate(ts, lambda_window), m)
+    g = gram_matrix(rows, system[0].grid)
+    return g, identity_deviation(g)
 
 
 def packet_gram(
@@ -154,11 +184,7 @@ def packet_gram(
     lambda_window: tuple[float, float],
 ) -> tuple[np.ndarray, float]:
     """Gram of all chirped translates of the given packets; max |G - I|."""
-    lambdas = omega_enumerate(ts, lambda_window)
-    system = [
-        translate_chirp(node.signal, lam, m) for node in nodes for lam in lambdas
-    ]
-    return gram(system)
+    return translate_gram([node.signal for node in nodes], ts, m, lambda_window)
 
 
 @dataclass
@@ -183,7 +209,10 @@ class PacketBasis:
     (2N)^{-j/2} hat(W_n)(u/(2N)^j) shifted by lam/(2N)^j, then carries
     the time-domain chirp.  Sharing the lattice keeps all atoms limited
     to one common band, so spans at different levels nest exactly and
-    Nyquist-rate quadrature of their products is alias-free.
+    Nyquist-rate quadrature of their products is alias-free.  A level-j
+    hat is digit rows times the tail T_{j+q} the nodes' engine holds (at
+    level 0, the node's kept values); one synthesis per (node, level)
+    serves every translate.
     """
 
     ts: TranslationSet
@@ -197,41 +226,33 @@ class PacketBasis:
     def signals(self) -> list[SampledSignal]:
         if self._signals is not None:
             return self._signals
-        from .sampling import chirp_phase
-        from .wavelets import frequency_samples
-
         grid = self.elements[0].node.signal.grid
+        if any(e.node.signal.grid != grid for e in self.elements):
+            raise ValueError("all basis nodes must share one grid")
+        two_n = float(self.ts.dilation)
+        groups: dict[tuple[int, int], list[BasisElement]] = {}
         for e in self.elements:
-            if e.node.signal.grid != grid:
-                raise ValueError("all basis nodes must share one grid")
-        u = frequency_samples(grid, span=self.span, oversample=self.oversample)
-        n = u.size
-        du = 1.0 / self.span
-        dt_fine = grid.step / self.oversample
-        idx0 = round(grid.t_min / dt_fine)
-        idx = (idx0 + self.oversample * np.arange(grid.count)) % n
+            groups.setdefault((id(e.node), e.level), []).append(e)
+        hats = [g[0].node.hat.dilated(g[0].level) for g in groups.values()]
+        values = lattice_values(hats, grid, span=self.span, oversample=self.oversample)
         t = grid.points()
-        two_n = self.ts.dilation
-        mothers: dict[tuple[int, int], np.ndarray] = {}
-        out = []
-        for e in self.elements:
-            key = (e.node.index.n, e.level)
-            if key not in mothers:
-                hat_vals = float(two_n) ** (-e.level / 2.0) * e.node.hat(
-                    u / float(two_n) ** e.level
-                )
-                mothers[key] = np.fft.ifft(np.fft.ifftshift(hat_vals)) * (n * du)
-            tau = e.lam / float(two_n) ** e.level
-            shift = tau / dt_fine
-            if abs(shift - round(shift)) > 1e-9:
-                raise ValueError(
-                    f"translation {e.lam} at level {e.level} is off the atom lattice"
-                )
-            rolled = np.roll(mothers[key], round(shift))
-            vals = rolled[idx] * chirp_phase(self.m, t, e.lam)
-            out.append(SampledSignal(grid, vals))
-        self._signals = out
-        return out
+        atoms = {}
+        for group, vals in zip(groups.values(), values):
+            shifts = []
+            for e in group:
+                shift = e.lam / two_n**e.level / (grid.step / self.oversample)
+                if abs(shift - round(shift)) > 1e-9:
+                    raise ValueError(
+                        f"translation {e.lam} at level {e.level} is off the atom lattice"
+                    )
+                shifts.append(round(shift))
+            mother = two_n ** (-group[0].level / 2.0) * vals
+            samples = lattice_to_grid(mother, grid, span=self.span,
+                                      oversample=self.oversample, shifts=shifts)
+            for e, vals_e in zip(group, samples):
+                atoms[id(e)] = SampledSignal(grid, vals_e * chirp_phase(self.m, t, e.lam))
+        self._signals = [atoms[id(e)] for e in self.elements]
+        return self._signals
 
     def certify(self) -> float:
         _, off = gram(self.signals())
@@ -310,12 +331,9 @@ def fold_residuals(
     twisted sum must vanish, mirroring the filter-bank conditions one
     level up.
     """
-    from .wavelets import frequency_samples
-
     grid = node.signal.grid
-    u = frequency_samples(grid, span=span, oversample=oversample)
-    du = u[1] - u[0]
-    vals = np.abs(node.hat(u)) ** 2
+    du = 1.0 / span
+    vals = np.abs(lattice_values([node.hat], grid, span=span, oversample=oversample)[0]) ** 2
     period = round(ts.N / du)
     n_fold = vals.size // period
     trimmed = vals[: n_fold * period]

@@ -21,7 +21,7 @@ from .filters import (
     check_scaling_conditions,
 )
 from .io import config_hash
-from .sampling import gram_matrix, translate_chirp
+from .sampling import gram_matrix, identity_deviation, translate_chirp
 from .sampling import numra_grid
 from .wavelets import haar_scaling, n2_reference_wavelets
 
@@ -85,10 +85,9 @@ def bank_report(bank: list[PeriodicFilterPair], tolerances: dict | None = None) 
 def _system_gram_stats(system) -> dict:
     g = gram_matrix(system)
     n = g.shape[0]
-    off = g - np.eye(n)
     return {
         "size": n,
-        "max_off_identity": float(np.max(np.abs(off))) if n else 0.0,
+        "max_off_identity": identity_deviation(g),
         "max_diag_deviation": float(np.max(np.abs(np.diag(g) - 1.0))) if n else 0.0,
     }
 

@@ -196,25 +196,45 @@ def chirp_phase(m: CanonicalMatrix, t, shift: float) -> np.ndarray:
     return np.exp(-1j * np.pi * (m.a / m.b) * (t**2 - shift**2))
 
 
+def _common_grid(system: list[SampledSignal]) -> Grid:
+    grid = system[0].grid
+    if any(s.grid != grid for s in system[1:]):
+        raise GridMismatchError("signals must share a common grid")
+    return grid
+
+
 def translate_chirp(phi: SampledSignal, lam: float, m: CanonicalMatrix) -> SampledSignal:
     """Chirped translate t -> phi(t - lam) * exp(-i pi (a/b)(t^2 - lam^2)).
 
     ``lam`` must be an exact multiple of the grid step; this is rejected
     otherwise rather than silently interpolated.
     """
-    grid = phi.grid
-    ratio = lam / grid.step
-    offset = round(ratio)
-    if abs(ratio - offset) > _ALIGN_TOL:
-        raise OffGridError(f"translation {lam} is not a multiple of step {grid.step}")
-    shifted = np.zeros(grid.count, dtype=np.complex128)
-    if offset >= 0:
-        if offset < grid.count:
-            shifted[offset:] = phi.values[: grid.count - offset]
-    else:
-        if -offset < grid.count:
-            shifted[:offset] = phi.values[-offset:]
-    return SampledSignal(grid, shifted * chirp_phase(m, grid.points(), lam))
+    return SampledSignal(phi.grid, chirped_translates([phi], [lam], m)[0])
+
+
+def chirped_translates(system: list[SampledSignal], lambdas, m: CanonicalMatrix) -> np.ndarray:
+    """Stacked chirped translates of every signal at every shift, signal-major.
+
+    Row i * len(lambdas) + k holds ``translate_chirp(system[i], lambdas[k], m)``;
+    each shift's chirp is computed once for all signals.
+    """
+    grid = _common_grid(system)
+    t = grid.points()
+    out = np.zeros((len(system) * len(lambdas), grid.count), dtype=np.complex128)
+    for k, lam in enumerate(lambdas):
+        ratio = lam / grid.step
+        offset = round(ratio)
+        if abs(ratio - offset) > _ALIGN_TOL:
+            raise OffGridError(f"translation {lam} is not a multiple of step {grid.step}")
+        chirp = chirp_phase(m, t, lam)
+        for i, s in enumerate(system):
+            row = out[i * len(lambdas) + k]
+            if 0 <= offset < grid.count:
+                row[offset:] = s.values[: grid.count - offset]
+            elif 0 < -offset < grid.count:
+                row[:offset] = s.values[-offset:]
+            row *= chirp
+    return out
 
 
 def dilate_chirp(phi: SampledSignal, j: int, N: int, lam: float, m: CanonicalMatrix,
@@ -238,16 +258,26 @@ def dilate_chirp(phi: SampledSignal, j: int, N: int, lam: float, m: CanonicalMat
     return SampledSignal(grid, vals)
 
 
-def gram_matrix(system: list[SampledSignal]) -> np.ndarray:
-    """Pairwise trapezoidal inner products of signals on one common grid."""
-    if not system:
-        return np.zeros((0, 0), dtype=np.complex128)
-    grid = system[0].grid
-    for s in system[1:]:
-        if s.grid != grid:
-            raise GridMismatchError("gram requires a common grid")
-    a = np.stack([s.values for s in system])
-    w = np.full(grid.count, grid.step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return (a * w) @ a.conj().T
+def gram_matrix(system: list[SampledSignal] | np.ndarray, grid: Grid | None = None) -> np.ndarray:
+    """Pairwise trapezoidal inner products of signals on one common grid.
+
+    ``system`` is a list of signals, or an (atoms x count) array of their
+    samples on ``grid``.  Only one weighted conjugate copy is made.
+    """
+    if isinstance(system, np.ndarray):
+        a = system
+    else:
+        if not system:
+            return np.zeros((0, 0), dtype=np.complex128)
+        grid = _common_grid(system)
+        a = np.stack([s.values for s in system])
+    b = a.conj()
+    b *= grid.step
+    b[:, 0] *= 0.5
+    b[:, -1] *= 0.5
+    return a @ b.T
+
+
+def identity_deviation(g: np.ndarray) -> float:
+    """Max |G - I| of a square Gram matrix (0 for the empty one)."""
+    return float(np.max(np.abs(g - np.eye(g.shape[0])))) if g.size else 0.0

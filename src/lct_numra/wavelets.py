@@ -6,12 +6,18 @@ Scaling functions are built by the truncated infinite product of dilated
 filter responses; wavelets by one extra filter factor; time-domain signals
 by an inverse transform onto an exactly aligned fine grid followed by
 integer subsampling.
+
+Every scaling, wavelet and packet hat is a product of filter rows
+L_d(u/(2N)^j) on one frequency lattice.  ``cascade`` creates a
+``HatEngine`` there that evaluates each row at most once and retains only
+the cascade tails in use and a few shallow low-pass rows, never one array
+per row.  A ``HatFunction`` takes its lattice values from the engine and
+evaluates the same product at any other u.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +36,7 @@ from .sampling import (
     SampledSignal,
     chirp_phase,
     gram_matrix,
+    identity_deviation,
     indicator,
     inner_product,
     norm,
@@ -45,20 +52,9 @@ class ConvergenceError(RuntimeError):
         self.deviation = deviation
 
 
-@dataclass(frozen=True)
-class HatFunction:
-    """Frequency-domain function of the normalized variable u."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, u) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(u, dtype=float)), dtype=np.complex128)
-
-
-def default_time_grid(ts: TranslationSet, window=(-1.0, 3.0), target_step=2.0**-10) -> Grid:
-    """Translation-compatible grid with step close to ``target_step``."""
-    refinement = max(1, round(1.0 / (2 * ts.N * target_step)))
-    return numra_grid(ts, window, refinement=refinement)
+#: Lattice points per block of a row pass; bounds the temporaries of one
+#: filter evaluation whatever the lattice size.
+_BLOCK = 1 << 15
 
 
 def frequency_samples(grid: Grid, *, span: float = 16.0, oversample: int = 16) -> np.ndarray:
@@ -71,36 +67,209 @@ def frequency_samples(grid: Grid, *, span: float = 16.0, oversample: int = 16) -
     return (np.arange(n) - n // 2) * du
 
 
-def hat_to_signal(
-    hat: HatFunction,
-    grid: Grid,
-    *,
-    span: float = 16.0,
-    oversample: int = 16,
-    hat_values: np.ndarray | None = None,
-) -> SampledSignal:
-    """Inverse 2pi-convention transform of ``hat`` sampled onto ``grid``.
+class HatEngine:
+    """Products of dilated filter rows L_d(u/(2N)^j) on one frequency lattice.
 
-    The frequency cutoff is oversample/(2*step); the result is periodic
-    with period ``span``, so the grid window must sit inside
-    [-span/2, span/2).  Grid points must align with the induced fine time
-    step (step/oversample), which holds whenever span/step is integral.
+    Bound to a low-pass filter and a lattice ``u``.  A node with digit
+    filters L_{d_0}..L_{d_{q-1}} at level l has the hat
+
+        prod_i L_{d_i}(u/(2N)^{l+i+1}) * T_{l+q}(u),
+        T_s(u) = prod_{j=s+1..s+J} L_0(u/(2N)^j),
+
+    the cascade tail at depth s.  One pass over the low-pass rows builds
+    the tails of all requested depths: each row is evaluated once, in
+    blocks of the lattice, folded into every tail that contains it and
+    dropped.  The engine keeps the tails and the shallow low-pass rows
+    j <= depth of ``on_grid``, which digit 0 of a node reuses; digit rows
+    of node hats are evaluated once per ``lattice`` call and folded into
+    every hat that uses them.  A tail deeper than the first pass costs a
+    second pass.
     """
+
+    def __init__(self, lowpass: PeriodicFilterPair, u, *, J: int, span: float | None = None):
+        self.lowpass = lowpass
+        self.u = np.asarray(u, dtype=float)
+        self.J = J
+        self.span = span
+        self._tails: dict[int, np.ndarray] = {}
+        self._rows: dict[int, np.ndarray] = {}
+        #: Max |T_0 - prod_{j<J} L_0(u/(2N)^j)| over the lattice, once T_0 is built.
+        self.tail_deviation: float | None = None
+
+    @classmethod
+    def on_grid(cls, lowpass, grid: Grid, *, span: float = 16.0, oversample: int = 16,
+                J: int = 20, depth: int = 0) -> "HatEngine":
+        """Engine on ``frequency_samples(grid, span, oversample)`` with tails 0..depth built."""
+        engine = cls(lowpass, frequency_samples(grid, span=span, oversample=oversample),
+                     J=J, span=span)
+        engine._build_tails(range(depth + 1), keep_rows=True)
+        return engine
+
+    def serves(self, grid: Grid, *, span: float, oversample: int) -> bool:
+        """True when this engine's lattice is the one used to synthesise onto ``grid``."""
+        return self.span == span and self.u.size == round(oversample * span / grid.step)
+
+    def _blocks(self):
+        return ((a, a + _BLOCK) for a in range(0, self.u.size, _BLOCK))
+
+    def _row(self, pair: PeriodicFilterPair, j: int, a: int, b: int) -> np.ndarray:
+        return filter_eval(pair, self.u[a:b] / float(self.lowpass.ts.dilation) ** j)
+
+    def _build_tails(self, depths, *, keep_rows: bool = False) -> None:
+        new = sorted(set(depths) - set(self._tails))
+        if not new:
+            return
+        J = self.J
+        tails = {s: np.ones(self.u.size, dtype=np.complex128) for s in new}
+        rows = {j: np.empty(self.u.size, dtype=np.complex128)
+                for j in range(new[0] + 1, new[-1] + 1) if keep_rows and j not in self._rows}
+        deviation = 0.0
+        for a, b in self._blocks():
+            for j in range(new[0] + 1, new[-1] + J + 1):
+                users = [s for s in new if s < j <= s + J]
+                if not users and j not in rows:
+                    continue
+                row = self._row(self.lowpass, j, a, b)
+                for s in users:
+                    t = tails[s][a:b]
+                    if s == 0 and j == J:
+                        full = t * row
+                        deviation = max(deviation, float(np.max(np.abs(full - t))))
+                        t[...] = full
+                    else:
+                        t *= row
+                if j in rows:
+                    rows[j][a:b] = row
+        for arr in (*tails.values(), *rows.values()):
+            arr.flags.writeable = False
+        self._tails.update(tails)
+        self._rows.update(rows)
+        if new[0] == 0:
+            self.tail_deviation = deviation
+
+    def lattice(self, hats, *, keep: bool = False) -> list[np.ndarray]:
+        """Lattice values of hats bound to this engine (read-only when shared).
+
+        Each digit row is evaluated once and folded into every hat that
+        uses it.  ``keep`` stores the values on the hats, so later
+        consumers (bases, fold sums) reuse them for as long as the hats live.
+        """
+        todo = {id(h): h for h in hats if h._values is None}
+        self._build_tails({h.depth for h in todo.values()})
+        outs = {}
+        rows: dict[tuple[int, int], tuple[PeriodicFilterPair, int, list]] = {}
+        for key, h in todo.items():
+            tail = self._tails[h.depth]
+            outs[key] = tail.copy() if h.filters else tail
+            for i, pair in enumerate(h.filters):
+                j = h.level + i + 1
+                rows.setdefault((id(pair), j), (pair, j, []))[2].append(outs[key])
+        for a, b in self._blocks():
+            for pair, j, targets in rows.values():
+                if pair is self.lowpass and j in self._rows:
+                    row = self._rows[j][a:b]
+                else:
+                    row = self._row(pair, j, a, b)
+                for t in targets:
+                    t[a:b] *= row
+        if keep:
+            for key, h in todo.items():
+                outs[key].flags.writeable = False
+                object.__setattr__(h, "_values", outs[key])
+        return [outs[id(h)] if id(h) in outs else h._values for h in hats]
+
+
+@dataclass(frozen=True, eq=False)
+class HatFunction:
+    """Packet-type hat prod_i L_{d_i}(u/(2N)^{level+i+1}) * T_{level+q}(u).
+
+    ``filters`` are the digit filters, least significant first; the empty
+    tuple at level 0 is the scaling function.  Lattice values come from
+    ``engine``; calling the hat evaluates the same product at any u.
+    """
+
+    engine: HatEngine
+    filters: tuple[PeriodicFilterPair, ...] = ()
+    level: int = 0
+    _values: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def depth(self) -> int:
+        return self.level + len(self.filters)
+
+    def __call__(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        e = self.engine
+        at_u = HatEngine(e.lowpass, u.ravel(), J=e.J)
+        return at_u.lattice([HatFunction(at_u, self.filters, self.level)])[0].reshape(u.shape)
+
+    def child(self, pair: PeriodicFilterPair) -> "HatFunction":
+        """hat(u) of the child packet: L(u/2N) times this hat at u/2N."""
+        return HatFunction(self.engine, (pair,) + self.filters, self.level)
+
+    def dilated(self, j: int) -> "HatFunction":
+        """This hat at u/(2N)^j."""
+        return self if j == 0 else HatFunction(self.engine, self.filters, self.level + j)
+
+
+def lattice_values(hats, grid: Grid, *, span: float = 16.0, oversample: int = 16) -> list:
+    """Values of each hat on ``frequency_samples(grid, span, oversample)``.
+
+    Hats of one engine bound to that lattice share its rows and tails;
+    otherwise each hat is evaluated by its product formula.
+    """
+    engine = hats[0].engine
+    if all(h.engine is engine for h in hats) and engine.serves(
+        grid, span=span, oversample=oversample
+    ):
+        return engine.lattice(hats)
     u = frequency_samples(grid, span=span, oversample=oversample)
-    n = u.size
-    du = 1.0 / span
-    values = hat(u) if hat_values is None else np.asarray(hat_values, dtype=np.complex128)
-    if values.shape != (n,):
-        raise ValueError("hat_values shape mismatch")
-    fine = np.fft.ifft(np.fft.ifftshift(values)) * (n * du)
+    return [h(u) for h in hats]
+
+
+def default_time_grid(ts: TranslationSet, window=(-1.0, 3.0), target_step=2.0**-10) -> Grid:
+    """Translation-compatible grid with step close to ``target_step``."""
+    refinement = max(1, round(1.0 / (2 * ts.N * target_step)))
+    return numra_grid(ts, window, refinement=refinement)
+
+
+def lattice_to_grid(values, grid: Grid, *, span: float = 16.0, oversample: int = 16,
+                    shifts=(0,)) -> list[np.ndarray]:
+    """Grid samples of the inverse transform of lattice hat values.
+
+    The inverse 2pi-convention transform lands on the fine time step
+    step/oversample and is periodic with period ``span``, so the grid
+    window must sit inside [-span/2, span/2) and its origin on the fine
+    lattice (which holds whenever span/step is integral).  One sample
+    array is returned per delay in ``shifts``, counted in fine steps.
+    """
+    n = values.size
+    fine = np.fft.ifft(np.fft.ifftshift(values)) * (n / span)
     dt_fine = grid.step / oversample
     if grid.t_min < -span / 2 or grid.t_max > span / 2:
         raise ValueError("grid window exceeds the transform period")
     idx0 = grid.t_min / dt_fine
     if abs(idx0 - round(idx0)) > 1e-6:
         raise ValueError("grid origin does not align with the transform lattice")
-    idx = (round(idx0) + oversample * np.arange(grid.count)) % n
-    return SampledSignal(grid, fine[idx])
+    idx = round(idx0) + oversample * np.arange(grid.count)
+    return [fine[(idx - s) % n] for s in shifts]
+
+
+def hat_to_signal(
+    hat: HatFunction,
+    grid: Grid,
+    *,
+    span: float = 16.0,
+    oversample: int = 16,
+) -> SampledSignal:
+    """Inverse 2pi-convention transform of ``hat`` sampled onto ``grid``.
+
+    The frequency cutoff is oversample/(2*step); see ``lattice_to_grid`` for
+    the period and the grid alignment it requires.
+    """
+    values = lattice_values([hat], grid, span=span, oversample=oversample)[0]
+    samples = lattice_to_grid(values, grid, span=span, oversample=oversample)[0]
+    return SampledSignal(grid, samples)
 
 
 @dataclass(frozen=True)
@@ -112,6 +281,11 @@ class CascadeResult:
     tail_deviation: float
     factors: int
 
+    @property
+    def engine(self) -> HatEngine:
+        """The lattice engine shared by every hat built on this cascade."""
+        return self.hat.engine
+
 
 def cascade(
     p0: PeriodicFilterPair,
@@ -122,6 +296,7 @@ def cascade(
     span: float = 16.0,
     oversample: int = 16,
     pre_tol: float = 1e-8,
+    depth: int = 2,
 ) -> CascadeResult:
     """Scaling function from the truncated product of dilated filter responses.
 
@@ -129,7 +304,9 @@ def cascade(
     1e-10 and the scaling conditions within ``pre_tol``.  The tail is
     checked on the inverse-transform lattice: the uniform difference
     between the J-term and (J-1)-term products must be at most ``tol``,
-    otherwise a ConvergenceError carries the deviation.
+    otherwise a ConvergenceError carries the deviation.  The lattice
+    engine also builds the tails of depths 1..``depth`` in the same pass
+    (packets with up to ``depth`` digits, and coarser bases, need them).
     """
     lam0 = filter_eval(p0, 0.0)
     if abs(lam0 - 1.0) > 1e-10:
@@ -139,33 +316,17 @@ def cascade(
         raise FilterConditionError(
             f"scaling conditions fail (residuals {res_a:.3e}, {res_b:.3e})"
         )
-    two_n = p0.ts.dilation
     if grid is None:
         grid = default_time_grid(p0.ts)
-
-    def hat_fn(u: np.ndarray) -> np.ndarray:
-        out = np.ones(u.shape, dtype=np.complex128)
-        x = u / two_n
-        for _ in range(J):
-            out = out * filter_eval(p0, x)
-            x = x / two_n
-        return out
-
-    hat = HatFunction(hat_fn)
-    u = frequency_samples(grid, span=span, oversample=oversample)
-    partial = np.ones(u.size, dtype=np.complex128)
-    x = u / two_n
-    for _ in range(J - 1):
-        partial = partial * filter_eval(p0, x)
-        x = x / two_n
-    full = partial * filter_eval(p0, x)
-    deviation = float(np.max(np.abs(full - partial)))
+    engine = HatEngine.on_grid(p0, grid, span=span, oversample=oversample, J=J, depth=depth)
+    deviation = engine.tail_deviation
     if deviation > tol:
         raise ConvergenceError(
             f"cascade tail deviation {deviation:.3e} exceeds tol {tol:.3e} at J={J}",
             deviation,
         )
-    signal = hat_to_signal(hat, grid, span=span, oversample=oversample, hat_values=full)
+    hat = HatFunction(engine)
+    signal = hat_to_signal(hat, grid, span=span, oversample=oversample)
     return CascadeResult(signal=signal, hat=hat, tail_deviation=deviation, factors=J)
 
 
@@ -178,14 +339,9 @@ def wavelet_from_filters(
     oversample: int = 16,
 ) -> tuple[SampledSignal, HatFunction]:
     """Wavelet hat(psi)(u) = L_k(u/2N) hat(phi)(u/2N), inverse-transformed."""
-    two_n = pk.ts.dilation
     if grid is None:
         grid = default_time_grid(pk.ts)
-
-    def hat_fn(u: np.ndarray) -> np.ndarray:
-        return filter_eval(pk, u / two_n) * phi_hat(u / two_n)
-
-    hat = HatFunction(hat_fn)
+    hat = phi_hat.child(pk)
     return hat_to_signal(hat, grid, span=span, oversample=oversample), hat
 
 
@@ -231,23 +387,12 @@ def haar_filters(
     *,
     permissive: bool = False,
 ) -> PeriodicFilterPair:
-    """Low-pass pair of the Haar-type family.
+    """Low-pass pair of the Haar-type family: filter 0 of ``haar_filter_bank``.
 
     Both components equal (1/2N) sum_k c_k exp(-8 pi i u k) with the
     unimodular lattice phases c_k; sampled exactly from the closed form.
     """
-    coeffs = _haar_lattice_coeffs(ts, m, permissive)
-    two_n = 2 * ts.N
-
-    def eval_fn(u: np.ndarray):
-        u = np.asarray(u, dtype=float)
-        acc = np.zeros(u.shape, dtype=np.complex128)
-        for k, ck in enumerate(coeffs):
-            acc += ck * np.exp(-8j * np.pi * u * k)
-        acc /= two_n
-        return acc, acc.copy()
-
-    return filter_pair_from_components(ts, eval_fn, count)
+    return haar_filter_bank(ts, m, count, permissive=permissive)[0]
 
 
 def haar_filter_bank(
@@ -325,7 +470,7 @@ def haar_family(
     if grid is None:
         grid = default_time_grid(ts)
     bank = haar_filter_bank(ts, m, permissive=permissive)
-    result = cascade(bank[0], J=J, tol=tol, grid=grid, span=span, oversample=oversample)
+    result = cascade(bank[0], J=J, tol=tol, grid=grid, span=span, oversample=oversample, depth=1)
     phi = haar_scaling(ts, grid)
     psi = []
     psi_hat = []
@@ -347,17 +492,7 @@ def haar_family(
 def gram(system: list[SampledSignal]) -> tuple[np.ndarray, float]:
     """Gram matrix of a signal system and its max deviation from identity."""
     g = gram_matrix(system)
-    off = float(np.max(np.abs(g - np.eye(g.shape[0])))) if g.size else 0.0
-    return g, off
-
-
-def translate_system(
-    base: SampledSignal, lambdas, m: CanonicalMatrix
-) -> list[SampledSignal]:
-    """Chirped translates of one generator at the given shifts."""
-    from .sampling import translate_chirp
-
-    return [translate_chirp(base, lam, m) for lam in lambdas]
+    return g, identity_deviation(g)
 
 
 # ---------------------------------------------------------------------------

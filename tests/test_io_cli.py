@@ -156,6 +156,16 @@ class TestHaarCommand:
             assert (out1 / name).exists()
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_cascade_failure_exit_two(self, tmp_path, monkeypatch, capsys):
+        import lct_numra.wavelets as wavelets
+
+        real = wavelets.cascade
+        monkeypatch.setattr(wavelets, "cascade", lambda *a, **k: real(*a, **{**k, "J": 2}))
+        out = tmp_path / "fam"
+        assert main(["haar", "--N", "1", "--matrix", "0,1,-1,0", "--out-dir", str(out)]) == 2
+        assert "tail deviation" in capsys.readouterr().err
+        assert not (out / "phi.csv").exists()
+
     def test_verify_report_content(self, tmp_path):
         out = tmp_path / "fam"
         assert main(["haar", "--N", "2", "--matrix", "2,1,1,1", "--out-dir", str(out)]) == 0
@@ -205,6 +215,25 @@ class TestCascadeCommand:
         ref = haar_scaling(TranslationSet(1, 1), phi.grid)
         assert l2_distance_off_jumps(phi, ref, jumps=[0.0, 1.0]) <= 1e-2
 
+    def test_unconverged_tail_exit_two(self, tmp_path, capsys):
+        pair = haar_filters(TranslationSet(1, 1), fourier())
+        fpath = tmp_path / "filters.csv"
+        write_filter_csv(fpath, pair)
+        out = tmp_path / "phi.csv"
+        assert main(["cascade", "--filters", str(fpath), "--out", str(out), "--J", "2"]) == 2
+        assert "tail deviation" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inadmissible_filter_exit_two(self, tmp_path, capsys):
+        base = haar_filters(TranslationSet(1, 1), fourier())
+        doubled = PeriodicFilterPair(base.ts, base.u_grid, 2 * base.comp1, 2 * base.comp2)
+        fpath = tmp_path / "filters.csv"
+        write_filter_csv(fpath, doubled)
+        assert main([
+            "cascade", "--filters", str(fpath), "--out", str(tmp_path / "phi.csv"),
+        ]) == 2
+        assert "expected 1" in capsys.readouterr().err
+
 
 class TestPacketsCommand:
     def test_gen_and_gram(self, tmp_path):
@@ -217,11 +246,22 @@ class TestPacketsCommand:
         assert main([
             "packets", "gram", "--nodes", str(out), "--window=-2,2.0001",
             "--matrix", "0,1,-1,0", "--N", "1", "--report", str(report),
-            "--tol", "5e-3",
         ]) == 0
         payload = read_json(report)
         assert payload["ok"]
-        assert payload["max_off_identity"] <= 5e-3
+        assert payload["tolerances"]["gram"] == 1e-3
+        assert payload["max_off_identity"] <= 1e-3
+
+    def test_gen_cascade_failure_exit_two(self, tmp_path, monkeypatch, capsys):
+        import lct_numra.packets as packets
+
+        real = packets.cascade
+        monkeypatch.setattr(packets, "cascade", lambda *a, **k: real(*a, **{**k, "J": 2}))
+        assert main([
+            "packets", "gen", "--n-max", "1", "--N", "1", "--matrix", "0,1,-1,0",
+            "--out-dir", str(tmp_path / "pk"),
+        ]) == 2
+        assert "tail deviation" in capsys.readouterr().err
 
 
 class TestProjectCommand:

@@ -20,7 +20,7 @@ from lct_numra.packets import (
     reconstruct,
 )
 from lct_numra.sampling import SampledSignal, norm, numra_grid
-from lct_numra.wavelets import cascade, default_time_grid, haar_filter_bank
+from lct_numra.wavelets import cascade, default_time_grid, frequency_samples, haar_filter_bank
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 
@@ -285,3 +285,61 @@ class TestSubspaceSplit:
         recs = [packet_synthesize(packet_analyze(f, b), b) for b in bases]
         for rec in recs:
             assert norm(SampledSignal(grid, rec.values - f.values)) / nf <= 2e-3
+
+
+class TestHatEngine:
+    def test_each_row_evaluated_once_per_tree(self, monkeypatch):
+        # generate, certify a level-1 and a level-0 basis, fold: every filter
+        # row L_d(u/(2N)^j) is evaluated on the lattice at most once
+        import lct_numra.wavelets as wavelets
+
+        monkeypatch.setattr(wavelets, "_BLOCK", 1000)
+        real = wavelets.filter_eval
+        calls = []
+
+        def counting(p, u):
+            arr = np.asarray(u)
+            if arr.ndim:
+                calls.append((id(p), arr.size, float(arr[0]), float(arr[-1])))
+            return real(p, u)
+
+        monkeypatch.setattr(wavelets, "filter_eval", counting)
+        ts = TranslationSet(2, 1)
+        bank = haar_filter_bank(ts, M2111)
+        grid = numra_grid(ts, (-4.0, 4.0), refinement=64)
+        nodes = generate_packets(4, bank, grid=grid, oversample=1)
+        make_basis(nodes, ts, M2111, [(0, 1, [0.0, 0.5, 2.0])]).certify()
+        make_basis(nodes, ts, M2111, [(n, 0, [0.0, 2.0]) for n in range(4)]).certify()
+        fold_residuals(nodes[1], ts, oversample=1)
+        n = frequency_samples(grid, oversample=1).size
+        assert len(calls) == len(set(calls))
+        # tails of depth 0..2 take the low-pass rows 1..22 (J = 20); the digit
+        # rows are L_1, L_2, L_3 at level 1 and L_1 at level 2, while digit 0
+        # of packet 4 reuses the low-pass row at level 1
+        assert sum(size for _, size, _, _ in calls) == 26 * n
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_lattice_hats_match_product_formula(self, N):
+        ts = TranslationSet(N, 1)
+        bank = haar_filter_bank(ts, M2111)
+        grid = numra_grid(ts, (-2.0, 2.0), refinement=64)
+        J = 20
+        scaling = cascade(bank[0], J=J, tol=1e-5, grid=grid, oversample=1)
+        u = frequency_samples(grid, oversample=1)
+        two_n = float(2 * N)
+        # up to three digits, so the deepest tails need a second pass
+        for n in range((2 * N) ** 2 + 2):
+            idx = digits(n, N)
+            node = packet_hat(idx, bank, scaling=scaling, grid=grid, oversample=1,
+                              synthesize=False)
+            q = len(idx.digits)
+            for level in (0, 1):
+                want = np.ones(u.size, dtype=complex)
+                for i, d in enumerate(idx.digits):
+                    want *= filter_eval(bank[d], u / two_n ** (level + i + 1))
+                for j in range(level + q + 1, level + q + J + 1):
+                    want *= filter_eval(bank[0], u / two_n**j)
+                hat = node.hat.dilated(level)
+                got = scaling.engine.lattice([hat])[0]
+                assert np.max(np.abs(got - want)) <= 1e-14
+                assert np.max(np.abs(hat(u) - want)) <= 1e-14
