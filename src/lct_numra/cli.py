@@ -5,8 +5,10 @@ residual above its tolerance; the report is still written).  Outputs are
 deterministic for a fixed configuration and written atomically.
 
 The environment variable LCT_NUMRA_THREADS caps internal (BLAS/FFT)
-parallelism; 0 or unset means automatic.  It must take effect before the
-numerics are imported, so this module defers those imports.
+parallelism; 0 or unset means automatic.  It must take effect before
+numpy is imported, so this module and the package ``__init__`` import
+nothing numerical: ``main`` applies the cap first and each command then
+imports what it uses.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=["direct", "fast"], default="fast")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--t-grid", default=None, help="t_min,step,count for inv direct")
+    p.add_argument("--t-grid", default=None,
+                   help="t_min,step,count for inv (default: the grid recorded with the spectrum)")
 
     p = sub.add_parser("haar", help="emit a Haar-type family and its verification")
     p.add_argument("--N", type=int, required=True)
@@ -171,17 +174,16 @@ def _cmd_lct(args) -> int:
             spec = lct_direct(sig, m, induced_omega_grid(sig.grid, m))
         write_spectrum_csv(args.out, spec)
     else:
-        import numpy as np
-
         spec = read_spectrum_csv(args.infile)
         if args.t_grid:
             t_min, step, count = args.t_grid.split(",")
             grid = Grid(float(t_min), float(step), int(count))
+        elif spec.t_grid is not None:
+            grid = spec.t_grid
         else:
-            n = spec.grid.count
-            step = 2.0 * np.pi * abs(m.b) / (n * spec.grid.step)
-            grid = Grid(-(n // 2) * step, step, n)
-        sig = ilct(spec, m, grid, method=args.method if args.method else "auto")
+            raise ValueError(f"{args.infile}: no source t_grid in the sidecar; "
+                             "pass --t-grid t_min,step,count")
+        sig = ilct(spec, m, grid, method=args.method)
         write_signal_csv(args.out, sig)
     return EXIT_OK
 
@@ -189,7 +191,7 @@ def _cmd_lct(args) -> int:
 def _cmd_haar(args) -> int:
     from .filters import TranslationSet
     from .io import write_filter_csv, write_json, write_signal_csv
-    from .reports import bank_report
+    from .reports import DEFAULT_TOLERANCES, bank_report
     from .wavelets import default_time_grid, haar_family
 
     ts = TranslationSet(N=args.N, r=args.r)
@@ -202,8 +204,7 @@ def _cmd_haar(args) -> int:
         write_signal_csv(out / f"psi_{k}.csv", psi)
     for k, pair in enumerate(fam.filters):
         write_filter_csv(out / f"filters_{k}.csv", pair)
-    tol = {code: args.tol for code in ("2.21", "2.22", "2.33", "3.4a", "3.4b")}
-    report = bank_report(list(fam.filters), tol)
+    report = bank_report(list(fam.filters), {code: args.tol for code in DEFAULT_TOLERANCES})
     report["matrix"] = m.to_dict()
     write_json(out / "verify.json", report)
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION

@@ -2,7 +2,10 @@
 
 All numeric CSV fields are printed with 17 significant digits; files are
 written atomically (temp file + rename) so reruns either replace outputs
-whole or not at all.
+whole or not at all.  Signals and spectra share one format: columns
+(x, re, im) plus a JSON sidecar holding the grid.  A spectrum's sidecar
+also records the time grid of its source signal under "t_grid", so the
+inverse transform can land back on the source samples.
 """
 
 from __future__ import annotations
@@ -65,14 +68,6 @@ def _columns_csv(header: list[str], columns: list[np.ndarray]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_signal_csv(path: str | Path, signal: SampledSignal) -> None:
-    path = Path(path)
-    t = signal.grid.points()
-    text = _columns_csv(["t", "re", "im"], [t, signal.values.real, signal.values.imag])
-    atomic_write_text(path, text)
-    write_json(_sidecar(path), signal.grid.to_dict())
-
-
 def _read_columns(path: Path, expected_header: list[str]) -> list[np.ndarray]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -82,40 +77,54 @@ def _read_columns(path: Path, expected_header: list[str]) -> list[np.ndarray]:
     return [data[:, i] for i in range(data.shape[1])]
 
 
-def read_signal_csv(path: str | Path) -> SampledSignal:
+def _write_sampled(path: str | Path, x_name: str, grid: Grid, values: np.ndarray,
+                   **sidecar) -> None:
+    """Columns (x, re, im) over ``grid`` plus a sidecar: the grid and any extra keys."""
     path = Path(path)
-    t, re, im = _read_columns(path, ["t", "re", "im"])
+    atomic_write_text(path, _columns_csv([x_name, "re", "im"],
+                                         [grid.points(), values.real, values.imag]))
+    write_json(_sidecar(path), {**grid.to_dict(), **sidecar})
+
+
+def _read_sampled(path: str | Path, x_name: str) -> tuple[Grid, np.ndarray, dict]:
+    """Grid, complex values and sidecar dict (empty when absent) of a sampled CSV.
+
+    Without a sidecar the grid is inferred from the x column.
+    """
+    path = Path(path)
+    x, re, im = _read_columns(path, [x_name, "re", "im"])
     sidecar = _sidecar(path)
     if sidecar.exists():
-        grid = Grid.from_dict(read_json(sidecar))
+        meta = read_json(sidecar)
+        grid = Grid.from_dict(meta)
     else:
-        step = float(np.mean(np.diff(t))) if len(t) > 1 else 1.0
-        grid = Grid(t_min=float(t[0]), step=step, count=len(t))
-    if grid.count != len(t):
+        meta = {}
+        step = float(np.mean(np.diff(x))) if len(x) > 1 else 1.0
+        grid = Grid(t_min=float(x[0]), step=step, count=len(x))
+    if grid.count != len(x):
         raise ValueError(f"{path}: row count does not match the grid sidecar")
-    return SampledSignal(grid, re + 1j * im)
+    return grid, re + 1j * im, meta
+
+
+def write_signal_csv(path: str | Path, signal: SampledSignal) -> None:
+    _write_sampled(path, "t", signal.grid, signal.values)
+
+
+def read_signal_csv(path: str | Path) -> SampledSignal:
+    grid, values, _ = _read_sampled(path, "t")
+    return SampledSignal(grid, values)
 
 
 def write_spectrum_csv(path: str | Path, spectrum: LctSpectrum) -> None:
-    path = Path(path)
-    omega = spectrum.grid.points()
-    text = _columns_csv(
-        ["omega", "re", "im"], [omega, spectrum.values.real, spectrum.values.imag]
-    )
-    atomic_write_text(path, text)
-    write_json(_sidecar(path), spectrum.grid.to_dict())
+    """Spectrum CSV; the sidecar records the source time grid when it is known."""
+    extra = {} if spectrum.t_grid is None else {"t_grid": spectrum.t_grid.to_dict()}
+    _write_sampled(path, "omega", spectrum.grid, spectrum.values, **extra)
 
 
 def read_spectrum_csv(path: str | Path) -> LctSpectrum:
-    path = Path(path)
-    omega, re, im = _read_columns(path, ["omega", "re", "im"])
-    sidecar = _sidecar(path)
-    if sidecar.exists():
-        grid = Grid.from_dict(read_json(sidecar))
-    else:
-        step = float(np.mean(np.diff(omega))) if len(omega) > 1 else 1.0
-        grid = Grid(t_min=float(omega[0]), step=step, count=len(omega))
-    return LctSpectrum(grid, re + 1j * im)
+    grid, values, meta = _read_sampled(path, "omega")
+    t_grid = Grid.from_dict(meta["t_grid"]) if "t_grid" in meta else None
+    return LctSpectrum(grid, values, t_grid)
 
 
 def write_filter_csv(path: str | Path, pair: PeriodicFilterPair) -> None:

@@ -31,10 +31,15 @@ _BLOCK = 512
 
 @dataclass(frozen=True)
 class LctSpectrum:
-    """Transform values on a uniform frequency grid (omega units)."""
+    """Transform values on a uniform frequency grid (omega units).
+
+    ``t_grid`` is the time grid of the transformed signal, when known, so
+    that a stored spectrum can be inverted back onto its source samples.
+    """
 
     grid: Grid
     values: np.ndarray
+    t_grid: Grid | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.complex128)
@@ -52,25 +57,18 @@ def induced_omega_grid(t_grid: Grid, m: CanonicalMatrix) -> Grid:
     return Grid(t_min=-(n // 2) * d_omega, step=d_omega, count=n)
 
 
-def _trapezoid_weights(n: int, step: float) -> np.ndarray:
-    w = np.full(n, step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def lct_direct(f: SampledSignal, m: CanonicalMatrix, omega_grid: Grid) -> LctSpectrum:
     """Quadrature oracle: trapezoidal integral of f(t) K(t, omega) per omega."""
     require_valid(m)
     t = f.grid.points()
-    weighted = f.values * _trapezoid_weights(f.grid.count, f.grid.step)
+    weighted = f.values * f.grid.trapezoid_weights()
     omega = omega_grid.points()
     out = np.empty(omega_grid.count, dtype=np.complex128)
     for lo in range(0, omega_grid.count, _BLOCK):
         hi = min(lo + _BLOCK, omega_grid.count)
         k = kernel(m, t[None, :], omega[lo:hi, None])
         out[lo:hi] = k @ weighted
-    return LctSpectrum(omega_grid, out)
+    return LctSpectrum(omega_grid, out, f.grid)
 
 
 def lct_fast(f: SampledSignal, m: CanonicalMatrix) -> LctSpectrum:
@@ -96,7 +94,7 @@ def lct_fast(f: SampledSignal, m: CanonicalMatrix) -> LctSpectrum:
         spec = spec[::-1]
     values = spec * np.exp(1j * m.d * omega**2 / (2.0 * m.b)) / np.sqrt(2j * np.pi * m.b)
     grid = Grid(t_min=omega[0], step=omega[1] - omega[0], count=n)
-    return LctSpectrum(grid, values)
+    return LctSpectrum(grid, values, f.grid)
 
 
 def _is_induced(spec_grid: Grid, t_grid: Grid, m: CanonicalMatrix) -> bool:
@@ -136,7 +134,7 @@ def ilct(F: LctSpectrum, m: CanonicalMatrix, t_grid: Grid, method: str = "auto")
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
     omega = F.grid.points()
-    weighted = F.values * _trapezoid_weights(F.grid.count, F.grid.step)
+    weighted = F.values * F.grid.trapezoid_weights()
     t = t_grid.points()
     out = np.empty(t_grid.count, dtype=np.complex128)
     for lo in range(0, t_grid.count, _BLOCK):
@@ -150,8 +148,7 @@ def spectrum_inner(F: LctSpectrum, G: LctSpectrum) -> complex:
     """Trapezoidal inner product of two spectra on a common grid."""
     if F.grid != G.grid:
         raise ValueError("spectra must share a grid")
-    w = _trapezoid_weights(F.grid.count, F.grid.step)
-    return complex(np.sum(F.values * np.conj(G.values) * w))
+    return complex(np.sum(F.values * np.conj(G.values) * F.grid.trapezoid_weights()))
 
 
 def parseval_residual(f: SampledSignal, g: SampledSignal, m: CanonicalMatrix) -> float:

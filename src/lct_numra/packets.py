@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import CanonicalMatrix
-from .filters import PeriodicFilterPair, TranslationSet, omega_enumerate
+from .filters import PeriodicFilterPair, TranslationSet, omega_enumerate, shift_sums
 from .sampling import (
     Grid,
     SampledSignal,
@@ -285,10 +285,7 @@ def packet_analyze(
     """Coefficients <f, atom> for every basis atom (quadrature)."""
     basis.require_certified(tol)
     grid = f.grid
-    w = np.full(grid.count, grid.step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    weighted = np.conj(f.values) * w
+    weighted = np.conj(f.values) * grid.trapezoid_weights()
     rows = []
     vals = []
     for e, sig in zip(basis.elements, basis.signals()):
@@ -338,14 +335,7 @@ def fold_residuals(
     n_fold = vals.size // period
     trimmed = vals[: n_fold * period]
     h = trimmed.reshape(n_fold, period).sum(axis=0)
-    half_shift = round(0.5 / du)
-    phases = np.exp(-1j * np.pi * ts.r * np.arange(2 * ts.N) / ts.N)
-    plain = np.zeros(period)
-    twisted = np.zeros(period, dtype=np.complex128)
-    for p in range(2 * ts.N):
-        shifted = np.roll(h, -p * half_shift)
-        plain += shifted
-        twisted += phases[p] * shifted
+    plain, twisted = shift_sums(h, round(0.5 / du), ts)
     res_plain = float(np.max(np.abs(plain - 2.0)))
     res_twist = float(np.max(np.abs(twisted)))
     return res_plain, res_twist

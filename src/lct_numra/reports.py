@@ -12,14 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .canonical import CanonicalMatrix, validate
-from .filters import (
-    PeriodicFilterPair,
-    TranslationSet,
-    bank_residuals,
-    check_m0_period,
-    check_orthonormality,
-    check_scaling_conditions,
-)
+from .filters import PeriodicFilterPair, TranslationSet, bank_residuals
 from .io import config_hash
 from .sampling import gram_matrix, identity_deviation, translate_chirp
 from .sampling import numra_grid
@@ -35,51 +28,33 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def lowpass_report(pair: PeriodicFilterPair, tolerances: dict | None = None) -> dict:
-    """Residuals of every admissibility condition for a single low-pass pair."""
+def _report(config: dict, residuals: dict[str, float], tolerances: dict | None) -> dict:
+    """Report envelope: config hash (tolerances included), residuals, violations."""
     tol = dict(DEFAULT_TOLERANCES if tolerances is None else tolerances)
-    r21, r22 = check_orthonormality(pair, pair, same_index=True)
-    r34a, r34b = check_scaling_conditions(pair)
-    residuals = {
-        "2.21": r21,
-        "2.22": r22,
-        "2.33": check_m0_period(pair),
-        "3.4a": r34a,
-        "3.4b": r34b,
-    }
     violations = sorted(code for code, res in residuals.items() if res > tol[code])
-    config = {
-        "translation": pair.ts.to_dict(),
-        "u_count": pair.u_grid.count,
-        "tolerances": tol,
-    }
     return {
-        "config_hash": config_hash(config),
+        "config_hash": config_hash({**config, "tolerances": tol}),
         "tolerances": tol,
         "residuals": residuals,
         "violations": violations,
         "ok": not violations,
     }
+
+
+def lowpass_report(pair: PeriodicFilterPair, tolerances: dict | None = None) -> dict:
+    """Residuals of every admissibility condition for a single low-pass pair."""
+    config = {"translation": pair.ts.to_dict(), "u_count": pair.u_grid.count}
+    return _report(config, bank_residuals([pair]), tolerances)
 
 
 def bank_report(bank: list[PeriodicFilterPair], tolerances: dict | None = None) -> dict:
     """Worst-case residuals over all filter pairs of a bank."""
-    tol = dict(DEFAULT_TOLERANCES if tolerances is None else tolerances)
-    residuals = bank_residuals(bank)
-    violations = sorted(code for code, res in residuals.items() if res > tol[code])
     config = {
         "translation": bank[0].ts.to_dict(),
         "u_count": bank[0].u_grid.count,
         "size": len(bank),
-        "tolerances": tol,
     }
-    return {
-        "config_hash": config_hash(config),
-        "tolerances": tol,
-        "residuals": residuals,
-        "violations": violations,
-        "ok": not violations,
-    }
+    return _report(config, bank_residuals(bank), tolerances)
 
 
 def _system_gram_stats(system) -> dict:

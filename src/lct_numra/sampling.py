@@ -1,9 +1,12 @@
 """Uniform grids, sampled complex signals, and chirp-modulated operators.
 
 Signals model compactly supported functions: the value outside the grid
-window is 0.  Quadrature is trapezoidal; translations must land exactly on
-grid points (no interpolation), which keeps indicator-function inner
-products exact when breakpoints sit on the grid.
+window is 0.  Quadrature is trapezoidal, and ``Grid.trapezoid_weights``
+owns its weights: every inner product, norm and Gram matrix here, and the
+quadratures of the transform, projection and packet modules, use them.
+Translations must land exactly on grid points (no interpolation), which
+keeps indicator-function inner products exact when breakpoints sit on the
+grid.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalMatrix
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 #: Relative slack when deciding whether an offset is an exact grid multiple.
 _ALIGN_TOL = 1e-9
@@ -55,6 +56,13 @@ class Grid:
     def t_max(self) -> float:
         """One step past the last grid point (half-open window end)."""
         return self.t_min + self.step * self.count
+
+    def trapezoid_weights(self) -> np.ndarray:
+        """Trapezoid-rule weights: step at interior points, step/2 at both ends."""
+        w = np.full(self.count, self.step)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
 
     def index_of(self, t: float) -> int:
         """Exact index of a grid point; raises OffGridError otherwise."""
@@ -139,7 +147,7 @@ def gaussian(grid: Grid) -> SampledSignal:
 
 
 def _common_samples(f: SampledSignal, g: SampledSignal):
-    """Align two signals on the coarser of two nested grids.
+    """Align two signals on the coarser of two nested grids; returns (f, g, grid).
 
     Accepts identical grids, or one grid refining the other with shared
     points (integer step ratio, aligned offsets).  Anything else is
@@ -147,7 +155,7 @@ def _common_samples(f: SampledSignal, g: SampledSignal):
     """
     gf, gg = f.grid, g.grid
     if gf == gg:
-        return f.values, g.values, gf.step
+        return f.values, g.values, gf
     if gf.step > gg.step:
         coarse_vals, coarse, fine_sig = f.values, gf, g
     else:
@@ -166,15 +174,14 @@ def _common_samples(f: SampledSignal, g: SampledSignal):
     fine_vals = np.zeros(coarse.count, dtype=np.complex128)
     fine_vals[inside] = fine_sig.values[idx[inside]]
     if fine_sig is f:
-        return fine_vals, coarse_vals, coarse.step
-    return coarse_vals, fine_vals, coarse.step
+        return fine_vals, coarse_vals, coarse
+    return coarse_vals, fine_vals, coarse
 
 
 def inner_product(f: SampledSignal, g: SampledSignal) -> complex:
     """Trapezoidal quadrature of f * conj(g)."""
-    fv, gv, step = _common_samples(f, g)
-    integrand = fv * np.conj(gv)
-    return complex(_trapezoid(integrand, dx=step))
+    fv, gv, grid = _common_samples(f, g)
+    return complex(np.sum(fv * np.conj(gv) * grid.trapezoid_weights()))
 
 
 def norm(f: SampledSignal) -> float:
@@ -184,9 +191,10 @@ def norm(f: SampledSignal) -> float:
 
 def rel_l2_error(got: SampledSignal, ref: SampledSignal) -> float:
     """||got - ref||_2 / ||ref||_2 on the common grid."""
-    gv, rv, step = _common_samples(got, ref)
-    num = np.sqrt(_trapezoid(np.abs(gv - rv) ** 2, dx=step))
-    den = np.sqrt(_trapezoid(np.abs(rv) ** 2, dx=step))
+    gv, rv, grid = _common_samples(got, ref)
+    w = grid.trapezoid_weights()
+    num = np.sqrt(np.sum(np.abs(gv - rv) ** 2 * w))
+    den = np.sqrt(np.sum(np.abs(rv) ** 2 * w))
     return float(num / den)
 
 
@@ -238,19 +246,23 @@ def chirped_translates(system: list[SampledSignal], lambdas, m: CanonicalMatrix)
 
 
 def dilate_chirp(phi: SampledSignal, j: int, N: int, lam: float, m: CanonicalMatrix,
-                 *, max_level: int = DEFAULT_LEVEL_BUDGET) -> SampledSignal:
+                 *, max_level: int = DEFAULT_LEVEL_BUDGET,
+                 grid: Grid | None = None) -> SampledSignal:
     """Element (2N)^{j/2} phi((2N)^j t - lam) exp(-i pi (a/b)(t^2 - lam^2)).
 
-    For j >= 0 the dilated argument lands on grid points exactly (the grid
-    is constructed that way); for j < 0 values come from the right-limit
-    piecewise-constant extension of ``phi``.
+    The element is sampled on ``grid`` (default ``phi.grid``); ``lam``
+    must be a multiple of ``phi.grid.step``.  Where the dilated argument
+    lands on a grid point of ``phi`` (j >= 0 on grids built for it) the
+    value is exact; elsewhere it comes from the right-limit
+    piecewise-constant extension of ``phi``, exact for indicator-type
+    generators.
     """
     if abs(j) > max_level:
         raise ValueError(f"level {j} exceeds budget {max_level}")
-    grid = phi.grid
-    ratio = lam / grid.step
+    ratio = lam / phi.grid.step
     if abs(ratio - round(ratio)) > _ALIGN_TOL:
-        raise OffGridError(f"translation {lam} is not a multiple of step {grid.step}")
+        raise OffGridError(f"translation {lam} is not a multiple of step {phi.grid.step}")
+    grid = phi.grid if grid is None else grid
     t = grid.points()
     scale = float(2 * N) ** j
     vals = phi.value_at(scale * t - lam)
@@ -272,9 +284,7 @@ def gram_matrix(system: list[SampledSignal] | np.ndarray, grid: Grid | None = No
         grid = _common_grid(system)
         a = np.stack([s.values for s in system])
     b = a.conj()
-    b *= grid.step
-    b[:, 0] *= 0.5
-    b[:, -1] *= 0.5
+    b *= grid.trapezoid_weights()
     return a @ b.T
 
 

@@ -32,9 +32,10 @@ from .filters import (
     omega_enumerate,
 )
 from .sampling import (
+    DEFAULT_LEVEL_BUDGET,
     Grid,
     SampledSignal,
-    chirp_phase,
+    dilate_chirp,
     gram_matrix,
     identity_deviation,
     indicator,
@@ -507,33 +508,13 @@ class ProjectionResult:
     warnings: tuple[str, ...]
 
 
-def scaled_element(
-    phi: SampledSignal,
-    target_grid: Grid,
-    j: int,
-    N: int,
-    lam: float,
-    m: CanonicalMatrix,
-) -> SampledSignal:
-    """Basis element (2N)^{j/2} phi((2N)^j t - lam) chirp(t, lam) on ``target_grid``.
-
-    Values of ``phi`` between its grid points come from the right-limit
-    piecewise-constant extension, exact for indicator-type generators.
-    """
-    t = target_grid.points()
-    scale = float(2 * N) ** j
-    vals = phi.value_at(scale * t - lam)
-    vals = (2 * N) ** (j / 2.0) * vals * chirp_phase(m, t, lam)
-    return SampledSignal(target_grid, vals)
-
-
 def project(
     f: SampledSignal,
     fam: WaveletFamily,
     j: int,
     lambda_window: tuple[float, float],
     *,
-    max_level: int = 16,
+    max_level: int = DEFAULT_LEVEL_BUDGET,
 ) -> ProjectionResult:
     """Orthogonal projection of f onto the level-j span of scaling translates.
 
@@ -541,18 +522,13 @@ def project(
     translations.  A warning is attached when boundary coefficients are
     non-negligible (the window would truncate the projection).
     """
-    if abs(j) > max_level:
-        raise ValueError(f"level {j} exceeds budget {max_level}")
     lambdas = omega_enumerate(fam.ts, lambda_window)
     grid = f.grid
-    w = np.full(grid.count, grid.step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    weighted = np.conj(f.values) * w
+    weighted = np.conj(f.values) * grid.trapezoid_weights()
     acc = np.zeros(grid.count, dtype=np.complex128)
     coeffs: dict[float, complex] = {}
     for lam in lambdas:
-        e = scaled_element(fam.phi, grid, j, fam.ts.N, lam, fam.m)
+        e = dilate_chirp(fam.phi, j, fam.ts.N, lam, fam.m, max_level=max_level, grid=grid)
         c = np.conj(np.sum(weighted * e.values))
         coeffs[lam] = complex(c)
         acc += c * e.values

@@ -234,6 +234,16 @@ class TestBankResiduals:
         assert set(res) == {"2.21", "2.22", "2.33", "3.4a", "3.4b"}
         assert max(res.values()) <= 1e-12
 
+    def test_nan_pair_residual_kept(self):
+        # components near 1e200 overflow the products; the twisted sum turns NaN
+        p0 = haar_filters(TranslationSet(1, 1), M2111)
+        big = PeriodicFilterPair(p0.ts, p0.u_grid, 1e200 * p0.comp1, 1e200 * p0.comp2)
+        with np.errstate(all="ignore"):
+            r21, r22 = check_orthonormality(big, big, same_index=True)
+            res = bank_residuals([big])
+        assert np.isnan(r22) and np.isnan(res["2.22"])
+        assert res["2.21"] == r21 == np.inf
+
 
 class TestPairValidation:
     def test_grid_must_cover_half_period(self):

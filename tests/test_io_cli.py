@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lct_numra
 from lct_numra.canonical import CanonicalMatrix, fourier
 from lct_numra.cli import main
-from lct_numra.config import RunConfig
 from lct_numra.filters import PeriodicFilterPair, TranslationSet
 from lct_numra.io import (
     config_hash,
@@ -18,17 +22,16 @@ from lct_numra.io import (
     write_signal_csv,
     write_spectrum_csv,
 )
-from lct_numra.lct import lct_fast
-from lct_numra.sampling import Grid, gaussian, rel_l2_error
-from lct_numra.wavelets import haar_filters
+from lct_numra.lct import LctSpectrum, lct_fast
+from lct_numra.reports import bank_report, lowpass_report
+from lct_numra.sampling import Grid, SampledSignal, gaussian, rel_l2_error
+from lct_numra.wavelets import haar_filter_bank, haar_filters
 
 
 class TestSerialization:
     def test_signal_round_trip_exact(self, tmp_path):
         g = Grid(-2.0, 2.0**-6, 256)
         rng = np.random.default_rng(1)
-        from lct_numra.sampling import SampledSignal
-
         sig = SampledSignal(g, rng.normal(size=256) + 1j * rng.normal(size=256))
         path = tmp_path / "sig.csv"
         write_signal_csv(path, sig)
@@ -43,6 +46,23 @@ class TestSerialization:
         write_spectrum_csv(path, spec)
         back = read_spectrum_csv(path)
         np.testing.assert_array_equal(back.values, spec.values)
+        assert back.grid == spec.grid
+        assert back.t_grid == g
+
+    @pytest.mark.parametrize("kind", ["signal", "spectrum"])
+    def test_row_count_checked_against_sidecar(self, tmp_path, kind):
+        g = Grid(-8.0, 2.0**-4, 256)
+        path = tmp_path / f"{kind}.csv"
+        if kind == "signal":
+            write_signal_csv(path, gaussian(g))
+            read = read_signal_csv
+        else:
+            write_spectrum_csv(path, lct_fast(gaussian(g), fourier()))
+            read = read_spectrum_csv
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError, match="row count"):
+            read(path)
 
     def test_filter_round_trip_exact(self, tmp_path):
         pair = haar_filters(TranslationSet(2, 1), CanonicalMatrix(2, 1, 1, 1))
@@ -59,38 +79,64 @@ class TestSerialization:
         with pytest.raises(ValueError, match="header"):
             read_signal_csv(path)
 
-
-class TestConfig:
-    def make(self, tmp_path):
-        return RunConfig(
-            matrix=CanonicalMatrix(2, 1, 1, 1),
-            ts=TranslationSet(2, 1),
-            grid=Grid(-1.0, 2.0**-10, 4096),
-            tolerances={"2.21": 1e-10},
-            out_dir=str(tmp_path),
-        )
-
-    def test_round_trip_lossless(self, tmp_path):
-        cfg = self.make(tmp_path)
-        path = tmp_path / "config.json"
-        cfg.save(path)
-        back = RunConfig.load(path)
-        assert back == cfg
-        assert back.hash == cfg.hash
-
-    def test_positive_tolerances_required(self, tmp_path):
-        cfg = RunConfig(
-            matrix=fourier(),
-            ts=TranslationSet(1, 1),
-            grid=Grid(0.0, 0.5, 4),
-            tolerances={"2.21": -1.0},
-        )
-        with pytest.raises(ValueError, match="positive"):
-            cfg.validate()
-
     def test_hash_is_stable(self):
         obj = {"b": 2.0, "a": [1, 2, 3]}
         assert config_hash(obj) == config_hash({"a": [1, 2, 3], "b": 2.0})
+
+
+class TestReports:
+    """Report bytes are pinned so that a refactor of the verifiers cannot drift them."""
+
+    ts = TranslationSet(2, 1)
+    m = CanonicalMatrix(2, 1, 1, 1)
+
+    def test_lowpass_report_pinned(self):
+        report = lowpass_report(haar_filters(self.ts, self.m))
+        assert report["config_hash"] == (
+            "4909839b604536bcced985b90f55935490ddb51bf76ac5b5f7194a5595a3bd41"
+        )
+        assert report["residuals"] == {
+            "2.21": 4.442569315895073e-16,
+            "2.22": 4.808282320900039e-16,
+            "2.33": 4.440892098500626e-16,
+            "3.4a": 4.440892098500626e-16,
+            "3.4b": 5.269049186782155e-16,
+        }
+        assert report["ok"] and report["violations"] == []
+
+    def test_bank_report_pinned(self):
+        report = bank_report(haar_filter_bank(self.ts, self.m))
+        assert report["config_hash"] == (
+            "6d3350a5c1c8d262c18dd1d40043ac0ce86c038f6530a85445b78d118d2ad4f4"
+        )
+        assert report["residuals"] == {
+            "2.21": 4.451977957430657e-16,
+            "2.22": 4.808282320900039e-16,
+            "2.33": 4.440892098500626e-16,
+            "3.4a": 4.440892098500626e-16,
+            "3.4b": 5.269049186782155e-16,
+        }
+        assert report["ok"] and report["violations"] == []
+
+
+class TestThreadCap:
+    def test_cap_is_set_before_numpy_is_imported(self):
+        child = (
+            "import json, os, sys\n"
+            "import lct_numra.cli as cli\n"
+            "before = 'numpy' in sys.modules\n"
+            "code = cli.main(['matrix', '--matrix=0,1,-1,0'])\n"
+            "print(json.dumps({'before': before, 'code': code,\n"
+            "                  'openblas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+            "                  'after': 'numpy' in sys.modules}))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["LCT_NUMRA_THREADS"] = "3"
+        env["PYTHONPATH"] = str(Path(lct_numra.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, check=True)
+        state = json.loads(proc.stdout)
+        assert state == {"before": False, "code": 0, "openblas": "3", "after": True}
 
 
 class TestMatrixCommand:
@@ -190,6 +236,35 @@ class TestLctCommand:
             "--in", str(spec), "--out", str(back),
         ]) == 0
         assert rel_l2_error(read_signal_csv(back), read_signal_csv(fpath)) <= 1e-6
+
+    def test_offset_source_round_trip_without_t_grid(self, tmp_path):
+        n = 2048
+        g = Grid(0.0, 8.0 / n, n)
+        t = g.points()
+        sig = SampledSignal(g, np.exp(-np.pi * (t - 4.0) ** 2) * np.exp(1j * t))
+        fpath = tmp_path / "f.csv"
+        write_signal_csv(fpath, sig)
+        spec = tmp_path / "F.csv"
+        back = tmp_path / "f2.csv"
+        assert main(["lct", "fwd", "--matrix", "2,1,1,1", "--in", str(fpath),
+                     "--out", str(spec)]) == 0
+        assert main(["lct", "inv", "--matrix", "2,1,1,1", "--in", str(spec),
+                     "--out", str(back)]) == 0
+        got = read_signal_csv(back)
+        assert got.grid == g
+        assert np.max(np.abs(got.values - sig.values)) <= 1e-6
+
+    def test_inverse_without_recorded_t_grid_exit_one(self, tmp_path, capsys):
+        g = Grid(0.0, 8.0 / 256, 256)
+        spec = lct_fast(gaussian(g), CanonicalMatrix(2, 1, 1, 1))
+        path = tmp_path / "F.csv"
+        write_spectrum_csv(path, LctSpectrum(spec.grid, spec.values))
+        assert "t_grid" not in read_json(path.with_suffix(".json"))
+        out = tmp_path / "f.csv"
+        assert main(["lct", "inv", "--matrix", "2,1,1,1", "--in", str(path),
+                     "--out", str(out)]) == 1
+        assert "--t-grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_exit_one(self, tmp_path, capsys):
         assert main([

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lct_numra.canonical import CanonicalMatrix, MatrixError, fourier, fresnel, kernel
 from lct_numra.lct import (
@@ -17,6 +19,7 @@ from lct_numra.sampling import Grid, SampledSignal, gaussian, indicator, inner_p
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 MATRICES = [fourier(), fresnel(1.0), M2111]
+NONZERO = st.floats(-3.0, 3.0).filter(lambda x: abs(x) >= 0.1)
 
 
 def grid_n(n, lo=-8.0, hi=8.0):
@@ -108,6 +111,19 @@ class TestFast:
         out = lct_fast(combo, M2111)
         want = al * lct_fast(a, M2111).values + be * lct_fast(b, M2111).values
         np.testing.assert_allclose(out.values, want, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=NONZERO, b=NONZERO, c=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_discrete_norm_preserved(self, a, b, c, seed):
+        # sum |F|^2 d_omega = sum |f|^2 dt holds exactly on the induced grid, for either sign of b
+        m = CanonicalMatrix(a, b, c, (1.0 + b * c) / a)
+        g = grid_n(256, -3.0, 5.0)
+        rng = np.random.default_rng(seed)
+        f = SampledSignal(g, rng.normal(size=256) + 1j * rng.normal(size=256))
+        spec = lct_fast(f, m)
+        lhs = np.sum(np.abs(spec.values) ** 2) * spec.grid.step
+        rhs = np.sum(np.abs(f.values) ** 2) * g.step
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_negative_b_grid_ascending(self):
         m = CanonicalMatrix(np.cos(-1.0), np.sin(-1.0), -np.sin(-1.0), np.cos(-1.0))

@@ -7,6 +7,7 @@ from lct_numra.sampling import (
     GridMismatchError,
     OffGridError,
     SampledSignal,
+    chirp_phase,
     dilate_chirp,
     gaussian,
     gram_matrix,
@@ -193,6 +194,17 @@ class TestDilateChirp:
         out = dilate_chirp(f, 1, 1, 0.0, fourier())
         want = np.sqrt(2.0) * indicator([(0.0, 0.5)], g).values
         np.testing.assert_allclose(out.values, want, atol=1e-15)
+
+    def test_finer_target_grid(self):
+        ts = TranslationSet(2, 1)
+        coarse = numra_grid(ts, (-4.0, 4.0), refinement=16, max_level=1)
+        fine = numra_grid(ts, (-4.0, 4.0), refinement=64, max_level=1)
+        f = indicator([(0.0, 0.5), (1.0, 1.5)], coarse)
+        out = dilate_chirp(f, 1, ts.N, 0.5, M2111, grid=fine)
+        t = fine.points()
+        want = 4 ** (1 / 2.0) * f.value_at(4.0 * t - 0.5) * chirp_phase(M2111, t, 0.5)
+        assert out.grid == fine
+        np.testing.assert_array_equal(out.values, want)
 
     def test_level_budget(self):
         g = Grid(-1.0, 2.0**-6, 128)
