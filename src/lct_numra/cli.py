@@ -70,7 +70,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lct", help="forward/inverse transform of a signal file")
     p.add_argument("direction", choices=["fwd", "inv"])
     p.add_argument("--matrix", required=True)
-    p.add_argument("--method", choices=["direct", "fast"], default="fast")
+    p.add_argument("--method", choices=["direct", "fast"], default=None,
+                   help="fwd: fast by default; inv: fast when the grids pair up, else direct")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--t-grid", default=None,
@@ -168,7 +169,7 @@ def _cmd_lct(args) -> int:
     m = _parse_matrix(args.matrix)
     if args.direction == "fwd":
         sig = read_signal_csv(args.infile)
-        if args.method == "fast":
+        if args.method != "direct":
             spec = lct_fast(sig, m)
         else:
             spec = lct_direct(sig, m, induced_omega_grid(sig.grid, m))
@@ -183,7 +184,7 @@ def _cmd_lct(args) -> int:
         else:
             raise ValueError(f"{args.infile}: no source t_grid in the sidecar; "
                              "pass --t-grid t_min,step,count")
-        sig = ilct(spec, m, grid, method=args.method)
+        sig = ilct(spec, m, grid, method=args.method or "auto")
         write_signal_csv(args.out, sig)
     return EXIT_OK
 

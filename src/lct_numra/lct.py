@@ -2,12 +2,14 @@
 
 Two paths are provided.  ``lct_direct`` is the O(n_t * n_omega) quadrature
 oracle: it integrates f against the kernel row by row and accepts any
-output grid.  ``lct_fast`` factors the kernel into chirp * Fourier * chirp
-and runs in O(n log n) on the induced frequency grid
-
-    omega_k = 2 pi b k / (n * step),   k = -n/2 .. n/2 - 1,
-
-which makes the discrete forward/inverse pair exactly unitary on samples.
+output grid.  ``lct_fast`` is the chirp * FFT * chirp factorisation of
+Koc, Ozaktas, Candan & Kutay (IEEE TSP 56(6), 2008), O(n log n) on the
+induced grid omega_i = 2 pi |b| (i - n/2) / (n * step), i = 0 .. n - 1.
+One factor table serves both directions: the input chirp, the DFT bin
+sign(b) (i - n/2) mod n of output point i (backwards for b < 0, while the
+grid ascends), and one output factor, phase ramp * output chirp *
+step / sqrt(2 i pi b).  The fast inverse undoes the same factors in
+reverse order, so it is the exact discrete inverse for either sign of b.
 
 Frequency-domain filter machinery elsewhere in the package works in the
 normalized variable u = omega / b with plain 2pi-convention transforms;
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalMatrix, MatrixError, kernel, require_valid
-from .sampling import Grid, SampledSignal
+from .canonical import CanonicalMatrix, kernel, require_valid
+from .sampling import Grid, SampledSignal, inner_product
 
 #: Row block size for the quadrature oracle, keeps the kernel matrix small.
 _BLOCK = 512
@@ -71,6 +73,19 @@ def lct_direct(f: SampledSignal, m: CanonicalMatrix, omega_grid: Grid) -> LctSpe
     return LctSpectrum(omega_grid, out, f.grid)
 
 
+def _factors(t_grid: Grid, m: CanonicalMatrix):
+    """Factor table of the fast path: omega grid, DFT bins, input chirp, output factor."""
+    n = t_grid.count
+    grid = induced_omega_grid(t_grid, m)
+    k = np.arange(n) - n // 2
+    bins = ((1 if m.b > 0 else -1) * k) % n
+    chirp = np.exp(1j * m.a * t_grid.points() ** 2 / (2.0 * m.b))
+    omega = k * grid.step  # grid.points() with one rounding instead of two
+    # exp(-i omega t_min / b) * exp(i d omega^2 / (2b)) in one exp
+    out = np.exp(1j * omega * (m.d * omega - 2.0 * t_grid.t_min) / (2.0 * m.b))
+    return grid, bins, chirp, out * (t_grid.step / np.sqrt(2j * np.pi * m.b))
+
+
 def lct_fast(f: SampledSignal, m: CanonicalMatrix) -> LctSpectrum:
     """Chirp-FFT-chirp transform on the induced frequency grid.
 
@@ -82,19 +97,14 @@ def lct_fast(f: SampledSignal, m: CanonicalMatrix) -> LctSpectrum:
     n = f.grid.count
     if n & (n - 1):
         raise ValueError("lct_fast requires a power-of-two sample count")
-    t = f.grid.points()
-    step = f.grid.step
-    chirped = f.values * np.exp(1j * m.a * t**2 / (2.0 * m.b))
-    spec = np.fft.fftshift(np.fft.fft(chirped))  # frequencies k/(n*step), k centered
-    freqs = (np.arange(n) - n // 2) / (n * step)
-    spec = spec * np.exp(-2j * np.pi * freqs * f.grid.t_min) * step
-    omega = 2.0 * np.pi * m.b * freqs
-    if m.b < 0:
-        omega = omega[::-1]
-        spec = spec[::-1]
-    values = spec * np.exp(1j * m.d * omega**2 / (2.0 * m.b)) / np.sqrt(2j * np.pi * m.b)
-    grid = Grid(t_min=omega[0], step=omega[1] - omega[0], count=n)
-    return LctSpectrum(grid, values, f.grid)
+    grid, bins, chirp, out = _factors(f.grid, m)
+    # one array worked in place: the factor table is alive meanwhile, and
+    # fresh FFT/gather outputs measurably raise peak memory
+    x = f.values * chirp
+    np.fft.fft(x, out=x)
+    np.take(x, bins, out=x)  # buffered (mode="raise"), so the in-place gather is safe
+    x *= out
+    return LctSpectrum(grid, x, f.grid)
 
 
 def _is_induced(spec_grid: Grid, t_grid: Grid, m: CanonicalMatrix) -> bool:
@@ -119,18 +129,10 @@ def ilct(F: LctSpectrum, m: CanonicalMatrix, t_grid: Grid, method: str = "auto")
     if method == "fast":
         if not _is_induced(F.grid, t_grid, m):
             raise ValueError("fast inverse requires the induced frequency grid")
-        n = t_grid.count
-        values = F.values
-        omega = F.grid.points()
-        if m.b < 0:
-            values = values[::-1]
-            omega = omega[::-1]
-        spec = values * np.sqrt(2j * np.pi * m.b) * np.exp(-1j * m.d * omega**2 / (2.0 * m.b))
-        freqs = (np.arange(n) - n // 2) / (n * t_grid.step)
-        spec = spec * np.exp(2j * np.pi * freqs * t_grid.t_min) / t_grid.step
-        chirped = np.fft.ifft(np.fft.ifftshift(spec))
-        t = t_grid.points()
-        return SampledSignal(t_grid, chirped * np.exp(-1j * m.a * t**2 / (2.0 * m.b)))
+        _, bins, chirp, out = _factors(t_grid, m)
+        spec = np.empty(t_grid.count, dtype=np.complex128)
+        spec[bins] = F.values / out
+        return SampledSignal(t_grid, np.fft.ifft(spec, out=spec) * np.conj(chirp))
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
     omega = F.grid.points()
@@ -153,11 +155,7 @@ def spectrum_inner(F: LctSpectrum, G: LctSpectrum) -> complex:
 
 def parseval_residual(f: SampledSignal, g: SampledSignal, m: CanonicalMatrix) -> float:
     """|<Lf, Lg> - <f, g>| with the fast transform path."""
-    from .sampling import inner_product
-
     if f.grid != g.grid:
         raise ValueError("signals must share a grid")
-    if m.b == 0.0:
-        raise MatrixError("b = 0 branch out of scope")
     lhs = spectrum_inner(lct_fast(f, m), lct_fast(g, m))
     return abs(lhs - inner_product(f, g))

@@ -31,7 +31,7 @@ DEFAULT_TOLERANCES = {
 def _report(config: dict, residuals: dict[str, float], tolerances: dict | None) -> dict:
     """Report envelope: config hash (tolerances included), residuals, violations."""
     tol = dict(DEFAULT_TOLERANCES if tolerances is None else tolerances)
-    violations = sorted(code for code, res in residuals.items() if res > tol[code])
+    violations = sorted(code for code, res in residuals.items() if not res <= tol[code])
     return {
         "config_hash": config_hash({**config, "tolerances": tol}),
         "tolerances": tol,

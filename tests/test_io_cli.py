@@ -22,7 +22,7 @@ from lct_numra.io import (
     write_signal_csv,
     write_spectrum_csv,
 )
-from lct_numra.lct import LctSpectrum, lct_fast
+from lct_numra.lct import LctSpectrum, ilct, lct_fast
 from lct_numra.reports import bank_report, lowpass_report
 from lct_numra.sampling import Grid, SampledSignal, gaussian, rel_l2_error
 from lct_numra.wavelets import haar_filter_bank, haar_filters
@@ -190,6 +190,21 @@ class TestVerifyCommand:
         # the report is still written with the failing residuals
         assert payload["residuals"]["2.21"] == pytest.approx(1.0)
 
+    def test_nan_residuals_are_violations(self, tmp_path):
+        # components near 1e200 overflow: 2.21/3.4a are inf, 2.22/2.33/3.4b NaN
+        p0 = haar_filters(TranslationSet(1, 1), CanonicalMatrix(2, 1, 1, 1))
+        big = PeriodicFilterPair(p0.ts, p0.u_grid, 1e200 * p0.comp1, 1e200 * p0.comp2)
+        fpath = tmp_path / "big.csv"
+        write_filter_csv(fpath, big)
+        report = tmp_path / "report.json"
+        every = ["2.21", "2.22", "2.33", "3.4a", "3.4b"]
+        with np.errstate(all="ignore"):
+            assert lowpass_report(big)["violations"] == every
+            assert main(["verify", "--filters", str(fpath), "--report", str(report)]) == 2
+        payload = read_json(report)
+        assert payload["violations"] == every
+        assert not payload["ok"]
+
 
 class TestHaarCommand:
     def test_outputs_and_idempotence(self, tmp_path):
@@ -253,6 +268,24 @@ class TestLctCommand:
         got = read_signal_csv(back)
         assert got.grid == g
         assert np.max(np.abs(got.values - sig.values)) <= 1e-6
+
+    def test_inverse_default_method_on_unpaired_t_grid(self, tmp_path):
+        # the t-grid does not pair with the stored frequency grid, so the
+        # default method falls back to the direct inverse instead of failing
+        g = Grid(-8.0, 16.0 / 2048, 2048)
+        fpath = tmp_path / "f.csv"
+        write_signal_csv(fpath, gaussian(g))
+        spec = tmp_path / "F.csv"
+        back = tmp_path / "f2.csv"
+        assert main(["lct", "fwd", "--matrix", "2,1,1,1", "--in", str(fpath),
+                     "--out", str(spec)]) == 0
+        assert main(["lct", "inv", "--matrix", "2,1,1,1", "--t-grid=-4,0.00390625,2048",
+                     "--in", str(spec), "--out", str(back)]) == 0
+        t_grid = Grid(-4.0, 0.00390625, 2048)
+        want = ilct(read_spectrum_csv(spec), CanonicalMatrix(2, 1, 1, 1), t_grid, method="direct")
+        got = read_signal_csv(back)
+        assert got.grid == t_grid
+        np.testing.assert_array_equal(got.values, want.values)
 
     def test_inverse_without_recorded_t_grid_exit_one(self, tmp_path, capsys):
         g = Grid(0.0, 8.0 / 256, 256)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lct_numra.canonical import CanonicalMatrix, MatrixError, fourier, fresnel, kernel
+from lct_numra.canonical import CanonicalMatrix, MatrixError, fourier, fresnel, frft, kernel
 from lct_numra.lct import (
     LctSpectrum,
     ilct,
@@ -18,7 +18,8 @@ from lct_numra.lct import (
 from lct_numra.sampling import Grid, SampledSignal, gaussian, indicator, inner_product
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
-MATRICES = [fourier(), fresnel(1.0), M2111]
+MATRICES = [fourier(), fresnel(1.0), M2111, frft(-1.0)]
+MATRIX_IDS = ["fourier", "fresnel1", "haar2111", "frft_neg"]
 NONZERO = st.floats(-3.0, 3.0).filter(lambda x: abs(x) >= 0.1)
 
 
@@ -67,7 +68,7 @@ class TestDirect:
 
 
 class TestFast:
-    @pytest.mark.parametrize("m", MATRICES, ids=["fourier", "fresnel1", "haar2111"])
+    @pytest.mark.parametrize("m", MATRICES, ids=MATRIX_IDS)
     def test_matches_direct_oracle(self, m):
         g = grid_n(2048)
         f = gaussian(g)
@@ -130,17 +131,27 @@ class TestFast:
         g = grid_n(256)
         out = lct_fast(gaussian(g), m)
         assert out.grid.step > 0
+        assert out.grid == induced_omega_grid(g, m)
         direct = lct_direct(gaussian(g), m, out.grid)
         assert rel_l2(out.values, direct.values) <= 1e-6
 
 
 class TestInverse:
-    @pytest.mark.parametrize("m", MATRICES, ids=["fourier", "fresnel1", "haar2111"])
+    @pytest.mark.parametrize("m", MATRICES, ids=MATRIX_IDS)
     def test_fast_round_trip(self, m):
         g = grid_n(2048)
         f = gaussian(g)
         back = ilct(lct_fast(f, m), m, g, method="fast")
         assert rel_l2(back.values, f.values) <= 1e-6
+
+    @pytest.mark.parametrize("m", [fresnel(1.0), M2111], ids=["fresnel1", "haar2111"])
+    def test_fast_round_trip_exact_at_2_17(self, m):
+        # the inverse undoes the forward's own factor table, so no chirp drift at large n
+        g = grid_n(2**17)
+        t = g.points()
+        f = SampledSignal(g, np.exp(-np.pi * t**2 + 0.5j * t**2))
+        back = ilct(lct_fast(f, m), m, g, method="fast")
+        assert rel_l2(back.values, f.values) <= 1e-12
 
     def test_direct_round_trip(self):
         g = grid_n(1024)
