@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Absolute tolerance on |det - 1|; matrix entries are O(1) in practice.
+#: Tolerance on |det - 1|, scaled by max(1, |ad|, |bc|): the rounding of det.
 UNIMODULAR_TOL = 1e-12
 
 
@@ -69,7 +69,7 @@ def validate(m: CanonicalMatrix, *, allow_nonunimodular: bool = False) -> Matrix
     """
     det = m.det
     violations = []
-    if abs(det - 1.0) > UNIMODULAR_TOL:
+    if abs(det - 1.0) > UNIMODULAR_TOL * max(1.0, abs(m.a * m.d), abs(m.b * m.c)):
         if allow_nonunimodular and det != 0.0:
             pass  # tolerated, reported via det field
         else:

@@ -156,7 +156,7 @@ def _cmd_matrix(args) -> int:
         print(f"violation: {line}", file=sys.stderr)
     if not report.ok:
         return EXIT_VERIFICATION
-    if args.allow_nonunimodular and abs(report.det - 1.0) > 1e-12:
+    if args.allow_nonunimodular and not validate(m).ok:
         print(f"warning: det = {report.det:.17g} accepted in permissive mode", file=sys.stderr)
     return EXIT_OK
 
@@ -213,13 +213,13 @@ def _cmd_haar(args) -> int:
 
 def _cmd_cascade(args) -> int:
     from .io import read_filter_csv, write_signal_csv
-    from .sampling import numra_grid
-    from .wavelets import cascade
+    from .wavelets import cascade, default_time_grid
 
     pair = read_filter_csv(args.filters)
-    window = _parse_window(args.window)
-    refinement = max(1, round(1.0 / (2 * pair.ts.N * args.step)))
-    grid = numra_grid(pair.ts, window, refinement=refinement)
+    if not pair.exact:
+        print(f"warning: {args.filters} is not a short trigonometric polynomial; "
+              "evaluated by nearest sample", file=sys.stderr)
+    grid = default_time_grid(pair.ts, _parse_window(args.window), target_step=args.step)
     result = cascade(pair, J=args.J, tol=args.tol, grid=grid, depth=0)
     write_signal_csv(args.out, result.signal)
     return EXIT_OK

@@ -1,11 +1,16 @@
 """Nonuniform translation sets and half-period filter pairs.
 
 The translation set is {2n, 2n + r/N : n in Z} for coprime (N, r) with r
-odd.  A filter is stored as the pair of its half-periodic components
-(comp1, comp2); the full frequency response in the normalized variable u
-is
+odd.  A filter is stored as the samples of its half-periodic components
+(comp1, comp2) on [0, 1/2); the full frequency response in the normalized
+variable u is
 
     L(u) = comp1(u mod 1/2) + exp(-2 pi i u r / N) * comp2(u mod 1/2).
+
+A pair whose samples are a short trigonometric polynomial evaluates L
+from its Fourier terms with one ``exp`` per call: with q = exp(-2 pi i u/N)
+the comp terms are powers of q^(2N) and the cross phase is q^r.  Other
+pairs (the pointwise completion) take the nearest stored sample.
 
 This module owns the numerical verifiers for every admissibility
 condition used downstream (shift orthonormality of filter banks,
@@ -24,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -72,17 +76,9 @@ class TranslationSet:
 def omega_enumerate(ts: TranslationSet, window: tuple[float, float]) -> list[float]:
     """All set elements 2n and 2n + r/N inside [lo, hi), ascending."""
     lo, hi = window
-    if hi <= lo:
-        return []
-    out = []
-    shift = ts.r / ts.N
-    n_lo = math.floor(lo / 2.0) - 1
-    n_hi = math.ceil(hi / 2.0) + 1
-    for n in range(n_lo, n_hi + 1):
-        for lam in (2.0 * n, 2.0 * n + shift):
-            if lo <= lam < hi:
-                out.append(lam)
-    return sorted(out)
+    n = np.arange(math.floor(lo / 2.0) - 1, math.ceil(hi / 2.0) + 2)
+    lam = np.concatenate([2.0 * n, 2.0 * n + ts.r / ts.N])
+    return sorted(lam[(lo <= lam) & (lam < hi)].tolist())
 
 
 def default_u_count(ts: TranslationSet, target: int = 4096) -> int:
@@ -91,22 +87,30 @@ def default_u_count(ts: TranslationSet, target: int = 4096) -> int:
     return ((target + block - 1) // block) * block
 
 
+#: Most Fourier bins the terms of an exact pair may span.
+_MAX_SPAN = 64
+
+#: Size, relative to the largest sample, of a rounding-level term, and of
+#: the misfit per bin of span that an exact pair may leave at its samples.
+_EXACT_RTOL = 1e-14
+
+
 @dataclass(frozen=True)
 class PeriodicFilterPair:
     """Half-periodic component pair sampled on a uniform grid over [0, 1/2).
 
-    ``eval_fn``, when present, evaluates the two components exactly at
-    arbitrary u (used for filters with closed forms); otherwise component
-    lookups fall back to the nearest stored sample.
+    The samples are the filter.  Their inverse DFT gives the terms
+    c_k exp(-4 pi i k u), bin k >= count/2 standing for k - count.  When
+    the nonzero terms span at most ``_MAX_SPAN`` bins and reproduce every
+    sample to rounding (``_EXACT_RTOL``), the pair is ``exact`` and
+    evaluates from them at any u; otherwise lookups take the nearest sample.
     """
 
     ts: TranslationSet
     u_grid: Grid
     comp1: np.ndarray
     comp2: np.ndarray
-    eval_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = field(
-        default=None, compare=False
-    )
+    _terms: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         count = self.u_grid.count
@@ -121,6 +125,30 @@ class PeriodicFilterPair:
             if not np.all(np.isfinite(arr.view(np.float64))):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_terms", self._fourier_terms())
+
+    def _fourier_terms(self) -> tuple[int, np.ndarray] | None:
+        """(lo <= 0, coefficients of bins lo..hi per component) if they reproduce the samples."""
+        samples = np.stack([self.comp1, self.comp2])
+        count = samples.shape[1]
+        tol = _EXACT_RTOL * np.max(np.abs(samples))
+        coef = np.fft.ifft(samples)
+        signed = np.fft.fftfreq(count, 1.0 / count)[np.max(np.abs(coef), axis=0) > tol]
+        lo, hi = int(signed.min(initial=0)), int(signed.max(initial=0))
+        if hi - lo >= _MAX_SPAN:
+            return None
+        terms = coef[:, np.arange(lo, hi + 1) % count]
+        terms[np.abs(terms) <= tol] = 0.0
+        object.__setattr__(self, "_terms", (lo, terms))  # checked through the evaluator itself
+        c1, c2, _ = self._at(self.u_grid.points())
+        misfit = max(np.max(np.abs(c1 - self.comp1)), np.max(np.abs(c2 - self.comp2)))
+        # samples of a term up to bin k carry rounding of phases up to 2 pi k
+        return (lo, terms) if misfit <= tol * (hi - lo + 1) else None
+
+    @property
+    def exact(self) -> bool:
+        """True when the pair evaluates from its Fourier terms, not by nearest sample."""
+        return self._terms is not None
 
     @property
     def shift_stride(self) -> int:
@@ -129,43 +157,39 @@ class PeriodicFilterPair:
 
     def components_at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Component values at arbitrary u (half-period reduction applied)."""
-        u = np.asarray(u, dtype=float)
-        if self.eval_fn is not None:
-            c1, c2 = self.eval_fn(u)
-            return np.asarray(c1, dtype=np.complex128), np.asarray(c2, dtype=np.complex128)
-        idx = np.round(np.mod(u, 0.5) / self.u_grid.step).astype(int) % self.u_grid.count
-        return self.comp1[idx], self.comp2[idx]
+        return self._at(np.asarray(u, dtype=float))[:2]
 
-
-def filter_pair_from_components(
-    ts: TranslationSet,
-    eval_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    count: int | None = None,
-) -> PeriodicFilterPair:
-    """Sample exact component callables onto the standard u grid."""
-    count = default_u_count(ts) if count is None else count
-    grid = Grid(t_min=0.0, step=0.5 / count, count=count)
-    c1, c2 = eval_fn(grid.points())
-    return PeriodicFilterPair(ts, grid, np.asarray(c1), np.asarray(c2), eval_fn=eval_fn)
+    def _at(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Components at u and q = exp(-2 pi i u/N), which is None for a nearest-sample pair."""
+        if self._terms is None:
+            idx = np.round(np.mod(u, 0.5) / self.u_grid.step).astype(int) % self.u_grid.count
+            return self.comp1[idx], self.comp2[idx], None
+        q = np.exp((-2j * np.pi / self.ts.N) * np.fmod(u, self.ts.N))  # L has period N in u
+        z = q ** (2 * self.ts.N)  # exp(-4 pi i u)
+        lo, terms = self._terms
+        acc = np.zeros((2,) + u.shape, dtype=np.complex128)
+        for c in terms.T[::-1]:  # Horner's rule in z
+            acc *= z
+            acc += c.reshape((2,) + (1,) * u.ndim)
+        if lo:
+            acc *= z**lo
+        return acc[0], acc[1], q
 
 
 def filter_eval(p: PeriodicFilterPair, u) -> np.ndarray:
     """Full response comp1(u) + exp(-2 pi i u r/N) comp2(u); u unreduced in the phase."""
     u_arr = np.asarray(u, dtype=float)
-    c1, c2 = p.components_at(u_arr)
-    vals = c1 + np.exp(-2j * np.pi * u_arr * p.ts.r / p.ts.N) * c2
-    if np.isscalar(u) or u_arr.ndim == 0:
-        return complex(vals)
-    return vals
+    c1, c2, q = p._at(u_arr)
+    cross = np.exp(-2j * np.pi * u_arr * p.ts.r / p.ts.N) if q is None else q**p.ts.r
+    vals = c1 + cross * c2
+    return complex(vals) if u_arr.ndim == 0 else vals
 
 
 def m0(p: PeriodicFilterPair, u) -> np.ndarray:
     """Power profile |comp1(u)|^2 + |comp2(u)|^2 (nonnegative real)."""
     c1, c2 = p.components_at(u)
     vals = np.abs(c1) ** 2 + np.abs(c2) ** 2
-    if np.isscalar(u):
-        return float(vals)
-    return vals
+    return float(vals) if np.isscalar(u) else vals
 
 
 def _m0_samples(p: PeriodicFilterPair) -> np.ndarray:
@@ -280,11 +304,8 @@ def _complete_vectors(v0: np.ndarray, N: int) -> list[np.ndarray]:
 
     basis = [v0 / np.sqrt(np.real(dot(v0, v0)))]
     remaining = list(range(two_n))
-    out = []
     for _ in range(two_n - 1):
-        best_idx = None
-        best_res = None
-        best_norm = -1.0
+        best_idx, best_res, best_norm = None, None, -1.0
         for si in remaining:
             res = seeds[si].copy()
             for b in basis:
@@ -301,8 +322,7 @@ def _complete_vectors(v0: np.ndarray, N: int) -> list[np.ndarray]:
         vec /= np.sqrt(np.real(dot(vec, vec)))
         basis.append(vec)
         remaining.remove(best_idx)
-        out.append(vec)
-    return out
+    return basis[1:]
 
 
 def complete_filters(
@@ -327,19 +347,12 @@ def complete_filters(
     stride = p0.shift_stride
     count = p0.u_grid.count
     base = count // two_n  # samples per base cell [0, 1/(4N))
-    comps1 = [np.zeros(count, dtype=np.complex128) for _ in range(two_n - 1)]
-    comps2 = [np.zeros(count, dtype=np.complex128) for _ in range(two_n - 1)]
+    comps = np.zeros((two_n - 1, 2, count), dtype=np.complex128)
     for i in range(base):
         idx = (i + stride * np.arange(two_n)) % count
         v0 = np.column_stack([p0.comp1[idx], p0.comp2[idx]])
-        vecs = _complete_vectors(v0, N)
-        for k, vec in enumerate(vecs):
-            comps1[k][idx] = vec[:, 0]
-            comps2[k][idx] = vec[:, 1]
-    return [
-        PeriodicFilterPair(p0.ts, p0.u_grid, comps1[k], comps2[k])
-        for k in range(two_n - 1)
-    ]
+        comps[:, :, idx] = np.transpose(_complete_vectors(v0, N), (0, 2, 1))
+    return [PeriodicFilterPair(p0.ts, p0.u_grid, c1, c2) for c1, c2 in comps]
 
 
 def bank_residuals(bank: list[PeriodicFilterPair]) -> dict[str, float]:

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +24,18 @@ from .lct import LctSpectrum
 from .sampling import Grid, SampledSignal
 
 
-def fmt(x: float) -> str:
-    return f"{x:.17g}"
+#: Rows formatted per block of a CSV write.
+_CSV_BLOCK = 4096
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text`` (a string or an iterable of string chunks) via temp file + rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -60,12 +62,13 @@ def _sidecar(path: Path) -> Path:
     return path.with_suffix(".json")
 
 
-def _columns_csv(header: list[str], columns: list[np.ndarray]) -> str:
-    lines = [",".join(header)]
-    rows = len(columns[0])
-    for i in range(rows):
-        lines.append(",".join(fmt(float(col[i])) for col in columns))
-    return "\n".join(lines) + "\n"
+def _columns_csv(header: list[str], columns: list[np.ndarray]) -> Iterator[str]:
+    """CSV text in chunks: the header, then one %-format per block of rows."""
+    yield ",".join(header) + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    for a in range(0, len(columns[0]), _CSV_BLOCK):
+        block = np.column_stack([col[a:a + _CSV_BLOCK] for col in columns])
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _read_columns(path: Path, expected_header: list[str]) -> list[np.ndarray]:
@@ -129,12 +132,10 @@ def read_spectrum_csv(path: str | Path) -> LctSpectrum:
 
 def write_filter_csv(path: str | Path, pair: PeriodicFilterPair) -> None:
     path = Path(path)
-    u = pair.u_grid.points()
-    text = _columns_csv(
+    atomic_write_text(path, _columns_csv(
         ["u", "re1", "im1", "re2", "im2"],
-        [u, pair.comp1.real, pair.comp1.imag, pair.comp2.real, pair.comp2.imag],
-    )
-    atomic_write_text(path, text)
+        [pair.u_grid.points(), pair.comp1.real, pair.comp1.imag, pair.comp2.real, pair.comp2.imag],
+    ))
     write_json(_sidecar(path), pair.ts.to_dict())
 
 

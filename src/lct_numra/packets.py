@@ -77,11 +77,7 @@ def digits(n: int, N: int) -> PacketIndex:
 
 def reconstruct(idx: PacketIndex, N: int) -> int:
     """Inverse of ``digits``: sum of digits[i] * (2N)^i."""
-    base = 2 * N
-    total = 0
-    for d in reversed(idx.digits):
-        total = total * base + d
-    return total
+    return sum(d * (2 * N) ** i for i, d in enumerate(idx.digits))
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .canonical import CanonicalMatrix, validate
-from .filters import PeriodicFilterPair, TranslationSet, bank_residuals
+from .filters import PeriodicFilterPair, TranslationSet, bank_residuals, omega_enumerate
 from .io import config_hash
 from .sampling import gram_matrix, identity_deviation, translate_chirp
-from .sampling import numra_grid
-from .wavelets import haar_scaling, n2_reference_wavelets
+from .wavelets import default_time_grid, haar_scaling, n2_reference_wavelets
 
 #: Default per-condition tolerances for verification reports.
 DEFAULT_TOLERANCES = {
@@ -57,8 +56,7 @@ def bank_report(bank: list[PeriodicFilterPair], tolerances: dict | None = None) 
     return _report(config, bank_residuals(bank), tolerances)
 
 
-def _system_gram_stats(system) -> dict:
-    g = gram_matrix(system)
+def _gram_stats(g: np.ndarray) -> dict:
     n = g.shape[0]
     return {
         "size": n,
@@ -88,10 +86,7 @@ def anomalous_n2_report(
     }
     matrix_report = validate(m, allow_nonunimodular=True)
     window = (lambda_window[0] - 2.0, lambda_window[1] + 3.0)
-    refinement = max(1, round(1.0 / (2 * ts.N * step)))
-    grid = numra_grid(ts, window, refinement=refinement)
-    from .filters import omega_enumerate
-
+    grid = default_time_grid(ts, window, target_step=step)
     lambdas = omega_enumerate(ts, lambda_window)
     psis = n2_reference_wavelets(grid)
     phi = haar_scaling(ts, grid)
@@ -99,15 +94,14 @@ def anomalous_n2_report(
         translate_chirp(psi, lam, m) for psi in psis for lam in lambdas
     ]
     scaling_system = [translate_chirp(phi, lam, m) for lam in lambdas]
-    cross = gram_matrix(wavelet_system + scaling_system)
+    g = gram_matrix(wavelet_system + scaling_system)
     n_w = len(wavelet_system)
-    cross_block = cross[:n_w, n_w:]
     return {
         "config_hash": config_hash(report_cfg),
         "config": report_cfg,
         "matrix_determinant": matrix_report.det,
         "permissive_mode": True,
-        "wavelet_gram": _system_gram_stats(wavelet_system),
-        "scaling_gram": _system_gram_stats(scaling_system),
-        "max_cross_gram": float(np.max(np.abs(cross_block))),
+        "wavelet_gram": _gram_stats(g[:n_w, :n_w]),
+        "scaling_gram": _gram_stats(g[n_w:, n_w:]),
+        "max_cross_gram": float(np.max(np.abs(g[:n_w, n_w:]))),
     }

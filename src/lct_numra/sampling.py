@@ -127,11 +127,6 @@ class SampledSignal:
         return out
 
 
-def signal_from_function(fn, grid: Grid) -> SampledSignal:
-    """Sample a vectorized callable on the grid."""
-    return SampledSignal(grid, np.asarray(fn(grid.points()), dtype=np.complex128))
-
-
 def indicator(intervals, grid: Grid) -> SampledSignal:
     """Indicator of a union of [lo, hi) intervals, right-limit at jumps."""
     t = grid.points()
@@ -143,7 +138,7 @@ def indicator(intervals, grid: Grid) -> SampledSignal:
 
 def gaussian(grid: Grid) -> SampledSignal:
     """Unit-mass Gaussian exp(-pi t^2)."""
-    return signal_from_function(lambda t: np.exp(-np.pi * t**2), grid)
+    return SampledSignal(grid, np.exp(-np.pi * grid.points() ** 2))
 
 
 def _common_samples(f: SampledSignal, g: SampledSignal):
@@ -270,11 +265,17 @@ def dilate_chirp(phi: SampledSignal, j: int, N: int, lam: float, m: CanonicalMat
     return SampledSignal(grid, vals)
 
 
+#: Atoms per block of ``gram_matrix``: each block re-reads the whole stack,
+#: so larger blocks trade memory for time.
+_GRAM_BLOCK = 8
+
+
 def gram_matrix(system: list[SampledSignal] | np.ndarray, grid: Grid | None = None) -> np.ndarray:
     """Pairwise trapezoidal inner products of signals on one common grid.
 
     ``system`` is a list of signals, or an (atoms x count) array of their
-    samples on ``grid``.  Only one weighted conjugate copy is made.
+    samples on ``grid``.  The weighted conjugate is made for a block of
+    atoms at a time, so no second (atoms x count) array is held.
     """
     if isinstance(system, np.ndarray):
         a = system
@@ -283,9 +284,13 @@ def gram_matrix(system: list[SampledSignal] | np.ndarray, grid: Grid | None = No
             return np.zeros((0, 0), dtype=np.complex128)
         grid = _common_grid(system)
         a = np.stack([s.values for s in system])
-    b = a.conj()
-    b *= grid.trapezoid_weights()
-    return a @ b.T
+    w = grid.trapezoid_weights()
+    g = np.empty((len(a), len(a)), dtype=np.complex128)
+    for i in range(0, len(a), _GRAM_BLOCK):
+        b = a[i:i + _GRAM_BLOCK].conj()
+        b *= w
+        g[:, i:i + _GRAM_BLOCK] = a @ b.T  # columns of a @ conj(a * w).T, operands as there
+    return g
 
 
 def identity_deviation(g: np.ndarray) -> float:

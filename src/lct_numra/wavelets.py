@@ -27,8 +27,8 @@ from .filters import (
     PeriodicFilterPair,
     TranslationSet,
     check_scaling_conditions,
+    default_u_count,
     filter_eval,
-    filter_pair_from_components,
     omega_enumerate,
 )
 from .sampling import (
@@ -411,27 +411,23 @@ def haar_filter_bank(
     The plain bank sum telescopes to delta_{dd'} delta_{ss'} and the
     twisted sum vanishes because its root-of-unity order 2(k - k') + r is
     odd; both hold identically in u, so the bank is smooth and
-    self-certifying.  Index 0 (d = s = 0) is the low-pass filter.
+    self-certifying.  Index 0 (d = s = 0) is the low-pass filter.  Each
+    pair holds A_d sampled on the u grid; its N lattice terms make it
+    exact, so it evaluates the closed form at any u.
     """
     coeffs = _haar_lattice_coeffs(ts, m, permissive)
-    two_n = 2 * ts.N
+    count = default_u_count(ts) if count is None else count
+    grid = Grid(t_min=0.0, step=0.5 / count, count=count)
+    u = grid.points()
+    basis = [np.exp(-8j * np.pi * u * k) for k in range(ts.N)]
     bank = []
     for d in range(ts.N):
         twisted = coeffs * np.exp(-2j * np.pi * d * np.arange(ts.N) / ts.N)
-
-        def make_eval(tw, sign):
-            def eval_fn(u: np.ndarray):
-                u = np.asarray(u, dtype=float)
-                acc = np.zeros(u.shape, dtype=np.complex128)
-                for k, ck in enumerate(tw):
-                    acc += ck * np.exp(-8j * np.pi * u * k)
-                acc /= two_n
-                return acc, sign * acc
-
-            return eval_fn
-
-        for s in (0, 1):
-            bank.append(filter_pair_from_components(ts, make_eval(twisted, 1.0 - 2.0 * s), count))
+        acc = np.zeros(u.shape, dtype=np.complex128)
+        for ck, term in zip(twisted, basis):
+            acc += ck * term
+        acc /= 2 * ts.N
+        bank += [PeriodicFilterPair(ts, grid, acc, sign * acc) for sign in (1.0, -1.0)]
     return bank
 
 
@@ -472,22 +468,12 @@ def haar_family(
         grid = default_time_grid(ts)
     bank = haar_filter_bank(ts, m, permissive=permissive)
     result = cascade(bank[0], J=J, tol=tol, grid=grid, span=span, oversample=oversample, depth=1)
-    phi = haar_scaling(ts, grid)
-    psi = []
-    psi_hat = []
-    for pk in bank[1:]:
-        sig, hat = wavelet_from_filters(result.hat, pk, grid=grid, span=span, oversample=oversample)
-        psi.append(sig)
-        psi_hat.append(hat)
-    return WaveletFamily(
-        ts=ts,
-        m=m,
-        phi=phi,
-        psi=tuple(psi),
-        filters=tuple(bank),
-        phi_hat=result.hat,
-        psi_hat=tuple(psi_hat),
-    )
+    psi, psi_hat = zip(*(
+        wavelet_from_filters(result.hat, pk, grid=grid, span=span, oversample=oversample)
+        for pk in bank[1:]
+    ))
+    return WaveletFamily(ts=ts, m=m, phi=haar_scaling(ts, grid), psi=psi, filters=tuple(bank),
+                         phi_hat=result.hat, psi_hat=psi_hat)
 
 
 def gram(system: list[SampledSignal]) -> tuple[np.ndarray, float]:

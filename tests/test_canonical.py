@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lct_numra.canonical import (
@@ -51,6 +51,18 @@ class TestValidate:
         assert report.ok
         assert report.det == -2.0
 
+    def test_small_entries_keep_absolute_tolerance(self):
+        # |ad|, |bc| <= 1: the bound is UNIMODULAR_TOL itself
+        assert not validate(CanonicalMatrix(1.0, 0.5, 4e-12, 1.0)).ok
+        assert validate(CanonicalMatrix(1.0, 0.5, 1e-12, 1.0)).ok
+
+    def test_tolerance_scales_with_products(self):
+        # the rounded det of a valid product with |ad| ~ 7e3 is 1.8e-12 from 1
+        m2 = CanonicalMatrix(0.25, 3, 3, 40)
+        p = compose(m2, CanonicalMatrix(0.1015625, 1, 2, 29.53846153846154))
+        assert abs(p.det - 1.0) > 1e-12
+        assert validate(p).ok
+
     def test_b_zero_passes_validation_but_not_transform_gate(self):
         from lct_numra.canonical import require_valid
 
@@ -87,6 +99,11 @@ class TestCompose:
         assert abs(compose(m1, m2).det - 1.0) <= 1e-9
 
     @given(unimodular(), unimodular(), unimodular())
+    @example(  # compose(m2, m3) has |ad| ~ 7e3 and a rounded det 1.8e-12 from 1
+        CanonicalMatrix(1, 1, 0, 1),
+        CanonicalMatrix(0.25, 3, 3, 40),
+        CanonicalMatrix(0.1015625, 1, 2, 29.53846153846154),
+    )
     @settings(max_examples=50, deadline=None)
     def test_associative(self, m1, m2, m3):
         left = compose(compose(m1, m2), m3)

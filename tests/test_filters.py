@@ -13,7 +13,6 @@ from lct_numra.filters import (
     complete_filters,
     default_u_count,
     filter_eval,
-    filter_pair_from_components,
     m0,
     omega_enumerate,
 )
@@ -23,12 +22,28 @@ from lct_numra.wavelets import haar_filter_bank, haar_filters
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 
 
-def constant_pair(ts, c1, c2, count=None):
-    def eval_fn(u):
-        u = np.asarray(u, dtype=float)
-        return np.full(u.shape, c1, dtype=complex), np.full(u.shape, c2, dtype=complex)
+def u_grid(ts):
+    count = default_u_count(ts)
+    return Grid(t_min=0.0, step=0.5 / count, count=count)
 
-    return filter_pair_from_components(ts, eval_fn, count)
+
+def constant_pair(ts, c1, c2):
+    grid = u_grid(ts)
+    return PeriodicFilterPair(ts, grid, np.full(grid.count, c1, dtype=complex),
+                              np.full(grid.count, c2, dtype=complex))
+
+
+def ramp_pair(ts):
+    """comp1(u) = u on [0, 1/2), comp2 = 0: no short trigonometric polynomial."""
+    grid = u_grid(ts)
+    return PeriodicFilterPair(ts, grid, grid.points().astype(complex),
+                              np.zeros(grid.count, dtype=complex))
+
+
+def nearest_sample_response(p, u):
+    """Nearest-sample response: the component samples nearest u mod 1/2."""
+    idx = np.round(np.mod(u, 0.5) / p.u_grid.step).astype(int) % p.u_grid.count
+    return p.comp1[idx] + np.exp(-2j * np.pi * u * p.ts.r / p.ts.N) * p.comp2[idx]
 
 
 class TestTranslationSet:
@@ -91,8 +106,8 @@ class TestFilterEval:
         u = np.linspace(-3, 3, 101)
         np.testing.assert_array_equal(filter_eval(p, u), np.zeros(101))
 
-    def test_nearest_sample_lookup(self):
-        # drop the exact evaluator: lookups snap to the stored lattice
+    def test_pair_rebuilt_from_samples_evaluates_alike(self):
+        # the samples are the whole filter: a pair rebuilt from them is the same filter
         ts = TranslationSet(1, 1)
         exact = haar_filters(ts, M2111)
         sampled = PeriodicFilterPair(ts, exact.u_grid, exact.comp1, exact.comp2)
@@ -100,6 +115,36 @@ class TestFilterEval:
         np.testing.assert_allclose(
             filter_eval(sampled, u), filter_eval(exact, u), atol=1e-12
         )
+
+    @pytest.mark.parametrize("N,r", [(1, 1), (2, 1), (2, 3), (3, 1)])
+    def test_haar_bank_exact_at_large_u(self, N, r):
+        # the q-power evaluator against the closed form with u reduced exactly
+        ts = TranslationSet(N, r)
+        bank = haar_filter_bank(ts, M2111)
+        u = np.random.default_rng(N + r).uniform(-1500.0, 1500.0, 2000)
+        # the remainders of |u| < 1500 by 1/2 and by N are exact in floating point
+        u_half, u_n = np.mod(u, 0.5), np.mod(u, N)
+        coeffs = np.exp(1j * np.pi * M2111.a * (4.0 * np.arange(N)) ** 2 / M2111.b)
+        for d in range(N):
+            tw = coeffs * np.exp(-2j * np.pi * d * np.arange(N) / N)
+            comp = sum(c * np.exp(-8j * np.pi * u_half * k) for k, c in enumerate(tw)) / (2 * N)
+            for s in (0, 1):
+                want = comp * (1 + (-1) ** s * np.exp(-2j * np.pi * u_n * r / N))
+                p = bank[2 * d + s]
+                assert p.exact
+                np.testing.assert_allclose(filter_eval(p, u), want, rtol=0, atol=1e-13)
+
+    def test_nearest_sample_fallback_for_ramp(self):
+        p = ramp_pair(TranslationSet(2, 1))
+        assert not p.exact
+        u = np.random.default_rng(3).uniform(-4.0, 4.0, 1000)
+        np.testing.assert_array_equal(filter_eval(p, u), nearest_sample_response(p, u))
+
+    def test_scalar_in_complex_out(self):
+        p = haar_filters(TranslationSet(2, 1), M2111)
+        assert isinstance(filter_eval(p, 0.3), complex)
+        assert filter_eval(p, 0.3) == filter_eval(p, np.array([0.3]))[0]
+        assert isinstance(m0(p, 0.3), float)
 
     def test_cross_phase_uses_unreduced_argument(self):
         ts = TranslationSet(2, 1)
@@ -141,13 +186,7 @@ class TestQuarterPeriod:
         assert check_m0_period(p) <= 1e-12
 
     def test_adversarial_ramp_fails(self):
-        ts = TranslationSet(1, 1)
-
-        def ramp(u):
-            u = np.mod(np.asarray(u, dtype=float), 0.5)
-            return u.astype(complex), np.zeros(u.shape, dtype=complex)
-
-        p = filter_pair_from_components(ts, ramp)
+        p = ramp_pair(TranslationSet(1, 1))
         assert check_m0_period(p) > 0.01
 
 
@@ -207,6 +246,15 @@ class TestCompletion:
                 r21, r22 = check_orthonormality(pl, pk, same_index=(i == j))
                 assert r21 <= 1e-10 and r22 <= 1e-10
 
+    def test_n2_outputs_use_nearest_sample(self):
+        # the pointwise completion is no short trigonometric polynomial
+        ts = TranslationSet(2, 1)
+        highs = complete_filters(haar_filters(ts, M2111))
+        u = np.random.default_rng(5).uniform(-4.0, 4.0, 1000)
+        for h in highs:
+            assert not h.exact
+            np.testing.assert_array_equal(filter_eval(h, u), nearest_sample_response(h, u))
+
     def test_n1_recovers_classical_highpass(self):
         ts = TranslationSet(1, 1)
         p0 = haar_filters(ts, M2111)
@@ -216,13 +264,7 @@ class TestCompletion:
         np.testing.assert_allclose(high.comp2, want.comp2, atol=1e-12)
 
     def test_inadmissible_input_rejected(self):
-        ts = TranslationSet(1, 1)
-
-        def ramp(u):
-            u = np.mod(np.asarray(u, dtype=float), 0.5)
-            return u.astype(complex), np.zeros(u.shape, dtype=complex)
-
-        p = filter_pair_from_components(ts, ramp)
+        p = ramp_pair(TranslationSet(1, 1))
         with pytest.raises(FilterConditionError, match="admissibility"):
             complete_filters(p)
 

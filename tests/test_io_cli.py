@@ -10,7 +10,7 @@ import pytest
 import lct_numra
 from lct_numra.canonical import CanonicalMatrix, fourier
 from lct_numra.cli import main
-from lct_numra.filters import PeriodicFilterPair, TranslationSet
+from lct_numra.filters import PeriodicFilterPair, TranslationSet, filter_eval
 from lct_numra.io import (
     config_hash,
     read_filter_csv,
@@ -24,8 +24,8 @@ from lct_numra.io import (
 )
 from lct_numra.lct import LctSpectrum, ilct, lct_fast
 from lct_numra.reports import bank_report, lowpass_report
-from lct_numra.sampling import Grid, SampledSignal, gaussian, rel_l2_error
-from lct_numra.wavelets import haar_filter_bank, haar_filters
+from lct_numra.sampling import Grid, SampledSignal, gaussian, numra_grid, rel_l2_error
+from lct_numra.wavelets import cascade, haar_filter_bank, haar_filters
 
 
 class TestSerialization:
@@ -72,6 +72,31 @@ class TestSerialization:
         assert back.ts == pair.ts
         np.testing.assert_array_equal(back.comp1, pair.comp1)
         np.testing.assert_array_equal(back.comp2, pair.comp2)
+
+    @pytest.mark.parametrize("N,r", [(1, 1), (2, 1), (2, 3), (3, 1)])
+    def test_stored_bank_evaluates_like_memory(self, tmp_path, N, r):
+        u = np.random.default_rng(N + 4 * r).uniform(-4.0, 4.0, 10**5)
+        bank = haar_filter_bank(TranslationSet(N, r), CanonicalMatrix(2, 1, 1, 1))
+        for k, pair in enumerate(bank):
+            path = tmp_path / f"filters_{k}.csv"
+            write_filter_csv(path, pair)
+            back = read_filter_csv(path)
+            assert back.exact
+            err = np.max(np.abs(filter_eval(back, u) - filter_eval(pair, u)))
+            assert err <= 1e-13
+
+    def test_csv_writer_matches_per_row_format(self, tmp_path):
+        # extreme and signed-zero values cross a block boundary of the writer
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+        values[4094:4098] = [-0.0 + 5e-324j, 1.7976931348623157e308 - 5e-324j,
+                             complex(-0.0, -0.0), -2.5e-320 + 1e-310j]
+        sig = SampledSignal(Grid(-3.0, 2.0**-7, 5000), values)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(path, sig)
+        want = "t,re,im\n" + "".join(
+            f"{t:.17g},{v.real:.17g},{v.imag:.17g}\n" for t, v in zip(sig.grid.points(), values))
+        assert path.read_bytes() == want.encode()
 
     def test_signal_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -157,6 +182,13 @@ class TestMatrixCommand:
     def test_permissive_downgrades_to_warning(self, capsys):
         assert main(["matrix", "--matrix", "0,1,2,-1", "--allow-nonunimodular"]) == 0
         assert "permissive" in capsys.readouterr().err
+
+    def test_permissive_warning_uses_scaled_tolerance(self, capsys):
+        # det is 1.8e-12 from 1 only by rounding of products near 7e3
+        text = "6.025390625,88.86538461538461,80.3046875,1184.5384615384617"
+        assert main(["matrix", "--matrix", text]) == 0
+        assert main(["matrix", "--matrix", text, "--allow-nonunimodular"]) == 0
+        assert "warning" not in capsys.readouterr().err
 
     def test_unknown_flag_exit_one(self, capsys):
         assert main(["matrix", "--matrix", "0,1,-1,0", "--bogus"]) == 1
@@ -322,6 +354,36 @@ class TestCascadeCommand:
 
         ref = haar_scaling(TranslationSet(1, 1), phi.grid)
         assert l2_distance_off_jumps(phi, ref, jumps=[0.0, 1.0]) <= 1e-2
+
+    def test_stored_n2_filter_matches_library(self, tmp_path, capsys):
+        ts = TranslationSet(2, 1)
+        pair = haar_filters(ts, CanonicalMatrix(2, 1, 1, 1))
+        fpath = tmp_path / "filters.csv"
+        write_filter_csv(fpath, pair)
+        out = tmp_path / "phi.csv"
+        assert main(["cascade", "--filters", str(fpath), "--out", str(out)]) == 0
+        assert "warning" not in capsys.readouterr().err
+        phi = read_signal_csv(out)
+        # the CLI's default grid: window -1,3 at step 2^-10
+        grid = numra_grid(ts, (-1.0, 3.0), refinement=round(1.0 / (2 * ts.N * 2.0**-10)))
+        want = cascade(pair, J=20, tol=1e-5, grid=grid, depth=0).signal
+        assert phi.grid == want.grid
+        assert np.max(np.abs(phi.values - want.values)) <= 1e-12
+
+    def test_non_polynomial_lowpass_warns(self, tmp_path, capsys):
+        # Haar N=1 times the pointwise phase exp(i sin(2 pi u)) on [0, 1/2):
+        # admissible, but the phase has kinks at 0 and 1/2 in its periodic
+        # extension, so it has no short Fourier series
+        base = haar_filters(TranslationSet(1, 1), fourier())
+        phase = np.exp(1j * np.sin(2 * np.pi * base.u_grid.points()))
+        pair = PeriodicFilterPair(base.ts, base.u_grid, phase * base.comp1, phase * base.comp2)
+        assert not pair.exact
+        fpath = tmp_path / "filters.csv"
+        write_filter_csv(fpath, pair)
+        out = tmp_path / "phi.csv"
+        assert main(["cascade", "--filters", str(fpath), "--out", str(out)]) == 0
+        assert "evaluated by nearest sample" in capsys.readouterr().err
+        assert out.exists()
 
     def test_unconverged_tail_exit_two(self, tmp_path, capsys):
         pair = haar_filters(TranslationSet(1, 1), fourier())

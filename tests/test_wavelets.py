@@ -7,7 +7,6 @@ from lct_numra.filters import (
     PeriodicFilterPair,
     TranslationSet,
     filter_eval,
-    filter_pair_from_components,
     omega_enumerate,
 )
 from lct_numra.sampling import (
@@ -176,14 +175,9 @@ class TestWaveletFromFilters:
         p0 = haar_filters(ts, M2111)
         result = cascade(p0, J=20, tol=1e-5)
 
-        def components(u):
-            u = np.asarray(u, dtype=float)
-            return (
-                np.full(u.shape, -0.5, dtype=complex),
-                np.full(u.shape, 0.5, dtype=complex),
-            )
-
-        pk = filter_pair_from_components(ts, components)
+        count = p0.u_grid.count
+        pk = PeriodicFilterPair(ts, p0.u_grid, np.full(count, -0.5, dtype=complex),
+                                np.full(count, 0.5, dtype=complex))
         _, psi_hat = wavelet_from_filters(result.hat, pk, grid=result.signal.grid)
         u = np.linspace(-3.0, 3.0, 601)
         lhs = psi_hat(2 * u)
