@@ -59,16 +59,19 @@ class MatrixReport:
 
 
 def validate(m: CanonicalMatrix, *, allow_nonunimodular: bool = False) -> MatrixReport:
-    """Check unimodularity.  Total function: never raises.
+    """Check that the entries are finite and the matrix unimodular.  Never raises.
 
     With ``allow_nonunimodular`` a nonzero determinant different from 1 is
     tolerated while staying reported via the det field (permissive mode
-    used to reproduce printed examples with anomalous matrices).  b = 0
-    does not fail validation; it is rejected by every transform and
-    filter operation instead (see ``require_valid``).
+    used to reproduce printed examples with anomalous matrices).  A NaN or
+    infinite entry is always a violation: the det test alone cannot see it,
+    since NaN compares false.  b = 0 does not fail validation; it is
+    rejected by every transform and filter operation instead (see
+    ``require_valid``).
     """
     det = m.det
-    violations = []
+    violations = [f"non-finite entry: {name} = {value}"
+                  for name, value in zip("abcd", m.as_tuple()) if not math.isfinite(value)]
     if abs(det - 1.0) > UNIMODULAR_TOL * max(1.0, abs(m.a * m.d), abs(m.b * m.c)):
         if allow_nonunimodular and det != 0.0:
             pass  # tolerated, reported via det field

@@ -4,12 +4,13 @@ Two paths are provided.  ``lct_direct`` is the O(n_t * n_omega) quadrature
 oracle: it integrates f against the kernel row by row and accepts any
 output grid.  ``lct_fast`` is the chirp * FFT * chirp factorisation of
 Koc, Ozaktas, Candan & Kutay (IEEE TSP 56(6), 2008), O(n log n) on the
-induced grid omega_i = 2 pi |b| (i - n/2) / (n * step), i = 0 .. n - 1.
-One factor table serves both directions: the input chirp, the DFT bin
-sign(b) (i - n/2) mod n of output point i (backwards for b < 0, while the
-grid ascends), and one output factor, phase ramp * output chirp *
-step / sqrt(2 i pi b).  The fast inverse undoes the same factors in
-reverse order, so it is the exact discrete inverse for either sign of b.
+induced grid omega_i = 2 pi |b| (i - n/2) / (n * step), i = 0 .. n - 1:
+DFT bin sign(b) (i - n/2) mod n.  A factor (-1)^j in the input chirp moves
+the DFT by n/2, so b > 0 takes an FFT and b < 0 an unscaled inverse FFT
+(norm="forward"), in place and in grid order.  The fast inverse undoes
+the same factors with the mirror FFT: the exact discrete inverse for
+either sign of b, on even counts.  Tables cost more than the FFT, so
+``_factors`` keeps them, as FFTW keeps plans (Frigo & Johnson, 2005).
 
 Frequency-domain filter machinery elsewhere in the package works in the
 normalized variable u = omega / b with plain 2pi-convention transforms;
@@ -29,6 +30,7 @@ from .sampling import Grid, SampledSignal, inner_product
 
 #: Row block size for the quadrature oracle, keeps the kernel matrix small.
 _BLOCK = 512
+_TABLES: dict[int, tuple] = {}  # size class -> ((t_grid, m), factor table), see _factors
 
 
 @dataclass(frozen=True)
@@ -74,16 +76,28 @@ def lct_direct(f: SampledSignal, m: CanonicalMatrix, omega_grid: Grid) -> LctSpe
 
 
 def _factors(t_grid: Grid, m: CanonicalMatrix):
-    """Factor table of the fast path: omega grid, DFT bins, input chirp, output factor."""
-    n = t_grid.count
+    """Omega grid, folded input chirp, and output factor ramp * chirp * step / sqrt(2 i pi b).
+
+    Size class count.bit_length() keeps its last table, keyed by all of (t_grid, m),
+    d too, though only the output factor reads it.  A miss empties the slot first, so a
+    class never holds two tables.  A table is two complex arrays of n, so power-of-two
+    sizes keep under twice the largest (64 MiB at 2^20): the inputs bound it, no budget.
+    """
+    size = t_grid.count.bit_length()
+    slot = _TABLES.get(size)
+    if slot is not None and slot[0] == (t_grid, m):
+        return slot[1]
+    _TABLES.pop(size, None)
     grid = induced_omega_grid(t_grid, m)
-    k = np.arange(n) - n // 2
-    bins = ((1 if m.b > 0 else -1) * k) % n
     chirp = np.exp(1j * m.a * t_grid.points() ** 2 / (2.0 * m.b))
-    omega = k * grid.step  # grid.points() with one rounding instead of two
+    chirp[1::2] *= -1.0  # (-1)^j: DFT bin k lands at output k + n/2
+    omega = (np.arange(t_grid.count) - t_grid.count // 2) * grid.step  # one rounding, not two
     # exp(-i omega t_min / b) * exp(i d omega^2 / (2b)) in one exp
     out = np.exp(1j * omega * (m.d * omega - 2.0 * t_grid.t_min) / (2.0 * m.b))
-    return grid, bins, chirp, out * (t_grid.step / np.sqrt(2j * np.pi * m.b))
+    out *= t_grid.step / np.sqrt(2j * np.pi * m.b)
+    chirp.flags.writeable = out.flags.writeable = False
+    _TABLES[size] = ((t_grid, m), (grid, chirp, out))
+    return grid, chirp, out
 
 
 def lct_fast(f: SampledSignal, m: CanonicalMatrix) -> LctSpectrum:
@@ -94,17 +108,12 @@ def lct_fast(f: SampledSignal, m: CanonicalMatrix) -> LctSpectrum:
     window edges under the compact-support model).
     """
     require_valid(m)
-    n = f.grid.count
-    if n & (n - 1):
+    if f.grid.count & (f.grid.count - 1):
         raise ValueError("lct_fast requires a power-of-two sample count")
-    grid, bins, chirp, out = _factors(f.grid, m)
-    # one array worked in place: the factor table is alive meanwhile, and
-    # fresh FFT/gather outputs measurably raise peak memory
+    grid, chirp, out = _factors(f.grid, m)
     x = f.values * chirp
-    np.fft.fft(x, out=x)
-    np.take(x, bins, out=x)  # buffered (mode="raise"), so the in-place gather is safe
-    x *= out
-    return LctSpectrum(grid, x, f.grid)
+    (np.fft.fft if m.b > 0 else np.fft.ifft)(x, out=x, norm="backward" if m.b > 0 else "forward")
+    return LctSpectrum(grid, np.multiply(x, out, out=x), f.grid)
 
 
 def _is_induced(spec_grid: Grid, t_grid: Grid, m: CanonicalMatrix) -> bool:
@@ -120,19 +129,19 @@ def ilct(F: LctSpectrum, m: CanonicalMatrix, t_grid: Grid, method: str = "auto")
     """Inverse transform: integral of F(omega) conj(K(t, omega)) d omega.
 
     ``method`` is 'direct' (trapezoidal quadrature, any grids), 'fast'
-    (exact inverse of lct_fast, requires the induced grid pairing), or
-    'auto' (fast when the grids pair up, direct otherwise).
+    (exact inverse of lct_fast, requires the induced grid pairing and an
+    even count), or 'auto' (fast when those hold, direct otherwise).
     """
     require_valid(m)
     if method == "auto":
-        method = "fast" if _is_induced(F.grid, t_grid, m) else "direct"
+        method = "fast" if t_grid.count % 2 == 0 and _is_induced(F.grid, t_grid, m) else "direct"
     if method == "fast":
-        if not _is_induced(F.grid, t_grid, m):
-            raise ValueError("fast inverse requires the induced frequency grid")
-        _, bins, chirp, out = _factors(t_grid, m)
-        spec = np.empty(t_grid.count, dtype=np.complex128)
-        spec[bins] = F.values / out
-        return SampledSignal(t_grid, np.fft.ifft(spec, out=spec) * np.conj(chirp))
+        if t_grid.count % 2 or not _is_induced(F.grid, t_grid, m):
+            raise ValueError("fast inverse requires the induced frequency grid and an even count")
+        _, chirp, out = _factors(t_grid, m)
+        x = F.values / out
+        (np.fft.ifft if m.b > 0 else np.fft.fft)(x, out=x, norm="backward" if m.b > 0 else "forward")
+        return SampledSignal(t_grid, np.multiply(x, np.conj(chirp), out=x))
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
     omega = F.grid.points()

@@ -63,6 +63,19 @@ class TestValidate:
         assert abs(p.det - 1.0) > 1e-12
         assert validate(p).ok
 
+    @pytest.mark.parametrize("entries", [(np.nan, 1, -1, 0), (np.inf, 1, -1, 0), (0, 1, -1, -np.inf)])
+    @pytest.mark.parametrize("permissive", [False, True])
+    def test_non_finite_entries_rejected(self, entries, permissive):
+        from lct_numra.canonical import require_valid
+
+        m = CanonicalMatrix(*entries)
+        name = "abcd"[next(i for i, v in enumerate(entries) if not np.isfinite(v))]
+        report = validate(m, allow_nonunimodular=permissive)
+        assert not report.ok
+        assert any(v.startswith(f"non-finite entry: {name} =") for v in report.violations)
+        with pytest.raises(MatrixError, match="non-finite"):
+            require_valid(m, allow_nonunimodular=permissive)
+
     def test_b_zero_passes_validation_but_not_transform_gate(self):
         from lct_numra.canonical import require_valid
 

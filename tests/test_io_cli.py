@@ -179,6 +179,13 @@ class TestMatrixCommand:
         assert payload["det"] == -2.0
         assert not payload["ok"]
 
+    @pytest.mark.parametrize("text", ["nan,1,-1,0", "inf,1,-1,0"])
+    def test_non_finite_matrix_exit_two(self, tmp_path, capsys, text):
+        report = tmp_path / "m.json"
+        assert main(["matrix", "--matrix", text, "--report", str(report)]) == 2
+        assert read_json(report)["ok"] is False
+        assert "violation: non-finite entry: a =" in capsys.readouterr().err
+
     def test_permissive_downgrades_to_warning(self, capsys):
         assert main(["matrix", "--matrix", "0,1,2,-1", "--allow-nonunimodular"]) == 0
         assert "permissive" in capsys.readouterr().err

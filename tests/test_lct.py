@@ -1,10 +1,12 @@
 import time
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lct_numra import lct
 from lct_numra.canonical import CanonicalMatrix, MatrixError, fourier, fresnel, frft, kernel
 from lct_numra.lct import (
     LctSpectrum,
@@ -173,11 +175,102 @@ class TestInverse:
         out = ilct(spec, fourier(), g, method="fast")
         assert rel_l2(out.values, gaussian(g).values) <= 1e-6
 
+    def test_odd_count_inverts_by_quadrature(self):
+        # the (-1)^j fold needs an even count: auto takes the direct path, fast refuses
+        g = grid_n(255)
+        spec = lct_direct(gaussian(g), M2111, induced_omega_grid(g, M2111))
+        np.testing.assert_array_equal(ilct(spec, M2111, g).values,
+                                      ilct(spec, M2111, g, method="direct").values)
+        with pytest.raises(ValueError, match="even count"):
+            ilct(spec, M2111, g, method="fast")
+
     def test_fast_requires_induced_grid(self):
         g = grid_n(256)
         spec = LctSpectrum(Grid(-1.0, 0.01, 256), np.zeros(256))
         with pytest.raises(ValueError, match="induced"):
             ilct(spec, fourier(), g, method="fast")
+
+
+def gather_reference(f, m):
+    """Fast transform without the (-1)^j fold: FFT, then gather DFT bin sign(b) k mod n."""
+    n = f.grid.count
+    grid = induced_omega_grid(f.grid, m)
+    k = np.arange(n) - n // 2
+    bins = ((1 if m.b > 0 else -1) * k) % n
+    chirp = np.exp(1j * m.a * f.grid.points() ** 2 / (2.0 * m.b))
+    omega = k * grid.step
+    out = np.exp(1j * omega * (m.d * omega - 2.0 * f.grid.t_min) / (2.0 * m.b))
+    out = out * (f.grid.step / np.sqrt(2j * np.pi * m.b))
+    x = np.take(np.fft.fft(f.values * chirp), bins)
+    # in place into the first operand, as lct_fast does: numpy's complex multiply can
+    # round differently when its output is the second operand (a temporary it reuses)
+    x *= out
+    return x
+
+
+def random_signal(g, seed=5):
+    rng = np.random.default_rng(seed)
+    return SampledSignal(g, rng.normal(size=g.count) + 1j * rng.normal(size=g.count))
+
+
+class TestFactorCache:
+    @staticmethod
+    def cold(f, m):
+        """Forward and fast inverse, built while the size class holds another key."""
+        lct_fast(f, fresnel(7.0))
+        spec = lct_fast(f, m)
+        lct_fast(f, fresnel(7.0))
+        return spec.values, ilct(spec, m, f.grid, method="fast").values
+
+    @pytest.mark.parametrize(
+        "grid_b, m_a, m_b",
+        [
+            (grid_n(1024, -7.0, 9.0), M2111, M2111),  # only t_min
+            (grid_n(1024), fourier(), CanonicalMatrix(0, 1, -1, 0.5)),  # only d
+            (grid_n(1024), fresnel(1.0), fresnel(-1.0)),  # only the sign of b
+        ],
+        ids=["t_min", "d", "b_sign"],
+    )
+    def test_keys_that_differ_in_one_entry(self, grid_b, m_a, m_b):
+        f_a = random_signal(grid_n(1024))
+        f_b = SampledSignal(grid_b, f_a.values)
+        want = {"A": self.cold(f_a, m_a), "B": self.cold(f_b, m_b)}
+        assert not np.array_equal(want["A"][0], want["B"][0])
+        for name, f, m in [("A", f_a, m_a), ("A", f_a, m_a), ("B", f_b, m_b), ("A", f_a, m_a)]:
+            spec = lct_fast(f, m)
+            np.testing.assert_array_equal(spec.values, want[name][0])
+            np.testing.assert_array_equal(ilct(spec, m, f.grid, method="fast").values, want[name][1])
+
+    def test_table_is_read_only(self):
+        _, chirp, out = lct._factors(grid_n(256), M2111)
+        for arr in (chirp, out):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_one_table_per_size_class(self):
+        grids = {e: grid_n(2**e) for e in (8, 10, 12)}
+        other = fresnel(2.0)
+        lct_fast(gaussian(grids[8]), M2111)
+        lct_fast(gaussian(grids[10]), M2111)
+        first = weakref.ref(lct._factors(grids[10], M2111)[1])
+        lct_fast(gaussian(grids[10]), other)
+        lct_fast(gaussian(grids[12]), M2111)
+        assert first() is None  # the replaced 2^10 table is freed
+        held = {size: slot[0] for size, slot in lct._TABLES.items()}
+        assert held[9] == (grids[8], M2111)
+        assert held[11] == (grids[10], other)
+        assert held[13] == (grids[12], M2111)
+
+    @pytest.mark.parametrize("n", [2**11, 2**14])
+    @pytest.mark.parametrize("m", MATRICES, ids=MATRIX_IDS)
+    def test_matches_gather_reference(self, m, n):
+        f = random_signal(grid_n(n))
+        got, want = lct_fast(f, m).values, gather_reference(f, m)
+        if m.b > 0:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert rel_l2(got, want) <= 1e-15
 
 
 class TestParseval:
@@ -221,6 +314,23 @@ class TestTiming:
             for _ in range(9):
                 t0 = time.perf_counter()
                 lct_fast(f, M2111)
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        t12 = best_time(2**12)
+        t13 = best_time(2**13)
+        assert t13 / t12 < 3.0
+
+    def test_fast_scales_subquadratically_cold(self):
+        # a fresh matrix on every call, so every call builds its factor table
+        def best_time(n):
+            f = gaussian(grid_n(n))
+            lct_fast(f, fresnel(0.5))  # warm up
+            best = np.inf
+            for i in range(9):
+                m = fresnel(1.0 + i / 64)
+                t0 = time.perf_counter()
+                lct_fast(f, m)
                 best = min(best, time.perf_counter() - t0)
             return best
 
