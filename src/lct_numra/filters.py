@@ -8,9 +8,10 @@ variable u is
     L(u) = comp1(u mod 1/2) + exp(-2 pi i u r / N) * comp2(u mod 1/2).
 
 A pair whose samples are a short trigonometric polynomial evaluates L
-from its Fourier terms with one ``exp`` per call: with q = exp(-2 pi i u/N)
-the comp terms are powers of q^(2N) and the cross phase is q^r.  Other
-pairs (the pointwise completion) take the nearest stored sample.
+from its Fourier terms by one Horner-and-combine step on the phases
+z = exp(-4 pi i u) and cross = exp(-2 pi i u r/N): powers q^(2N), q^r of
+q = exp(-2 pi i u/N) at any real u, exact root-of-unity tables on a
+``wavelets.HatEngine`` lattice.  Other pairs take the nearest sample.
 
 This module owns the numerical verifiers for every admissibility
 condition used downstream (shift orthonormality of filter banks,
@@ -140,7 +141,7 @@ class PeriodicFilterPair:
         terms = coef[:, np.arange(lo, hi + 1) % count]
         terms[np.abs(terms) <= tol] = 0.0
         object.__setattr__(self, "_terms", (lo, terms))  # checked through the evaluator itself
-        c1, c2, _ = self._at(self.u_grid.points())
+        c1, c2 = self.components_at(self.u_grid.points())
         misfit = max(np.max(np.abs(c1 - self.comp1)), np.max(np.abs(c2 - self.comp2)))
         # samples of a term up to bin k carry rounding of phases up to 2 pi k
         return (lo, terms) if misfit <= tol * (hi - lo + 1) else None
@@ -157,31 +158,42 @@ class PeriodicFilterPair:
 
     def components_at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Component values at arbitrary u (half-period reduction applied)."""
-        return self._at(np.asarray(u, dtype=float))[:2]
-
-    def _at(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Components at u and q = exp(-2 pi i u/N), which is None for a nearest-sample pair."""
+        u = np.asarray(u, dtype=float)
         if self._terms is None:
             idx = np.round(np.mod(u, 0.5) / self.u_grid.step).astype(int) % self.u_grid.count
-            return self.comp1[idx], self.comp2[idx], None
+            return self.comp1[idx], self.comp2[idx]
+        return self._horner(self._phases(u)[0])
+
+    def _phases(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """z = exp(-4 pi i u) and cross = exp(-2 pi i u r/N) as powers of q = exp(-2 pi i u/N)."""
         q = np.exp((-2j * np.pi / self.ts.N) * np.fmod(u, self.ts.N))  # L has period N in u
-        z = q ** (2 * self.ts.N)  # exp(-4 pi i u)
+        return q ** (2 * self.ts.N), q**self.ts.r
+
+    def _horner(self, z: np.ndarray) -> np.ndarray:
+        """Both components of an exact pair from z, by Horner's rule in z."""
         lo, terms = self._terms
-        acc = np.zeros((2,) + u.shape, dtype=np.complex128)
-        for c in terms.T[::-1]:  # Horner's rule in z
+        acc = np.zeros((2,) + z.shape, dtype=np.complex128)
+        for c in terms.T[::-1]:
             acc *= z
-            acc += c.reshape((2,) + (1,) * u.ndim)
+            acc += c.reshape((2,) + (1,) * z.ndim)
         if lo:
             acc *= z**lo
-        return acc[0], acc[1], q
+        return acc
+
+    def _combine(self, z: np.ndarray, cross: np.ndarray) -> np.ndarray:
+        """Response comp1 + cross * comp2 of an exact pair from its phases z and cross."""
+        c1, c2 = self._horner(z)
+        return c1 + cross * c2
 
 
 def filter_eval(p: PeriodicFilterPair, u) -> np.ndarray:
     """Full response comp1(u) + exp(-2 pi i u r/N) comp2(u); u unreduced in the phase."""
     u_arr = np.asarray(u, dtype=float)
-    c1, c2, q = p._at(u_arr)
-    cross = np.exp(-2j * np.pi * u_arr * p.ts.r / p.ts.N) if q is None else q**p.ts.r
-    vals = c1 + cross * c2
+    if p.exact:
+        vals = p._combine(*p._phases(u_arr))
+    else:
+        c1, c2 = p.components_at(u_arr)
+        vals = c1 + np.exp(-2j * np.pi * u_arr * p.ts.r / p.ts.N) * c2
     return complex(vals) if u_arr.ndim == 0 else vals
 
 

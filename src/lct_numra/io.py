@@ -44,7 +44,9 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
 
 
 def write_json(path: str | Path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Strict JSON: a non-finite float is written as null, never as NaN or Infinity."""
+    obj = json.loads(json.dumps(obj), parse_constant=lambda token: None)
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def read_json(path: str | Path):

@@ -202,13 +202,13 @@ class PacketBasis:
 
     Atoms are realized from the packet hats on one shared frequency
     lattice: the atom at (n, level j, lam) inverse-transforms
-    (2N)^{-j/2} hat(W_n)(u/(2N)^j) shifted by lam/(2N)^j, then carries
-    the time-domain chirp.  Sharing the lattice keeps all atoms limited
-    to one common band, so spans at different levels nest exactly and
-    Nyquist-rate quadrature of their products is alias-free.  A level-j
-    hat is digit rows times the tail T_{j+q} the nodes' engine holds (at
-    level 0, the node's kept values); one synthesis per (node, level)
-    serves every translate.
+    (2N)^{-j/2} hat(W_n)(u/(2N)^j) shifted by lam/(2N)^j, then carries the
+    time chirp, computed once, times exp(i pi (a/b) lam^2).  Sharing the
+    lattice keeps all atoms limited to one common band, so spans at
+    different levels nest exactly and Nyquist-rate quadrature of their
+    products is alias-free.  A level-j hat is digit rows times the tail
+    T_{j+q} the nodes' engine holds (at level 0, the node's kept values);
+    one synthesis per (node, level) serves every translate.
     """
 
     ts: TranslationSet
@@ -231,7 +231,7 @@ class PacketBasis:
             groups.setdefault((id(e.node), e.level), []).append(e)
         hats = [g[0].node.hat.dilated(g[0].level) for g in groups.values()]
         values = lattice_values(hats, grid, span=self.span, oversample=self.oversample)
-        t = grid.points()
+        time_chirp = chirp_phase(self.m, grid.points(), 0.0)
         atoms = {}
         for group, vals in zip(groups.values(), values):
             shifts = []
@@ -245,8 +245,9 @@ class PacketBasis:
             mother = two_n ** (-group[0].level / 2.0) * vals
             samples = lattice_to_grid(mother, grid, span=self.span,
                                       oversample=self.oversample, shifts=shifts)
-            for e, vals_e in zip(group, samples):
-                atoms[id(e)] = SampledSignal(grid, vals_e * chirp_phase(self.m, t, e.lam))
+            phases = chirp_phase(self.m, 0.0, np.array([e.lam for e in group]))
+            for e, vals_e, phase in zip(group, samples, phases):
+                atoms[id(e)] = SampledSignal(grid, vals_e * time_chirp * phase)
         self._signals = [atoms[id(e)] for e in self.elements]
         return self._signals
 

@@ -219,17 +219,18 @@ def chirped_translates(system: list[SampledSignal], lambdas, m: CanonicalMatrix)
     """Stacked chirped translates of every signal at every shift, signal-major.
 
     Row i * len(lambdas) + k holds ``translate_chirp(system[i], lambdas[k], m)``;
-    each shift's chirp is computed once for all signals.
+    the time chirp is computed once and scaled by each shift's constant phase.
     """
     grid = _common_grid(system)
-    t = grid.points()
+    time_chirp = chirp_phase(m, grid.points(), 0.0)
+    shift_phases = chirp_phase(m, 0.0, np.asarray(lambdas, dtype=float))
     out = np.zeros((len(system) * len(lambdas), grid.count), dtype=np.complex128)
-    for k, lam in enumerate(lambdas):
+    for k, (lam, phase) in enumerate(zip(lambdas, shift_phases)):
         ratio = lam / grid.step
         offset = round(ratio)
         if abs(ratio - offset) > _ALIGN_TOL:
             raise OffGridError(f"translation {lam} is not a multiple of step {grid.step}")
-        chirp = chirp_phase(m, t, lam)
+        chirp = time_chirp * phase
         for i, s in enumerate(system):
             row = out[i * len(lambdas) + k]
             if 0 <= offset < grid.count:

@@ -68,6 +68,18 @@ def frequency_samples(grid: Grid, *, span: float = 16.0, oversample: int = 16) -
     return (np.arange(n) - n // 2) * du
 
 
+def _root_powers(c: int, e0: int, m: int, order: int) -> np.ndarray:
+    """exp(-2 pi i c e/order), e = e0..e0+m-1: the outer product of two tables of
+    about sqrt(m) entries, each from an exactly reduced phase (see ``HatEngine``)."""
+    w = int(np.ceil(np.sqrt(m)))
+    p = c * np.concatenate([e0 + w * np.arange(-(-m // w)), np.arange(w)])
+    if order <= np.iinfo(np.int64).max:
+        p %= order
+        p[p > order // 2] -= order
+    t = np.exp((-2j * np.pi) * (p / float(order)))
+    return np.outer(t[:-w], t[-w:]).ravel()[:m]
+
+
 class HatEngine:
     """Products of dilated filter rows L_d(u/(2N)^j) on one frequency lattice.
 
@@ -85,6 +97,12 @@ class HatEngine:
     of node hats are evaluated once per ``lattice`` call and folded into
     every hat that uses them.  A tail deeper than the first pass costs a
     second pass.
+
+    A ``span`` (``on_grid`` gives one) declares u = e/span, e = k - n//2.  If
+    it is integral, row j of an exact pair takes z = q^(2N), cross = q^r of
+    q = exp(-2 pi i e/order), order = span*N*(2N)^j, from phases c*e reduced
+    exactly in int64 to (-order/2, order/2]; an order past int64 needs no
+    reduction, as |c*e| < order/2.  Other rows use ``filter_eval``.
     """
 
     def __init__(self, lowpass: PeriodicFilterPair, u, *, J: int, span: float | None = None):
@@ -111,10 +129,15 @@ class HatEngine:
         return self.span == span and self.u.size == round(oversample * span / grid.step)
 
     def _blocks(self):
-        return ((a, a + _BLOCK) for a in range(0, self.u.size, _BLOCK))
+        return ((a, min(a + _BLOCK, self.u.size)) for a in range(0, self.u.size, _BLOCK))
 
     def _row(self, pair: PeriodicFilterPair, j: int, a: int, b: int) -> np.ndarray:
-        return filter_eval(pair, self.u[a:b] / float(self.lowpass.ts.dilation) ** j)
+        """Row L(u/(2N)^j) on lattice points a..b-1: the one place a row is evaluated."""
+        two_n = self.lowpass.ts.dilation
+        if self.span is None or self.span % 1 or not pair.exact:
+            return filter_eval(pair, self.u[a:b] / float(two_n) ** j)
+        order, e0 = round(self.span) * pair.ts.N * two_n**j, a - self.u.size // 2
+        return pair._combine(*(_root_powers(c, e0, b - a, order) for c in (two_n, pair.ts.r)))
 
     def _build_tails(self, depths, *, keep_rows: bool = False) -> None:
         new = sorted(set(depths) - set(self._tails))

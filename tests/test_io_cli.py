@@ -164,6 +164,15 @@ class TestThreadCap:
         assert state == {"before": False, "code": 0, "openblas": "3", "after": True}
 
 
+def read_strict_json(path):
+    """A report parsed as strict JSON: the tokens NaN and Infinity raise."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 class TestMatrixCommand:
     def test_valid_matrix(self, tmp_path):
         report = tmp_path / "m.json"
@@ -183,7 +192,10 @@ class TestMatrixCommand:
     def test_non_finite_matrix_exit_two(self, tmp_path, capsys, text):
         report = tmp_path / "m.json"
         assert main(["matrix", "--matrix", text, "--report", str(report)]) == 2
-        assert read_json(report)["ok"] is False
+        payload = read_strict_json(report)
+        assert payload["ok"] is False
+        assert payload["matrix"]["a"] is None and payload["det"] is None
+        assert payload["violations"][0] == f"non-finite entry: a = {text.split(',')[0]}"
         assert "violation: non-finite entry: a =" in capsys.readouterr().err
 
     def test_permissive_downgrades_to_warning(self, capsys):
@@ -240,8 +252,9 @@ class TestVerifyCommand:
         with np.errstate(all="ignore"):
             assert lowpass_report(big)["violations"] == every
             assert main(["verify", "--filters", str(fpath), "--report", str(report)]) == 2
-        payload = read_json(report)
+        payload = read_strict_json(report)
         assert payload["violations"] == every
+        assert payload["residuals"]["2.22"] is None
         assert not payload["ok"]
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,16 +296,14 @@ class TestHatEngine:
         import lct_numra.wavelets as wavelets
 
         monkeypatch.setattr(wavelets, "_BLOCK", 1000)
-        real = wavelets.filter_eval
+        real = wavelets.HatEngine._row
         calls = []
 
-        def counting(p, u):
-            arr = np.asarray(u)
-            if arr.ndim:
-                calls.append((id(p), arr.size, float(arr[0]), float(arr[-1])))
-            return real(p, u)
+        def counting(engine, pair, j, a, b):
+            calls.append((id(pair), b - a, j, a))
+            return real(engine, pair, j, a, b)
 
-        monkeypatch.setattr(wavelets, "filter_eval", counting)
+        monkeypatch.setattr(wavelets.HatEngine, "_row", counting)
         ts = TranslationSet(2, 1)
         bank = haar_filter_bank(ts, M2111)
         grid = numra_grid(ts, (-4.0, 4.0), refinement=64)
@@ -317,6 +317,38 @@ class TestHatEngine:
         # rows are L_1, L_2, L_3 at level 1 and L_1 at level 2, while digit 0
         # of packet 4 reuses the low-pass row at level 1
         assert sum(size for _, size, _, _ in calls) == 26 * n
+
+    @pytest.mark.parametrize("N,r", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)])
+    def test_lattice_rows_match_exact_phases(self, N, r):
+        # each row term exp(-2 pi i c e/order) on u = e/span, order = span N (2N)^j,
+        # from the phase c e reduced modulo order in Python integers and the exp
+        # taken in long double; at N = 3, rows 23 and up have orders past int64
+        import lct_numra.wavelets as wavelets
+
+        ts = TranslationSet(N, r)
+        bank = haar_filter_bank(ts, M2111)
+        grid = numra_grid(ts, (-2.0, 2.0), refinement=64)
+        engine = wavelets.HatEngine(bank[0], frequency_samples(grid, oversample=1), J=20,
+                                    span=16.0)
+        n = engine.u.size
+        e = np.arange(n, dtype=object) - n // 2
+        two_pi = 8 * np.arctan(np.longdouble(1))
+
+        @functools.cache
+        def powers(c, order):
+            red = (c * e) % order
+            red = np.where(2 * red > order, red - order, red).astype(np.int64)
+            return np.exp(-1j * two_pi * (red.astype(np.longdouble) / np.longdouble(order)))
+
+        for j in (1, 3, 6, 10, 15, 20, 22, 23):
+            order = 16 * N * (2 * N) ** j
+            cross = powers(r, order)
+            for pair in bank:
+                lo, terms = pair._terms
+                want = sum((t1 + cross * t2) * powers(2 * N * (lo + k), order)
+                           for k, (t1, t2) in enumerate(terms.T))
+                got = np.concatenate([engine._row(pair, j, a, b) for a, b in engine._blocks()])
+                assert np.max(np.abs(got - want)) <= 2e-15
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_lattice_hats_match_product_formula(self, N):
