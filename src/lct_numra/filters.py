@@ -172,10 +172,12 @@ class PeriodicFilterPair:
     def _horner(self, z: np.ndarray) -> np.ndarray:
         """Both components of an exact pair from z, by Horner's rule in z."""
         lo, terms = self._terms
-        acc = np.zeros((2,) + z.shape, dtype=np.complex128)
-        for c in terms.T[::-1]:
+        coeffs = terms.T[::-1].reshape((-1, 2) + (1,) * z.ndim)
+        acc = np.empty((2,) + z.shape, dtype=np.complex128)
+        acc[...] = coeffs[0]
+        for c in coeffs[1:]:
             acc *= z
-            acc += c.reshape((2,) + (1,) * z.ndim)
+            acc += c
         if lo:
             acc *= z**lo
         return acc

@@ -12,7 +12,10 @@ IEEE Trans. IT 38(2), 1992).  All packets of one cascade share its
 ``wavelets.HatEngine``, and a synthesised node keeps its lattice values,
 so bases and fold sums over it evaluate no filter again.  Analysis and
 synthesis are quadrature against chirped dilated translates; bases must
-be Gram-certified before use.
+be Gram-certified before use.  ``translate_gram`` certifies a packet set
+by ``sampling.chirped_translate_gram``: its Gram comes from the cell lags
+of the unchirped packets, with the chirp as a diagonal phase, and no
+(atoms x count) stack of translates is built.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from .sampling import (
     Grid,
     SampledSignal,
     chirp_phase,
-    chirped_translates,
-    gram_matrix,
+    chirped_translate_gram,
     identity_deviation,
 )
 from .wavelets import (
@@ -166,10 +168,7 @@ def translate_gram(
     lambda_window: tuple[float, float],
 ) -> tuple[np.ndarray, float]:
     """Gram of all chirped translates of the given signals; max |G - I|."""
-    if not system:
-        return gram([])
-    rows = chirped_translates(system, omega_enumerate(ts, lambda_window), m)
-    g = gram_matrix(rows, system[0].grid)
+    g = chirped_translate_gram(system, omega_enumerate(ts, lambda_window), m)
     return g, identity_deviation(g)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .canonical import CanonicalMatrix, validate
 from .filters import PeriodicFilterPair, TranslationSet, bank_residuals, omega_enumerate
 from .io import config_hash
-from .sampling import gram_matrix, identity_deviation, translate_chirp
+from .sampling import chirped_translate_gram, identity_deviation
 from .wavelets import default_time_grid, haar_scaling, n2_reference_wavelets
 
 #: Default per-condition tolerances for verification reports.
@@ -90,12 +90,8 @@ def anomalous_n2_report(
     lambdas = omega_enumerate(ts, lambda_window)
     psis = n2_reference_wavelets(grid)
     phi = haar_scaling(ts, grid)
-    wavelet_system = [
-        translate_chirp(psi, lam, m) for psi in psis for lam in lambdas
-    ]
-    scaling_system = [translate_chirp(phi, lam, m) for lam in lambdas]
-    g = gram_matrix(wavelet_system + scaling_system)
-    n_w = len(wavelet_system)
+    g = chirped_translate_gram(psis + [phi], lambdas, m)
+    n_w = len(psis) * len(lambdas)
     return {
         "config_hash": config_hash(report_cfg),
         "config": report_cfg,

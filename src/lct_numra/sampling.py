@@ -7,10 +7,18 @@ quadratures of the transform, projection and packet modules, use them.
 Translations must land exactly on grid points (no interpolation), which
 keeps indicator-function inner products exact when breakpoints sit on the
 grid.
+
+``chirped_translate_gram`` builds no translate: the time chirp cancels in
+every product, leaving one phase per shift, and the shifts are whole cells
+of g = gcd of their sample offsets, so each cell lag costs one batched
+product of cell pairs.  That is n_sig^2 |lags| P multiply-adds for the
+padded length P = ceil(count/g) g, where a stack of translates needs
+(n_sig |lambdas|)^2 count and |lambdas| times the memory.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,39 +214,90 @@ def _common_grid(system: list[SampledSignal]) -> Grid:
     return grid
 
 
+def _offset(lam: float, grid: Grid) -> int:
+    """Samples in a translation by ``lam``; raises OffGridError unless it is whole."""
+    ratio = lam / grid.step
+    offset = round(ratio)
+    if abs(ratio - offset) > _ALIGN_TOL:
+        raise OffGridError(f"translation {lam} is not a multiple of step {grid.step}")
+    return int(offset)
+
+
+def _translated(values: np.ndarray, offsets: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(rows, offsets, t) samples at indices t of each row shifted by each offset, zero-filled."""
+    idx = t[None, :] - offsets[:, None]
+    inside = (idx >= 0) & (idx < values.shape[1])
+    return np.where(inside, values[:, np.clip(idx, 0, values.shape[1] - 1)], 0.0)
+
+
 def translate_chirp(phi: SampledSignal, lam: float, m: CanonicalMatrix) -> SampledSignal:
     """Chirped translate t -> phi(t - lam) * exp(-i pi (a/b)(t^2 - lam^2)).
 
     ``lam`` must be an exact multiple of the grid step; this is rejected
     otherwise rather than silently interpolated.
     """
-    return SampledSignal(phi.grid, chirped_translates([phi], [lam], m)[0])
+    grid = phi.grid
+    offset = np.array([_offset(lam, grid)])
+    row = _translated(phi.values[None], offset, np.arange(grid.count))[0, 0]
+    row *= chirp_phase(m, grid.points(), 0.0) * chirp_phase(m, 0.0, lam)
+    return SampledSignal(grid, row)
 
 
-def chirped_translates(system: list[SampledSignal], lambdas, m: CanonicalMatrix) -> np.ndarray:
-    """Stacked chirped translates of every signal at every shift, signal-major.
+def chirped_translate_gram(system: list[SampledSignal], lambdas,
+                           m: CanonicalMatrix) -> np.ndarray:
+    """Gram of the chirped translates of every signal at every shift, signal-major.
 
-    Row i * len(lambdas) + k holds ``translate_chirp(system[i], lambdas[k], m)``;
-    the time chirp is computed once and scaled by each shift's constant phase.
+    Equals ``gram_matrix`` of ``translate_chirp(s, lam, m)`` for s in
+    ``system``, lam in ``lambdas``, as G = D G_0 D^H with D the diagonal of
+    shift phases chirp_phase(m, 0, lam).  A shift of o samples that leaves
+    the window gives a zero row; the others are whole cells of g = gcd(o)
+    samples (the whole count if every o is 0).  Over the window's whole
+    cells a G_0 entry is a run of the cell products of its cell lag d, one
+    batched product per |d|; the part cell at the window's end and the
+    trapezoid endpoints (``Grid.trapezoid_weights``) are added sample by sample.
     """
+    lambdas = np.asarray(lambdas, dtype=float)
+    n_sig, n_lam = len(system), len(lambdas)
+    if n_sig * n_lam == 0:
+        return np.zeros((0, 0), dtype=np.complex128)
     grid = _common_grid(system)
-    time_chirp = chirp_phase(m, grid.points(), 0.0)
-    shift_phases = chirp_phase(m, 0.0, np.asarray(lambdas, dtype=float))
-    out = np.zeros((len(system) * len(lambdas), grid.count), dtype=np.complex128)
-    for k, (lam, phase) in enumerate(zip(lambdas, shift_phases)):
-        ratio = lam / grid.step
-        offset = round(ratio)
-        if abs(ratio - offset) > _ALIGN_TOL:
-            raise OffGridError(f"translation {lam} is not a multiple of step {grid.step}")
-        chirp = time_chirp * phase
-        for i, s in enumerate(system):
-            row = out[i * len(lambdas) + k]
-            if 0 <= offset < grid.count:
-                row[offset:] = s.values[: grid.count - offset]
-            elif 0 < -offset < grid.count:
-                row[:offset] = s.values[-offset:]
-            row *= chirp
-    return out
+    count = grid.count
+    offsets = np.array([_offset(lam, grid) for lam in lambdas])
+    live = np.flatnonzero(np.abs(offsets) < count)
+    cell = int(np.gcd.reduce(offsets[live])) or count
+    n_cells, n_whole = -(-count // cell), count // cell
+    cells = np.zeros((n_sig, n_cells, cell), dtype=np.complex128)
+    values = cells.reshape(n_sig, -1)[:, :count]
+    for row, s in zip(values, system):
+        row[:] = s.values
+    conj_cells = cells.conj()
+
+    @functools.cache
+    def lag(d: int) -> np.ndarray:
+        """[p, i, k] = sum_j cells[i, p + d, j] conj(cells[k, p, j])."""
+        return np.matmul(cells[:, d:].transpose(1, 0, 2),
+                         conj_cells[:, : n_cells - d].transpose(1, 2, 0))
+
+    g0 = np.zeros((n_sig, n_lam, n_sig, n_lam), dtype=np.complex128)
+    shift = offsets // cell
+    for x in live:
+        for y in live:
+            # cells p of signal k: window cell p + shift[y] is whole, p + d and p exist
+            d = shift[y] - shift[x]
+            lo, hi = max(0, -d, -shift[y]), min(n_cells, n_cells - d, n_whole - shift[y])
+            if lo >= hi:
+                continue
+            if d >= 0:
+                g0[:, x, :, y] = lag(d)[lo:hi].sum(axis=0)
+            else:
+                g0[:, x, :, y] = lag(-d)[lo + d:hi + d].sum(axis=0).conj().T
+    # the window's part cell and the trapezoid endpoints, sample by sample
+    t = np.union1d(np.arange(n_whole * cell, count), [0, count - 1])
+    w = grid.trapezoid_weights()[t] - grid.step * (t < n_whole * cell)
+    edge = _translated(values, offsets, t).reshape(n_sig * n_lam, t.size)
+    g = g0.reshape(n_sig * n_lam, -1) * grid.step + (edge * w) @ edge.conj().T
+    phases = np.tile(chirp_phase(m, 0.0, lambdas), n_sig)
+    return g * phases[:, None] * phases.conj()
 
 
 def dilate_chirp(phi: SampledSignal, j: int, N: int, lam: float, m: CanonicalMatrix,
@@ -255,9 +314,7 @@ def dilate_chirp(phi: SampledSignal, j: int, N: int, lam: float, m: CanonicalMat
     """
     if abs(j) > max_level:
         raise ValueError(f"level {j} exceeds budget {max_level}")
-    ratio = lam / phi.grid.step
-    if abs(ratio - round(ratio)) > _ALIGN_TOL:
-        raise OffGridError(f"translation {lam} is not a multiple of step {phi.grid.step}")
+    _offset(lam, phi.grid)
     grid = phi.grid if grid is None else grid
     t = grid.points()
     scale = float(2 * N) ** j
@@ -266,32 +323,15 @@ def dilate_chirp(phi: SampledSignal, j: int, N: int, lam: float, m: CanonicalMat
     return SampledSignal(grid, vals)
 
 
-#: Atoms per block of ``gram_matrix``: each block re-reads the whole stack,
-#: so larger blocks trade memory for time.
-_GRAM_BLOCK = 8
-
-
-def gram_matrix(system: list[SampledSignal] | np.ndarray, grid: Grid | None = None) -> np.ndarray:
-    """Pairwise trapezoidal inner products of signals on one common grid.
-
-    ``system`` is a list of signals, or an (atoms x count) array of their
-    samples on ``grid``.  The weighted conjugate is made for a block of
-    atoms at a time, so no second (atoms x count) array is held.
-    """
-    if isinstance(system, np.ndarray):
-        a = system
-    else:
-        if not system:
-            return np.zeros((0, 0), dtype=np.complex128)
-        grid = _common_grid(system)
-        a = np.stack([s.values for s in system])
-    w = grid.trapezoid_weights()
-    g = np.empty((len(a), len(a)), dtype=np.complex128)
-    for i in range(0, len(a), _GRAM_BLOCK):
-        b = a[i:i + _GRAM_BLOCK].conj()
-        b *= w
-        g[:, i:i + _GRAM_BLOCK] = a @ b.T  # columns of a @ conj(a * w).T, operands as there
-    return g
+def gram_matrix(system: list[SampledSignal]) -> np.ndarray:
+    """Pairwise trapezoidal inner products of signals on one common grid."""
+    if not system:
+        return np.zeros((0, 0), dtype=np.complex128)
+    grid = _common_grid(system)
+    a = np.stack([s.values for s in system])
+    b = a.conj()
+    b *= grid.trapezoid_weights()
+    return a @ b.T
 
 
 def identity_deviation(g: np.ndarray) -> float:

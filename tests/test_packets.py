@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lct_numra.canonical import CanonicalMatrix, fourier
-from lct_numra.filters import TranslationSet, filter_eval
+from lct_numra.filters import TranslationSet, filter_eval, omega_enumerate
 from lct_numra.packets import (
     BasisElement,
     PacketBasis,
@@ -21,7 +22,7 @@ from lct_numra.packets import (
     packet_synthesize,
     reconstruct,
 )
-from lct_numra.sampling import SampledSignal, norm, numra_grid
+from lct_numra.sampling import SampledSignal, chirp_phase, norm, numra_grid
 from lct_numra.wavelets import cascade, default_time_grid, frequency_samples, haar_filter_bank
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
@@ -143,6 +144,58 @@ class TestPacketGram:
         g, off = packet_gram([haar1_nodes[2]], ts, fourier(), (0.0, 1.0))
         assert g.shape == (1, 1)
         assert off <= 1e-3
+
+
+@pytest.fixture(scope="module")
+def ac10_nodes():
+    """The N = 2, r = 1 packets 0..4 of AC-10 (five signals of 196608 samples)."""
+    ts = TranslationSet(2, 1)
+    bank = haar_filter_bank(ts, M2111)
+    grid = numra_grid(ts, (-5.0, 7.0), refinement=4096)
+    scaling = cascade(bank[0], J=20, tol=1e-5, grid=grid, oversample=1)
+    nodes = [packet_hat(digits(n, 2), bank, scaling=scaling, grid=grid, oversample=1)
+             for n in range(5)]
+    return ts, nodes
+
+
+class TestLagGramAC10:
+    WINDOW = (-4.0, 4.0 + 1e-9)
+
+    def test_entries_match_long_double(self, ac10_nodes):
+        # the shift phases are the library's own doubles; the products and
+        # sums of the zero-filled translates are taken in long double
+        ts, nodes = ac10_nodes
+        g, _ = packet_gram(nodes, ts, M2111, self.WINDOW)
+        grid = nodes[0].signal.grid
+        lams = np.asarray(omega_enumerate(ts, self.WINDOW))
+        offsets = np.round(lams / grid.step).astype(int)
+        phases = chirp_phase(M2111, 0.0, lams).astype(np.clongdouble)
+        w = grid.trapezoid_weights().astype(np.longdouble)
+        n_lam, count = len(lams), grid.count
+        rng = np.random.default_rng(8)
+        pairs = [(x, x) for x in range(0, g.shape[0], 2)]
+        pairs += [tuple(rng.integers(0, g.shape[0], 2)) for _ in range(29)]
+        worst = 0.0
+        for x, y in pairs:
+            (i, a), (k, b) = divmod(x, n_lam), divmod(y, n_lam)
+            lo = max(0, offsets[a], offsets[b])
+            hi = min(count, count + offsets[a], count + offsets[b])
+            f = nodes[i].signal.values[lo - offsets[a]:hi - offsets[a]].astype(np.clongdouble)
+            h = nodes[k].signal.values[lo - offsets[b]:hi - offsets[b]].astype(np.clongdouble)
+            want = phases[a] * np.sum(f * np.conj(h) * w[lo:hi]) * np.conj(phases[b])
+            worst = max(worst, float(abs(np.clongdouble(g[x, y]) - want)))
+        assert worst <= 5e-16
+
+    def test_peak_memory_is_a_few_signals(self, ac10_nodes):
+        ts, nodes = ac10_nodes
+        inputs = sum(node.signal.values.nbytes for node in nodes)
+        tracemalloc.start()
+        try:
+            packet_gram(nodes, ts, M2111, self.WINDOW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * inputs
 
 
 class TestFoldSums:

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lct_numra.canonical import CanonicalMatrix, fourier
+from lct_numra.canonical import CanonicalMatrix, fourier, frft
 from lct_numra.sampling import (
     Grid,
     GridMismatchError,
     OffGridError,
     SampledSignal,
     chirp_phase,
+    chirped_translate_gram,
     dilate_chirp,
     gaussian,
     gram_matrix,
@@ -168,6 +171,54 @@ class TestTranslateChirp:
         chirped = gram_matrix([translate_chirp(f, l, M2111) for l in lams])
         plain = gram_matrix([translate_chirp(f, l, fourier()) for l in lams])
         np.testing.assert_allclose(np.abs(chirped), np.abs(plain), atol=1e-10)
+
+
+class TestChirpedTranslateGram:
+    """The lag Gram against the dense Gram of explicit chirped translates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        count=st.integers(1, 48),
+        n_sig=st.integers(1, 3),
+        shifts=st.lists(st.integers(-60, 60), min_size=1, max_size=5),
+        scale=st.sampled_from([1, 2, 3, 5]),
+        matrix=st.sampled_from([fourier(), M2111, frft(0.3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(count=48, n_sig=2, shifts=[0, 4, -8], scale=2, matrix=M2111, seed=0)  # 8 | 48
+    @example(count=45, n_sig=2, shifts=[0, 4, -8], scale=2, matrix=M2111, seed=1)  # part cell
+    @example(count=20, n_sig=1, shifts=[-3], scale=1, matrix=frft(0.3), seed=2)  # one shift
+    @example(count=20, n_sig=3, shifts=[0, 30, -25], scale=1, matrix=M2111, seed=3)  # off window
+    @example(count=45, n_sig=1, shifts=[44, -60], scale=1, matrix=M2111, seed=0)  # just inside
+    @example(count=20, n_sig=2, shifts=[0, 0], scale=1, matrix=fourier(), seed=4)  # no shift
+    def test_matches_dense_gram(self, count, n_sig, shifts, scale, matrix, seed):
+        grid = Grid(-1.5, 0.25, count)
+        rng = np.random.default_rng(seed)
+        system = [
+            SampledSignal(grid, rng.normal(size=count) + 1j * rng.normal(size=count))
+            for _ in range(n_sig)
+        ]
+        lams = [scale * k * grid.step for k in shifts]
+        dense = gram_matrix([translate_chirp(s, lam, matrix) for s in system for lam in lams])
+        got = chirped_translate_gram(system, lams, matrix)
+        assert got.shape == dense.shape
+        assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    def test_off_grid_rejected(self):
+        g = std_grid(step=2.0**-8, lo=-2.0, hi=2.0)
+        with pytest.raises(OffGridError):
+            chirped_translate_gram([gaussian(g)], [0.0, 1.0 / 3.0], M2111)
+
+    def test_mixed_grids_rejected(self):
+        a = gaussian(std_grid(step=2.0**-8, lo=-2.0, hi=2.0))
+        b = gaussian(std_grid(step=2.0**-7, lo=-2.0, hi=2.0))
+        with pytest.raises(GridMismatchError):
+            chirped_translate_gram([a, b], [0.0], M2111)
+
+    def test_empty_system(self):
+        g = std_grid(step=2.0**-8, lo=-2.0, hi=2.0)
+        assert chirped_translate_gram([], [0.0, 1.0], M2111).shape == (0, 0)
+        assert chirped_translate_gram([gaussian(g)], [], M2111).shape == (0, 0)
 
 
 class TestDilateChirp:
