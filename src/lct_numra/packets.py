@@ -10,9 +10,10 @@ with the low-pass cascade tail:
 for digits d_0..d_{q-1} (the packet recursion of Coifman & Wickerhauser,
 IEEE Trans. IT 38(2), 1992).  All packets of one cascade share its
 ``wavelets.HatEngine``, and a synthesised node keeps its lattice values,
-so bases and fold sums over it evaluate no filter again.  Analysis and
-synthesis are quadrature against chirped dilated translates; bases must
-be Gram-certified before use.  ``translate_gram`` certifies a packet set
+so bases and fold sums over it evaluate no filter again.  A basis keeps
+its atoms unchirped: the time chirp cancels in the Gram, and analysis and
+synthesis apply it once per signal, each one product with the atoms; bases
+must be Gram-certified before use.  ``translate_gram`` certifies a packet set
 by ``sampling.chirped_translate_gram``: its Gram comes from the cell lags
 of the unchirped packets, with the chirp as a diagonal phase, and no
 (atoms x count) stack of translates is built.
@@ -21,6 +22,7 @@ of the unchirped packets, with the chirp as a diagonal phase, and no
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,12 +34,12 @@ from .sampling import (
     chirp_phase,
     chirped_translate_gram,
     identity_deviation,
+    weighted_gram,
 )
 from .wavelets import (
     CascadeResult,
     HatFunction,
     cascade,
-    gram,
     hat_to_signal,
     lattice_to_grid,
     lattice_values,
@@ -195,19 +197,17 @@ class BasisElement:
 class PacketBasis:
     """A finite packet system with a certification gate.
 
-    ``certify`` computes the full Gram of the dilated chirped translates
-    and stores the max deviation from identity; analysis and synthesis
-    refuse to run unless that deviation is at or below their tolerance.
-
-    Atoms are realized from the packet hats on one shared frequency
-    lattice: the atom at (n, level j, lam) inverse-transforms
-    (2N)^{-j/2} hat(W_n)(u/(2N)^j) shifted by lam/(2N)^j, then carries the
-    time chirp, computed once, times exp(i pi (a/b) lam^2).  Sharing the
-    lattice keeps all atoms limited to one common band, so spans at
-    different levels nest exactly and Nyquist-rate quadrature of their
-    products is alias-free.  A level-j hat is digit rows times the tail
-    T_{j+q} the nodes' engine holds (at level 0, the node's kept values);
-    one synthesis per (node, level) serves every translate.
+    The atom at (n, level j, lam) inverse-transforms (2N)^{-j/2}
+    hat(W_n)(u/(2N)^j), shifted by lam/(2N)^j, from one shared frequency
+    lattice, so spans at different levels nest exactly and Nyquist-rate
+    quadrature of atom products is alias-free.  One synthesis per (node,
+    level), from the rows and tails the nodes' engine holds, fills all its
+    translates in one read-only (atoms x count) array.  These atoms are
+    unchirped: a chirped atom (``signals``) is one times the time chirp and
+    exp(i pi (a/b) lam^2), so the chirped Gram is D G_0 D^H with D diagonal
+    and unimodular, and max |G - I| = max |G_0 - I|.  ``certify`` stores
+    that deviation, whatever the matrix; analysis and synthesis refuse to
+    run unless it is within their tolerance.
     """
 
     ts: TranslationSet
@@ -216,44 +216,47 @@ class PacketBasis:
     span: float = 16.0
     oversample: int = 1
     residual: float | None = field(default=None)
-    _signals: list[SampledSignal] | None = field(default=None, repr=False, compare=False)
 
-    def signals(self) -> list[SampledSignal]:
-        if self._signals is not None:
-            return self._signals
-        grid = self.elements[0].node.signal.grid
+    @property
+    def _grid(self) -> Grid:
+        return self.elements[0].node.signal.grid
+
+    @cached_property
+    def _unchirped(self) -> np.ndarray:
+        grid = self._grid
         if any(e.node.signal.grid != grid for e in self.elements):
             raise ValueError("all basis nodes must share one grid")
         two_n = float(self.ts.dilation)
-        groups: dict[tuple[int, int], list[BasisElement]] = {}
-        for e in self.elements:
-            groups.setdefault((id(e.node), e.level), []).append(e)
-        hats = [g[0].node.hat.dilated(g[0].level) for g in groups.values()]
-        values = lattice_values(hats, grid, span=self.span, oversample=self.oversample)
-        time_chirp = chirp_phase(self.m, grid.points(), 0.0)
-        atoms = {}
-        for group, vals in zip(groups.values(), values):
-            shifts = []
-            for e in group:
-                shift = e.lam / two_n**e.level / (grid.step / self.oversample)
-                if abs(shift - round(shift)) > 1e-9:
-                    raise ValueError(
-                        f"translation {e.lam} at level {e.level} is off the atom lattice"
-                    )
-                shifts.append(round(shift))
-            mother = two_n ** (-group[0].level / 2.0) * vals
-            samples = lattice_to_grid(mother, grid, span=self.span,
+        delays = Grid(0.0, grid.step / self.oversample, 1)  # the fine step of lattice_to_grid
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, e in enumerate(self.elements):
+            groups.setdefault((id(e.node), e.level), []).append(i)
+        firsts = [self.elements[rows[0]] for rows in groups.values()]
+        values = lattice_values([e.node.hat.dilated(e.level) for e in firsts], grid,
+                                span=self.span, oversample=self.oversample)
+        atoms = None
+        for first, rows, vals in zip(firsts, groups.values(), values):
+            shifts = [delays.index_of(self.elements[i].lam / two_n**first.level) for i in rows]
+            samples = lattice_to_grid(two_n ** (-first.level / 2.0) * vals, grid, span=self.span,
                                       oversample=self.oversample, shifts=shifts)
-            phases = chirp_phase(self.m, 0.0, np.array([e.lam for e in group]))
-            for e, vals_e, phase in zip(group, samples, phases):
-                atoms[id(e)] = SampledSignal(grid, vals_e * time_chirp * phase)
-        self._signals = [atoms[id(e)] for e in self.elements]
-        return self._signals
+            if atoms is None:  # after the first transform, whose temporaries are gone
+                atoms = np.empty((len(self.elements), grid.count), dtype=np.complex128)
+            atoms[rows] = samples
+        atoms.flags.writeable = False
+        return atoms
+
+    def _phases(self) -> np.ndarray:
+        return chirp_phase(self.m, 0.0, np.array([e.lam for e in self.elements]))
+
+    def signals(self) -> list[SampledSignal]:
+        """The chirped atoms."""
+        time_chirp = chirp_phase(self.m, self._grid.points(), 0.0)
+        return [SampledSignal(self._grid, row * time_chirp * phase)
+                for row, phase in zip(self._unchirped, self._phases())]
 
     def certify(self) -> float:
-        _, off = gram(self.signals())
-        self.residual = off
-        return off
+        self.residual = identity_deviation(weighted_gram(self._unchirped, self._grid))
+        return self.residual
 
     def require_certified(self, tol: float) -> None:
         if self.residual is None:
@@ -278,18 +281,16 @@ def packet_analyze(
     *,
     tol: float = 1e-3,
 ) -> CoefficientTable:
-    """Coefficients <f, atom> for every basis atom (quadrature)."""
+    """Coefficients <f, atom>: demodulated f against the unchirped atoms, then phases."""
     basis.require_certified(tol)
     grid = f.grid
-    weighted = np.conj(f.values) * grid.trapezoid_weights()
-    rows = []
-    vals = []
-    for e, sig in zip(basis.elements, basis.signals()):
-        if sig.grid != grid:
-            raise ValueError("basis atoms must live on the signal grid")
-        rows.append((e.node.index.n, e.level, e.lam))
-        vals.append(np.conj(np.sum(weighted * sig.values)))
-    return CoefficientTable(rows=tuple(rows), values=np.asarray(vals, dtype=np.complex128))
+    if basis._grid != grid:
+        raise ValueError("basis atoms must live on the signal grid")
+    weighted = np.conj(f.values) * chirp_phase(basis.m, grid.points(), 0.0)
+    weighted *= grid.trapezoid_weights()
+    values = basis._phases().conj() * np.conj(basis._unchirped @ weighted)
+    rows = tuple((e.node.index.n, e.level, e.lam) for e in basis.elements)
+    return CoefficientTable(rows=rows, values=values)
 
 
 def packet_synthesize(
@@ -298,15 +299,13 @@ def packet_synthesize(
     *,
     tol: float = 1e-3,
 ) -> SampledSignal:
-    """Sum of coefficient-weighted atoms; inverse of analyze on the span."""
+    """Sum of coefficient-weighted atoms, modulated once; inverse of analyze on the span."""
     basis.require_certified(tol)
     if len(coeffs.values) != len(basis.elements):
         raise ValueError("coefficient table does not match the basis")
-    signals = basis.signals()
-    grid = signals[0].grid
-    acc = np.zeros(grid.count, dtype=np.complex128)
-    for c, sig in zip(coeffs.values, signals):
-        acc += c * sig.values
+    grid = basis._grid
+    acc = (coeffs.values * basis._phases()) @ basis._unchirped
+    acc *= chirp_phase(basis.m, grid.points(), 0.0)
     return SampledSignal(grid, acc)
 
 

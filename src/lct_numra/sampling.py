@@ -1,4 +1,4 @@
-"""Uniform grids, sampled complex signals, and chirp-modulated operators.
+"""Uniform grids, sampled complex signals, and chirped translates.
 
 Signals model compactly supported functions: the value outside the grid
 window is 0.  Quadrature is trapezoidal, and ``Grid.trapezoid_weights``
@@ -8,12 +8,14 @@ Translations must land exactly on grid points (no interpolation), which
 keeps indicator-function inner products exact when breakpoints sit on the
 grid.
 
-``chirped_translate_gram`` builds no translate: the time chirp cancels in
-every product, leaving one phase per shift, and the shifts are whole cells
-of g = gcd of their sample offsets, so each cell lag costs one batched
-product of cell pairs.  That is n_sig^2 |lags| P multiply-adds for the
-padded length P = ceil(count/g) g, where a stack of translates needs
-(n_sig |lambdas|)^2 count and |lambdas| times the memory.
+A chirped basis element is an unchirped one times the time chirp
+exp(-i pi (a/b) t^2) and the constant exp(i pi (a/b) lam^2) of its shift
+(``chirp_phase``).  The time chirp cancels in every product, so a chirped
+Gram is D G_0 D^H with D the diagonal of those constants: ``dilate`` and
+``weighted_gram`` take unchirped samples, and ``chirped_translate_gram``
+builds no translate.  Its shifts are whole cells of g = gcd of their
+offsets, one batched product per cell lag: n_sig^2 |lags| P multiply-adds
+for P = ceil(count/g) g, not a stack's (n_sig |lambdas|)^2 count.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .canonical import CanonicalMatrix
 #: Relative slack when deciding whether an offset is an exact grid multiple.
 _ALIGN_TOL = 1e-9
 
-#: Largest |j| accepted by dilate_chirp unless the caller raises the budget.
+#: Largest |j| accepted by dilate unless the caller raises the budget.
 DEFAULT_LEVEL_BUDGET = 16
 
 
@@ -300,27 +302,29 @@ def chirped_translate_gram(system: list[SampledSignal], lambdas,
     return g * phases[:, None] * phases.conj()
 
 
-def dilate_chirp(phi: SampledSignal, j: int, N: int, lam: float, m: CanonicalMatrix,
-                 *, max_level: int = DEFAULT_LEVEL_BUDGET,
-                 grid: Grid | None = None) -> SampledSignal:
-    """Element (2N)^{j/2} phi((2N)^j t - lam) exp(-i pi (a/b)(t^2 - lam^2)).
+def dilate(phi: SampledSignal, j: int, N: int, lam: float, *,
+           max_level: int = DEFAULT_LEVEL_BUDGET, grid: Grid | None = None) -> SampledSignal:
+    """Unchirped element (2N)^{j/2} phi((2N)^j t - lam) on ``grid`` (default ``phi.grid``).
 
-    The element is sampled on ``grid`` (default ``phi.grid``); ``lam``
-    must be a multiple of ``phi.grid.step``.  Where the dilated argument
-    lands on a grid point of ``phi`` (j >= 0 on grids built for it) the
-    value is exact; elsewhere it comes from the right-limit
-    piecewise-constant extension of ``phi``, exact for indicator-type
-    generators.
+    Times ``chirp_phase(m, t, lam)`` it is the chirped element.  ``lam`` must
+    be a multiple of ``phi.grid.step``.  Where the dilated argument lands on a
+    grid point of ``phi`` (j >= 0 on grids built for it) the value is exact;
+    elsewhere it comes from the right-limit piecewise-constant extension of
+    ``phi``, exact for indicator-type generators.
     """
     if abs(j) > max_level:
         raise ValueError(f"level {j} exceeds budget {max_level}")
     _offset(lam, phi.grid)
     grid = phi.grid if grid is None else grid
-    t = grid.points()
     scale = float(2 * N) ** j
-    vals = phi.value_at(scale * t - lam)
-    vals = (2 * N) ** (j / 2.0) * vals * chirp_phase(m, t, lam)
-    return SampledSignal(grid, vals)
+    return SampledSignal(grid, (2 * N) ** (j / 2.0) * phi.value_at(scale * grid.points() - lam))
+
+
+def weighted_gram(rows: np.ndarray, grid: Grid) -> np.ndarray:
+    """Trapezoidal inner products of the rows of a (signals x count) array on ``grid``."""
+    b = rows.conj()
+    b *= grid.trapezoid_weights()
+    return rows @ b.T
 
 
 def gram_matrix(system: list[SampledSignal]) -> np.ndarray:
@@ -328,10 +332,7 @@ def gram_matrix(system: list[SampledSignal]) -> np.ndarray:
     if not system:
         return np.zeros((0, 0), dtype=np.complex128)
     grid = _common_grid(system)
-    a = np.stack([s.values for s in system])
-    b = a.conj()
-    b *= grid.trapezoid_weights()
-    return a @ b.T
+    return weighted_gram(np.stack([s.values for s in system]), grid)
 
 
 def identity_deviation(g: np.ndarray) -> float:

@@ -35,9 +35,8 @@ from .sampling import (
     DEFAULT_LEVEL_BUDGET,
     Grid,
     SampledSignal,
-    dilate_chirp,
-    gram_matrix,
-    identity_deviation,
+    chirp_phase,
+    dilate,
     indicator,
     inner_product,
     norm,
@@ -499,12 +498,6 @@ def haar_family(
                          phi_hat=result.hat, psi_hat=psi_hat)
 
 
-def gram(system: list[SampledSignal]) -> tuple[np.ndarray, float]:
-    """Gram matrix of a signal system and its max deviation from identity."""
-    g = gram_matrix(system)
-    return g, identity_deviation(g)
-
-
 # ---------------------------------------------------------------------------
 # Projections onto the dilated translation spans
 # ---------------------------------------------------------------------------
@@ -528,19 +521,25 @@ def project(
     """Orthogonal projection of f onto the level-j span of scaling translates.
 
     P_j f = sum_lambda <f, e_{j,lambda}> e_{j,lambda} over the enumerated
-    translations.  A warning is attached when boundary coefficients are
-    non-negligible (the window would truncate the projection).
+    translations, e_{j,lambda} = ``dilate(phi, j, N, lambda)`` times
+    ``chirp_phase(m, t, lambda)``: f is demodulated once and the sum over
+    the unchirped translates modulated once.  A warning is attached when
+    boundary coefficients are non-negligible (the window would truncate
+    the projection).
     """
     lambdas = omega_enumerate(fam.ts, lambda_window)
     grid = f.grid
-    weighted = np.conj(f.values) * grid.trapezoid_weights()
+    chirp = chirp_phase(fam.m, grid.points(), 0.0)
+    weighted = np.conj(f.values) * chirp * grid.trapezoid_weights()
+    phases = chirp_phase(fam.m, 0.0, np.asarray(lambdas, dtype=float))
     acc = np.zeros(grid.count, dtype=np.complex128)
     coeffs: dict[float, complex] = {}
-    for lam in lambdas:
-        e = dilate_chirp(fam.phi, j, fam.ts.N, lam, fam.m, max_level=max_level, grid=grid)
-        c = np.conj(np.sum(weighted * e.values))
-        coeffs[lam] = complex(c)
-        acc += c * e.values
+    for lam, phase in zip(lambdas, phases):
+        e = dilate(fam.phi, j, fam.ts.N, lam, max_level=max_level, grid=grid).values
+        c = np.conj(np.sum(weighted * e))
+        coeffs[lam] = complex(np.conj(phase) * c)
+        acc += c * e
+    acc *= chirp
     warnings = []
     if lambdas:
         boundary = max(abs(coeffs[lambdas[0]]), abs(coeffs[lambdas[-1]]))

@@ -307,21 +307,19 @@ class TestParseval:
 class TestTiming:
     def test_fast_scales_subquadratically(self):
         # repeated calls hit the factor table and take about 0.1 ms, so each
-        # sample times a batch of calls to stay several milliseconds long
-        def best_time(n):
-            g = grid_n(n)
-            f = gaussian(g)
+        # sample times a batch of calls to stay several milliseconds long; the
+        # two sizes alternate in one loop, so a burst of load reaches both
+        signals = [gaussian(grid_n(n)) for n in (2**12, 2**13)]
+        best = [np.inf, np.inf]
+        for f in signals:
             lct_fast(f, M2111)  # warm up
-            best = np.inf
-            for _ in range(9):
+        for _ in range(9):
+            for k, f in enumerate(signals):
                 t0 = time.perf_counter()
                 for _ in range(50):
                     lct_fast(f, M2111)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        t12 = best_time(2**12)
-        t13 = best_time(2**13)
+                best[k] = min(best[k], time.perf_counter() - t0)
+        t12, t13 = best
         assert t13 / t12 < 3.0
 
     def test_fast_scales_subquadratically_cold(self):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lct_numra.canonical import CanonicalMatrix, fourier
+from lct_numra.canonical import CanonicalMatrix, fourier, frft
 from lct_numra.filters import TranslationSet, filter_eval, omega_enumerate
 from lct_numra.packets import (
     BasisElement,
+    CoefficientTable,
     PacketBasis,
     PacketIndex,
     UncertifiedBasisError,
@@ -22,7 +23,15 @@ from lct_numra.packets import (
     packet_synthesize,
     reconstruct,
 )
-from lct_numra.sampling import SampledSignal, chirp_phase, norm, numra_grid
+from lct_numra.sampling import (
+    SampledSignal,
+    chirp_phase,
+    gram_matrix,
+    identity_deviation,
+    inner_product,
+    norm,
+    numra_grid,
+)
 from lct_numra.wavelets import cascade, default_time_grid, frequency_samples, haar_filter_bank
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
@@ -198,6 +207,23 @@ class TestLagGramAC10:
         assert peak <= 3 * inputs
 
 
+class TestCertifyAC10:
+    def test_peak_memory_is_two_atom_arrays(self, ac10_nodes):
+        # the AC-11 children basis of an r = 1 tree: packets 0..3 at level 0
+        ts, nodes = ac10_nodes
+        lams = omega_enumerate(ts, (-1.0, 2.0))
+        basis = PacketBasis(ts, M2111, [BasisElement(nodes[n], 0, float(lam))
+                                        for n in range(4) for lam in lams])
+        atom_bytes = len(basis.elements) * nodes[0].signal.values.nbytes
+        tracemalloc.start()
+        try:
+            basis.certify()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * atom_bytes
+
+
 class TestFoldSums:
     @pytest.mark.parametrize("N,refinement", [(1, 8192), (2, 16384)])
     def test_haar_packets(self, N, refinement):
@@ -299,14 +325,41 @@ class TestAnalyzeSynthesize:
         assert table.rows == ((1, 1, 0.0), (1, 1, 1.0))
 
 
+PARENT_SPEC = [(1, 1, range(-2, 3))]
+CHILDREN_SPEC = [(2, 0, range(-2, 3)), (3, 0, range(-2, 3))]
+
+
+class TestChirpedBasis:
+    """Bases under a matrix whose chirp is not 1, against dense chirped atoms."""
+
+    @pytest.mark.parametrize("m", [M2111, frft(0.3)], ids=["2111", "frft0.3"])
+    @pytest.mark.parametrize("spec", [PARENT_SPEC, CHILDREN_SPEC], ids=["parent", "children"])
+    def test_matches_dense_chirped_atoms(self, haar1_nodes, m, spec):
+        ts = TranslationSet(1, 1)
+        basis = make_basis(haar1_nodes, ts, m, spec)
+        res = basis.certify()
+        atoms = basis.signals()
+        assert abs(res - identity_deviation(gram_matrix(atoms))) <= 1e-15
+        assert res == make_basis(haar1_nodes, ts, fourier(), spec).certify()
+        grid = atoms[0].grid
+        rng = np.random.default_rng(11)
+        f = SampledSignal(grid, rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count))
+        nf = norm(f)
+        table = packet_analyze(f, basis)
+        want = np.array([inner_product(f, a) for a in atoms])
+        assert np.max(np.abs(table.values - want)) <= 1e-14 * nf
+        c = rng.normal(size=len(atoms)) + 1j * rng.normal(size=len(atoms))
+        out = packet_synthesize(CoefficientTable(table.rows, c), basis)
+        want = sum(ck * a.values for ck, a in zip(c, atoms))
+        assert np.max(np.abs(out.values - want)) <= 1e-14 * nf
+
+
 class TestSubspaceSplit:
     def test_parent_equals_children_reconstruction(self, haar1_nodes):
         ts = TranslationSet(1, 1)
         m = fourier()
-        parent = make_basis(haar1_nodes, ts, m, [(1, 1, range(-2, 3))])
-        children = make_basis(
-            haar1_nodes, ts, m, [(2, 0, range(-2, 3)), (3, 0, range(-2, 3))]
-        )
+        parent = make_basis(haar1_nodes, ts, m, PARENT_SPEC)
+        children = make_basis(haar1_nodes, ts, m, CHILDREN_SPEC)
         assert parent.certify() <= 1e-3
         assert children.certify() <= 1e-3
         rng = np.random.default_rng(7)

@@ -11,7 +11,7 @@ from lct_numra.sampling import (
     SampledSignal,
     chirp_phase,
     chirped_translate_gram,
-    dilate_chirp,
+    dilate,
     gaussian,
     gram_matrix,
     indicator,
@@ -222,27 +222,30 @@ class TestChirpedTranslateGram:
 
 
 class TestDilateChirp:
+    """The chirped element: ``dilate`` times ``chirp_phase(m, t, lam)``."""
+
     def test_level_zero_matches_translate(self):
         ts = TranslationSet(2, 1)
         g = numra_grid(ts, (-4.0, 4.0), refinement=64, max_level=2)
         f = indicator([(0.0, 0.5), (1.0, 1.5)], g)
-        a = dilate_chirp(f, 0, ts.N, 0.5, M2111)
+        a = dilate(f, 0, ts.N, 0.5).values * chirp_phase(M2111, g.points(), 0.5)
         b = translate_chirp(f, 0.5, M2111)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-15)
+        np.testing.assert_allclose(a, b.values, atol=1e-15)
 
     def test_norm_preserved(self):
         ts = TranslationSet(1, 1)
         g = numra_grid(ts, (-6.0, 6.0), refinement=256, max_level=3)
         f = indicator([(0.0, 1.0)], g)
         for j in (-2, -1, 1, 2):
-            out = dilate_chirp(f, j, ts.N, 0.0, M2111)
-            assert norm(out) == pytest.approx(norm(f), abs=1e-6)
+            out = dilate(f, j, ts.N, 0.0)
+            chirped = SampledSignal(g, out.values * chirp_phase(M2111, g.points(), 0.0))
+            assert norm(chirped) == pytest.approx(norm(f), abs=1e-6)
 
     def test_haar_level_one(self):
         ts = TranslationSet(1, 1)
         g = numra_grid(ts, (-2.0, 2.0), refinement=256, max_level=1)
         f = indicator([(0.0, 1.0)], g)
-        out = dilate_chirp(f, 1, 1, 0.0, fourier())
+        out = dilate(f, 1, 1, 0.0)
         want = np.sqrt(2.0) * indicator([(0.0, 0.5)], g).values
         np.testing.assert_allclose(out.values, want, atol=1e-15)
 
@@ -251,23 +254,23 @@ class TestDilateChirp:
         coarse = numra_grid(ts, (-4.0, 4.0), refinement=16, max_level=1)
         fine = numra_grid(ts, (-4.0, 4.0), refinement=64, max_level=1)
         f = indicator([(0.0, 0.5), (1.0, 1.5)], coarse)
-        out = dilate_chirp(f, 1, ts.N, 0.5, M2111, grid=fine)
+        out = dilate(f, 1, ts.N, 0.5, grid=fine)
         t = fine.points()
         want = 4 ** (1 / 2.0) * f.value_at(4.0 * t - 0.5) * chirp_phase(M2111, t, 0.5)
         assert out.grid == fine
-        np.testing.assert_array_equal(out.values, want)
+        np.testing.assert_array_equal(out.values * chirp_phase(M2111, t, 0.5), want)
 
     def test_level_budget(self):
         g = Grid(-1.0, 2.0**-6, 128)
         f = gaussian(g)
         with pytest.raises(ValueError, match="budget"):
-            dilate_chirp(f, 20, 1, 0.0, fourier())
+            dilate(f, 20, 1, 0.0)
 
     def test_off_grid_translation_rejected(self):
         g = Grid(-1.0, 2.0**-6, 128)
         f = gaussian(g)
         with pytest.raises(OffGridError):
-            dilate_chirp(f, 1, 1, 0.013, fourier())
+            dilate(f, 1, 1, 0.013)
 
 
 class TestSignalInvariants:
