@@ -273,70 +273,22 @@ def check_scaling_conditions(p0: PeriodicFilterPair) -> tuple[float, float]:
     return res_a, res_b
 
 
-def _perp2(v: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to a unit vector in C^2."""
-    return np.array([-np.conj(v[1]), np.conj(v[0])])
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of stacked vectors over their trailing (2N, 2) axes."""
+    return np.sum(a * np.conj(b), axis=(-2, -1))
 
 
-def _align_unitary(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Deterministic 2x2 unitary mapping direction x to direction y."""
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx < 1e-14 or ny < 1e-14:
-        return np.eye(2, dtype=np.complex128)
-    xh = x / nx
-    yh = y / ny
-    bx = np.column_stack([xh, _perp2(xh)])
-    by = np.column_stack([yh, _perp2(yh)])
-    return by @ bx.conj().T
+def _aligners(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Stacked 2x2 unitaries mapping each direction x to y: by bx^H for the
+    frames [v/|v|, perp] of x and y, or the identity where |x| or |y| < 1e-14."""
+    def frame(v, n):
+        vh = v / np.maximum(n, 1e-14)
+        return np.stack([vh, np.stack([-np.conj(vh[..., 1]), np.conj(vh[..., 0])], -1)], -1)
 
-
-def _complete_vectors(v0: np.ndarray, N: int) -> list[np.ndarray]:
-    """Orthonormal vectors v_1..v_{2N-1} pairing with v0 under both bank sums.
-
-    ``v0`` has shape (2N, 2): row p holds the two component values at the
-    p-th shift.  The twisted sum anticommutes with the involution that
-    swaps row blocks p and p + N through per-block alignment unitaries;
-    the +1 eigenspace of that involution contains v0 (its block norms
-    agree by quarter-period invariance) and has dimension exactly 2N, so
-    completing v0 to an orthonormal basis of the eigenspace satisfies the
-    plain and twisted conditions simultaneously.  Seeds are the lifted
-    standard unit vectors, appended by residual-norm pivoting.
-    """
-    two_n = 2 * N
-    aligners = [_align_unitary(v0[p], v0[p + N]) for p in range(N)]
-    seeds = []
-    for p in range(N):
-        for slot in range(2):
-            e = np.zeros((two_n, 2), dtype=np.complex128)
-            e[p, slot] = 1.0 / np.sqrt(2.0)
-            e[p + N] = aligners[p][:, slot] / np.sqrt(2.0)
-            seeds.append(e)
-
-    def dot(a, b):
-        return np.sum(a * np.conj(b))
-
-    basis = [v0 / np.sqrt(np.real(dot(v0, v0)))]
-    remaining = list(range(two_n))
-    for _ in range(two_n - 1):
-        best_idx, best_res, best_norm = None, None, -1.0
-        for si in remaining:
-            res = seeds[si].copy()
-            for b in basis:
-                res -= dot(res, b) * b
-            rnorm = float(np.sqrt(np.real(dot(res, res))))
-            if rnorm > best_norm + 1e-12:
-                best_idx, best_res, best_norm = si, res, rnorm
-        if best_norm < 1e-10:
-            raise FilterConditionError("completion degenerated; low-pass vector invalid")
-        vec = best_res / best_norm
-        # second orthogonalization pass for numerical hygiene
-        for b in basis:
-            vec -= dot(vec, b) * b
-        vec /= np.sqrt(np.real(dot(vec, vec)))
-        basis.append(vec)
-        remaining.remove(best_idx)
-    return basis[1:]
+    nx, ny = (np.linalg.norm(v, axis=-1, keepdims=True) for v in (x, y))
+    u = frame(y, ny) @ np.conj(np.swapaxes(frame(x, nx), -1, -2))
+    u[((nx < 1e-14) | (ny < 1e-14))[..., 0]] = np.eye(2)
+    return u
 
 
 def complete_filters(
@@ -348,6 +300,17 @@ def complete_filters(
     residual of ``p0`` must be below ``pre_tol``.  The completion is
     pointwise in u (no smoothness across samples is guaranteed); its
     output re-certifies under check_orthonormality at the stored samples.
+
+    At a sample u of the base cell [0, 1/(4N)) the low-pass values at the
+    2N shifts u + p/(4N) form v0 of shape (2N, 2), row p holding the two
+    components.  The twisted sum anticommutes with the involution that
+    swaps row blocks p and p + N through per-block alignment unitaries;
+    the +1 eigenspace of that involution contains v0 (its block norms
+    agree by quarter-period invariance) and has dimension exactly 2N, so
+    completing v0 to an orthonormal basis of the eigenspace satisfies the
+    plain and twisted conditions simultaneously.  Seeds are the lifted
+    standard unit vectors, appended by residual-norm pivoting.  Every
+    step runs on all samples at once, stacked as (samples, 2N, 2).
     """
     res_a, res_b = check_scaling_conditions(p0)
     res_q = check_m0_period(p0)
@@ -358,14 +321,38 @@ def complete_filters(
         )
     N = p0.ts.N
     two_n = 2 * N
-    stride = p0.shift_stride
-    count = p0.u_grid.count
-    base = count // two_n  # samples per base cell [0, 1/(4N))
-    comps = np.zeros((two_n - 1, 2, count), dtype=np.complex128)
-    for i in range(base):
-        idx = (i + stride * np.arange(two_n)) % count
-        v0 = np.column_stack([p0.comp1[idx], p0.comp2[idx]])
-        comps[:, :, idx] = np.transpose(_complete_vectors(v0, N), (0, 2, 1))
+    base = p0.shift_stride  # samples per base cell; shift p starts at p * base
+    v0 = np.stack([p0.comp1, p0.comp2], -1).reshape(two_n, base, 2).transpose(1, 0, 2)
+    aligners = _aligners(v0[:, :N], v0[:, N:])  # (samples, N, 2, 2): block p onto p + N
+    seeds = np.zeros((base, N, 2, two_n, 2), dtype=np.complex128)
+    for p in range(N):
+        for slot in range(2):
+            seeds[:, p, slot, p, slot] = 1.0 / np.sqrt(2.0)
+            seeds[:, p, slot, p + N] = aligners[:, p, :, slot] / np.sqrt(2.0)
+    seeds = seeds.reshape(base, two_n, two_n, 2)
+    basis = [v0 / np.sqrt(np.real(_dot(v0, v0)))[:, None, None]]
+    rows = np.arange(base)
+    used = np.zeros((base, two_n), dtype=bool)
+    for _ in range(two_n - 1):
+        res = seeds.copy()
+        for b in basis:
+            res -= _dot(res, b[:, None])[..., None, None] * b[:, None]
+        norms = np.where(used, -np.inf, np.sqrt(np.real(_dot(res, res))))
+        best_idx = np.zeros(base, dtype=int)
+        best_norm = np.full(base, -1.0)
+        for si in range(two_n):  # a scan, not argmax: near-ties within 1e-12 keep the earlier seed
+            take = norms[:, si] > best_norm + 1e-12
+            best_idx[take], best_norm[take] = si, norms[take, si]
+        if np.min(best_norm) < 1e-10:
+            raise FilterConditionError("completion degenerated; low-pass vector invalid")
+        vec = res[rows, best_idx] / best_norm[:, None, None]
+        # second orthogonalization pass for numerical hygiene
+        for b in basis:
+            vec -= _dot(vec, b)[:, None, None] * b
+        vec /= np.sqrt(np.real(_dot(vec, vec)))[:, None, None]
+        basis.append(vec)
+        used[rows, best_idx] = True
+    comps = np.stack(basis[1:]).transpose(0, 3, 2, 1).reshape(two_n - 1, 2, -1)
     return [PeriodicFilterPair(p0.ts, p0.u_grid, c1, c2) for c1, c2 in comps]
 
 

@@ -118,7 +118,8 @@ def packet_hat(
         hat(W_{2Nn + k})(u) = L_k(u/2N) hat(W_n)(u/2N)
 
     holds exactly along the code path.  A synthesised node keeps its
-    values on the cascade's lattice.
+    values on the cascade's lattice; a grid that lattice does not serve
+    is refused.
     """
     ts = bank[0].ts
     if len(bank) != 2 * ts.N:
@@ -133,8 +134,7 @@ def packet_hat(
     hat = HatFunction(scaling.engine, tuple(bank[d] for d in idx.digits))
     signal = None
     if synthesize:
-        if scaling.engine.serves(grid, span=span, oversample=oversample):
-            scaling.engine.lattice([hat], keep=True)
+        scaling.engine.lattice([hat], keep=True)
         signal = hat_to_signal(hat, grid, span=span, oversample=oversample)
     return PacketNode(index=idx, hat=hat, signal=signal)
 

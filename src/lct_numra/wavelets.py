@@ -238,16 +238,19 @@ class HatFunction:
 def lattice_values(hats, grid: Grid, *, span: float = 16.0, oversample: int = 16) -> list:
     """Values of each hat on ``frequency_samples(grid, span, oversample)``.
 
-    Hats of one engine bound to that lattice share its rows and tails;
-    otherwise each hat is evaluated by its product formula.
+    The hats must share one engine bound to that lattice; they share its
+    rows and tails.  Any other lattice is refused.
     """
     engine = hats[0].engine
-    if all(h.engine is engine for h in hats) and engine.serves(
-        grid, span=span, oversample=oversample
-    ):
-        return engine.lattice(hats)
-    u = frequency_samples(grid, span=span, oversample=oversample)
-    return [h(u) for h in hats]
+    if not all(h.engine is engine for h in hats):
+        raise ValueError("hats on one lattice must share one engine")
+    if not engine.serves(grid, span=span, oversample=oversample):
+        n = round(oversample * span / grid.step)
+        raise ValueError(
+            f"engine lattice ({engine.u.size} points, span {engine.span}) does not serve "
+            f"the requested lattice ({n} points, span {span})"
+        )
+    return engine.lattice(hats)
 
 
 def default_time_grid(ts: TranslationSet, window=(-1.0, 3.0), target_step=2.0**-10) -> Grid:
@@ -368,12 +371,14 @@ def wavelet_from_filters(
     return hat_to_signal(hat, grid, span=span, oversample=oversample), hat
 
 
-def two_scale_residual(phi_hat: HatFunction, p0: PeriodicFilterPair, u_points) -> float:
-    """Max |hat(phi)(u) - L(u/2N) hat(phi)(u/2N)| over the given u samples."""
-    u = np.asarray(u_points, dtype=float)
-    two_n = p0.ts.dilation
-    lhs = phi_hat(u)
-    rhs = filter_eval(p0, u / two_n) * phi_hat(u / two_n)
+def two_scale_residual(phi_hat: HatFunction) -> float:
+    """Max |hat(phi)(u) - L(u/2N) hat(phi)(u/2N)| over the engine's lattice.
+
+    Both sides are lattice hats, T_0 and row 1 times T_1, so no row is
+    evaluated that the engine does not already hold or share.
+    """
+    engine = phi_hat.engine
+    lhs, rhs = engine.lattice([phi_hat, phi_hat.child(engine.lowpass)])
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -562,27 +567,6 @@ def piecewise_constant(pieces, grid: Grid) -> SampledSignal:
     for lo, hi, val in pieces:
         mask = (t >= lo - 1e-9 * grid.step) & (t < hi - 1e-9 * grid.step)
         vals[mask] = val
-    return SampledSignal(grid, vals)
-
-
-def classical_haar_wavelet(grid: Grid) -> SampledSignal:
-    """The step wavelet +1 on [0, 1/2), -1 on [1/2, 1)."""
-    return piecewise_constant([(0.0, 0.5, 1.0), (0.5, 1.0, -1.0)], grid)
-
-
-def chirped_reference_wavelet(grid: Grid) -> SampledSignal:
-    """Piecewise chirp reference for the matrix (2, 1, 1, 1) family.
-
-    exp(-8 i pi t^2) on [0, 1/2) and -exp(-2 i pi (2t - 1)^2) on [1/2, 1).
-    A closed form quoted for cross-checking only; the library never
-    assumes it is consistent with its own constructions.
-    """
-    t = grid.points()
-    vals = np.zeros(grid.count, dtype=np.complex128)
-    first = (t >= -1e-12) & (t < 0.5 - 1e-12)
-    second = (t >= 0.5 - 1e-12) & (t < 1.0 - 1e-12)
-    vals[first] = np.exp(-8j * np.pi * t[first] ** 2)
-    vals[second] = -np.exp(-2j * np.pi * (2.0 * t[second] - 1.0) ** 2)
     return SampledSignal(grid, vals)
 
 

@@ -43,19 +43,23 @@ from lct_numra.sampling import (
 )
 from lct_numra.wavelets import (
     cascade,
-    classical_haar_wavelet,
-    frequency_samples,
     haar_family,
     haar_filter_bank,
     haar_filters,
     haar_scaling,
     l2_distance_off_jumps,
+    piecewise_constant,
     two_scale_residual,
     wavelet_from_filters,
 )
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 FIXTURE_MATRICES = [("fourier", fourier()), ("fresnel1", fresnel(1.0)), ("haar2111", M2111)]
+
+
+def classical_haar_wavelet(grid):
+    """The step wavelet +1 on [0, 1/2), -1 on [1/2, 1)."""
+    return piecewise_constant([(0.0, 0.5, 1.0), (0.5, 1.0, -1.0)], grid)
 
 
 def report(tag: str, passed: bool, detail: str) -> None:
@@ -176,8 +180,7 @@ def test_ac05_cascade_correctness():
     assert result.signal.grid.step == 2.0**-10
     ref = haar_scaling(ts, result.signal.grid)
     err = l2_distance_off_jumps(result.signal, ref, jumps=[0.0, 1.0])
-    u = frequency_samples(result.signal.grid)
-    ts_res = two_scale_residual(result.hat, p0, u)
+    ts_res = two_scale_residual(result.hat)
     report(
         "AC-05",
         err <= 1e-2 and ts_res <= 1e-6,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lct_numra.canonical import CanonicalMatrix, fourier, fresnel
+from lct_numra.canonical import CanonicalMatrix, fourier, fresnel, frft
 from lct_numra.filters import (
     FilterConditionError,
     PeriodicFilterPair,
@@ -233,10 +233,70 @@ class TestScalingConditions:
         assert ra == pytest.approx(3.0)
 
 
+def per_sample_completion(p0):
+    """The completion one sample at a time: reference for the stacked one.
+
+    Returns (2N - 1, 2, count) components of the high-pass pairs.
+    """
+    N = p0.ts.N
+    two_n, base = 2 * N, p0.shift_stride
+    out = np.zeros((two_n - 1, 2, p0.u_grid.count), dtype=complex)
+
+    def dot(a, b):
+        return np.sum(a * np.conj(b))
+
+    def align(x, y):
+        nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+        if nx < 1e-14 or ny < 1e-14:
+            return np.eye(2, dtype=complex)
+        frames = [np.column_stack([v, [-np.conj(v[1]), np.conj(v[0])]]) for v in (x / nx, y / ny)]
+        return frames[1] @ frames[0].conj().T
+
+    for i in range(base):
+        idx = i + base * np.arange(two_n)
+        v0 = np.column_stack([p0.comp1[idx], p0.comp2[idx]])
+        seeds = []
+        for p in range(N):
+            aligner = align(v0[p], v0[p + N])
+            for slot in range(2):
+                e = np.zeros((two_n, 2), dtype=complex)
+                e[p, slot] = 1.0 / np.sqrt(2.0)
+                e[p + N] = aligner[:, slot] / np.sqrt(2.0)
+                seeds.append(e)
+        basis = [v0 / np.sqrt(dot(v0, v0).real)]
+        remaining = list(range(two_n))
+        for _ in range(two_n - 1):
+            best, best_norm = None, -1.0
+            for si in remaining:
+                res = seeds[si].copy()
+                for b in basis:
+                    res -= dot(res, b) * b
+                rnorm = np.sqrt(dot(res, res).real)
+                if rnorm > best_norm + 1e-12:
+                    best, best_res, best_norm = si, res, rnorm
+            vec = best_res / best_norm
+            for b in basis:
+                vec -= dot(vec, b) * b
+            basis.append(vec / np.sqrt(dot(vec, vec).real))
+            remaining.remove(best)
+        out[:, :, idx] = np.transpose(basis[1:], (0, 2, 1))
+    return out
+
+
 class TestCompletion:
-    @pytest.mark.parametrize("N", [1, 2])
-    def test_self_certifying(self, N):
-        ts = TranslationSet(N, 1)
+    @pytest.mark.parametrize("N, r, m", [(1, 1, M2111), (2, 1, M2111), (3, 1, M2111),
+                                         (2, 3, fourier()), (3, 5, frft(0.3)), (2, 1, frft(0.3))],
+                             ids=["1-2111", "2-2111", "3-2111", "2-r3-fourier", "3-r5-frft0.3",
+                                  "2-frft0.3"])
+    def test_matches_per_sample_reference(self, N, r, m):
+        p0 = haar_filters(TranslationSet(N, r), m, 128 * N)
+        got = np.array([[h.comp1, h.comp2] for h in complete_filters(p0)])
+        assert np.max(np.abs(got - per_sample_completion(p0))) <= 1e-15
+
+    @pytest.mark.parametrize("N, r", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)],
+                             ids=["1", "2", "2-r3", "3", "3-r5"])
+    def test_self_certifying(self, N, r):
+        ts = TranslationSet(N, r)
         p0 = haar_filters(ts, M2111)
         highs = complete_filters(p0)
         assert len(highs) == 2 * N - 1

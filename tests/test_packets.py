@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lct_numra.canonical import CanonicalMatrix, fourier, frft
+from lct_numra.canonical import CanonicalMatrix, fourier, fresnel, frft
 from lct_numra.filters import TranslationSet, filter_eval, omega_enumerate
 from lct_numra.packets import (
     BasisElement,
@@ -332,7 +332,8 @@ CHILDREN_SPEC = [(2, 0, range(-2, 3)), (3, 0, range(-2, 3))]
 class TestChirpedBasis:
     """Bases under a matrix whose chirp is not 1, against dense chirped atoms."""
 
-    @pytest.mark.parametrize("m", [M2111, frft(0.3)], ids=["2111", "frft0.3"])
+    @pytest.mark.parametrize("m", [M2111, frft(0.3), fresnel(2.0)],
+                             ids=["2111", "frft0.3", "fresnel2"])  # a/b = 1/2: exp(i pi lam^2 / 2)
     @pytest.mark.parametrize("spec", [PARENT_SPEC, CHILDREN_SPEC], ids=["parent", "children"])
     def test_matches_dense_chirped_atoms(self, haar1_nodes, m, spec):
         ts = TranslationSet(1, 1)

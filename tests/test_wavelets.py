@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lct_numra.canonical import CanonicalMatrix, fourier, frft
+from lct_numra.canonical import CanonicalMatrix, fourier, fresnel, frft
 from lct_numra.filters import (
     FilterConditionError,
     PeriodicFilterPair,
@@ -23,22 +23,42 @@ from lct_numra.sampling import (
 from lct_numra.wavelets import (
     ConvergenceError,
     cascade,
-    chirped_reference_wavelet,
-    classical_haar_wavelet,
     default_time_grid,
-    frequency_samples,
     haar_family,
     haar_filter_bank,
     haar_filters,
     haar_scaling,
     l2_distance_off_jumps,
+    lattice_values,
     n2_reference_wavelets,
+    piecewise_constant,
     project,
     two_scale_residual,
     wavelet_from_filters,
 )
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
+
+
+def classical_haar_wavelet(grid):
+    """The step wavelet +1 on [0, 1/2), -1 on [1/2, 1)."""
+    return piecewise_constant([(0.0, 0.5, 1.0), (0.5, 1.0, -1.0)], grid)
+
+
+def chirped_reference_wavelet(grid):
+    """Piecewise chirp reference for the matrix (2, 1, 1, 1) family.
+
+    exp(-8 i pi t^2) on [0, 1/2) and -exp(-2 i pi (2t - 1)^2) on [1/2, 1):
+    a closed form quoted for cross-checking only, not assumed consistent
+    with the library's own constructions.
+    """
+    t = grid.points()
+    vals = np.zeros(grid.count, dtype=np.complex128)
+    first = (t >= -1e-12) & (t < 0.5 - 1e-12)
+    second = (t >= 0.5 - 1e-12) & (t < 1.0 - 1e-12)
+    vals[first] = np.exp(-8j * np.pi * t[first] ** 2)
+    vals[second] = -np.exp(-2j * np.pi * (2.0 * t[second] - 1.0) ** 2)
+    return SampledSignal(grid, vals)
 
 
 @pytest.fixture(scope="module")
@@ -136,16 +156,21 @@ class TestCascade:
         assert exc.value.deviation > 1e-9
 
     def test_two_scale_residual(self, haar1_cascade):
-        _, p0, result = haar1_cascade
-        u = frequency_samples(result.signal.grid)
-        assert two_scale_residual(result.hat, p0, u) <= 1e-6
+        _, _, result = haar1_cascade
+        assert two_scale_residual(result.hat) <= 1e-6
 
     def test_two_scale_residual_n2(self):
         ts = TranslationSet(2, 1)
         p0 = haar_filters(ts, M2111)
         result = cascade(p0, J=20, tol=1e-5)
-        u = frequency_samples(result.signal.grid)
-        assert two_scale_residual(result.hat, p0, u) <= 1e-6
+        assert two_scale_residual(result.hat) <= 1e-6
+
+    def test_lattice_values_refuse_other_lattice(self, haar1_cascade):
+        _, _, result = haar1_cascade
+        grid = result.signal.grid
+        assert lattice_values([result.hat], grid)[0] is result.engine.lattice([result.hat])[0]
+        with pytest.raises(ValueError, match=r"\(262144 points, span 16.0\).*\(131072 points"):
+            lattice_values([result.hat], grid, oversample=8)
 
     def test_rejects_filter_without_unit_response(self):
         ts = TranslationSet(1, 1)
@@ -278,7 +303,8 @@ class TestProjection:
         with pytest.raises(ValueError, match="budget"):
             project(f, fam, 17, (-1.0, 1.0))
 
-    @pytest.mark.parametrize("m", [M2111, frft(0.3)], ids=["2111", "frft0.3"])
+    @pytest.mark.parametrize("m", [M2111, frft(0.3), fresnel(2.0)],
+                             ids=["2111", "frft0.3", "fresnel2"])  # a/b = 1/2: exp(i pi lam^2 / 2)
     def test_chirped_matches_dense_sum(self, family, m):
         ts, grid, _, _ = family
         fam = haar_family(ts, m, grid=grid)
