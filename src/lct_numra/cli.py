@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -34,6 +35,25 @@ def _apply_thread_cap() -> None:
     if n > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, str(n))
+
+
+#: Options whose value is a comma-separated list of numbers.
+_LIST_OPTIONS = ("--window", "--matrix", "--t-grid")
+
+
+def _join_list_values(argv: list[str]) -> list[str]:
+    """Join a list option to a following value that starts with a minus.
+
+    argparse takes "-1,3" for an option, because its negative-number rule
+    matches only a single number; written "--window=-1,3" it is a value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_OPTIONS and re.match(r"-\.?\d", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -332,7 +352,7 @@ def main(argv=None) -> int:
     _apply_thread_cap()
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_list_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

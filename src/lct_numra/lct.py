@@ -13,10 +13,10 @@ either sign of b, on even counts.  Tables cost more than the FFT, so
 ``_factors`` keeps them, as FFTW keeps plans (Frigo & Johnson, 2005).
 
 Frequency-domain filter machinery elsewhere in the package works in the
-normalized variable u = omega / b with plain 2pi-convention transforms;
-the bridge to this engine is the kernel prefactor 1/sqrt(2 i pi b) and the
-output chirp exp(i d omega^2 / (2b)), which are documented here and left
-out of the filter layer entirely.
+normalized variable u = omega / (2 pi b) with plain 2pi-convention
+transforms; the bridge to this engine is the kernel prefactor
+1/sqrt(2 i pi b) and the output chirp exp(i d omega^2 / (2b)), which are
+documented here and left out of the filter layer entirely.
 """
 
 from __future__ import annotations

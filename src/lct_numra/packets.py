@@ -9,13 +9,19 @@ with the low-pass cascade tail:
 
 for digits d_0..d_{q-1} (the packet recursion of Coifman & Wickerhauser,
 IEEE Trans. IT 38(2), 1992).  All packets of one cascade share its
-``wavelets.HatEngine``, and a synthesised node keeps its lattice values,
-so bases and fold sums over it evaluate no filter again.  A basis keeps
-its atoms unchirped: the time chirp cancels in the Gram, and analysis and
-synthesis apply it once per signal, each one product with the atoms; bases
-must be Gram-certified before use.  ``translate_gram`` certifies a packet set
-by ``sampling.chirped_translate_gram``: its Gram comes from the cell lags
-of the unchirped packets, with the chirp as a diagonal phase, and no
+``wavelets.HatEngine``, and a synthesised node keeps its lattice values
+and its periodic samples (``HatFunction.periodic``), so bases and fold
+sums over it evaluate no filter again.  Each hat is synthesised once:
+packet 0 is the cascade's own kept hat, so its signal is a cut of the
+samples the cascade synthesised, and a basis cuts its level-0 atoms from
+the node's kept periodic samples; only a dilated (level >= 1) hat costs
+one more inverse FFT.  A basis keeps its atoms
+unchirped: the time chirp, computed once per basis, cancels in the Gram,
+and analysis and synthesis apply it once per signal, each one product
+with the atoms; bases must be Gram-certified before use.
+``translate_gram`` certifies a packet set by
+``sampling.chirped_translate_gram``: its Gram comes from the cell lags of
+the unchirped packets, with the chirp as a diagonal phase, and no
 (atoms x count) stack of translates is built.
 """
 
@@ -40,9 +46,11 @@ from .wavelets import (
     CascadeResult,
     HatFunction,
     cascade,
+    grid_samples,
     hat_to_signal,
-    lattice_to_grid,
     lattice_values,
+    periodic_samples,
+    served_engine,
 )
 
 
@@ -118,8 +126,9 @@ def packet_hat(
         hat(W_{2Nn + k})(u) = L_k(u/2N) hat(W_n)(u/2N)
 
     holds exactly along the code path.  A synthesised node keeps its
-    values on the cascade's lattice; a grid that lattice does not serve
-    is refused.
+    values and periodic samples on the cascade's lattice; a grid that
+    lattice does not serve is refused.  Index 0 is the cascade's own hat,
+    whose periodic samples the cascade already holds.
     """
     ts = bank[0].ts
     if len(bank) != 2 * ts.N:
@@ -131,12 +140,18 @@ def packet_hat(
                           depth=len(idx.digits))
     if grid is None:
         grid = scaling.signal.grid
-    hat = HatFunction(scaling.engine, tuple(bank[d] for d in idx.digits))
+    hat = _node_hat(scaling, bank, idx)
     signal = None
     if synthesize:
         scaling.engine.lattice([hat], keep=True)
         signal = hat_to_signal(hat, grid, span=span, oversample=oversample)
     return PacketNode(index=idx, hat=hat, signal=signal)
+
+
+def _node_hat(scaling: CascadeResult, bank, idx: PacketIndex) -> HatFunction:
+    if not idx.digits:
+        return scaling.hat
+    return HatFunction(scaling.engine, tuple(bank[d] for d in idx.digits))
 
 
 def generate_packets(
@@ -154,7 +169,7 @@ def generate_packets(
     indices = [digits(n, ts.N) for n in range(n_max + 1)]
     scaling = cascade(bank[0], J=J, tol=tol, grid=grid, span=span, oversample=oversample,
                       depth=len(indices[-1].digits))
-    hats = [HatFunction(scaling.engine, tuple(bank[d] for d in idx.digits)) for idx in indices]
+    hats = [_node_hat(scaling, bank, idx) for idx in indices]
     scaling.engine.lattice(hats, keep=True)
     grid = scaling.signal.grid
     return [
@@ -200,9 +215,10 @@ class PacketBasis:
     The atom at (n, level j, lam) inverse-transforms (2N)^{-j/2}
     hat(W_n)(u/(2N)^j), shifted by lam/(2N)^j, from one shared frequency
     lattice, so spans at different levels nest exactly and Nyquist-rate
-    quadrature of atom products is alias-free.  One synthesis per (node,
-    level), from the rows and tails the nodes' engine holds, fills all its
-    translates in one read-only (atoms x count) array.  These atoms are
+    quadrature of atom products is alias-free.  A level-0 atom is cut from
+    its node's kept periodic samples; each dilated (node, level) takes one
+    synthesis, from the rows and tails the nodes' engine holds.  The cuts
+    fill one read-only (atoms x count) array.  These atoms are
     unchirped: a chirped atom (``signals``) is one times the time chirp and
     exp(i pi (a/b) lam^2), so the chirped Gram is D G_0 D^H with D diagonal
     and unimodular, and max |G - I| = max |G_0 - I|.  ``certify`` stores
@@ -227,31 +243,41 @@ class PacketBasis:
         if any(e.node.signal.grid != grid for e in self.elements):
             raise ValueError("all basis nodes must share one grid")
         two_n = float(self.ts.dilation)
-        delays = Grid(0.0, grid.step / self.oversample, 1)  # the fine step of lattice_to_grid
+        delays = Grid(0.0, grid.step / self.oversample, 1)  # the fine step of grid_samples
         groups: dict[tuple[int, int], list[int]] = {}
         for i, e in enumerate(self.elements):
             groups.setdefault((id(e.node), e.level), []).append(i)
-        firsts = [self.elements[rows[0]] for rows in groups.values()]
-        values = lattice_values([e.node.hat.dilated(e.level) for e in firsts], grid,
-                                span=self.span, oversample=self.oversample)
+        hats = [self.elements[rows[0]].node.hat.dilated(level)
+                for (_, level), rows in groups.items()]
+        engine = served_engine(hats, grid, span=self.span, oversample=self.oversample)
+        dilated = [h for (_, level), h in zip(groups, hats) if level]
+        values = dict(zip(map(id, dilated), engine.lattice(dilated)))
         atoms = None
-        for first, rows, vals in zip(firsts, groups.values(), values):
-            shifts = [delays.index_of(self.elements[i].lam / two_n**first.level) for i in rows]
-            samples = lattice_to_grid(two_n ** (-first.level / 2.0) * vals, grid, span=self.span,
-                                      oversample=self.oversample, shifts=shifts)
-            if atoms is None:  # after the first transform, whose temporaries are gone
+        for ((_, level), rows), hat in zip(groups.items(), hats):
+            if level:
+                fine = periodic_samples(two_n ** (-level / 2.0) * values.pop(id(hat)),
+                                        span=self.span)
+            else:
+                fine = hat.periodic()
+            if atoms is None:  # after the first synthesis, whose temporaries are gone
                 atoms = np.empty((len(self.elements), grid.count), dtype=np.complex128)
-            atoms[rows] = samples
+            shifts = [delays.index_of(self.elements[i].lam / two_n**level) for i in rows]
+            grid_samples(fine, grid, span=self.span, oversample=self.oversample,
+                         shifts=shifts, out=[atoms[i] for i in rows])
         atoms.flags.writeable = False
         return atoms
+
+    @cached_property
+    def _time_chirp(self) -> np.ndarray:
+        """chirp_phase(m, t, 0) on the basis grid, shared by signals, analysis and synthesis."""
+        return chirp_phase(self.m, self._grid.points(), 0.0)
 
     def _phases(self) -> np.ndarray:
         return chirp_phase(self.m, 0.0, np.array([e.lam for e in self.elements]))
 
     def signals(self) -> list[SampledSignal]:
         """The chirped atoms."""
-        time_chirp = chirp_phase(self.m, self._grid.points(), 0.0)
-        return [SampledSignal(self._grid, row * time_chirp * phase)
+        return [SampledSignal(self._grid, row * self._time_chirp * phase)
                 for row, phase in zip(self._unchirped, self._phases())]
 
     def certify(self) -> float:
@@ -286,7 +312,8 @@ def packet_analyze(
     grid = f.grid
     if basis._grid != grid:
         raise ValueError("basis atoms must live on the signal grid")
-    weighted = np.conj(f.values) * chirp_phase(basis.m, grid.points(), 0.0)
+    weighted = np.conj(f.values)
+    weighted *= basis._time_chirp
     weighted *= grid.trapezoid_weights()
     values = basis._phases().conj() * np.conj(basis._unchirped @ weighted)
     rows = tuple((e.node.index.n, e.level, e.lam) for e in basis.elements)
@@ -305,7 +332,7 @@ def packet_synthesize(
         raise ValueError("coefficient table does not match the basis")
     grid = basis._grid
     acc = (coeffs.values * basis._phases()) @ basis._unchirped
-    acc *= chirp_phase(basis.m, grid.points(), 0.0)
+    acc *= basis._time_chirp
     return SampledSignal(grid, acc)
 
 

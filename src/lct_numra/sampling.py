@@ -33,6 +33,9 @@ _ALIGN_TOL = 1e-9
 #: Largest |j| accepted by dilate unless the caller raises the budget.
 DEFAULT_LEVEL_BUDGET = 16
 
+#: Columns per block of ``weighted_gram``; bounds its conjugate temporary.
+_GRAM_BLOCK = 1 << 14
+
 
 class GridMismatchError(ValueError):
     """Raised when two signals live on incompatible grids."""
@@ -321,10 +324,19 @@ def dilate(phi: SampledSignal, j: int, N: int, lam: float, *,
 
 
 def weighted_gram(rows: np.ndarray, grid: Grid) -> np.ndarray:
-    """Trapezoidal inner products of the rows of a (signals x count) array on ``grid``."""
-    b = rows.conj()
-    b *= grid.trapezoid_weights()
-    return rows @ b.T
+    """Trapezoidal inner products of the rows of a (signals x count) array on ``grid``.
+
+    The product is summed over column blocks, so the weighted conjugate is
+    one block at a time, never a copy of ``rows``.
+    """
+    w = grid.trapezoid_weights()
+    g = np.zeros((rows.shape[0], rows.shape[0]), dtype=np.complex128)
+    for a in range(0, rows.shape[1], _GRAM_BLOCK):
+        block = rows[:, a:a + _GRAM_BLOCK]
+        b = block.conj()
+        b *= w[a:a + _GRAM_BLOCK]
+        g += block @ b.T
+    return g
 
 
 def gram_matrix(system: list[SampledSignal]) -> np.ndarray:

@@ -13,6 +13,14 @@ L_d(u/(2N)^j) on one frequency lattice.  ``cascade`` creates a
 the cascade tails in use and a few shallow low-pass rows, never one array
 per row.  A ``HatFunction`` takes its lattice values from the engine and
 evaluates the same product at any other u.
+
+Synthesis happens once per hat.  ``periodic_samples`` is the one inverse
+FFT: one period of the hat's inverse transform on the fine time step.
+``grid_samples`` cuts grid samples for any list of delays from it by
+slices.  A kept hat (``HatEngine.lattice(keep=True)``; the cascade keeps
+its own) holds its periodic samples beside its lattice values, so every
+grid signal and undilated basis atom of it is a cut of one transform; at
+oversample 1 its signals are read-only windows of those samples.
 """
 
 from __future__ import annotations
@@ -215,10 +223,24 @@ class HatFunction:
     filters: tuple[PeriodicFilterPair, ...] = ()
     level: int = 0
     _values: np.ndarray | None = field(default=None, init=False, repr=False)
+    _periodic: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def depth(self) -> int:
         return self.level + len(self.filters)
+
+    def periodic(self) -> np.ndarray:
+        """``periodic_samples`` of this hat's lattice values (read-only when kept).
+
+        A kept hat keeps them, so it is synthesised once whatever reads it.
+        """
+        if self._periodic is not None:
+            return self._periodic
+        fine = periodic_samples(self.engine.lattice([self])[0], span=self.engine.span)
+        if self._values is not None:
+            fine.flags.writeable = False
+            object.__setattr__(self, "_periodic", fine)
+        return fine
 
     def __call__(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -235,12 +257,8 @@ class HatFunction:
         return self if j == 0 else HatFunction(self.engine, self.filters, self.level + j)
 
 
-def lattice_values(hats, grid: Grid, *, span: float = 16.0, oversample: int = 16) -> list:
-    """Values of each hat on ``frequency_samples(grid, span, oversample)``.
-
-    The hats must share one engine bound to that lattice; they share its
-    rows and tails.  Any other lattice is refused.
-    """
+def served_engine(hats, grid: Grid, *, span: float = 16.0, oversample: int = 16) -> HatEngine:
+    """The one engine the hats share, refused unless it holds the lattice of ``grid``."""
     engine = hats[0].engine
     if not all(h.engine is engine for h in hats):
         raise ValueError("hats on one lattice must share one engine")
@@ -250,7 +268,16 @@ def lattice_values(hats, grid: Grid, *, span: float = 16.0, oversample: int = 16
             f"engine lattice ({engine.u.size} points, span {engine.span}) does not serve "
             f"the requested lattice ({n} points, span {span})"
         )
-    return engine.lattice(hats)
+    return engine
+
+
+def lattice_values(hats, grid: Grid, *, span: float = 16.0, oversample: int = 16) -> list:
+    """Values of each hat on ``frequency_samples(grid, span, oversample)``.
+
+    The hats must share one engine bound to that lattice; they share its
+    rows and tails.  Any other lattice is refused.
+    """
+    return served_engine(hats, grid, span=span, oversample=oversample).lattice(hats)
 
 
 def default_time_grid(ts: TranslationSet, window=(-1.0, 3.0), target_step=2.0**-10) -> Grid:
@@ -259,26 +286,55 @@ def default_time_grid(ts: TranslationSet, window=(-1.0, 3.0), target_step=2.0**-
     return numra_grid(ts, window, refinement=refinement)
 
 
-def lattice_to_grid(values, grid: Grid, *, span: float = 16.0, oversample: int = 16,
-                    shifts=(0,)) -> list[np.ndarray]:
-    """Grid samples of the inverse transform of lattice hat values.
+def periodic_samples(values: np.ndarray, *, span: float) -> np.ndarray:
+    """One period of the inverse transform of lattice values, on the fine step span/n.
 
-    The inverse 2pi-convention transform lands on the fine time step
-    step/oversample and is periodic with period ``span``, so the grid
-    window must sit inside [-span/2, span/2) and its origin on the fine
-    lattice (which holds whenever span/step is integral).  One sample
-    array is returned per delay in ``shifts``, counted in fine steps.
+    The inverse 2pi-convention transform of values on u = e/span is periodic
+    with period ``span``; sample i is at time (i - n//2) span/n, so every
+    window inside [-span/2, span/2) is one run.  The inverse FFT and its
+    scale n/span run in place on the ``ifftshift`` copy of the values,
+    which ``fftshift`` then centres; a transform into a second array
+    would hold one more period of samples beside the kept ones.
     """
-    n = values.size
-    fine = np.fft.ifft(np.fft.ifftshift(values)) * (n / span)
-    dt_fine = grid.step / oversample
+    fine = np.fft.ifftshift(values)
+    np.fft.ifft(fine, out=fine)  # the out= keyword needs numpy >= 2.0
+    fine *= values.size / span
+    return np.fft.fftshift(fine)
+
+
+def _first_index(grid: Grid, n: int, *, span: float, oversample: int) -> int:
+    """Index of the grid's first point in n ``periodic_samples`` of step step/oversample.
+
+    The grid window must sit inside [-span/2, span/2) and its origin on the
+    fine lattice (which holds whenever span/step is integral).
+    """
     if grid.t_min < -span / 2 or grid.t_max > span / 2:
         raise ValueError("grid window exceeds the transform period")
-    idx0 = grid.t_min / dt_fine
+    idx0 = grid.t_min / (grid.step / oversample)
     if abs(idx0 - round(idx0)) > 1e-6:
         raise ValueError("grid origin does not align with the transform lattice")
-    idx = round(idx0) + oversample * np.arange(grid.count)
-    return [fine[(idx - s) % n] for s in shifts]
+    return round(idx0) + n // 2
+
+
+def grid_samples(fine: np.ndarray, grid: Grid, *, span: float = 16.0, oversample: int = 16,
+                 shifts=(0,), out=None):
+    """(delays x count) grid samples cut from ``periodic_samples`` by slices.
+
+    Row i holds the grid samples delayed by ``shifts[i]`` fine steps: every
+    oversample-th fine sample from the grid's first point minus the delay,
+    modulo n, read as one strided slice and, past the period's end, one
+    more.  ``out``, when given, is the sequence of rows to fill.
+    """
+    n = fine.size
+    i0 = _first_index(grid, n, span=span, oversample=oversample)
+    if out is None:
+        out = np.empty((len(shifts), grid.count), dtype=np.complex128)
+    for row, s in zip(out, shifts):
+        start = (i0 - int(s)) % n
+        head = fine[start::oversample][: grid.count]
+        wrap = fine[start + oversample * head.size - n::oversample][: grid.count - head.size]
+        np.concatenate((head, wrap), out=row)
+    return out
 
 
 def hat_to_signal(
@@ -290,12 +346,18 @@ def hat_to_signal(
 ) -> SampledSignal:
     """Inverse 2pi-convention transform of ``hat`` sampled onto ``grid``.
 
-    The frequency cutoff is oversample/(2*step); see ``lattice_to_grid`` for
-    the period and the grid alignment it requires.
+    The frequency cutoff is oversample/(2*step); the grid window must sit
+    inside the period [-span/2, span/2) with its origin on the fine lattice.
+    A kept hat is synthesised once; each further grid costs one cut.
     """
-    values = lattice_values([hat], grid, span=span, oversample=oversample)[0]
-    samples = lattice_to_grid(values, grid, span=span, oversample=oversample)[0]
-    return SampledSignal(grid, samples)
+    served_engine([hat], grid, span=span, oversample=oversample)
+    fine = hat.periodic()
+    if oversample == 1 and fine is hat._periodic:
+        # a kept hat holds these samples anyway, so its signal is a read-only
+        # window of them; at oversample > 1 a window would be strided
+        i0 = _first_index(grid, fine.size, span=span, oversample=1)
+        return SampledSignal(grid, fine[i0:i0 + grid.count])
+    return SampledSignal(grid, grid_samples(fine, grid, span=span, oversample=oversample)[0])
 
 
 @dataclass(frozen=True)
@@ -352,6 +414,7 @@ def cascade(
             deviation,
         )
     hat = HatFunction(engine)
+    engine.lattice([hat], keep=True)
     signal = hat_to_signal(hat, grid, span=span, oversample=oversample)
     return CascadeResult(signal=signal, hat=hat, tail_deviation=deviation, factors=J)
 

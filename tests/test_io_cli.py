@@ -25,7 +25,7 @@ from lct_numra.io import (
 from lct_numra.lct import LctSpectrum, ilct, lct_fast
 from lct_numra.reports import bank_report, lowpass_report
 from lct_numra.sampling import Grid, SampledSignal, gaussian, numra_grid, rel_l2_error
-from lct_numra.wavelets import cascade, haar_filter_bank, haar_filters
+from lct_numra.wavelets import cascade, haar_filter_bank, haar_filters, haar_scaling
 
 
 class TestSerialization:
@@ -466,6 +466,41 @@ class TestProjectCommand:
         ]) == 0
         proj = read_signal_csv(out)
         assert proj.grid == g
+
+
+class TestNegativeWindowValue:
+    """A window whose first entry is negative parses as the value after a space."""
+
+    def test_cascade(self, tmp_path):
+        fpath = tmp_path / "filters.csv"
+        write_filter_csv(fpath, haar_filters(TranslationSet(1, 1), fourier()))
+        out = tmp_path / "phi.csv"
+        assert main(["cascade", "--filters", str(fpath), "--out", str(out),
+                     "--window", "-1,3"]) == 0
+        assert read_signal_csv(out).grid.t_min == -1.0
+
+    def test_packets_gen(self, tmp_path):
+        out = tmp_path / "pk"
+        assert main(["packets", "gen", "--n-max", "1", "--N", "1", "--matrix", "0,1,-1,0",
+                     "--out-dir", str(out), "--window", "-2,3"]) == 0
+        assert read_signal_csv(out / "packet_1.csv").grid.t_min == -2.0
+
+    def test_packets_gram(self, tmp_path):
+        out = tmp_path / "pk"
+        g = numra_grid(TranslationSet(1, 1), (-2.0, 3.0), refinement=64)
+        write_signal_csv(out / "packet_0.csv", haar_scaling(TranslationSet(1, 1), g))
+        report = tmp_path / "gram.json"
+        assert main(["packets", "gram", "--nodes", str(out), "--window", "-1,1.0001",
+                     "--matrix", "0,1,-1,0", "--N", "1", "--report", str(report)]) == 0
+        assert read_json(report)["config"]["window"] == [-1.0, 1.0001]
+
+    def test_project(self, tmp_path):
+        fpath = tmp_path / "f.csv"
+        write_signal_csv(fpath, gaussian(Grid(-2.0, 2.0**-6, 256)))
+        out = tmp_path / "p.csv"
+        assert main(["project", "--in", str(fpath), "--N", "1", "--matrix", "0,1,-1,0",
+                     "--level", "0", "--window", "-3,3", "--out", str(out)]) == 0
+        assert out.exists()
 
 
 class TestCrosscheckCommand:

@@ -31,8 +31,15 @@ from lct_numra.sampling import (
     inner_product,
     norm,
     numra_grid,
+    weighted_gram,
 )
-from lct_numra.wavelets import cascade, default_time_grid, frequency_samples, haar_filter_bank
+from lct_numra.wavelets import (
+    HatFunction,
+    cascade,
+    default_time_grid,
+    frequency_samples,
+    haar_filter_bank,
+)
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 
@@ -222,6 +229,15 @@ class TestCertifyAC10:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * atom_bytes
+
+    def test_blocked_gram_matches_one_product(self, ac10_nodes):
+        ts, nodes = ac10_nodes
+        lams = omega_enumerate(ts, (-1.0, 2.0))
+        basis = PacketBasis(ts, M2111, [BasisElement(nodes[n], 0, float(lam))
+                                        for n in range(4) for lam in lams])
+        rows, grid = basis._unchirped, basis._grid
+        want = rows @ (rows.conj() * grid.trapezoid_weights()).T
+        assert np.max(np.abs(weighted_gram(rows, grid) - want)) <= 1e-14
 
 
 class TestFoldSums:
@@ -482,3 +498,61 @@ class TestHatEngine:
                 got = scaling.engine.lattice([hat])[0]
                 assert np.max(np.abs(got - want)) <= 1e-14
                 assert np.max(np.abs(hat(u) - want)) <= 1e-14
+
+
+class TestOneSynthesisPerHat:
+    """Each (hat, level) is inverse-transformed once; the rest are cuts of it."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        ts = TranslationSet(2, 1)
+        bank = haar_filter_bank(ts, M2111)
+        grid = numra_grid(ts, (-4.0, 4.0), refinement=64)
+        return ts, bank, grid
+
+    def test_one_inverse_fft_per_hat_and_level(self, small, monkeypatch):
+        ts, bank, grid = small
+        real = np.fft.ifft
+        sizes = []
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counting)
+        nodes = generate_packets(3, bank, grid=grid, oversample=1)
+        parent = make_basis(nodes, ts, M2111, [(0, 1, [0.0, 0.5, 2.0])])
+        children = make_basis(nodes, ts, M2111, [(n, 0, [0.0, 0.5, 2.0]) for n in range(4)])
+        for b in (parent, children):
+            b.certify()
+            b.signals()
+        n = frequency_samples(grid, oversample=1).size
+        # packets 0..3 at level 0 (packet 0 is the cascade's) and packet 0 at level 1
+        assert sizes.count((n,)) == 5
+        scaling = cascade(bank[0], J=20, tol=1e-5, grid=grid, oversample=1)
+        node0 = packet_hat(digits(0, ts.N), bank, scaling=scaling, grid=grid, oversample=1)
+        assert node0.hat is scaling.hat
+        assert sizes.count((n,)) == 6
+
+    def test_cut_atoms_equal_cold_synthesis(self, small):
+        # every atom against its hat's lattice values computed afresh,
+        # inverse-transformed and gathered modulo n
+        ts, bank, grid = small
+        nodes = generate_packets(3, bank, grid=grid, oversample=1)
+        lams = [-2.0, 0.0, 0.5, 2.0]
+        basis = make_basis(nodes, ts, M2111, [(n, 0, lams) for n in range(4)]
+                           + [(1, 1, lams), (0, 2, lams)])
+        engine = nodes[0].hat.engine
+        n, span = engine.u.size, engine.span
+        idx = round(grid.t_min / grid.step) + np.arange(grid.count)
+        for row, e in zip(basis._unchirped, basis.elements):
+            cold = HatFunction(engine, e.node.hat.filters, e.level)
+            vals = 4.0 ** (-e.level / 2.0) * engine.lattice([cold])[0]
+            fine = np.fft.ifft(np.fft.ifftshift(vals)) * (n / span)
+            shift = round(e.lam / 4.0**e.level / grid.step)
+            np.testing.assert_array_equal(row, fine[(idx - shift) % n])
+            if e.level == 0 and e.lam == 0.0:
+                # at oversample 1 a node's signal is a read-only window of its kept samples
+                np.testing.assert_array_equal(e.node.signal.values, row)
+                assert np.shares_memory(e.node.signal.values, e.node.hat.periodic())
+                assert not e.node.signal.values.flags.writeable

@@ -10,6 +10,7 @@ from lct_numra.filters import (
     omega_enumerate,
 )
 from lct_numra.sampling import (
+    Grid,
     SampledSignal,
     chirp_phase,
     dilate,
@@ -24,6 +25,7 @@ from lct_numra.wavelets import (
     ConvergenceError,
     cascade,
     default_time_grid,
+    grid_samples,
     haar_family,
     haar_filter_bank,
     haar_filters,
@@ -377,3 +379,37 @@ class TestReferenceFormulas:
         dist2 = l2_distance_off_jumps(psi, ref, jumps=[0.0, 0.5, 1.0])
         assert dist == dist2  # deterministic
         assert np.isfinite(dist)
+
+
+def modulo_gather(fine, grid, oversample, shifts):
+    """Grid samples delayed by each shift, gathered as fine[(idx - s) % n] from
+    the inverse FFT's own order, in which sample i sits at time i span/n."""
+    fine = np.fft.ifftshift(fine)
+    idx = round(grid.t_min * oversample / grid.step) + oversample * np.arange(grid.count)
+    return np.stack([fine[(idx - s) % fine.size] for s in shifts])
+
+
+class TestGridSamples:
+    @pytest.mark.parametrize("oversample", [1, 16])
+    @pytest.mark.parametrize("window", [(-2.0, 3.0), (-8.0, -5.0), (5.5, 8.0), (-8.0, 8.0)],
+                             ids=["inside", "low-edge", "high-edge", "whole-period"])
+    def test_slice_cut_equals_modulo_gather(self, oversample, window):
+        # the grids at -8 and 8 touch the period's edges; positive delays wrap
+        # below its start, negative ones past its end, and the whole period
+        # wraps for every delay but multiples of n
+        step = 1.0 / 64
+        grid = Grid(window[0], step, round((window[1] - window[0]) / step))
+        n = round(oversample * 16.0 / step)
+        rng = np.random.default_rng(3)
+        fine = rng.normal(size=n) + 1j * rng.normal(size=n)
+        shifts = [0, 1, -1, 5, -5, oversample * 64 + 3, -oversample * 64 - 3,
+                  n - 1, 1 - n, n, 2 * n + 7, -3 * n - 2]
+        got = grid_samples(fine, grid, oversample=oversample, shifts=shifts)
+        np.testing.assert_array_equal(got, modulo_gather(fine, grid, oversample, shifts))
+
+    def test_refuses_grid_outside_period_or_off_lattice(self):
+        fine = np.zeros(1024, dtype=complex)
+        with pytest.raises(ValueError, match="period"):
+            grid_samples(fine, Grid(7.0, 1.0 / 64, 128), oversample=1)
+        with pytest.raises(ValueError, match="align"):
+            grid_samples(fine, Grid(0.25 / 64, 1.0 / 64, 128), oversample=1)
