@@ -14,6 +14,7 @@ imports what it uses.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -74,7 +75,13 @@ def _parse_matrix(text: str):
 
 
 def _parse_window(text: str) -> tuple[float, float]:
-    lo, hi = (float(p) for p in text.split(","))
+    """Two finite numbers lo,hi with lo < hi; anything else is a usage error."""
+    try:
+        lo, hi = (float(p) for p in text.split(","))
+    except ValueError:
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"window {text!r} is not two finite numbers lo,hi with lo < hi")
     return lo, hi
 
 
@@ -112,7 +119,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--out", required=True)
     p.add_argument("--step", type=float, default=2.0**-10)
-    p.add_argument("--window", default="-1,3")
+    p.add_argument("--window", default="-1,3",
+                   help="time window lo,hi of the output grid, inside [-8, 8)")
 
     p = sub.add_parser("verify", help="verify filter admissibility conditions")
     p.add_argument("--filters", required=True)
@@ -128,7 +136,8 @@ def build_parser() -> _Parser:
     g.add_argument("--matrix", required=True)
     g.add_argument("--out-dir", required=True)
     g.add_argument("--step", type=float, default=2.0**-10)
-    g.add_argument("--window", default="-4,5", help="time window lo,hi for the packet grid")
+    g.add_argument("--window", default="-4,5",
+                   help="time window lo,hi of the packet grid, inside [-8, 8)")
     q = psub.add_parser("gram", help="Gram certification of generated packets")
     q.add_argument("--nodes", required=True, help="directory produced by packets gen")
     q.add_argument("--window", required=True, help="lambda window lo,hi")
@@ -280,6 +289,7 @@ def _cmd_packets(args) -> int:
             write_signal_csv(out / f"packet_{node.index.n}.csv", node.signal)
         return EXIT_OK
 
+    window = _parse_window(args.window)
     nodes_dir = Path(args.nodes)
     signals = []
     n = 0
@@ -289,7 +299,6 @@ def _cmd_packets(args) -> int:
     if not signals:
         print(f"no packet_*.csv files in {nodes_dir}", file=sys.stderr)
         return EXIT_USAGE
-    window = _parse_window(args.window)
     _, off = translate_gram(signals, ts, m, window)
     cfg = {
         "matrix": m.to_dict(),
@@ -318,9 +327,10 @@ def _cmd_project(args) -> int:
 
     ts = TranslationSet(N=args.N, r=args.r)
     m = _parse_matrix(args.matrix)
+    window = _parse_window(args.window)
     f = read_signal_csv(args.infile)
     fam = haar_family(ts, m)
-    result = project(f, fam, args.level, _parse_window(args.window))
+    result = project(f, fam, args.level, window)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     write_signal_csv(args.out, result.signal)

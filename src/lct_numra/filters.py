@@ -88,6 +88,10 @@ def default_u_count(ts: TranslationSet, target: int = 4096) -> int:
     return ((target + block - 1) // block) * block
 
 
+#: Largest admissibility residual of a low-pass pair that ``complete_filters``
+#: and ``wavelets.cascade`` accept.
+ADMISSIBLE_TOL = 1e-8
+
 #: Most Fourier bins the terms of an exact pair may span.
 _MAX_SPAN = 64
 
@@ -291,13 +295,11 @@ def _aligners(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return u
 
 
-def complete_filters(
-    p0: PeriodicFilterPair, *, pre_tol: float = 1e-8
-) -> list[PeriodicFilterPair]:
+def complete_filters(p0: PeriodicFilterPair) -> list[PeriodicFilterPair]:
     """Extend an admissible low-pass pair to 2N - 1 high-pass pairs.
 
     Preconditions: the scaling-condition residuals and the quarter-period
-    residual of ``p0`` must be below ``pre_tol``.  The completion is
+    residual of ``p0`` must be below ``ADMISSIBLE_TOL``.  The completion is
     pointwise in u (no smoothness across samples is guaranteed); its
     output re-certifies under check_orthonormality at the stored samples.
 
@@ -315,7 +317,7 @@ def complete_filters(
     res_a, res_b = check_scaling_conditions(p0)
     res_q = check_m0_period(p0)
     worst = max(res_a, res_b, res_q)
-    if worst > pre_tol:
+    if worst > ADMISSIBLE_TOL:
         raise FilterConditionError(
             f"low-pass filter fails admissibility (max residual {worst:.3e})"
         )

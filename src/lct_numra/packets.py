@@ -9,7 +9,7 @@ with the low-pass cascade tail:
 
 for digits d_0..d_{q-1} (the packet recursion of Coifman & Wickerhauser,
 IEEE Trans. IT 38(2), 1992).  All packets of one cascade share its
-``wavelets.HatEngine``, and a synthesised node keeps its lattice values
+``wavelets.HatEngine``, and a node keeps its lattice values
 and its periodic samples (``HatFunction.periodic``), so bases and fold
 sums over it evaluate no filter again.  Each hat is synthesised once:
 packet 0 is the cascade's own kept hat, so its signal is a cut of the
@@ -43,12 +43,12 @@ from .sampling import (
     weighted_gram,
 )
 from .wavelets import (
+    SPAN,
     CascadeResult,
     HatFunction,
     cascade,
     grid_samples,
     hat_to_signal,
-    lattice_values,
     periodic_samples,
     served_engine,
 )
@@ -94,58 +94,44 @@ def reconstruct(idx: PacketIndex, N: int) -> int:
 
 @dataclass(frozen=True)
 class PacketNode:
-    """One packet: its index, frequency-domain hat, and time samples.
-
-    ``signal`` is None when the node was generated hat-only.
-    """
+    """One packet: its index, frequency-domain hat, and time samples."""
 
     index: PacketIndex
     hat: HatFunction
-    signal: SampledSignal | None
+    signal: SampledSignal
 
 
 def packet_hat(
     idx: PacketIndex,
     bank: list[PeriodicFilterPair],
     *,
-    scaling: CascadeResult | None = None,
+    scaling: CascadeResult,
     grid: Grid | None = None,
-    J: int = 20,
-    tol: float = 1e-5,
-    span: float = 16.0,
     oversample: int = 16,
-    synthesize: bool = True,
 ) -> PacketNode:
     """Packet hat from the digit filters continued with the low-pass tail.
 
     ``bank`` holds the 2N filters with index 0 the low-pass.  The tail
-    uses the cascade of the low-pass filter (supplied via ``scaling`` or
-    computed here with J factors under the usual tail check), so the
+    comes from ``scaling``, the cascade of the low-pass filter, so the
     index recursion
 
         hat(W_{2Nn + k})(u) = L_k(u/2N) hat(W_n)(u/2N)
 
-    holds exactly along the code path.  A synthesised node keeps its
-    values and periodic samples on the cascade's lattice; a grid that
-    lattice does not serve is refused.  Index 0 is the cascade's own hat,
-    whose periodic samples the cascade already holds.
+    holds exactly along the code path.  The node keeps its values and
+    periodic samples on the cascade's lattice; a grid (default: the
+    cascade's) that lattice does not serve is refused.  Index 0 is the
+    cascade's own hat, whose periodic samples the cascade already holds.
     """
     ts = bank[0].ts
     if len(bank) != 2 * ts.N:
         raise ValueError("bank must hold 2N filters")
     if any(d < 0 or d >= 2 * ts.N for d in idx.digits):
         raise ValueError("digit out of range for this bank")
-    if scaling is None:
-        scaling = cascade(bank[0], J=J, tol=tol, grid=grid, span=span, oversample=oversample,
-                          depth=len(idx.digits))
     if grid is None:
         grid = scaling.signal.grid
     hat = _node_hat(scaling, bank, idx)
-    signal = None
-    if synthesize:
-        scaling.engine.lattice([hat], keep=True)
-        signal = hat_to_signal(hat, grid, span=span, oversample=oversample)
-    return PacketNode(index=idx, hat=hat, signal=signal)
+    scaling.engine.lattice([hat], keep=True)
+    return PacketNode(index=idx, hat=hat, signal=hat_to_signal(hat, grid, oversample=oversample))
 
 
 def _node_hat(scaling: CascadeResult, bank, idx: PacketIndex) -> HatFunction:
@@ -159,21 +145,17 @@ def generate_packets(
     bank: list[PeriodicFilterPair],
     *,
     grid: Grid | None = None,
-    J: int = 20,
-    tol: float = 1e-5,
-    span: float = 16.0,
     oversample: int = 16,
 ) -> list[PacketNode]:
     """Packets 0..n_max sharing one cascade, one lattice pass and one time grid."""
     ts = bank[0].ts
     indices = [digits(n, ts.N) for n in range(n_max + 1)]
-    scaling = cascade(bank[0], J=J, tol=tol, grid=grid, span=span, oversample=oversample,
-                      depth=len(indices[-1].digits))
+    scaling = cascade(bank[0], grid=grid, oversample=oversample, depth=len(indices[-1].digits))
     hats = [_node_hat(scaling, bank, idx) for idx in indices]
     scaling.engine.lattice(hats, keep=True)
     grid = scaling.signal.grid
     return [
-        PacketNode(idx, hat, hat_to_signal(hat, grid, span=span, oversample=oversample))
+        PacketNode(idx, hat, hat_to_signal(hat, grid, oversample=oversample))
         for idx, hat in zip(indices, hats)
     ]
 
@@ -184,8 +166,14 @@ def translate_gram(
     m: CanonicalMatrix,
     lambda_window: tuple[float, float],
 ) -> tuple[np.ndarray, float]:
-    """Gram of all chirped translates of the given signals; max |G - I|."""
-    g = chirped_translate_gram(system, omega_enumerate(ts, lambda_window), m)
+    """Gram of all chirped translates of the given signals; max |G - I|.
+
+    A window that holds no translation is refused: it certifies nothing.
+    """
+    lambdas = omega_enumerate(ts, lambda_window)
+    if not lambdas:
+        raise ValueError(f"lambda window {tuple(lambda_window)} holds no translation")
+    g = chirped_translate_gram(system, lambdas, m)
     return g, identity_deviation(g)
 
 
@@ -214,8 +202,9 @@ class PacketBasis:
 
     The atom at (n, level j, lam) inverse-transforms (2N)^{-j/2}
     hat(W_n)(u/(2N)^j), shifted by lam/(2N)^j, from one shared frequency
-    lattice, so spans at different levels nest exactly and Nyquist-rate
-    quadrature of atom products is alias-free.  A level-0 atom is cut from
+    lattice at oversample 1 (the nodes' cascade is built with it), so spans
+    at different levels nest exactly and Nyquist-rate quadrature of atom
+    products is alias-free.  A level-0 atom is cut from
     its node's kept periodic samples; each dilated (node, level) takes one
     synthesis, from the rows and tails the nodes' engine holds.  The cuts
     fill one read-only (atoms x count) array.  These atoms are
@@ -229,8 +218,6 @@ class PacketBasis:
     ts: TranslationSet
     m: CanonicalMatrix
     elements: list[BasisElement]
-    span: float = 16.0
-    oversample: int = 1
     residual: float | None = field(default=None)
 
     @property
@@ -243,27 +230,25 @@ class PacketBasis:
         if any(e.node.signal.grid != grid for e in self.elements):
             raise ValueError("all basis nodes must share one grid")
         two_n = float(self.ts.dilation)
-        delays = Grid(0.0, grid.step / self.oversample, 1)  # the fine step of grid_samples
+        delays = Grid(0.0, grid.step, 1)  # at oversample 1, shifts are whole grid steps
         groups: dict[tuple[int, int], list[int]] = {}
         for i, e in enumerate(self.elements):
             groups.setdefault((id(e.node), e.level), []).append(i)
         hats = [self.elements[rows[0]].node.hat.dilated(level)
                 for (_, level), rows in groups.items()]
-        engine = served_engine(hats, grid, span=self.span, oversample=self.oversample)
+        engine = served_engine(hats, grid, oversample=1)
         dilated = [h for (_, level), h in zip(groups, hats) if level]
         values = dict(zip(map(id, dilated), engine.lattice(dilated)))
         atoms = None
         for ((_, level), rows), hat in zip(groups.items(), hats):
             if level:
-                fine = periodic_samples(two_n ** (-level / 2.0) * values.pop(id(hat)),
-                                        span=self.span)
+                fine = periodic_samples(two_n ** (-level / 2.0) * values.pop(id(hat)))
             else:
                 fine = hat.periodic()
             if atoms is None:  # after the first synthesis, whose temporaries are gone
                 atoms = np.empty((len(self.elements), grid.count), dtype=np.complex128)
             shifts = [delays.index_of(self.elements[i].lam / two_n**level) for i in rows]
-            grid_samples(fine, grid, span=self.span, oversample=self.oversample,
-                         shifts=shifts, out=[atoms[i] for i in rows])
+            grid_samples(fine, grid, oversample=1, shifts=shifts, out=[atoms[i] for i in rows])
         atoms.flags.writeable = False
         return atoms
 
@@ -340,7 +325,6 @@ def fold_residuals(
     node: PacketNode,
     ts: TranslationSet,
     *,
-    span: float = 16.0,
     oversample: int = 16,
 ) -> tuple[float, float]:
     """Residuals of the two folded power sums of a packet hat.
@@ -351,8 +335,8 @@ def fold_residuals(
     level up.
     """
     grid = node.signal.grid
-    du = 1.0 / span
-    vals = np.abs(lattice_values([node.hat], grid, span=span, oversample=oversample)[0]) ** 2
+    du = 1.0 / SPAN
+    vals = np.abs(served_engine([node.hat], grid, oversample=oversample).lattice([node.hat])[0]) ** 2
     period = round(ts.N / du)
     n_fold = vals.size // period
     trimmed = vals[: n_fold * period]

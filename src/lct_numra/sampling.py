@@ -30,7 +30,7 @@ from .canonical import CanonicalMatrix
 #: Relative slack when deciding whether an offset is an exact grid multiple.
 _ALIGN_TOL = 1e-9
 
-#: Largest |j| accepted by dilate unless the caller raises the budget.
+#: Largest |j| that dilate accepts.
 DEFAULT_LEVEL_BUDGET = 16
 
 #: Columns per block of ``weighted_gram``; bounds its conjugate temporary.
@@ -207,9 +207,15 @@ def rel_l2_error(got: SampledSignal, ref: SampledSignal) -> float:
 
 
 def chirp_phase(m: CanonicalMatrix, t, shift: float) -> np.ndarray:
-    """Modulation exp(-i pi (a/b) (t^2 - shift^2)) carried by translated bases."""
-    t = np.asarray(t, dtype=float)
-    return np.exp(-1j * np.pi * (m.a / m.b) * (t**2 - shift**2))
+    """Modulation exp(-i pi (a/b) (t^2 - shift^2)) carried by translated bases.
+
+    An array t takes two arrays: t^2 less shift^2 in place in one real
+    array, and its complex multiple, exponentiated in place.
+    """
+    arg = np.square(np.asarray(t, dtype=float))
+    arg -= np.square(shift)
+    arg = -1j * np.pi * (m.a / m.b) * arg
+    return np.exp(arg, out=arg) if isinstance(arg, np.ndarray) else np.exp(arg)
 
 
 def _common_grid(system: list[SampledSignal]) -> Grid:
@@ -306,7 +312,7 @@ def chirped_translate_gram(system: list[SampledSignal], lambdas,
 
 
 def dilate(phi: SampledSignal, j: int, N: int, lam: float, *,
-           max_level: int = DEFAULT_LEVEL_BUDGET, grid: Grid | None = None) -> SampledSignal:
+           grid: Grid | None = None) -> SampledSignal:
     """Unchirped element (2N)^{j/2} phi((2N)^j t - lam) on ``grid`` (default ``phi.grid``).
 
     Times ``chirp_phase(m, t, lam)`` it is the chirped element.  ``lam`` must
@@ -315,8 +321,8 @@ def dilate(phi: SampledSignal, j: int, N: int, lam: float, *,
     elsewhere it comes from the right-limit piecewise-constant extension of
     ``phi``, exact for indicator-type generators.
     """
-    if abs(j) > max_level:
-        raise ValueError(f"level {j} exceeds budget {max_level}")
+    if abs(j) > DEFAULT_LEVEL_BUDGET:
+        raise ValueError(f"level {j} exceeds budget {DEFAULT_LEVEL_BUDGET}")
     _offset(lam, phi.grid)
     grid = phi.grid if grid is None else grid
     scale = float(2 * N) ** j

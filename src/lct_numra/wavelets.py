@@ -11,8 +11,11 @@ Every scaling, wavelet and packet hat is a product of filter rows
 L_d(u/(2N)^j) on one frequency lattice.  ``cascade`` creates a
 ``HatEngine`` there that evaluates each row at most once and retains only
 the cascade tails in use and a few shallow low-pass rows, never one array
-per row.  A ``HatFunction`` takes its lattice values from the engine and
-evaluates the same product at any other u.
+per row.  A ``HatFunction`` takes its lattice values from the engine.
+
+Every lattice has step 1/``SPAN`` and every synthesis one time period of
+``SPAN`` = 16, centred on 0.  That period holds every grid window the CLI
+and the benchmark use; a grid outside [-8, 8) is refused, not wrapped.
 
 Synthesis happens once per hat.  ``periodic_samples`` is the one inverse
 FFT: one period of the hat's inverse transform on the fine time step.
@@ -31,6 +34,7 @@ import numpy as np
 
 from .canonical import CanonicalMatrix, require_valid
 from .filters import (
+    ADMISSIBLE_TOL,
     FilterConditionError,
     PeriodicFilterPair,
     TranslationSet,
@@ -40,7 +44,6 @@ from .filters import (
     omega_enumerate,
 )
 from .sampling import (
-    DEFAULT_LEVEL_BUDGET,
     Grid,
     SampledSignal,
     chirp_phase,
@@ -60,18 +63,21 @@ class ConvergenceError(RuntimeError):
         self.deviation = deviation
 
 
+#: Time period of every synthesis; the frequency lattice has step 1/SPAN.
+SPAN = 16.0
+
 #: Lattice points per block of a row pass; bounds the temporaries of one
 #: filter evaluation whatever the lattice size.
 _BLOCK = 1 << 15
 
 
-def frequency_samples(grid: Grid, *, span: float = 16.0, oversample: int = 16) -> np.ndarray:
-    """The u lattice used to inverse-transform onto ``grid`` (centered, step 1/span)."""
-    n_f = oversample * span / grid.step
+def frequency_samples(grid: Grid, *, oversample: int = 16) -> np.ndarray:
+    """The u lattice used to inverse-transform onto ``grid`` (centered, step 1/SPAN)."""
+    n_f = oversample * SPAN / grid.step
     n = round(n_f)
     if abs(n_f - n) > 1e-9:
-        raise ValueError("span/step must give an integral transform size")
-    du = 1.0 / span
+        raise ValueError("SPAN/step must give an integral transform size")
+    du = 1.0 / SPAN
     return (np.arange(n) - n // 2) * du
 
 
@@ -90,7 +96,8 @@ def _root_powers(c: int, e0: int, m: int, order: int) -> np.ndarray:
 class HatEngine:
     """Products of dilated filter rows L_d(u/(2N)^j) on one frequency lattice.
 
-    Bound to a low-pass filter and a lattice ``u``.  A node with digit
+    Bound to a low-pass filter and the lattice ``u`` of
+    ``frequency_samples(grid, oversample)``.  A node with digit
     filters L_{d_0}..L_{d_{q-1}} at level l has the hat
 
         prod_i L_{d_i}(u/(2N)^{l+i+1}) * T_{l+q}(u),
@@ -99,41 +106,34 @@ class HatEngine:
     the cascade tail at depth s.  One pass over the low-pass rows builds
     the tails of all requested depths: each row is evaluated once, in
     blocks of the lattice, folded into every tail that contains it and
-    dropped.  The engine keeps the tails and the shallow low-pass rows
-    j <= depth of ``on_grid``, which digit 0 of a node reuses; digit rows
-    of node hats are evaluated once per ``lattice`` call and folded into
-    every hat that uses them.  A tail deeper than the first pass costs a
+    dropped.  The constructor builds tails 0..``depth`` and keeps the
+    shallow low-pass rows j <= depth, which digit 0 of a node reuses;
+    digit rows of node hats are evaluated once per ``lattice`` call and
+    folded into every hat that uses them.  A tail deeper than the first pass costs a
     second pass.
 
-    A ``span`` (``on_grid`` gives one) declares u = e/span, e = k - n//2.  If
-    it is integral, row j of an exact pair takes z = q^(2N), cross = q^r of
-    q = exp(-2 pi i e/order), order = span*N*(2N)^j, from phases c*e reduced
-    exactly in int64 to (-order/2, order/2]; an order past int64 needs no
-    reduction, as |c*e| < order/2.  Other rows use ``filter_eval``.
+    The lattice is u = e/SPAN, e = k - n//2.  Row j of an exact pair takes
+    z = q^(2N), cross = q^r of q = exp(-2 pi i e/order), order =
+    SPAN*N*(2N)^j, from phases c*e reduced exactly in int64 to
+    (-order/2, order/2]; an order past int64 needs no reduction, as
+    |c*e| < order/2.  Rows of other pairs use ``filter_eval``, which reads
+    the nearest stored sample.
     """
 
-    def __init__(self, lowpass: PeriodicFilterPair, u, *, J: int, span: float | None = None):
+    def __init__(self, lowpass: PeriodicFilterPair, grid: Grid, *, oversample: int, J: int,
+                 depth: int):
         self.lowpass = lowpass
-        self.u = np.asarray(u, dtype=float)
+        self.u = frequency_samples(grid, oversample=oversample)
         self.J = J
-        self.span = span
         self._tails: dict[int, np.ndarray] = {}
         self._rows: dict[int, np.ndarray] = {}
-        #: Max |T_0 - prod_{j<J} L_0(u/(2N)^j)| over the lattice, once T_0 is built.
-        self.tail_deviation: float | None = None
+        #: Max |T_0 - prod_{j<J} L_0(u/(2N)^j)| over the lattice.
+        self.tail_deviation = 0.0
+        self._build_tails(range(depth + 1), keep_rows=True)
 
-    @classmethod
-    def on_grid(cls, lowpass, grid: Grid, *, span: float = 16.0, oversample: int = 16,
-                J: int = 20, depth: int = 0) -> "HatEngine":
-        """Engine on ``frequency_samples(grid, span, oversample)`` with tails 0..depth built."""
-        engine = cls(lowpass, frequency_samples(grid, span=span, oversample=oversample),
-                     J=J, span=span)
-        engine._build_tails(range(depth + 1), keep_rows=True)
-        return engine
-
-    def serves(self, grid: Grid, *, span: float, oversample: int) -> bool:
+    def serves(self, grid: Grid, *, oversample: int) -> bool:
         """True when this engine's lattice is the one used to synthesise onto ``grid``."""
-        return self.span == span and self.u.size == round(oversample * span / grid.step)
+        return self.u.size == round(oversample * SPAN / grid.step)
 
     def _blocks(self):
         return ((a, min(a + _BLOCK, self.u.size)) for a in range(0, self.u.size, _BLOCK))
@@ -141,9 +141,9 @@ class HatEngine:
     def _row(self, pair: PeriodicFilterPair, j: int, a: int, b: int) -> np.ndarray:
         """Row L(u/(2N)^j) on lattice points a..b-1: the one place a row is evaluated."""
         two_n = self.lowpass.ts.dilation
-        if self.span is None or self.span % 1 or not pair.exact:
+        if not pair.exact:
             return filter_eval(pair, self.u[a:b] / float(two_n) ** j)
-        order, e0 = round(self.span) * pair.ts.N * two_n**j, a - self.u.size // 2
+        order, e0 = round(SPAN) * pair.ts.N * two_n**j, a - self.u.size // 2
         return pair._combine(*(_root_powers(c, e0, b - a, order) for c in (two_n, pair.ts.r)))
 
     def _build_tails(self, depths, *, keep_rows: bool = False) -> None:
@@ -216,7 +216,7 @@ class HatFunction:
 
     ``filters`` are the digit filters, least significant first; the empty
     tuple at level 0 is the scaling function.  Lattice values come from
-    ``engine``; calling the hat evaluates the same product at any u.
+    ``engine``.
     """
 
     engine: HatEngine
@@ -236,17 +236,11 @@ class HatFunction:
         """
         if self._periodic is not None:
             return self._periodic
-        fine = periodic_samples(self.engine.lattice([self])[0], span=self.engine.span)
+        fine = periodic_samples(self.engine.lattice([self])[0])
         if self._values is not None:
             fine.flags.writeable = False
             object.__setattr__(self, "_periodic", fine)
         return fine
-
-    def __call__(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        e = self.engine
-        at_u = HatEngine(e.lowpass, u.ravel(), J=e.J)
-        return at_u.lattice([HatFunction(at_u, self.filters, self.level)])[0].reshape(u.shape)
 
     def child(self, pair: PeriodicFilterPair) -> "HatFunction":
         """hat(u) of the child packet: L(u/2N) times this hat at u/2N."""
@@ -257,27 +251,16 @@ class HatFunction:
         return self if j == 0 else HatFunction(self.engine, self.filters, self.level + j)
 
 
-def served_engine(hats, grid: Grid, *, span: float = 16.0, oversample: int = 16) -> HatEngine:
+def served_engine(hats, grid: Grid, *, oversample: int = 16) -> HatEngine:
     """The one engine the hats share, refused unless it holds the lattice of ``grid``."""
     engine = hats[0].engine
     if not all(h.engine is engine for h in hats):
         raise ValueError("hats on one lattice must share one engine")
-    if not engine.serves(grid, span=span, oversample=oversample):
-        n = round(oversample * span / grid.step)
-        raise ValueError(
-            f"engine lattice ({engine.u.size} points, span {engine.span}) does not serve "
-            f"the requested lattice ({n} points, span {span})"
-        )
+    if not engine.serves(grid, oversample=oversample):
+        n = round(oversample * SPAN / grid.step)
+        raise ValueError(f"engine lattice ({engine.u.size} points) does not serve "
+                         f"the requested lattice ({n} points)")
     return engine
-
-
-def lattice_values(hats, grid: Grid, *, span: float = 16.0, oversample: int = 16) -> list:
-    """Values of each hat on ``frequency_samples(grid, span, oversample)``.
-
-    The hats must share one engine bound to that lattice; they share its
-    rows and tails.  Any other lattice is refused.
-    """
-    return served_engine(hats, grid, span=span, oversample=oversample).lattice(hats)
 
 
 def default_time_grid(ts: TranslationSet, window=(-1.0, 3.0), target_step=2.0**-10) -> Grid:
@@ -286,29 +269,29 @@ def default_time_grid(ts: TranslationSet, window=(-1.0, 3.0), target_step=2.0**-
     return numra_grid(ts, window, refinement=refinement)
 
 
-def periodic_samples(values: np.ndarray, *, span: float) -> np.ndarray:
-    """One period of the inverse transform of lattice values, on the fine step span/n.
+def periodic_samples(values: np.ndarray) -> np.ndarray:
+    """One period of the inverse transform of lattice values, on the fine step SPAN/n.
 
-    The inverse 2pi-convention transform of values on u = e/span is periodic
-    with period ``span``; sample i is at time (i - n//2) span/n, so every
-    window inside [-span/2, span/2) is one run.  The inverse FFT and its
-    scale n/span run in place on the ``ifftshift`` copy of the values,
+    The inverse 2pi-convention transform of values on u = e/SPAN is periodic
+    with period ``SPAN``; sample i is at time (i - n//2) SPAN/n, so every
+    window inside [-SPAN/2, SPAN/2) is one run.  The inverse FFT and its
+    scale n/SPAN run in place on the ``ifftshift`` copy of the values,
     which ``fftshift`` then centres; a transform into a second array
     would hold one more period of samples beside the kept ones.
     """
     fine = np.fft.ifftshift(values)
     np.fft.ifft(fine, out=fine)  # the out= keyword needs numpy >= 2.0
-    fine *= values.size / span
+    fine *= values.size / SPAN
     return np.fft.fftshift(fine)
 
 
-def _first_index(grid: Grid, n: int, *, span: float, oversample: int) -> int:
+def _first_index(grid: Grid, n: int, *, oversample: int) -> int:
     """Index of the grid's first point in n ``periodic_samples`` of step step/oversample.
 
-    The grid window must sit inside [-span/2, span/2) and its origin on the
-    fine lattice (which holds whenever span/step is integral).
+    The grid window must sit inside [-SPAN/2, SPAN/2) and its origin on the
+    fine lattice (which holds whenever SPAN/step is integral).
     """
-    if grid.t_min < -span / 2 or grid.t_max > span / 2:
+    if grid.t_min < -SPAN / 2 or grid.t_max > SPAN / 2:
         raise ValueError("grid window exceeds the transform period")
     idx0 = grid.t_min / (grid.step / oversample)
     if abs(idx0 - round(idx0)) > 1e-6:
@@ -316,8 +299,7 @@ def _first_index(grid: Grid, n: int, *, span: float, oversample: int) -> int:
     return round(idx0) + n // 2
 
 
-def grid_samples(fine: np.ndarray, grid: Grid, *, span: float = 16.0, oversample: int = 16,
-                 shifts=(0,), out=None):
+def grid_samples(fine: np.ndarray, grid: Grid, *, oversample: int = 16, shifts=(0,), out=None):
     """(delays x count) grid samples cut from ``periodic_samples`` by slices.
 
     Row i holds the grid samples delayed by ``shifts[i]`` fine steps: every
@@ -326,7 +308,7 @@ def grid_samples(fine: np.ndarray, grid: Grid, *, span: float = 16.0, oversample
     more.  ``out``, when given, is the sequence of rows to fill.
     """
     n = fine.size
-    i0 = _first_index(grid, n, span=span, oversample=oversample)
+    i0 = _first_index(grid, n, oversample=oversample)
     if out is None:
         out = np.empty((len(shifts), grid.count), dtype=np.complex128)
     for row, s in zip(out, shifts):
@@ -337,27 +319,21 @@ def grid_samples(fine: np.ndarray, grid: Grid, *, span: float = 16.0, oversample
     return out
 
 
-def hat_to_signal(
-    hat: HatFunction,
-    grid: Grid,
-    *,
-    span: float = 16.0,
-    oversample: int = 16,
-) -> SampledSignal:
+def hat_to_signal(hat: HatFunction, grid: Grid, *, oversample: int = 16) -> SampledSignal:
     """Inverse 2pi-convention transform of ``hat`` sampled onto ``grid``.
 
     The frequency cutoff is oversample/(2*step); the grid window must sit
-    inside the period [-span/2, span/2) with its origin on the fine lattice.
+    inside the period [-SPAN/2, SPAN/2) with its origin on the fine lattice.
     A kept hat is synthesised once; each further grid costs one cut.
     """
-    served_engine([hat], grid, span=span, oversample=oversample)
+    served_engine([hat], grid, oversample=oversample)
     fine = hat.periodic()
     if oversample == 1 and fine is hat._periodic:
         # a kept hat holds these samples anyway, so its signal is a read-only
         # window of them; at oversample > 1 a window would be strided
-        i0 = _first_index(grid, fine.size, span=span, oversample=1)
+        i0 = _first_index(grid, fine.size, oversample=1)
         return SampledSignal(grid, fine[i0:i0 + grid.count])
-    return SampledSignal(grid, grid_samples(fine, grid, span=span, oversample=oversample)[0])
+    return SampledSignal(grid, grid_samples(fine, grid, oversample=oversample)[0])
 
 
 @dataclass(frozen=True)
@@ -381,15 +357,13 @@ def cascade(
     tol: float = 1e-5,
     *,
     grid: Grid | None = None,
-    span: float = 16.0,
     oversample: int = 16,
-    pre_tol: float = 1e-8,
     depth: int = 2,
 ) -> CascadeResult:
     """Scaling function from the truncated product of dilated filter responses.
 
     hat(phi)(u) = prod_{j=1..J} L(u / (2N)^j).  Requires L(0) = 1 within
-    1e-10 and the scaling conditions within ``pre_tol``.  The tail is
+    1e-10 and the scaling conditions within ``ADMISSIBLE_TOL``.  The tail is
     checked on the inverse-transform lattice: the uniform difference
     between the J-term and (J-1)-term products must be at most ``tol``,
     otherwise a ConvergenceError carries the deviation.  The lattice
@@ -400,13 +374,13 @@ def cascade(
     if abs(lam0 - 1.0) > 1e-10:
         raise FilterConditionError(f"filter response at 0 is {lam0:.17g}, expected 1")
     res_a, res_b = check_scaling_conditions(p0)
-    if max(res_a, res_b) > pre_tol:
+    if max(res_a, res_b) > ADMISSIBLE_TOL:
         raise FilterConditionError(
             f"scaling conditions fail (residuals {res_a:.3e}, {res_b:.3e})"
         )
     if grid is None:
         grid = default_time_grid(p0.ts)
-    engine = HatEngine.on_grid(p0, grid, span=span, oversample=oversample, J=J, depth=depth)
+    engine = HatEngine(p0, grid, oversample=oversample, J=J, depth=depth)
     deviation = engine.tail_deviation
     if deviation > tol:
         raise ConvergenceError(
@@ -415,7 +389,7 @@ def cascade(
         )
     hat = HatFunction(engine)
     engine.lattice([hat], keep=True)
-    signal = hat_to_signal(hat, grid, span=span, oversample=oversample)
+    signal = hat_to_signal(hat, grid, oversample=oversample)
     return CascadeResult(signal=signal, hat=hat, tail_deviation=deviation, factors=J)
 
 
@@ -424,14 +398,13 @@ def wavelet_from_filters(
     pk: PeriodicFilterPair,
     *,
     grid: Grid | None = None,
-    span: float = 16.0,
     oversample: int = 16,
 ) -> tuple[SampledSignal, HatFunction]:
     """Wavelet hat(psi)(u) = L_k(u/2N) hat(phi)(u/2N), inverse-transformed."""
     if grid is None:
         grid = default_time_grid(pk.ts)
     hat = phi_hat.child(pk)
-    return hat_to_signal(hat, grid, span=span, oversample=oversample), hat
+    return hat_to_signal(hat, grid, oversample=oversample), hat
 
 
 def two_scale_residual(phi_hat: HatFunction) -> float:
@@ -547,9 +520,6 @@ def haar_family(
     m: CanonicalMatrix,
     *,
     grid: Grid | None = None,
-    J: int = 20,
-    tol: float = 1e-5,
-    span: float = 16.0,
     oversample: int = 16,
     permissive: bool = False,
 ) -> WaveletFamily:
@@ -557,9 +527,9 @@ def haar_family(
     if grid is None:
         grid = default_time_grid(ts)
     bank = haar_filter_bank(ts, m, permissive=permissive)
-    result = cascade(bank[0], J=J, tol=tol, grid=grid, span=span, oversample=oversample, depth=1)
+    result = cascade(bank[0], grid=grid, oversample=oversample, depth=1)
     psi, psi_hat = zip(*(
-        wavelet_from_filters(result.hat, pk, grid=grid, span=span, oversample=oversample)
+        wavelet_from_filters(result.hat, pk, grid=grid, oversample=oversample)
         for pk in bank[1:]
     ))
     return WaveletFamily(ts=ts, m=m, phi=haar_scaling(ts, grid), psi=psi, filters=tuple(bank),
@@ -583,8 +553,6 @@ def project(
     fam: WaveletFamily,
     j: int,
     lambda_window: tuple[float, float],
-    *,
-    max_level: int = DEFAULT_LEVEL_BUDGET,
 ) -> ProjectionResult:
     """Orthogonal projection of f onto the level-j span of scaling translates.
 
@@ -593,9 +561,11 @@ def project(
     ``chirp_phase(m, t, lambda)``: f is demodulated once and the sum over
     the unchirped translates modulated once.  A warning is attached when
     boundary coefficients are non-negligible (the window would truncate
-    the projection).
+    the projection).  A window that holds no translation is refused.
     """
     lambdas = omega_enumerate(fam.ts, lambda_window)
+    if not lambdas:
+        raise ValueError(f"lambda window {tuple(lambda_window)} holds no translation")
     grid = f.grid
     chirp = chirp_phase(fam.m, grid.points(), 0.0)
     weighted = np.conj(f.values) * chirp * grid.trapezoid_weights()
@@ -603,18 +573,17 @@ def project(
     acc = np.zeros(grid.count, dtype=np.complex128)
     coeffs: dict[float, complex] = {}
     for lam, phase in zip(lambdas, phases):
-        e = dilate(fam.phi, j, fam.ts.N, lam, max_level=max_level, grid=grid).values
+        e = dilate(fam.phi, j, fam.ts.N, lam, grid=grid).values
         c = np.conj(np.sum(weighted * e))
         coeffs[lam] = complex(np.conj(phase) * c)
         acc += c * e
     acc *= chirp
     warnings = []
-    if lambdas:
-        boundary = max(abs(coeffs[lambdas[0]]), abs(coeffs[lambdas[-1]]))
-        if boundary > 1e-6 * max(1.0, norm(f)):
-            warnings.append(
-                "translation window may be too small: boundary coefficients are non-negligible"
-            )
+    boundary = max(abs(coeffs[lambdas[0]]), abs(coeffs[lambdas[-1]]))
+    if boundary > 1e-6 * max(1.0, norm(f)):
+        warnings.append(
+            "translation window may be too small: boundary coefficients are non-negligible"
+        )
     return ProjectionResult(SampledSignal(grid, acc), coeffs, tuple(warnings))
 
 

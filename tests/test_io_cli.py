@@ -454,6 +454,43 @@ class TestPacketsCommand:
         assert "tail deviation" in capsys.readouterr().err
 
 
+class TestWindowRefused:
+    """A window that is not lo < hi, or holds no translation, certifies nothing."""
+
+    @pytest.fixture
+    def nodes(self, tmp_path):
+        out = tmp_path / "pk"
+        write_signal_csv(out / "packet_0.csv", gaussian(Grid(-2.0, 2.0**-6, 256)))
+        return out
+
+    @pytest.mark.parametrize("window", ["5,1", "0.1,0.2", "1,2,3", "1,nan", "1"])
+    def test_gram(self, tmp_path, nodes, capsys, window):
+        report = tmp_path / "gram.json"
+        assert main(["packets", "gram", "--nodes", str(nodes), f"--window={window}",
+                     "--matrix", "0,1,-1,0", "--N", "1", "--report", str(report)]) == 1
+        assert "window" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("window", ["5,1", "0.1,0.2", "1,2,3"])
+    def test_project(self, tmp_path, capsys, window):
+        fpath = tmp_path / "f.csv"
+        write_signal_csv(fpath, gaussian(Grid(-2.0, 2.0**-6, 256)))
+        out = tmp_path / "p.csv"
+        assert main(["project", "--in", str(fpath), "--N", "1", "--matrix", "0,1,-1,0",
+                     "--level", "0", f"--window={window}", "--out", str(out)]) == 1
+        assert "window" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cascade(self, tmp_path, capsys):
+        fpath = tmp_path / "filters.csv"
+        write_filter_csv(fpath, haar_filters(TranslationSet(1, 1), fourier()))
+        out = tmp_path / "phi.csv"
+        assert main(["cascade", "--filters", str(fpath), "--window=3,-1",
+                     "--out", str(out)]) == 1
+        assert "window '3,-1'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestProjectCommand:
     def test_runs(self, tmp_path):
         g = Grid(-8.0, 2.0**-10, 16 * 1024)

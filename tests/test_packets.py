@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lct_numra.canonical import CanonicalMatrix, fourier, fresnel, frft
-from lct_numra.filters import TranslationSet, filter_eval, omega_enumerate
+from lct_numra.filters import PeriodicFilterPair, TranslationSet, filter_eval, omega_enumerate
 from lct_numra.packets import (
     BasisElement,
     CoefficientTable,
@@ -34,12 +34,15 @@ from lct_numra.sampling import (
     weighted_gram,
 )
 from lct_numra.wavelets import (
+    SPAN,
     HatFunction,
     cascade,
     default_time_grid,
     frequency_samples,
     haar_filter_bank,
 )
+
+from hat_reference import product_hat
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 
@@ -110,14 +113,14 @@ class TestPacketHat:
         ts, bank, grid, scaling = haar1
         node = packet_hat(digits(0, ts.N), bank, scaling=scaling, grid=grid, oversample=1)
         u = np.linspace(-4, 4, 401)
-        np.testing.assert_array_equal(node.hat(u), scaling.hat(u))
+        np.testing.assert_array_equal(product_hat(node.hat, u), product_hat(scaling.hat, u))
 
     def test_first_indices_are_wavelet_hats(self, haar1):
         ts, bank, grid, scaling = haar1
         node = packet_hat(digits(1, ts.N), bank, scaling=scaling, grid=grid, oversample=1)
         u = np.linspace(-4, 4, 401)
-        want = filter_eval(bank[1], u / 2.0) * scaling.hat(u / 2.0)
-        np.testing.assert_allclose(node.hat(u), want, atol=1e-14)
+        want = filter_eval(bank[1], u / 2.0) * product_hat(scaling.hat, u / 2.0)
+        np.testing.assert_allclose(product_hat(node.hat, u), want, atol=1e-14)
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_recursion_identity(self, N):
@@ -128,18 +131,16 @@ class TestPacketHat:
         two_n = 2 * N
         u = np.linspace(-8.0, 8.0, 1603)
         worst = 0.0
+
+        def node(n):
+            return HatFunction(scaling.engine, tuple(bank[d] for d in digits(n, N).digits))
+
         for n in range((2 * N) ** 2 + 1):
-            parent = packet_hat(
-                digits(n, N), bank, scaling=scaling, grid=grid, synthesize=False
-            )
-            parent_vals = parent.hat(u / two_n)
+            parent_vals = product_hat(node(n), u / two_n)
             for k in range(two_n):
-                child = packet_hat(
-                    digits(two_n * n + k, N), bank, scaling=scaling, grid=grid,
-                    synthesize=False,
-                )
+                child = node(two_n * n + k)
                 rhs = filter_eval(bank[k], u / two_n) * parent_vals
-                worst = max(worst, float(np.max(np.abs(child.hat(u) - rhs))))
+                worst = max(worst, float(np.max(np.abs(product_hat(child, u) - rhs))))
         assert worst <= 1e-10
 
     def test_digit_out_of_range(self, haar1):
@@ -154,6 +155,12 @@ class TestPacketGram:
         nodes = [haar1_nodes[n] for n in range(4)]
         _, off = packet_gram(nodes, ts, fourier(), (-2.0, 2.0 + 1e-9))
         assert off <= 1e-3
+
+    def test_window_without_translation_refused(self, haar1_nodes):
+        ts = TranslationSet(1, 1)
+        for window in [(0.1, 0.2), (5.0, 1.0)]:
+            with pytest.raises(ValueError, match="holds no translation"):
+                packet_gram([haar1_nodes[0]], ts, fourier(), window)
 
     def test_single_node_single_shift(self, haar1_nodes):
         ts = TranslationSet(1, 1)
@@ -451,8 +458,7 @@ class TestHatEngine:
         ts = TranslationSet(N, r)
         bank = haar_filter_bank(ts, M2111)
         grid = numra_grid(ts, (-2.0, 2.0), refinement=64)
-        engine = wavelets.HatEngine(bank[0], frequency_samples(grid, oversample=1), J=20,
-                                    span=16.0)
+        engine = wavelets.HatEngine(bank[0], grid, oversample=1, J=20, depth=0)
         n = engine.u.size
         e = np.arange(n, dtype=object) - n // 2
         two_pi = 8 * np.arctan(np.longdouble(1))
@@ -473,31 +479,39 @@ class TestHatEngine:
                 got = np.concatenate([engine._row(pair, j, a, b) for a, b in engine._blocks()])
                 assert np.max(np.abs(got - want)) <= 2e-15
 
+    def test_nearest_sample_rows_are_filter_eval(self, monkeypatch):
+        # Haar N = 1 times exp(i sin 2 pi u): no short Fourier series, so each
+        # row, and the tail built from them, is filter_eval at u/(2N)^j
+        import lct_numra.wavelets as wavelets
+
+        monkeypatch.setattr(wavelets, "_BLOCK", 1000)
+        base = haar_filter_bank(TranslationSet(1, 1), fourier())[0]
+        phase = np.exp(1j * np.sin(2 * np.pi * base.u_grid.points()))
+        pair = PeriodicFilterPair(base.ts, base.u_grid, phase * base.comp1, phase * base.comp2)
+        assert not pair.exact
+        grid = numra_grid(base.ts, (-2.0, 2.0), refinement=64)
+        engine = wavelets.HatEngine(pair, grid, oversample=1, J=20, depth=0)
+        u = engine.u
+        for j in (0, 1, 2, 5, 11, 20):
+            got = np.concatenate([engine._row(pair, j, a, b) for a, b in engine._blocks()])
+            np.testing.assert_array_equal(got, filter_eval(pair, u / 2.0**j))
+        phi = HatFunction(engine)
+        np.testing.assert_array_equal(engine.lattice([phi])[0], product_hat(phi, u))
+
     @pytest.mark.parametrize("N", [1, 2])
     def test_lattice_hats_match_product_formula(self, N):
         ts = TranslationSet(N, 1)
         bank = haar_filter_bank(ts, M2111)
         grid = numra_grid(ts, (-2.0, 2.0), refinement=64)
-        J = 20
-        scaling = cascade(bank[0], J=J, tol=1e-5, grid=grid, oversample=1)
+        scaling = cascade(bank[0], J=20, tol=1e-5, grid=grid, oversample=1)
         u = frequency_samples(grid, oversample=1)
-        two_n = float(2 * N)
         # up to three digits, so the deepest tails need a second pass
         for n in range((2 * N) ** 2 + 2):
-            idx = digits(n, N)
-            node = packet_hat(idx, bank, scaling=scaling, grid=grid, oversample=1,
-                              synthesize=False)
-            q = len(idx.digits)
+            node = HatFunction(scaling.engine, tuple(bank[d] for d in digits(n, N).digits))
             for level in (0, 1):
-                want = np.ones(u.size, dtype=complex)
-                for i, d in enumerate(idx.digits):
-                    want *= filter_eval(bank[d], u / two_n ** (level + i + 1))
-                for j in range(level + q + 1, level + q + J + 1):
-                    want *= filter_eval(bank[0], u / two_n**j)
-                hat = node.hat.dilated(level)
+                hat = node.dilated(level)
                 got = scaling.engine.lattice([hat])[0]
-                assert np.max(np.abs(got - want)) <= 1e-14
-                assert np.max(np.abs(hat(u) - want)) <= 1e-14
+                assert np.max(np.abs(got - product_hat(hat, u))) <= 1e-14
 
 
 class TestOneSynthesisPerHat:
@@ -543,12 +557,12 @@ class TestOneSynthesisPerHat:
         basis = make_basis(nodes, ts, M2111, [(n, 0, lams) for n in range(4)]
                            + [(1, 1, lams), (0, 2, lams)])
         engine = nodes[0].hat.engine
-        n, span = engine.u.size, engine.span
+        n = engine.u.size
         idx = round(grid.t_min / grid.step) + np.arange(grid.count)
         for row, e in zip(basis._unchirped, basis.elements):
             cold = HatFunction(engine, e.node.hat.filters, e.level)
             vals = 4.0 ** (-e.level / 2.0) * engine.lattice([cold])[0]
-            fine = np.fft.ifft(np.fft.ifftshift(vals)) * (n / span)
+            fine = np.fft.ifft(np.fft.ifftshift(vals)) * (n / SPAN)
             shift = round(e.lam / 4.0**e.level / grid.step)
             np.testing.assert_array_equal(row, fine[(idx - shift) % n])
             if e.level == 0 and e.lam == 0.0:

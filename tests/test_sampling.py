@@ -221,6 +221,31 @@ class TestChirpedTranslateGram:
         assert chirped_translate_gram([gaussian(g)], [], M2111).shape == (0, 0)
 
 
+class TestChirpPhase:
+    # a/b > 0, a/b < 0, a = 0, and b < 0 with either sign of a/b
+    @pytest.mark.parametrize("m", [M2111, frft(2.0), fourier(), frft(-0.3), frft(-2.0)],
+                             ids=["pos", "neg", "zero", "b-neg", "b-neg-pos"])
+    @pytest.mark.parametrize("t,shift", [
+        (0.0, 0.0), (0.75, 0.5), (-1.25, 0.0),
+        (np.linspace(-2.0, 2.0, 17), 0.0), (np.linspace(-2.0, 2.0, 17), 0.5),
+        (0.0, np.array([-2.0, -0.5, 0.0, 0.5, 2.0])),
+    ], ids=["zero", "scalar", "scalar-noshift", "array", "array-shift", "shift-array"])
+    def test_bit_identical_to_one_expression(self, m, t, shift):
+        # the same bits as exp(-i pi (a/b) (t^2 - shift^2)) in one expression,
+        # signs of zero included
+        got = chirp_phase(m, t, shift)
+        want = np.exp(-1j * np.pi * (m.a / m.b) * (np.asarray(t, dtype=float) ** 2 - shift**2))
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(np.reshape(got, -1).view(np.uint64),
+                                      np.reshape(want, -1).view(np.uint64))
+
+    def test_input_not_modified(self):
+        t = np.linspace(-1.0, 1.0, 9)
+        before = t.copy()
+        chirp_phase(M2111, t, 0.5)
+        np.testing.assert_array_equal(t, before)
+
+
 class TestDilateChirp:
     """The chirped element: ``dilate`` times ``chirp_phase(m, t, lam)``."""
 

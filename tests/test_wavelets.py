@@ -31,13 +31,15 @@ from lct_numra.wavelets import (
     haar_filters,
     haar_scaling,
     l2_distance_off_jumps,
-    lattice_values,
     n2_reference_wavelets,
     piecewise_constant,
     project,
+    served_engine,
     two_scale_residual,
     wavelet_from_filters,
 )
+
+from hat_reference import product_hat
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 
@@ -139,11 +141,11 @@ class TestCascade:
         _, _, result = haar1_cascade
         u = np.array([0.001, 0.25, 0.5, 1.5, 3.7])
         want = np.exp(-1j * np.pi * u) * np.sin(np.pi * u) / (np.pi * u)
-        np.testing.assert_allclose(result.hat(u), want, atol=1e-6)
+        np.testing.assert_allclose(product_hat(result.hat, u), want, atol=1e-6)
 
     def test_hat_is_one_at_zero(self, haar1_cascade):
         _, _, result = haar1_cascade
-        assert result.hat(np.array([0.0]))[0] == pytest.approx(1.0)
+        assert product_hat(result.hat, np.array([0.0]))[0] == pytest.approx(1.0)
 
     def test_reproduces_unit_indicator(self, haar1_cascade):
         ts, _, result = haar1_cascade
@@ -170,9 +172,9 @@ class TestCascade:
     def test_lattice_values_refuse_other_lattice(self, haar1_cascade):
         _, _, result = haar1_cascade
         grid = result.signal.grid
-        assert lattice_values([result.hat], grid)[0] is result.engine.lattice([result.hat])[0]
-        with pytest.raises(ValueError, match=r"\(262144 points, span 16.0\).*\(131072 points"):
-            lattice_values([result.hat], grid, oversample=8)
+        assert served_engine([result.hat], grid) is result.engine
+        with pytest.raises(ValueError, match=r"\(262144 points\).*\(131072 points\)"):
+            served_engine([result.hat], grid, oversample=8)
 
     def test_rejects_filter_without_unit_response(self):
         ts = TranslationSet(1, 1)
@@ -195,7 +197,7 @@ class TestWaveletFromFilters:
         bank = haar_filter_bank(ts, fourier())
         _, psi_hat = wavelet_from_filters(result.hat, bank[1], grid=result.signal.grid)
         want = filter_eval(bank[1], 0.0)
-        assert psi_hat(np.array([0.0]))[0] == pytest.approx(want, abs=1e-12)
+        assert product_hat(psi_hat, np.array([0.0]))[0] == pytest.approx(want, abs=1e-12)
 
     def test_product_identity_on_grid(self):
         # with the sign-flipped two-tap filter, the wavelet hat at 2u is
@@ -209,8 +211,8 @@ class TestWaveletFromFilters:
                                 np.full(count, 0.5, dtype=complex))
         _, psi_hat = wavelet_from_filters(result.hat, pk, grid=result.signal.grid)
         u = np.linspace(-3.0, 3.0, 601)
-        lhs = psi_hat(2 * u)
-        rhs = 0.5 * (np.exp(-2j * np.pi * u) - 1.0) * result.hat(u)
+        lhs = product_hat(psi_hat, 2 * u)
+        rhs = 0.5 * (np.exp(-2j * np.pi * u) - 1.0) * product_hat(result.hat, u)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -300,6 +302,12 @@ class TestProjection:
         res = project(f, fam, 0, (-1.0, 1.0))
         assert res.warnings
 
+    def test_window_without_translation_refused(self, family):
+        _, _, fam, f = family
+        for window in [(0.1, 0.2), (5.0, 1.0)]:
+            with pytest.raises(ValueError, match="holds no translation"):
+                project(f, fam, 0, window)
+
     def test_level_budget(self, family):
         _, _, fam, f = family
         with pytest.raises(ValueError, match="budget"):
@@ -331,7 +339,7 @@ class TestFamilyPipeline:
     def test_family_invariants(self, fine_family_fourier):
         _, fam = fine_family_fourier
         assert norm(fam.phi) == pytest.approx(1.0, abs=0.02)
-        assert fam.phi_hat(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-6)
+        assert product_hat(fam.phi_hat, np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-6)
         assert len(fam.psi) == 1
         assert len(fam.filters) == 2
 
