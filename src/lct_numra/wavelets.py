@@ -351,6 +351,19 @@ class CascadeResult:
         return self.hat.engine
 
 
+def _require_lowpass(p0: PeriodicFilterPair) -> None:
+    """The cascade's preconditions: L(0) = 1 within 1e-10, scaling conditions within
+    ``ADMISSIBLE_TOL``; a FilterConditionError otherwise."""
+    lam0 = filter_eval(p0, 0.0)
+    if abs(lam0 - 1.0) > 1e-10:
+        raise FilterConditionError(f"filter response at 0 is {lam0:.17g}, expected 1")
+    res_a, res_b = check_scaling_conditions(p0)
+    if max(res_a, res_b) > ADMISSIBLE_TOL:
+        raise FilterConditionError(
+            f"scaling conditions fail (residuals {res_a:.3e}, {res_b:.3e})"
+        )
+
+
 def cascade(
     p0: PeriodicFilterPair,
     J: int = 20,
@@ -370,14 +383,7 @@ def cascade(
     engine also builds the tails of depths 1..``depth`` in the same pass
     (packets with up to ``depth`` digits, and coarser bases, need them).
     """
-    lam0 = filter_eval(p0, 0.0)
-    if abs(lam0 - 1.0) > 1e-10:
-        raise FilterConditionError(f"filter response at 0 is {lam0:.17g}, expected 1")
-    res_a, res_b = check_scaling_conditions(p0)
-    if max(res_a, res_b) > ADMISSIBLE_TOL:
-        raise FilterConditionError(
-            f"scaling conditions fail (residuals {res_a:.3e}, {res_b:.3e})"
-        )
+    _require_lowpass(p0)
     if grid is None:
         grid = default_time_grid(p0.ts)
     engine = HatEngine(p0, grid, oversample=oversample, J=J, depth=depth)
@@ -550,30 +556,32 @@ class ProjectionResult:
 
 def project(
     f: SampledSignal,
-    fam: WaveletFamily,
+    phi: SampledSignal,
+    ts: TranslationSet,
+    m: CanonicalMatrix,
     j: int,
     lambda_window: tuple[float, float],
 ) -> ProjectionResult:
     """Orthogonal projection of f onto the level-j span of scaling translates.
 
-    P_j f = sum_lambda <f, e_{j,lambda}> e_{j,lambda} over the enumerated
-    translations, e_{j,lambda} = ``dilate(phi, j, N, lambda)`` times
+    P_j f = sum_lambda <f, e_{j,lambda}> e_{j,lambda} over the translations
+    of ``ts`` in the window, e_{j,lambda} = ``dilate(phi, j, N, lambda)`` times
     ``chirp_phase(m, t, lambda)``: f is demodulated once and the sum over
     the unchirped translates modulated once.  A warning is attached when
     boundary coefficients are non-negligible (the window would truncate
     the projection).  A window that holds no translation is refused.
     """
-    lambdas = omega_enumerate(fam.ts, lambda_window)
+    lambdas = omega_enumerate(ts, lambda_window)
     if not lambdas:
         raise ValueError(f"lambda window {tuple(lambda_window)} holds no translation")
     grid = f.grid
-    chirp = chirp_phase(fam.m, grid.points(), 0.0)
+    chirp = chirp_phase(m, grid.points(), 0.0)
     weighted = np.conj(f.values) * chirp * grid.trapezoid_weights()
-    phases = chirp_phase(fam.m, 0.0, np.asarray(lambdas, dtype=float))
+    phases = chirp_phase(m, 0.0, np.asarray(lambdas, dtype=float))
     acc = np.zeros(grid.count, dtype=np.complex128)
     coeffs: dict[float, complex] = {}
     for lam, phase in zip(lambdas, phases):
-        e = dilate(fam.phi, j, fam.ts.N, lam, grid=grid).values
+        e = dilate(phi, j, ts.N, lam, grid=grid).values
         c = np.conj(np.sum(weighted * e))
         coeffs[lam] = complex(np.conj(phase) * c)
         acc += c * e

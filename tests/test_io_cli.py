@@ -25,7 +25,15 @@ from lct_numra.io import (
 from lct_numra.lct import LctSpectrum, ilct, lct_fast
 from lct_numra.reports import bank_report, lowpass_report
 from lct_numra.sampling import Grid, SampledSignal, gaussian, numra_grid, rel_l2_error
-from lct_numra.wavelets import cascade, haar_filter_bank, haar_filters, haar_scaling
+from lct_numra import wavelets
+from lct_numra.wavelets import (
+    cascade,
+    haar_family,
+    haar_filter_bank,
+    haar_filters,
+    haar_scaling,
+    project,
+)
 
 
 class TestSerialization:
@@ -503,6 +511,40 @@ class TestProjectCommand:
         ]) == 0
         proj = read_signal_csv(out)
         assert proj.grid == g
+
+    def test_runs_no_cascade(self, tmp_path, monkeypatch):
+        # project reads the closed-form scaling function only: its output is the projection
+        # with the whole Haar family, byte for byte, and no cascade runs
+        g = Grid(-4.0, 2.0**-8, 2048)
+        rng = np.random.default_rng(3)
+        f = SampledSignal(g, rng.normal(size=g.count) + 1j * rng.normal(size=g.count))
+        fpath, out, want = tmp_path / "f.csv", tmp_path / "p.csv", tmp_path / "want.csv"
+        write_signal_csv(fpath, f)
+        ts, m = TranslationSet(2, 3), CanonicalMatrix(2, 1, 1, 1)
+        fam = haar_family(ts, m)
+        write_signal_csv(want, project(f, fam.phi, ts, m, 1, (-6.0, 6.0)).signal)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cascade called")
+
+        monkeypatch.setattr(wavelets, "cascade", refuse)
+        assert main(["project", "--in", str(fpath), "--N", "2", "--r", "3", "--matrix", "2,1,1,1",
+                     "--level", "1", "--window=-6,6", "--out", str(out)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("matrix, code", [
+        ("1,1,1,1", 1),  # not unimodular: a usage error
+        # frft(0.3): the closed-form low-pass is not 1 at u = 0, so verification fails
+        ("0.955336489125606,0.29552020666134,-0.29552020666134,0.955336489125606", 2),
+    ], ids=["invalid", "inadmissible"])
+    def test_refusals(self, tmp_path, capsys, matrix, code):
+        fpath = tmp_path / "f.csv"
+        write_signal_csv(fpath, gaussian(Grid(-2.0, 2.0**-6, 256)))
+        out = tmp_path / "p.csv"
+        assert main(["project", "--in", str(fpath), "--N", "2", "--matrix", matrix,
+                     "--level", "0", "--window=-3,3", "--out", str(out)]) == code
+        assert ("verification failed" in capsys.readouterr().err) == (code == 2)
+        assert not out.exists()
 
 
 class TestNegativeWindowValue:

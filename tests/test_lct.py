@@ -1,5 +1,7 @@
 import time
+import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +25,25 @@ M2111 = CanonicalMatrix(2, 1, 1, 1)
 MATRICES = [fourier(), fresnel(1.0), M2111, frft(-1.0)]
 MATRIX_IDS = ["fourier", "fresnel1", "haar2111", "frft_neg"]
 NONZERO = st.floats(-3.0, 3.0).filter(lambda x: abs(x) >= 0.1)
+
+
+def _machin_two_pi(digits=90):
+    """2 pi as a Fraction from Machin's formula in integers, good to about ``digits`` digits."""
+    scale = 10 ** (digits + 10)
+
+    def atan_inv(x):
+        total = term = scale // x
+        k, sign = 1, -1
+        while term:
+            term //= x * x
+            total += sign * (term // (2 * k + 1))
+            sign, k = -sign, k + 1
+        return total
+
+    return Fraction(8 * (4 * atan_inv(5) - atan_inv(239)), scale)
+
+
+TWO_PI = _machin_two_pi()
 
 
 def grid_n(n, lo=-8.0, hi=8.0):
@@ -192,15 +213,16 @@ class TestInverse:
 
 
 def gather_reference(f, m):
-    """Fast transform without the (-1)^j fold: FFT, then gather DFT bin sign(b) k mod n."""
+    """Fast transform without the (-1)^j fold: FFT, then gather DFT bin sign(b) k mod n.
+
+    The chirp and output factor are the cached table's, the chirp with its fold undone by
+    exact negation, so the comparison checks the fold and nothing else."""
     n = f.grid.count
-    grid = induced_omega_grid(f.grid, m)
     k = np.arange(n) - n // 2
     bins = ((1 if m.b > 0 else -1) * k) % n
-    chirp = np.exp(1j * m.a * f.grid.points() ** 2 / (2.0 * m.b))
-    omega = k * grid.step
-    out = np.exp(1j * omega * (m.d * omega - 2.0 * f.grid.t_min) / (2.0 * m.b))
-    out = out * (f.grid.step / np.sqrt(2j * np.pi * m.b))
+    _, chirp, out = lct._factors(f.grid, m)
+    chirp = chirp.copy()
+    chirp[1::2] *= -1.0
     x = np.take(np.fft.fft(f.values * chirp), bins)
     # in place into the first operand, as lct_fast does: numpy's complex multiply can
     # round differently when its output is the second operand (a temporary it reuses)
@@ -241,6 +263,18 @@ class TestFactorCache:
             np.testing.assert_array_equal(spec.values, want[name][0])
             np.testing.assert_array_equal(ilct(spec, m, f.grid, method="fast").values, want[name][1])
 
+    @pytest.mark.parametrize("m", MATRICES, ids=MATRIX_IDS)
+    def test_fast_inverse_matches_whole_array_product(self, m):
+        # the fast inverse conjugates the chirp one block at a time: bit for bit the
+        # whole-array product into x (numpy may round differently into a temporary)
+        g = grid_n(4 * lct._FILL)
+        spec = lct_fast(random_signal(g), m)
+        _, chirp, out = lct._factors(g, m)
+        x = spec.values / out
+        (np.fft.ifft if m.b > 0 else np.fft.fft)(x, out=x, norm="backward" if m.b > 0 else "forward")
+        want = np.multiply(x, np.conj(chirp), out=x)
+        np.testing.assert_array_equal(ilct(spec, m, g, method="fast").values, want)
+
     def test_table_is_read_only(self):
         _, chirp, out = lct._factors(grid_n(256), M2111)
         for arr in (chirp, out):
@@ -271,6 +305,97 @@ class TestFactorCache:
             np.testing.assert_array_equal(got, want)
         else:
             assert rel_l2(got, want) <= 1e-15
+
+
+def wrapped_rad(turns):
+    """Exact turn counts as radians in [-pi, pi)."""
+    return np.array([float((x + Fraction(1, 2)) % 1 - Fraction(1, 2)) for x in turns]) * 2 * np.pi
+
+
+def exact_table_phases(t_grid, m, ks):
+    """Phases of the input chirp and output factor at indices ks, from exact rationals.
+
+    The grid points t_min + k step and output points j w (j = k - n//2, w the
+    double omega step) are taken exactly; the chirp carries the (-1)^k fold,
+    the output factor the argument -sign(b) pi/4 of 1/sqrt(2 i pi b).
+    """
+    a, b, d, s, t0 = map(Fraction, (m.a, m.b, m.d, t_grid.step, t_grid.t_min))
+    w = Fraction(induced_omega_grid(t_grid, m).step)
+    chirp, out = [], []
+    for k in map(int, ks):
+        t, om = t0 + k * s, (k - t_grid.count // 2) * w
+        chirp.append(a * t * t / (2 * b) / TWO_PI + Fraction(k, 2))
+        out.append(om * (d * om - 2 * t0) / (2 * b) / TWO_PI - Fraction(1 if b > 0 else -1, 8))
+    return wrapped_rad(chirp), wrapped_rad(out)
+
+
+def phase_error(values, want):
+    return float(np.max(np.abs((np.angle(values) - want + np.pi) % (2 * np.pi) - np.pi)))
+
+
+class TestExactPhases:
+    """Table phases reach 1e11 rad at 2^20; each must still be exact to 1e-14 rad."""
+
+    @pytest.mark.parametrize("e", [17, 20])
+    @pytest.mark.parametrize(
+        "m", [M2111, CanonicalMatrix(0.5, 3, 1, 8), frft(-1.0), fourier()],
+        ids=["haar2111", "large_d", "frft_neg", "fourier"],
+    )
+    def test_against_exact_reference(self, m, e):
+        g = grid_n(2**e)
+        ks = np.unique(np.r_[np.linspace(0, g.count - 1, 257).astype(np.int64), 1, g.count // 2])
+        _, chirp, out = lct._factors(g, m)
+        want_chirp, want_out = exact_table_phases(g, m, ks)
+        assert phase_error(chirp[ks], want_chirp) <= 1e-14
+        assert phase_error(out[ks], want_out) <= 1e-14
+        np.testing.assert_allclose(np.abs(chirp[ks]), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(np.abs(out[ks]), g.step / np.sqrt(2 * np.pi * abs(m.b)),
+                                   rtol=1e-15)
+
+    def test_reduction_exact_at_large_indices(self):
+        # the 64-bit limb products wrap mod 2^64 by design, so indices far past any table
+        # built here (|j| = |k - n/2| up to 2^25, k up to 2^32) stay exact; no grid is built
+        rng = np.random.default_rng(7)
+        quad, lin, const = (Fraction(float(x)) / TWO_PI for x in rng.uniform(-1e3, 1e3, 3))
+        ks = [0, 1, 2**25 - 1, 2**25, 2**25 + 1, 2**26 - 1, 2**31 + 12345, 2**32 - 1]
+        ks += [int(k) for k in rng.integers(0, 2**26, 24)]
+        got = lct._reduction(quad, lin, const)(np.array(ks, dtype=np.uint64)) / 2**20
+        want = [float((k * k * quad + k * lin + const) % 1) for k in ks]
+        err = (got - np.array(want) + 0.5) % 1.0 - 0.5
+        assert np.max(np.abs(err)) <= 1e-15  # turns
+
+
+class TestMemory:
+    @staticmethod
+    def traced_memory(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    def test_cached_round_trip_holds_two_grid_arrays(self):
+        g = grid_n(2**16)
+        f = random_signal(g)
+        ilct(lct_fast(f, M2111), M2111, g, method="fast")  # builds the table
+        _, peak = self.traced_memory(lambda: ilct(lct_fast(f, M2111), M2111, g, method="fast"))
+        # the spectrum, the result and their finiteness masks; the chirp is conjugated one
+        # block at a time, never as a whole copy
+        assert peak <= 2.25 * f.values.nbytes + 16 * lct._FILL
+
+    def test_miss_keeps_two_tables_and_block_temporaries(self):
+        g = grid_n(2**18)
+        one = 16 * g.count
+        lct._factors(g, fresnel(3.0))
+        kept, peak = self.traced_memory(lambda: lct._factors(g, M2111))
+        assert kept <= 2 * one + 2**16
+        # the two tables and three arrays of room that are never written (see _factors)
+        assert peak <= 5 * one + 80 * lct._FILL
+        table = np.empty(g.count, np.complex128)
+        turns = lct._reduction(Fraction(1, 3), Fraction(2, 7), Fraction(5, 11))
+        _, peak = self.traced_memory(lambda: lct._fill(table, turns, 1.0))
+        assert peak <= 80 * lct._FILL  # block temporaries only: a grid array is 4 MiB
 
 
 class TestParseval:

@@ -267,51 +267,52 @@ class TestProjection:
     def test_reproduces_basis_element(self, family):
         ts, grid, fam, _ = family
         el = translate_chirp(fam.phi, 1.0, fam.m)
-        res = project(el, fam, 0, (-6.0, 6.0))
+        res = project(el, fam.phi, fam.ts, fam.m, 0, (-6.0, 6.0))
         assert norm(SampledSignal(grid, res.signal.values - el.values)) <= 1e-6
 
     def test_contraction(self, family):
         _, grid, fam, f = family
         for j in (-2, 0, 1, 3):
-            res = project(f, fam, j, (-6.0 * 2.0**max(j, 0), 6.0 * 2.0**max(j, 0)))
+            half = 6.0 * 2.0**max(j, 0)
+            res = project(f, fam.phi, fam.ts, fam.m, j, (-half, half))
             assert norm(res.signal) <= norm(f) + 1e-6
 
     def test_error_decreases_with_level(self, family):
         _, grid, fam, f = family
         errs = []
         for j in range(0, 7):
-            res = project(f, fam, j, (-6.0 * 2.0**j, 6.0 * 2.0**j))
+            res = project(f, fam.phi, fam.ts, fam.m, j, (-6.0 * 2.0**j, 6.0 * 2.0**j))
             errs.append(norm(SampledSignal(grid, res.signal.values - f.values)))
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_coarse_levels_vanish(self, family):
         _, _, fam, f = family
-        res = project(f, fam, -8, (-6.0, 6.0))
+        res = project(f, fam.phi, fam.ts, fam.m, -8, (-6.0, 6.0))
         assert norm(res.signal) <= 0.05 * norm(f)
 
     def test_idempotent_and_nested(self, family):
         _, grid, fam, f = family
-        p0 = project(f, fam, 0, (-6.0, 6.0)).signal
-        again = project(p0, fam, 0, (-6.0, 6.0)).signal
+        p0 = project(f, fam.phi, fam.ts, fam.m, 0, (-6.0, 6.0)).signal
+        again = project(p0, fam.phi, fam.ts, fam.m, 0, (-6.0, 6.0)).signal
         assert norm(SampledSignal(grid, again.values - p0.values)) <= 1e-3 * norm(f)
-        up = project(p0, fam, 1, (-12.0, 12.0)).signal
+        up = project(p0, fam.phi, fam.ts, fam.m, 1, (-12.0, 12.0)).signal
         assert norm(SampledSignal(grid, up.values - p0.values)) <= 1e-3 * norm(f)
 
     def test_window_warning(self, family):
         _, _, fam, f = family
-        res = project(f, fam, 0, (-1.0, 1.0))
+        res = project(f, fam.phi, fam.ts, fam.m, 0, (-1.0, 1.0))
         assert res.warnings
 
     def test_window_without_translation_refused(self, family):
         _, _, fam, f = family
         for window in [(0.1, 0.2), (5.0, 1.0)]:
             with pytest.raises(ValueError, match="holds no translation"):
-                project(f, fam, 0, window)
+                project(f, fam.phi, fam.ts, fam.m, 0, window)
 
     def test_level_budget(self, family):
         _, _, fam, f = family
         with pytest.raises(ValueError, match="budget"):
-            project(f, fam, 17, (-1.0, 1.0))
+            project(f, fam.phi, fam.ts, fam.m, 17, (-1.0, 1.0))
 
     @pytest.mark.parametrize("m", [M2111, frft(0.3), fresnel(2.0)],
                              ids=["2111", "frft0.3", "fresnel2"])  # a/b = 1/2: exp(i pi lam^2 / 2)
@@ -324,7 +325,7 @@ class TestProjection:
         nf = norm(f)
         window = (-4.0, 4.0)
         for j in (-1, 0, 2):
-            res = project(f, fam, j, window)
+            res = project(f, fam.phi, fam.ts, fam.m, j, window)
             want = np.zeros(grid.count, dtype=np.complex128)
             for lam in omega_enumerate(ts, window):
                 e = SampledSignal(grid, dilate(fam.phi, j, ts.N, lam).values
