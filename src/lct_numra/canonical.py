@@ -2,8 +2,9 @@
 
 A transform is parameterized by a real 2x2 matrix M = (a, b, c, d) with
 det M = a*d - b*c = 1.  Every chirp rate and kernel phase in the rest of
-the library is derived from these four numbers.  The b = 0 branch (pure
-chirp multiplication) is not supported.
+the library is derived from these four numbers; the chirp rate a/b is
+formed, and its convention stated, in ``chirp_rate`` alone.  The b = 0
+branch (pure chirp multiplication) is not supported.
 """
 
 from __future__ import annotations
@@ -149,12 +150,39 @@ def special(name: str, value: float | None = None) -> CanonicalMatrix:
     raise MatrixError(f"unknown special matrix {name!r}")
 
 
+def chirp_rate(m: CanonicalMatrix, num=float):
+    """The chirp rate a/b of m, as num(a) / num(b): the one place it is formed.
+
+    This docstring is the package's one statement of its chirp convention.
+
+    - Atoms: a chirped atom of m is an unchirped h times exp(-i pi (a/b) t^2),
+      and its shift lam carries exp(i pi (a/b) lam^2) (``sampling.chirp_phase``;
+      the Haar lattice phases are those of the shifts 4k).  This is the rate of
+      the normalized kernel of Koc, Ozaktas, Candan & Kutay (IEEE TSP 56(6), 2008).
+    - Transform: ``kernel`` and ``lct`` take omega in radians, with the input
+      chirp exp(i (a/(2b)) t^2); ``lct._factors`` keeps it in turns,
+      (a/b) t^2 / (4 pi), from this rate in exact rationals (num = Fraction).
+    - Bridge: the two chirps differ, so the transform of m leaves an atom of m
+      chirped.  The kernel of m~ = (2 pi a, b, c, d / (2 pi)), also unimodular,
+      cancels the atom's chirp, and with d~ = d / (2 pi)
+
+          L_{m~}[h(t) exp(-i pi (a/b) t^2)](omega)
+              = exp(i d~ omega^2 / (2b)) hat(h)(omega / (2 pi b)) / sqrt(2 i pi b),
+
+      where hat(h)(u) = integral h(t) exp(-2 pi i t u) dt, the transform of ``wavelets``.
+      On a grid of one synthesis period the induced omega grid of ``lct_fast``
+      lands on the hat lattice, u = sign(b) (i - n/2) / SPAN.
+    """
+    return num(m.a) / num(m.b)
+
+
 def kernel(m: CanonicalMatrix, t, omega):
     """Transform kernel K(t, omega) = exp{i(a t^2 - 2 t w + d w^2)/(2b)} / sqrt(2 i pi b).
 
     The square root takes the principal branch (argument in (-pi/2, pi/2]),
     so the Fourier matrix carries the usual factor 1/sqrt(i) = exp(-i pi/4).
-    Accepts scalars or arrays for t and omega (broadcast).
+    Accepts scalars or arrays for t and omega (broadcast).  How its chirp
+    meets the atoms' is stated in ``chirp_rate``.
     """
     if m.b == 0.0:
         raise MatrixError("b = 0 branch out of scope")

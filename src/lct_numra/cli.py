@@ -314,7 +314,7 @@ def _cmd_packets(args) -> int:
         "ok": off <= args.tol,
     }
     write_json(args.report, report)
-    if off > args.tol:
+    if not report["ok"]:
         print(f"verification failed: gram residual {off:.3e}", file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK

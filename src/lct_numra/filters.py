@@ -82,10 +82,10 @@ def omega_enumerate(ts: TranslationSet, window: tuple[float, float]) -> list[flo
     return sorted(lam[(lo <= lam) & (lam < hi)].tolist())
 
 
-def default_u_count(ts: TranslationSet, target: int = 4096) -> int:
-    """Smallest multiple of 4N at or above ``target`` (grid alignment)."""
+def default_u_count(ts: TranslationSet) -> int:
+    """Smallest multiple of 4N at or above 4096 (grid alignment)."""
     block = 4 * ts.N
-    return ((target + block - 1) // block) * block
+    return ((4096 + block - 1) // block) * block
 
 
 #: Largest admissibility residual of a low-pass pair that ``complete_filters``

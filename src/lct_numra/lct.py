@@ -15,11 +15,11 @@ phases, up to 1e11 rad at 2^20 points, are exact to about 1e-15 rad: reduced
 mod 2 pi in rationals and 64-bit integer limbs (Payne & Hanek, SIGNUM
 Newsletter 18(1), 1983) and built in blocks of ``_FILL`` points.
 
-Frequency-domain filter machinery elsewhere in the package works in the
-normalized variable u = omega / (2 pi b) with plain 2pi-convention
-transforms; the bridge to this engine is the kernel prefactor
-1/sqrt(2 i pi b) and the output chirp exp(i d omega^2 / (2b)), which are
-documented here and left out of the filter layer entirely.
+The filter and wavelet layers work in u with the plain 2pi-convention
+transform and leave this engine's factors out.  Their atoms carry a chirp
+that the transform of their own matrix does not cancel; the matrix that
+does, and the transform of an atom it gives (the output chirp times the
+hat at u = omega / (2 pi b)), are stated in ``canonical.chirp_rate``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalMatrix, kernel, require_valid
+from .canonical import CanonicalMatrix, chirp_rate, kernel, require_valid
 from .sampling import Grid, SampledSignal, inner_product
 
 #: Row block size for the quadrature oracle, keeps the kernel matrix small.
@@ -114,8 +114,8 @@ def _factors(t_grid: Grid, m: CanonicalMatrix):
     d too, though only the output factor reads it.  A miss empties the slot first, so a
     class never holds two tables.  A table is two complex arrays of n, so power-of-two
     sizes keep under twice the largest (64 MiB at 2^20): the inputs bound it, no budget.
-    Phases in turns at k, j = k - n//2 (a, b, d, t_min, step s, omega step w exact, 2 pi
-    to 73 digits): chirp a (t_min + k s)^2 / (4 pi b) + k/2, k/2 the (-1)^k fold; out
+    Phases in turns at k, j = k - n//2 (a/b, b, d, t_min, step s, omega step w exact, 2 pi
+    to 73 digits): chirp (a/b) (t_min + k s)^2 / (4 pi) + k/2, k/2 the (-1)^k fold; out
     (j^2 d w^2 / (2b) - j t_min w / b) / (2 pi) - sign(b)/8, -sign(b)/8 the arg of the 1/sqrt.
     """
     size = t_grid.count.bit_length()
@@ -125,8 +125,9 @@ def _factors(t_grid: Grid, m: CanonicalMatrix):
     _TABLES.pop(size, None)
     from fractions import Fraction  # with decimal, 4 ms of import that only a build needs
     grid, h, two_pi = induced_omega_grid(t_grid, m), t_grid.count // 2, Fraction(_TWO_PI)
-    a, b, d, s, t0, w = map(Fraction, (m.a, m.b, m.d, t_grid.step, t_grid.t_min, grid.step))
-    c, q, r = a / (2 * b) / two_pi, d * w * w / (2 * b) / two_pi, t0 * w / b / two_pi
+    b, d, s, t0, w = map(Fraction, (m.b, m.d, t_grid.step, t_grid.t_min, grid.step))
+    c = chirp_rate(m, Fraction) / 2 / two_pi
+    q, r = d * w * w / (2 * b) / two_pi, t0 * w / b / two_pi
     # Three more arrays, allocated first and freed unwritten, leave room below the kept table for a
     # round trip's arrays (result, FFT scratch): there malloc keeps them resident between calls.
     chirp, out = [np.empty(t_grid.count, np.complex128) for _ in range(5)][3:]

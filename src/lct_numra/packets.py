@@ -208,8 +208,8 @@ class PacketBasis:
     its node's kept periodic samples; each dilated (node, level) takes one
     synthesis, from the rows and tails the nodes' engine holds.  The cuts
     fill one read-only (atoms x count) array.  These atoms are
-    unchirped: a chirped atom (``signals``) is one times the time chirp and
-    exp(i pi (a/b) lam^2), so the chirped Gram is D G_0 D^H with D diagonal
+    unchirped: a chirped atom (``signals``) is one times ``chirp_phase(m, t, lam)``
+    (``canonical.chirp_rate``), so the chirped Gram is D G_0 D^H with D diagonal
     and unimodular, and max |G - I| = max |G_0 - I|.  ``certify`` stores
     that deviation, whatever the matrix; analysis and synthesis refuse to
     run unless it is within their tolerance.

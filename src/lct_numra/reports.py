@@ -65,19 +65,19 @@ def _gram_stats(g: np.ndarray) -> dict:
     }
 
 
-def anomalous_n2_report(
-    *, step: float = 2.0**-10, lambda_window: tuple[float, float] = (-4.0, 4.0)
-) -> dict:
+def anomalous_n2_report(*, step: float = 2.0**-10) -> dict:
     """Deterministic cross-check of the N = 2 reference wavelets.
 
     Uses the anomalous matrix (0, 1, 2, -1) in permissive mode (its
     determinant -2 is recorded, not rejected), samples the three
     closed-form reference wavelets, and reports the Gram of their chirped
-    translates together with the cross-Gram against scaling translates.
+    translates by the translations in [-4, 4) together with the
+    cross-Gram against scaling translates.
     No pass/fail judgment is attached to the reference formulas.
     """
     m = CanonicalMatrix(0.0, 1.0, 2.0, -1.0)
     ts = TranslationSet(N=2, r=1)
+    lambda_window = (-4.0, 4.0)
     report_cfg = {
         "matrix": m.to_dict(),
         "translation": ts.to_dict(),

@@ -8,14 +8,15 @@ Translations must land exactly on grid points (no interpolation), which
 keeps indicator-function inner products exact when breakpoints sit on the
 grid.
 
-A chirped basis element is an unchirped one times the time chirp
-exp(-i pi (a/b) t^2) and the constant exp(i pi (a/b) lam^2) of its shift
-(``chirp_phase``).  The time chirp cancels in every product, so a chirped
-Gram is D G_0 D^H with D the diagonal of those constants: ``dilate`` and
-``weighted_gram`` take unchirped samples, and ``chirped_translate_gram``
-builds no translate.  Its shifts are whole cells of g = gcd of their
-offsets, one batched product per cell lag: n_sig^2 |lags| P multiply-adds
-for P = ceil(count/g) g, not a stack's (n_sig |lambdas|)^2 count.
+A chirped basis element is an unchirped one times the time chirp and the
+constant of its shift (``chirp_phase``, in the convention stated by
+``canonical.chirp_rate``).  The time chirp cancels in every product, so a
+chirped Gram is D G_0 D^H with D the diagonal of those constants:
+``dilate`` and ``weighted_gram`` take unchirped samples, and
+``chirped_translate_gram`` builds no translate.  Its shifts are whole
+cells of g = gcd of their offsets, one batched product per cell lag:
+n_sig^2 |lags| P multiply-adds for P = ceil(count/g) g, not a stack's
+(n_sig |lambdas|)^2 count.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalMatrix
+from .canonical import CanonicalMatrix, chirp_rate
 
 #: Relative slack when deciding whether an offset is an exact grid multiple.
 _ALIGN_TOL = 1e-9
@@ -207,14 +208,14 @@ def rel_l2_error(got: SampledSignal, ref: SampledSignal) -> float:
 
 
 def chirp_phase(m: CanonicalMatrix, t, shift: float) -> np.ndarray:
-    """Modulation exp(-i pi (a/b) (t^2 - shift^2)) carried by translated bases.
+    """Modulation exp(-i pi r (t^2 - shift^2)) of translated bases, r = ``chirp_rate(m)``.
 
     An array t takes two arrays: t^2 less shift^2 in place in one real
     array, and its complex multiple, exponentiated in place.
     """
     arg = np.square(np.asarray(t, dtype=float))
     arg -= np.square(shift)
-    arg = -1j * np.pi * (m.a / m.b) * arg
+    arg = -1j * np.pi * chirp_rate(m) * arg
     return np.exp(arg, out=arg) if isinstance(arg, np.ndarray) else np.exp(arg)
 
 
@@ -242,7 +243,7 @@ def _translated(values: np.ndarray, offsets: np.ndarray, t: np.ndarray) -> np.nd
 
 
 def translate_chirp(phi: SampledSignal, lam: float, m: CanonicalMatrix) -> SampledSignal:
-    """Chirped translate t -> phi(t - lam) * exp(-i pi (a/b)(t^2 - lam^2)).
+    """Chirped translate t -> phi(t - lam) * chirp_phase(m, t, lam) (``canonical.chirp_rate``).
 
     ``lam`` must be an exact multiple of the grid step; this is rejected
     otherwise rather than silently interpolated.

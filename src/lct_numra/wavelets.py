@@ -343,7 +343,6 @@ class CascadeResult:
     signal: SampledSignal
     hat: HatFunction
     tail_deviation: float
-    factors: int
 
     @property
     def engine(self) -> HatEngine:
@@ -396,7 +395,7 @@ def cascade(
     hat = HatFunction(engine)
     engine.lattice([hat], keep=True)
     signal = hat_to_signal(hat, grid, oversample=oversample)
-    return CascadeResult(signal=signal, hat=hat, tail_deviation=deviation, factors=J)
+    return CascadeResult(signal=signal, hat=hat, tail_deviation=deviation)
 
 
 def wavelet_from_filters(
@@ -444,33 +443,24 @@ def haar_scaling(ts: TranslationSet, grid: Grid | None = None) -> SampledSignal:
 def _haar_lattice_coeffs(
     ts: TranslationSet, m: CanonicalMatrix, permissive: bool = False
 ) -> np.ndarray:
-    """Unimodular phases exp(i pi a (4k)^2 / b) attached to the 4k translates."""
+    """Unimodular phases ``chirp_phase(m, 0, 4k)`` of the 4k translates."""
     require_valid(m, allow_nonunimodular=permissive)
-    k = np.arange(ts.N)
-    return np.exp(1j * np.pi * m.a * (4.0 * k) ** 2 / m.b)
+    return chirp_phase(m, 0.0, 4.0 * np.arange(ts.N))
 
 
 def haar_filters(
-    ts: TranslationSet,
-    m: CanonicalMatrix,
-    count: int | None = None,
-    *,
-    permissive: bool = False,
+    ts: TranslationSet, m: CanonicalMatrix, *, permissive: bool = False
 ) -> PeriodicFilterPair:
     """Low-pass pair of the Haar-type family: filter 0 of ``haar_filter_bank``.
 
     Both components equal (1/2N) sum_k c_k exp(-8 pi i u k) with the
     unimodular lattice phases c_k; sampled exactly from the closed form.
     """
-    return haar_filter_bank(ts, m, count, permissive=permissive)[0]
+    return haar_filter_bank(ts, m, permissive=permissive)[0]
 
 
 def haar_filter_bank(
-    ts: TranslationSet,
-    m: CanonicalMatrix,
-    count: int | None = None,
-    *,
-    permissive: bool = False,
+    ts: TranslationSet, m: CanonicalMatrix, *, permissive: bool = False
 ) -> list[PeriodicFilterPair]:
     """Closed-form orthonormal bank of 2N filters extending the Haar low-pass.
 
@@ -485,7 +475,7 @@ def haar_filter_bank(
     exact, so it evaluates the closed form at any u.
     """
     coeffs = _haar_lattice_coeffs(ts, m, permissive)
-    count = default_u_count(ts) if count is None else count
+    count = default_u_count(ts)
     grid = Grid(t_min=0.0, step=0.5 / count, count=count)
     u = grid.points()
     basis = [np.exp(-8j * np.pi * u * k) for k in range(ts.N)]
@@ -566,10 +556,11 @@ def project(
 
     P_j f = sum_lambda <f, e_{j,lambda}> e_{j,lambda} over the translations
     of ``ts`` in the window, e_{j,lambda} = ``dilate(phi, j, N, lambda)`` times
-    ``chirp_phase(m, t, lambda)``: f is demodulated once and the sum over
-    the unchirped translates modulated once.  A warning is attached when
-    boundary coefficients are non-negligible (the window would truncate
-    the projection).  A window that holds no translation is refused.
+    ``chirp_phase(m, t, lambda)`` (``canonical.chirp_rate``): f is demodulated
+    once and the sum over the unchirped translates modulated once.  A
+    warning is attached when boundary coefficients are non-negligible (the
+    window would truncate the projection).  A window that holds no
+    translation is refused.
     """
     lambdas = omega_enumerate(ts, lambda_window)
     if not lambdas:
@@ -635,10 +626,8 @@ def n2_reference_wavelets(grid: Grid) -> list[SampledSignal]:
     return [psi1, psi2, psi3]
 
 
-def l2_distance_off_jumps(
-    a: SampledSignal, b: SampledSignal, jumps, pad: int = 1
-) -> float:
-    """L2 distance with grid cells within ``pad`` steps of a jump excluded.
+def l2_distance_off_jumps(a: SampledSignal, b: SampledSignal, jumps) -> float:
+    """L2 distance with grid cells within one step of a jump excluded.
 
     Sampled comparisons against discontinuous references are dominated by
     the sample sitting exactly on each jump (the band-limited
@@ -651,6 +640,6 @@ def l2_distance_off_jumps(
     t = a.grid.points()
     keep = np.ones(a.grid.count, dtype=bool)
     for x in jumps:
-        keep &= np.abs(t - x) > (pad + 0.5) * a.grid.step
+        keep &= np.abs(t - x) > 1.5 * a.grid.step
     diff = np.abs(a.values - b.values) ** 2
     return float(np.sqrt(np.sum(diff[keep]) * a.grid.step))

@@ -171,6 +171,24 @@ class TestThreadCap:
         state = json.loads(proc.stdout)
         assert state == {"before": False, "code": 0, "openblas": "3", "after": True}
 
+    def test_no_module_imports_fractions_or_decimal(self):
+        # together 4 ms of start-up; only an LCT table build imports fractions, when it runs
+        child = (
+            "import importlib, json, pkgutil, sys\n"
+            "import lct_numra\n"
+            "names = [m.name for m in pkgutil.iter_modules(lct_numra.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('lct_numra.' + name)\n"
+            "print(json.dumps({'modules': len(names),\n"
+            "                  'loaded': [m for m in ('fractions', 'decimal') if m in sys.modules]}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(lct_numra.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, check=True)
+        state = json.loads(proc.stdout)
+        assert state["modules"] >= 9
+        assert state["loaded"] == []
+
 
 def read_strict_json(path):
     """A report parsed as strict JSON: the tokens NaN and Infinity raise."""
@@ -460,6 +478,20 @@ class TestPacketsCommand:
             "--out-dir", str(tmp_path / "pk"),
         ]) == 2
         assert "tail deviation" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_gram_overflow_exits_two(self, tmp_path, capsys):
+        # samples of 1e200 overflow the Gram: its residual is NaN, the report says not ok
+        nodes = tmp_path / "pk"
+        values = np.where(np.arange(256) % 2, 1e200, -1e200)
+        write_signal_csv(nodes / "packet_0.csv", SampledSignal(Grid(-2.0, 2.0**-6, 256), values))
+        report = tmp_path / "gram.json"
+        assert main(["packets", "gram", "--nodes", str(nodes), "--window=-1,1",
+                     "--matrix", "0,1,-1,0", "--N", "1", "--report", str(report)]) == 2
+        payload = read_strict_json(report)
+        assert payload["max_off_identity"] is None
+        assert payload["ok"] is False
+        assert "verification failed" in capsys.readouterr().err
 
 
 class TestWindowRefused:

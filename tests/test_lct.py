@@ -5,11 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lct_numra import lct
-from lct_numra.canonical import CanonicalMatrix, MatrixError, fourier, fresnel, frft, kernel
+from lct_numra.canonical import (
+    CanonicalMatrix,
+    MatrixError,
+    compose,
+    fourier,
+    fresnel,
+    frft,
+    kernel,
+)
+from lct_numra.filters import TranslationSet
 from lct_numra.lct import (
     LctSpectrum,
     ilct,
@@ -19,7 +28,17 @@ from lct_numra.lct import (
     parseval_residual,
     spectrum_inner,
 )
-from lct_numra.sampling import Grid, SampledSignal, gaussian, indicator, inner_product
+from lct_numra.packets import generate_packets
+from lct_numra.sampling import (
+    Grid,
+    SampledSignal,
+    chirp_phase,
+    gaussian,
+    indicator,
+    inner_product,
+    numra_grid,
+)
+from lct_numra.wavelets import haar_filter_bank
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 MATRICES = [fourier(), fresnel(1.0), M2111, frft(-1.0)]
@@ -396,6 +415,116 @@ class TestMemory:
         turns = lct._reduction(Fraction(1, 3), Fraction(2, 7), Fraction(5, 11))
         _, peak = self.traced_memory(lambda: lct._fill(table, turns, 1.0))
         assert peak <= 80 * lct._FILL  # block temporaries only: a grid array is 4 MiB
+
+
+def kernel_phase_bound(m, t_grid, omega_grid):
+    """Largest |a t^2| + |2 t omega| + |d omega^2| over 2|b| on the two grids' spans."""
+    t = max(abs(t_grid.t_min), abs(t_grid.t_max))
+    w = max(abs(omega_grid.t_min), abs(omega_grid.t_max))
+    return (abs(m.a) * t * t + 2 * t * w + abs(m.d) * w * w) / (2 * abs(m.b))
+
+
+@st.composite
+def unimodular(draw):
+    """(a, b, c, (1 + bc)/a) with 0.5 <= |a| <= 1.5, 0.3 <= |b| <= 1 and |c| <= 0.5."""
+    sign = st.sampled_from([-1.0, 1.0])
+    a = draw(st.floats(0.5, 1.5)) * draw(sign)
+    b = draw(st.floats(0.3, 1.0)) * draw(sign)
+    c = draw(st.floats(-0.5, 0.5))
+    return CanonicalMatrix(a, b, c, (1.0 + b * c) / a)
+
+
+class TestComposition:
+    """L_{M1}(L_{M2} f) = +-L_{M1 M2} f, each transform by quadrature (``lct_direct``).
+
+    f = exp(-pi t^2 + i g t^2) on 512 points of [-6, 6).  Its M2 transform is a
+    chirped Gaussian, |F(w)| ~ exp(-alpha w^2) with alpha = pi / (4 b2^2 (pi^2 + k^2)),
+    k = g + a2/(2 b2), and quadratic phase rho w^2 once M1's input chirp is added,
+    rho = d2/(2 b2) - alpha k / pi + a1/(2 b1).  The 600-point intermediate grid spans
+    |w| <= sqrt(40 / alpha), where |F| is below e^-40 of its peak.  The trapezoid rule
+    on it (step h) aliases the M1 integrand by exp(-E), E = alpha (2 pi/h - X/|b1|)^2 /
+    (4 (alpha^2 + rho^2)) at outputs |x| <= X = 4; draws with E < 37 are set aside.
+    The first transform's and the direct side's aliasing exponents exceed 1000 on these
+    ranges, so rounding is left: ``kernel`` rounds each phase to half an ulp of the
+    largest, Phi, so the bound is 2^-53 Phi (Phi about 300-1000 here).  Over 295 draws
+    the errors were 8e-16 to 1.2e-14, at most 0.19 of the bound: the roundings have
+    random signs.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(m1=unimodular(), m2=unimodular(), g=st.floats(-1.0, 1.0))
+    def test_composition_law(self, m1, m2, g):
+        m12 = compose(m1, m2)
+        assume(abs(m12.b) >= 0.3)
+        k = g + m2.a / (2 * m2.b)
+        alpha = np.pi / (4 * m2.b**2 * (np.pi**2 + k**2))
+        rho = m2.d / (2 * m2.b) - alpha * k / np.pi + m1.a / (2 * m1.b)
+        span = np.sqrt(40.0 / alpha)
+        t_grid = Grid(-6.0, 12 / 512, 512)
+        w_grid = Grid(-span, 2 * span / 600, 600)
+        x_grid = Grid(-4.0, 8 / 300, 300)
+        reach = 2 * np.pi / w_grid.step - 4.0 / abs(m1.b)
+        assume(alpha * reach**2 / (4 * (alpha**2 + rho**2)) >= 37.0)  # E >= 37
+        t = t_grid.points()
+        f = SampledSignal(t_grid, np.exp(-np.pi * t**2 + 1j * g * t**2))
+        mid = lct_direct(f, m2, w_grid)
+        lhs = lct_direct(SampledSignal(w_grid, mid.values), m1, x_grid).values
+        rhs = lct_direct(f, m12, x_grid).values
+        err = min(np.max(np.abs(lhs - s * rhs)) for s in (1.0, -1.0)) / np.max(np.abs(rhs))
+        phi = max(kernel_phase_bound(m2, t_grid, w_grid), kernel_phase_bound(m1, w_grid, x_grid),
+                  kernel_phase_bound(m12, t_grid, x_grid))
+        assert err <= 2.0**-53 * phi
+
+
+@pytest.fixture(scope="module")
+def haar_packets():
+    """Packets 0..3 of the N = 2 Haar bank of (2,1,1,1) on one synthesis period, oversample 1."""
+    ts = TranslationSet(2, 1)
+    grid = numra_grid(ts, (-8.0, 8.0), refinement=64)  # 4096 samples of step 1/256
+    return generate_packets(3, haar_filter_bank(ts, M2111), grid=grid, oversample=1)
+
+
+ATOM_MATRICES = [M2111, frft(0.3), fresnel(2.0), frft(-0.7)]
+ATOM_IDS = ["haar2111", "frft0.3", "fresnel2", "frft-0.7"]
+
+
+def atom_spectrum(node, m, transform):
+    """``lct_fast`` by ``transform`` of the packet chirped by m, and the bridge of ``chirp_rate``.
+
+    The bridge is exp(i d~ w^2 / 2b) hat(w / 2 pi b) / sqrt(2 i pi b), d~ = d / 2 pi, with
+    the hat from the packets' engine: w_i / (2 pi b) = sign(b) (i - n/2) / SPAN is lattice
+    point sign(b) (i - n/2) + n/2, taken mod n (a period of the sampled transform).
+    """
+    grid = node.signal.grid
+    hat = node.hat.engine.lattice([node.hat])[0]
+    atom = SampledSignal(grid, node.signal.values * chirp_phase(m, grid.points(), 0.0))
+    spec = lct_fast(atom, transform)
+    omega = spec.grid.points()
+    k = np.arange(grid.count) - grid.count // 2
+    idx = ((k if m.b > 0 else -k) + grid.count // 2) % grid.count
+    d_tilde = m.d / (2 * np.pi)
+    want = np.exp(1j * d_tilde * omega**2 / (2 * m.b)) * hat[idx] / np.sqrt(2j * np.pi * m.b)
+    return spec.values, want
+
+
+class TestChirpedAtom:
+    """The LCT of a chirped packet is the output chirp times the packet's hat."""
+
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("m", ATOM_MATRICES, ids=ATOM_IDS)
+    def test_bridge_matrix_gives_hat(self, haar_packets, m, n):
+        # m~ = (2 pi a, b, c, d / 2 pi) cancels the atom's chirp (see canonical.chirp_rate).
+        # The reference's output-chirp phase reaches 1.0e5 rad (fresnel(2.0), |w| up to
+        # 256 pi |b|), where it rounds by up to 7.3e-12 rad; measured <= 9.8e-13.
+        got, want = atom_spectrum(haar_packets[n], m,
+                                  CanonicalMatrix(2 * np.pi * m.a, m.b, m.c, m.d / (2 * np.pi)))
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m", ATOM_MATRICES, ids=ATOM_IDS)
+    def test_own_matrix_leaves_a_chirp(self, haar_packets, m):
+        # the kernel of m has input chirp a/(2b), not pi a/b: its moduli miss (0.56-0.81 here)
+        got, want = atom_spectrum(haar_packets[0], m, m)
+        assert np.max(np.abs(np.abs(got) - np.abs(want))) >= 0.1 * np.max(np.abs(want))
 
 
 class TestParseval:
