@@ -4,11 +4,15 @@ Exit codes: 0 success, 1 usage or I/O error, 2 verification failure (a
 residual above its tolerance; the report is still written).  Outputs are
 deterministic for a fixed configuration and written atomically.
 
-The environment variable LCT_NUMRA_THREADS caps internal (BLAS/FFT)
-parallelism; 0 or unset means automatic.  It must take effect before
-numpy is imported, so this module and the package ``__init__`` import
-nothing numerical: ``main`` applies the cap first and each command then
-imports what it uses.
+The environment variable LCT_NUMRA_THREADS caps internal parallelism.
+The library reads it on every transform of ``lct._SPLIT`` points or more,
+in the CLI or not: 1 starts no thread, 0 or unset means min(2, CPUs this
+process may run on), and the output bits are the same for every cap.  A
+positive cap is also the default of OMP_NUM_THREADS, OPENBLAS_NUM_THREADS
+and MKL_NUM_THREADS, which govern the BLAS pools only (not the LCT
+threads).  Those must be set before numpy is imported, so this module and
+the package ``__init__`` import nothing numerical: ``main`` applies the cap
+first and each command then imports what it uses.
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lct_numra
-from lct_numra.canonical import CanonicalMatrix, fourier
+from lct_numra.canonical import CanonicalMatrix, fourier, fresnel
 from lct_numra.cli import main
 from lct_numra.filters import PeriodicFilterPair, TranslationSet, filter_eval
 from lct_numra.io import (
@@ -25,7 +26,7 @@ from lct_numra.io import (
 from lct_numra.lct import LctSpectrum, ilct, lct_fast
 from lct_numra.reports import bank_report, lowpass_report
 from lct_numra.sampling import Grid, SampledSignal, gaussian, numra_grid, rel_l2_error
-from lct_numra import wavelets
+from lct_numra import lct, wavelets
 from lct_numra.wavelets import (
     cascade,
     haar_family,
@@ -170,6 +171,61 @@ class TestThreadCap:
                               text=True, check=True)
         state = json.loads(proc.stdout)
         assert state == {"before": False, "code": 0, "openblas": "3", "after": True}
+
+    def test_library_reads_the_cap(self, monkeypatch):
+        # 0 or unset: two threads where two CPUs are usable; the BLAS variables play no part
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")
+        usable = min(2, len(os.sched_getaffinity(0)))
+        for cap, want in [(None, usable), ("0", usable), ("1", 1), ("2", 2), ("8", 2)]:
+            if cap is None:
+                monkeypatch.delenv("LCT_NUMRA_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("LCT_NUMRA_THREADS", cap)
+            assert lct._threads(lct._SPLIT) == want
+            assert lct._threads(lct._SPLIT - 1) == 1
+        monkeypatch.setenv("LCT_NUMRA_THREADS", "0")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert lct._threads(lct._SPLIT) == 1
+
+    def test_cap_one_starts_no_thread(self, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        g = Grid(-8.0, 16.0 / lct._SPLIT, lct._SPLIT)
+        f = gaussian(g)
+        monkeypatch.setenv("LCT_NUMRA_THREADS", "2")
+        lct_fast(f, fresnel(0.25))
+        assert started  # the patched class does see the split path's threads
+        started.clear()
+        monkeypatch.setenv("LCT_NUMRA_THREADS", "1")
+        ilct(lct_fast(f, fresnel(0.375)), fresnel(0.375), g, method="fast")  # a table build too
+        assert started == []
+
+    def test_lct_fwd_csv_same_bytes_for_every_cap(self, tmp_path, monkeypatch):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")  # main sets them from the cap; keep them test-local
+        rng = np.random.default_rng(17)
+        g = Grid(-8.0, 16.0 / 2**17, 2**17)
+        fpath = tmp_path / "f.csv"
+        write_signal_csv(fpath, SampledSignal(g, rng.normal(size=g.count) + 1j * rng.normal(size=g.count)))
+        outputs = []
+        for cap in (None, "1"):
+            if cap is None:
+                monkeypatch.delenv("LCT_NUMRA_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("LCT_NUMRA_THREADS", cap)
+            spec = tmp_path / f"F{cap}.csv"
+            assert main(["lct", "fwd", "--matrix", "2,1,1,1", "--method", "fast",
+                         "--in", str(fpath), "--out", str(spec)]) == 0
+            outputs.append(spec.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_no_module_imports_fractions_or_decimal(self):
         # together 4 ms of start-up; only an LCT table build imports fractions, when it runs

@@ -1,3 +1,6 @@
+import os
+import signal
+import threading
 import time
 import tracemalloc
 import weakref
@@ -326,6 +329,84 @@ class TestFactorCache:
             assert rel_l2(got, want) <= 1e-15
 
 
+def one_fft(values, m, t_grid, inverse=False):
+    """lct_fast (or the fast ilct) by the whole-array formulas: one FFT, no radix-2 step."""
+    _, chirp, out = lct._factors(t_grid, m)
+    norm = "backward" if m.b > 0 else "forward"
+    transform = np.fft.fft if (m.b > 0) != inverse else np.fft.ifft
+    x = values / out if inverse else values * chirp
+    transform(x, out=x, norm=norm)
+    return np.multiply(x, np.conj(chirp) if inverse else out, out=x)
+
+
+class TestSplit:
+    """From ``_SPLIT`` points on, a transform takes one radix-2 step on two threads."""
+
+    @pytest.mark.parametrize("e", [17, 18])
+    @pytest.mark.parametrize("m", MATRICES, ids=MATRIX_IDS)
+    def test_matches_one_fft_for_every_cap(self, m, e, monkeypatch):
+        monkeypatch.delenv("LCT_NUMRA_THREADS", raising=False)
+        f = random_signal(grid_n(2**e))
+        spec = lct_fast(f, m)
+        back = ilct(spec, m, f.grid, method="fast")
+        assert rel_l2(spec.values, one_fft(f.values, m, f.grid)) <= 1e-15
+        assert rel_l2(back.values, one_fft(spec.values, m, f.grid, inverse=True)) <= 1e-15
+        # each point's arithmetic is the same on one thread as on two
+        monkeypatch.setenv("LCT_NUMRA_THREADS", "1")
+        np.testing.assert_array_equal(lct_fast(f, m).values, spec.values)
+        np.testing.assert_array_equal(ilct(spec, m, f.grid, method="fast").values, back.values)
+
+    @pytest.mark.parametrize("n", [139264, 196608], ids=["short_last_block", "ac10_count"])
+    @pytest.mark.parametrize("m", [M2111, frft(-1.0)], ids=["haar2111", "frft_neg"])
+    def test_inverse_on_even_counts_off_powers_of_two(self, m, n):
+        # the fast inverse takes any even count; half of 139264 leaves a last block of 4096
+        g = grid_n(n)
+        rng = np.random.default_rng(3)
+        spec = LctSpectrum(induced_omega_grid(g, m), rng.normal(size=n) + 1j * rng.normal(size=n))
+        want = one_fft(spec.values, m, g, inverse=True)
+        assert rel_l2(ilct(spec, m, g, method="fast").values, want) <= 1e-15
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_finishes_a_round_trip(self, monkeypatch):
+        # a thread per call, not a pool: a forked child has no copy of a pool's worker
+        monkeypatch.setenv("LCT_NUMRA_THREADS", "2")
+        f = random_signal(grid_n(lct._SPLIT))
+        ilct(lct_fast(f, M2111), M2111, f.grid, method="fast")
+        pid = os.fork()
+        if pid == 0:  # the child never returns into pytest
+            code = 1
+            try:
+                back = ilct(lct_fast(f, M2111), M2111, f.grid, method="fast")
+                code = 0 if rel_l2(back.values, f.values) <= 1e-12 else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child did not finish a 2^17 round trip in 60 s")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_error_of_either_half_reaches_the_caller(self, where, monkeypatch):
+        monkeypatch.setenv("LCT_NUMRA_THREADS", "2")
+        fft = np.fft.fft
+
+        def failing(x, **kw):
+            in_worker = threading.current_thread() is not threading.main_thread()
+            if in_worker == (where == "worker"):
+                raise FloatingPointError(f"{where} half")
+            return fft(x, **kw)
+
+        monkeypatch.setattr(np.fft, "fft", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"{where} half"):
+            lct_fast(random_signal(grid_n(lct._SPLIT)), M2111)
+        assert threading.active_count() == before
+
+
 def wrapped_rad(turns):
     """Exact turn counts as radians in [-pi, pi)."""
     return np.array([float((x + Fraction(1, 2)) % 1 - Fraction(1, 2)) for x in turns]) * 2 * np.pi
@@ -401,6 +482,14 @@ class TestMemory:
         _, peak = self.traced_memory(lambda: ilct(lct_fast(f, M2111), M2111, g, method="fast"))
         # the spectrum, the result and their finiteness masks; the chirp is conjugated one
         # block at a time, never as a whole copy
+        assert peak <= 2.25 * f.values.nbytes + 16 * lct._FILL
+
+    def test_cached_split_round_trip_holds_two_grid_arrays(self):
+        # the radix-2 path: the halves transform in the result, the butterflies in blocks
+        g = grid_n(2**18)
+        f = random_signal(g)
+        ilct(lct_fast(f, M2111), M2111, g, method="fast")
+        _, peak = self.traced_memory(lambda: ilct(lct_fast(f, M2111), M2111, g, method="fast"))
         assert peak <= 2.25 * f.values.nbytes + 16 * lct._FILL
 
     def test_miss_keeps_two_tables_and_block_temporaries(self):
