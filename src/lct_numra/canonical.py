@@ -3,8 +3,10 @@
 A transform is parameterized by a real 2x2 matrix M = (a, b, c, d) with
 det M = a*d - b*c = 1.  Every chirp rate and kernel phase in the rest of
 the library is derived from these four numbers; the chirp rate a/b is
-formed, and its convention stated, in ``chirp_rate`` alone.  The b = 0
-branch (pure chirp multiplication) is not supported.
+formed, and its convention stated, in ``chirp_rate`` alone.  The transform
+of M has the normalized kernel of ``kernel`` and takes an atom chirped by M
+to its output chirp times its hat at u / b.  The b = 0 branch (pure chirp
+multiplication) is not supported.
 """
 
 from __future__ import annotations
@@ -153,41 +155,34 @@ def special(name: str, value: float | None = None) -> CanonicalMatrix:
 def chirp_rate(m: CanonicalMatrix, num=float):
     """The chirp rate a/b of m, as num(a) / num(b): the one place it is formed.
 
-    This docstring is the package's one statement of its chirp convention.
+    This docstring is the package's one statement of its chirp convention.  The
+    kernel of m is the normalized one of Koc, Ozaktas, Candan & Kutay (IEEE TSP 56(6),
+    2008), exp{i pi (a t^2 - 2 t u + d u^2) / b} / sqrt(i b) (``kernel``).  A chirped
+    atom of m is an unchirped h times exp(-i pi (a/b) t^2), and its shift lam carries
+    exp(i pi (a/b) lam^2) (``sampling.chirp_phase``; the Haar lattice phases are those
+    of the shifts 4k).  The kernel's input chirp cancels the atom's, so for every m
 
-    - Atoms: a chirped atom of m is an unchirped h times exp(-i pi (a/b) t^2),
-      and its shift lam carries exp(i pi (a/b) lam^2) (``sampling.chirp_phase``;
-      the Haar lattice phases are those of the shifts 4k).  This is the rate of
-      the normalized kernel of Koc, Ozaktas, Candan & Kutay (IEEE TSP 56(6), 2008).
-    - Transform: ``kernel`` and ``lct`` take omega in radians, with the input
-      chirp exp(i (a/(2b)) t^2); ``lct._factors`` keeps it in turns,
-      (a/b) t^2 / (4 pi), from this rate in exact rationals (num = Fraction).
-    - Bridge: the two chirps differ, so the transform of m leaves an atom of m
-      chirped.  The kernel of m~ = (2 pi a, b, c, d / (2 pi)), also unimodular,
-      cancels the atom's chirp, and with d~ = d / (2 pi)
+        L_m[h(t) exp(-i pi (a/b) t^2)](u) = exp(i pi (d/b) u^2) hat(h)(u / b) / sqrt(i b),
 
-          L_{m~}[h(t) exp(-i pi (a/b) t^2)](omega)
-              = exp(i d~ omega^2 / (2b)) hat(h)(omega / (2 pi b)) / sqrt(2 i pi b),
-
-      where hat(h)(u) = integral h(t) exp(-2 pi i t u) dt, the transform of ``wavelets``.
-      On a grid of one synthesis period the induced omega grid of ``lct_fast``
-      lands on the hat lattice, u = sign(b) (i - n/2) / SPAN.
+    where hat(h)(v) = integral h(t) exp(-2 pi i t v) dt, the transform of ``wavelets``.
+    On a grid of one synthesis period the induced grid of ``lct_fast`` lands on the
+    hat lattice, u / b = sign(b) (i - n/2) / SPAN.  ``lct._factors`` keeps the input
+    chirp in turns, (a/b) t^2 / 2, from this rate in exact rationals (num = Fraction).
     """
     return num(m.a) / num(m.b)
 
 
-def kernel(m: CanonicalMatrix, t, omega):
-    """Transform kernel K(t, omega) = exp{i(a t^2 - 2 t w + d w^2)/(2b)} / sqrt(2 i pi b).
+def kernel(m: CanonicalMatrix, t, u):
+    """Normalized transform kernel K(t, u) = exp{i pi (a t^2 - 2 t u + d u^2) / b} / sqrt(i b).
 
     The square root takes the principal branch (argument in (-pi/2, pi/2]),
     so the Fourier matrix carries the usual factor 1/sqrt(i) = exp(-i pi/4).
-    Accepts scalars or arrays for t and omega (broadcast).  How its chirp
-    meets the atoms' is stated in ``chirp_rate``.
+    Accepts scalars or arrays for t and u (broadcast).  How its chirp meets
+    the atoms' is stated in ``chirp_rate``.
     """
     if m.b == 0.0:
         raise MatrixError("b = 0 branch out of scope")
     t = np.asarray(t, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    phase = (m.a * t**2 - 2.0 * t * omega + m.d * omega**2) / (2.0 * m.b)
-    amp = 1.0 / np.sqrt(2j * np.pi * m.b)
-    return amp * np.exp(1j * phase)
+    u = np.asarray(u, dtype=float)
+    phase = np.pi * (m.a * t**2 - 2.0 * t * u + m.d * u**2) / m.b
+    return np.exp(1j * phase) / np.sqrt(1j * m.b)

@@ -98,7 +98,8 @@ def build_parser() -> _Parser:
     p.add_argument("--allow-nonunimodular", action="store_true")
     p.add_argument("--report", default=None)
 
-    p = sub.add_parser("lct", help="forward/inverse transform of a signal file")
+    p = sub.add_parser("lct", help="forward/inverse LCT of a signal file, kernel "
+                       "exp{i pi (a t^2 - 2 t u + d u^2) / b} / sqrt(i b); spectra are in u")
     p.add_argument("direction", choices=["fwd", "inv"])
     p.add_argument("--matrix", required=True)
     p.add_argument("--method", choices=["direct", "fast"], default=None,

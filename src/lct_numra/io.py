@@ -121,13 +121,13 @@ def read_signal_csv(path: str | Path) -> SampledSignal:
 
 
 def write_spectrum_csv(path: str | Path, spectrum: LctSpectrum) -> None:
-    """Spectrum CSV; the sidecar records the source time grid when it is known."""
+    """Spectrum CSV, columns (u, re, im); the sidecar records the source time grid when known."""
     extra = {} if spectrum.t_grid is None else {"t_grid": spectrum.t_grid.to_dict()}
-    _write_sampled(path, "omega", spectrum.grid, spectrum.values, **extra)
+    _write_sampled(path, "u", spectrum.grid, spectrum.values, **extra)
 
 
 def read_spectrum_csv(path: str | Path) -> LctSpectrum:
-    grid, values, meta = _read_sampled(path, "omega")
+    grid, values, meta = _read_sampled(path, "u")
     t_grid = Grid.from_dict(meta["t_grid"]) if "t_grid" in meta else None
     return LctSpectrum(grid, values, t_grid)
 

@@ -1,19 +1,20 @@
 """Forward and inverse linear canonical transforms on sampled signals.
 
-Two paths are provided.  ``lct_direct`` is the O(n_t * n_omega) quadrature
-oracle: it integrates f against the kernel row by row and accepts any
-output grid.  ``lct_fast`` is the chirp * FFT * chirp factorisation of
-Koc, Ozaktas, Candan & Kutay (IEEE TSP 56(6), 2008), O(n log n) on the
-induced grid omega_i = 2 pi |b| (i - n/2) / (n * step), i = 0 .. n - 1:
-DFT bin sign(b) (i - n/2) mod n.  A factor (-1)^j in the input chirp moves
-the DFT by n/2, so b > 0 takes an FFT and b < 0 an unscaled inverse FFT
-(norm="forward"), in place and in grid order.  The fast inverse undoes
-the same factors with the mirror FFT: the exact discrete inverse for
-either sign of b, on even counts.  Tables cost more than the FFT, so
-``_factors`` keeps them, as FFTW keeps plans (Frigo & Johnson, 2005).  Their
-phases, up to 1e11 rad at 2^20 points, are exact to about 1e-15 rad: reduced
-mod 2 pi in rationals and 64-bit integer limbs (Payne & Hanek, SIGNUM
-Newsletter 18(1), 1983) and built in blocks of ``_FILL`` points.
+Both take the normalized kernel of ``canonical.kernel``.  ``lct_direct`` is
+the O(n_t * n_u) quadrature oracle: it integrates f against the kernel row
+by row and accepts any output grid.  ``lct_fast`` is the chirp * FFT * chirp
+factorisation of Koc, Ozaktas, Candan & Kutay (IEEE TSP 56(6), 2008),
+O(n log n) on the induced grid u_i = |b| (i - n/2) / (n * step),
+i = 0 .. n - 1: DFT bin sign(b) (i - n/2) mod n.  A factor (-1)^j in the
+input chirp moves the DFT by n/2, so b > 0 takes an FFT and b < 0 an
+unscaled inverse FFT (norm="forward"), in place and in grid order.  The
+fast inverse undoes the same factors with the mirror FFT: the exact
+discrete inverse for either sign of b, on even counts.  Tables cost more
+than the FFT, so ``_factors`` keeps them, as FFTW keeps plans (Frigo &
+Johnson, 2005).  Their phases, up to 8e10 rad at 2^20 points, are exact to
+about 1e-15 rad: reduced mod 2 pi in rationals and 64-bit integer limbs
+(Payne & Hanek, SIGNUM Newsletter 18(1), 1983) and built in blocks of
+``_FILL / 2`` points.
 
 From ``_SPLIT`` points on, each transform takes one radix-2 decimation-in-time
 step (Cooley & Tukey, Math. Comp. 19, 1965): the input multiply writes even
@@ -25,11 +26,10 @@ environment variable LCT_NUMRA_THREADS caps them: 1 starts no thread, 0 or
 unset means min(2, CPUs this process may run on).  The bits do not depend on
 the cap; the BLAS variables (OMP/OPENBLAS/MKL_NUM_THREADS) do not govern it.
 
-The filter and wavelet layers work in u with the plain 2pi-convention
-transform and leave this engine's factors out.  Their atoms carry a chirp
-that the transform of their own matrix does not cancel; the matrix that
-does, and the transform of an atom it gives (the output chirp times the
-hat at u = omega / (2 pi b)), are stated in ``canonical.chirp_rate``.
+The filter and wavelet layers work with the plain hat transform and leave
+this engine's factors out.  The transform of m cancels the chirp of an atom
+of m and leaves the output chirp times the atom's hat at u / b, as stated
+in ``canonical.chirp_rate``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .sampling import Grid, SampledSignal, inner_product
 _BLOCK = 512
 _TABLES: dict[int, tuple] = {}  # size class -> ((t_grid, m), factor table), see _factors
 _FILL = 1 << 14  # points per block of a table build or conjugate: temporaries stay in cache
-_TWO_PI = "6.283185307179586476925286766559005768394338798750211641949889184615632812"  # 73 digits
 _SPLIT = 1 << 17  # counts from which a transform takes the radix-2 step (at 2^16 it gains nothing)
 _TWIDDLES: dict[tuple[int, int], np.ndarray] = {}  # (count, sign) -> w^j, j < _FILL, see _radix2
 _ROOTS = tuple(np.exp(2j * np.pi * (np.arange(1024) / size)) for size in (1024, 1 << 20))
@@ -55,7 +54,7 @@ _ROOTS = tuple(np.exp(2j * np.pi * (np.arange(1024) / size)) for size in (1024, 
 
 @dataclass(frozen=True)
 class LctSpectrum:
-    """Transform values on a uniform frequency grid (omega units).
+    """Transform values on a uniform grid of the output variable u.
 
     ``t_grid`` is the time grid of the transformed signal, when known, so
     that a stored spectrum can be inverted back onto its source samples.
@@ -75,16 +74,16 @@ class LctSpectrum:
 
 
 def induced_omega_grid(t_grid: Grid, m: CanonicalMatrix) -> Grid:
-    """Frequency grid on which lct_fast natively produces the transform."""
+    """Grid of u on which lct_fast natively produces the transform: step |b| / (n step)."""
     n = t_grid.count
-    d_omega = 2.0 * np.pi * abs(m.b) / (n * t_grid.step)
+    d_omega = abs(m.b) / (n * t_grid.step)
     return Grid(t_min=-(n // 2) * d_omega, step=d_omega, count=n)
 
 
 def lct_direct(f: SampledSignal, m: CanonicalMatrix, omega_grid: Grid) -> LctSpectrum:
-    """Quadrature oracle: trapezoidal integral of f(t) K(t, omega) per omega.
+    """Quadrature oracle: trapezoidal integral of f(t) K(t, u) per u.
 
-    ``kernel`` rounds its phase in floats (1e-5 rad of 1e11 on a 2^20 grid): for small grids."""
+    ``kernel`` rounds its phase in floats (1e-5 rad of 8e10 on a 2^20 grid): for small grids."""
     require_valid(m)
     t = f.grid.points()
     weighted = f.values * f.grid.trapezoid_weights()
@@ -153,10 +152,11 @@ def _pair(first, second, threads: int) -> None:
 
 
 def _fill(table: np.ndarray, turns, scale: float) -> None:
-    """table[k] = scale exp(2 pi i turns(k) / 2^20), ``_FILL`` points at a time.  The top 20 bits
-    of a turn pick two ``_ROOTS`` entries; the rest is an angle x < 2 pi 2^-20: 1 - x^2/2 + i x.
-    Two threads take half the table each in blocks of ``_FILL / 2``: each point's arithmetic is
-    the same, and the temporaries of both together stay those of one ``_FILL`` block."""
+    """table[k] = scale exp(2 pi i turns(k) / 2^20).  The top 20 bits of a turn pick two
+    ``_ROOTS`` entries; the rest is an angle x < 2 pi 2^-20: 1 - x^2/2 + i x.  Each half of
+    the table is built in blocks of ``_FILL / 2``, the second on a thread of its own when
+    ``_threads`` allows: each point's arithmetic is the same either way, and the temporaries
+    of both halves together stay those of one ``_FILL`` block."""
     coarse = _ROOTS[0] * scale
 
     def run(start, stop, size):
@@ -168,23 +168,20 @@ def _fill(table: np.ndarray, turns, scale: float) -> None:
             block.real, block.imag = 1.0 - 0.5 * x * x, x
             block *= _ROOTS[1][i & 1023] * coarse[(i >> 10) & 1023]
 
-    threads, h = _threads(table.size), table.size // 2
-    if threads < 2:
-        run(0, table.size, _FILL)
-    else:
-        _pair(lambda: run(0, h, _FILL // 2), lambda: run(h, table.size, _FILL // 2), threads)
+    h, n = table.size // 2, table.size
+    _pair(lambda: run(0, h, _FILL // 2), lambda: run(h, n, _FILL // 2), _threads(n))
 
 
 def _factors(t_grid: Grid, m: CanonicalMatrix):
-    """Omega grid, folded input chirp, and output factor ramp * chirp * step / sqrt(2 i pi b).
+    """Induced u grid, folded input chirp, and output factor ramp * chirp * step / sqrt(i b).
 
     Size class count.bit_length() keeps its last table, keyed by all of (t_grid, m),
     d too, though only the output factor reads it.  A miss empties the slot first, so a
     class never holds two tables.  A table is two complex arrays of n, so power-of-two
     sizes keep under twice the largest (64 MiB at 2^20): the inputs bound it, no budget.
-    Phases in turns at k, j = k - n//2 (a/b, b, d, t_min, step s, omega step w exact, 2 pi
-    to 73 digits): chirp (a/b) (t_min + k s)^2 / (4 pi) + k/2, k/2 the (-1)^k fold; out
-    (j^2 d w^2 / (2b) - j t_min w / b) / (2 pi) - sign(b)/8, -sign(b)/8 the arg of the 1/sqrt.
+    Phases in turns at k, j = k - n//2 (a/b, b, d, t_min, step s, u step w exact rationals):
+    chirp (a/b) (t_min + k s)^2 / 2 + k/2, k/2 the (-1)^k fold; out at u = j w
+    u (d u - 2 t_min) / (2b) - sign(b)/8, -sign(b)/8 the arg of the 1/sqrt(i b).
     """
     size = t_grid.count.bit_length()
     slot = _TABLES.get(size)
@@ -192,10 +189,10 @@ def _factors(t_grid: Grid, m: CanonicalMatrix):
         return slot[1]
     _TABLES.pop(size, None)
     from fractions import Fraction  # with decimal, 4 ms of import that only a build needs
-    grid, h, two_pi = induced_omega_grid(t_grid, m), t_grid.count // 2, Fraction(_TWO_PI)
+    grid, h = induced_omega_grid(t_grid, m), t_grid.count // 2
     b, d, s, t0, w = map(Fraction, (m.b, m.d, t_grid.step, t_grid.t_min, grid.step))
-    c = chirp_rate(m, Fraction) / 2 / two_pi
-    q, r = d * w * w / (2 * b) / two_pi, t0 * w / b / two_pi
+    c = chirp_rate(m, Fraction) / 2
+    q, r = d * w * w / (2 * b), t0 * w / b
     # Room of 3n/2 points, allocated first and freed unwritten, below the kept table for the arrays
     # of a round trip's calling thread (result, half-size FFT scratch; the worker's scratch is in its
     # own malloc arena): there they stay resident between calls (without it a 2^20 hit re-faults
@@ -203,7 +200,7 @@ def _factors(t_grid: Grid, m: CanonicalMatrix):
     chirp, out = [np.empty(k * t_grid.count // 2, np.complex128) for k in (3, 2, 2)][1:]
     _fill(chirp, _reduction(c * s * s, 2 * c * t0 * s + Fraction(1, 2), c * t0 * t0), 1.0)
     _fill(out, _reduction(q, -2 * h * q - r, h * h * q + h * r - Fraction(1 if b > 0 else -1, 8)),
-          t_grid.step / np.sqrt(2.0 * np.pi * abs(m.b)))
+          t_grid.step / np.sqrt(abs(m.b)))
     chirp.flags.writeable = out.flags.writeable = False
     _TABLES[size] = ((t_grid, m), (grid, chirp, out))
     return grid, chirp, out
@@ -283,7 +280,7 @@ def _is_induced(spec_grid: Grid, t_grid: Grid, m: CanonicalMatrix) -> bool:
 
 
 def ilct(F: LctSpectrum, m: CanonicalMatrix, t_grid: Grid, method: str = "auto") -> SampledSignal:
-    """Inverse transform: integral of F(omega) conj(K(t, omega)) d omega.
+    """Inverse transform: integral of F(u) conj(K(t, u)) du.
 
     ``method`` is 'direct' (trapezoidal quadrature, any grids), 'fast'
     (exact inverse of lct_fast, requires the induced grid pairing and an

@@ -34,7 +34,8 @@ _ALIGN_TOL = 1e-9
 #: Largest |j| that dilate accepts.
 DEFAULT_LEVEL_BUDGET = 16
 
-#: Columns per block of ``weighted_gram``; bounds its conjugate temporary.
+#: Columns per block of ``weighted_gram``, and samples (or one cell) per block of
+#: ``chirped_translate_gram``; bounds their conjugate temporaries.
 _GRAM_BLOCK = 1 << 14
 
 
@@ -264,9 +265,10 @@ def chirped_translate_gram(system: list[SampledSignal], lambdas,
     shift phases chirp_phase(m, 0, lam).  A shift of o samples that leaves
     the window gives a zero row; the others are whole cells of g = gcd(o)
     samples (the whole count if every o is 0).  Over the window's whole
-    cells a G_0 entry is a run of the cell products of its cell lag d, one
-    batched product per |d|; the part cell at the window's end and the
-    trapezoid endpoints (``Grid.trapezoid_weights``) are added sample by sample.
+    cells a G_0 entry is a run of the cell products of its cell lag d, batched
+    per |d| over blocks of cells conjugated in turn; the part cell at the
+    window's end and the trapezoid endpoints (``Grid.trapezoid_weights``) are
+    added sample by sample.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     n_sig, n_lam = len(system), len(lambdas)
@@ -282,13 +284,17 @@ def chirped_translate_gram(system: list[SampledSignal], lambdas,
     values = cells.reshape(n_sig, -1)[:, :count]
     for row, s in zip(values, system):
         row[:] = s.values
-    conj_cells = cells.conj()
+    per_block = max(1, _GRAM_BLOCK // (n_sig * cell))  # cells per conjugated block, all signals
 
     @functools.cache
     def lag(d: int) -> np.ndarray:
-        """[p, i, k] = sum_j cells[i, p + d, j] conj(cells[k, p, j])."""
-        return np.matmul(cells[:, d:].transpose(1, 0, 2),
-                         conj_cells[:, : n_cells - d].transpose(1, 2, 0))
+        """[p, i, k] = sum_j cells[i, p + d, j] conj(cells[k, p, j]), a block of cells at a time."""
+        out = np.empty((n_cells - d, n_sig, n_sig), dtype=np.complex128)
+        for lo in range(0, n_cells - d, per_block):
+            hi = min(lo + per_block, n_cells - d)
+            np.matmul(cells[:, lo + d:hi + d].transpose(1, 0, 2),
+                      cells[:, lo:hi].conj().transpose(1, 2, 0), out=out[lo:hi])
+        return out
 
     g0 = np.zeros((n_sig, n_lam, n_sig, n_lam), dtype=np.complex128)
     shift = offsets // cell

@@ -141,8 +141,8 @@ def test_ac02_inversion_and_parseval(gaussian_2048):
 
 def test_ac03_fourier_special_case(gaussian_2048):
     spec = lct_fast(gaussian_2048, fourier())
-    omega = spec.grid.points()
-    closed = np.exp(-(omega**2) / (4 * np.pi)) / np.sqrt(2j * np.pi)
+    u = spec.grid.points()
+    closed = np.exp(-np.pi * u**2) / np.sqrt(1j)
     err = float(np.max(np.abs(spec.values - closed)))
     report("AC-03", err <= 1e-6, f"max error vs closed form {err:.3e} (tol 1e-6)")
 

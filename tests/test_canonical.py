@@ -148,12 +148,12 @@ class TestKernel:
     def test_fourier_case(self):
         m = fourier()
         t, w = 0.7, -1.3
-        want = np.exp(-1j * t * w) / np.sqrt(2j * np.pi)
+        want = np.exp(-2j * np.pi * t * w) / np.sqrt(1j)
         assert kernel(m, t, w) == pytest.approx(want, abs=1e-15)
 
     def test_origin_value(self):
         m = CanonicalMatrix(2, 1, 1, 1)
-        assert kernel(m, 0.0, 0.0) == pytest.approx(1.0 / np.sqrt(2j * np.pi * m.b))
+        assert kernel(m, 0.0, 0.0) == pytest.approx(1.0 / np.sqrt(1j * m.b))
 
     def test_time_frequency_symmetry(self):
         m = CanonicalMatrix(2.0, 1.5, 1.0, 1.0)
@@ -166,14 +166,14 @@ class TestKernel:
         t = np.linspace(-3, 3, 41)
         w = np.linspace(-2, 2, 41)
         mags = np.abs(kernel(m, t, w))
-        np.testing.assert_allclose(mags, 1.0 / np.sqrt(2 * np.pi * abs(m.b)), atol=1e-15)
+        np.testing.assert_allclose(mags, 1.0 / np.sqrt(abs(m.b)), atol=1e-15)
 
     def test_b_zero_rejected(self):
         with pytest.raises(MatrixError):
             kernel(CanonicalMatrix(1, 0, 0, 1), 0.0, 0.0)
 
     def test_principal_branch(self):
-        # sqrt(2 i pi b) must have argument in (-pi/2, pi/2]
+        # sqrt(i b) must have argument in (-pi/2, pi/2]
         for b in (1.0, -1.0, 2.5, -0.3):
             amp = kernel(CanonicalMatrix(0, b, -1 / b, 0), 0.0, 0.0)
             root = 1.0 / amp

@@ -433,6 +433,22 @@ class TestLctCommand:
         assert "--t-grid" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_inverse_refuses_omega_header(self, tmp_path, capsys):
+        # a spectrum written with an x column "omega" has a grid 2 pi wider than the
+        # induced one: refused by its header, not inverted by quadrature
+        g = Grid(-8.0, 16.0 / 256, 256)
+        spec = lct_fast(gaussian(g), CanonicalMatrix(2, 1, 1, 1))
+        path = tmp_path / "F.csv"
+        write_spectrum_csv(path, spec)
+        text = path.read_text()
+        assert text.startswith("u,re,im\n")
+        path.write_text("omega" + text[1:])
+        out = tmp_path / "f.csv"
+        assert main(["lct", "inv", "--matrix", "2,1,1,1", "--in", str(path),
+                     "--out", str(out)]) == 1
+        assert "['omega', 're', 'im']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exit_one(self, tmp_path, capsys):
         assert main([
             "lct", "fwd", "--matrix", "0,1,-1,0", "--in", str(tmp_path / "none.csv"),

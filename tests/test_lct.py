@@ -49,32 +49,21 @@ MATRIX_IDS = ["fourier", "fresnel1", "haar2111", "frft_neg"]
 NONZERO = st.floats(-3.0, 3.0).filter(lambda x: abs(x) >= 0.1)
 
 
-def _machin_two_pi(digits=90):
-    """2 pi as a Fraction from Machin's formula in integers, good to about ``digits`` digits."""
-    scale = 10 ** (digits + 10)
-
-    def atan_inv(x):
-        total = term = scale // x
-        k, sign = 1, -1
-        while term:
-            term //= x * x
-            total += sign * (term // (2 * k + 1))
-            sign, k = -sign, k + 1
-        return total
-
-    return Fraction(8 * (4 * atan_inv(5) - atan_inv(239)), scale)
-
-
-TWO_PI = _machin_two_pi()
-
-
 def grid_n(n, lo=-8.0, hi=8.0):
     return Grid(lo, (hi - lo) / n, n)
 
 
-def gaussian_fourier_spectrum(omega):
-    """Closed form of the Fourier-matrix transform of exp(-pi t^2)."""
-    return np.exp(-(omega**2) / (4 * np.pi)) / np.sqrt(2j * np.pi)
+def gaussian_spectrum(m, u):
+    """Closed form of the transform of exp(-pi t^2) by any m (b != 0); exp(-pi u^2) / sqrt(i)
+    for the Fourier matrix.
+
+    With alpha = 1 - i a/b, the input chirp and the Gaussian merge into exp(-pi alpha t^2),
+    whose plain transform at u/b is exp(-pi (u/b)^2 / alpha) / sqrt(alpha) (Re alpha = 1):
+    L_m[exp(-pi t^2)](u) = exp(i pi (d/b) u^2) exp(-pi (u/b)^2 / alpha) / (sqrt(alpha) sqrt(i b)).
+    """
+    alpha = 1.0 - 1j * m.a / m.b
+    return (np.exp(1j * np.pi * m.d / m.b * u**2 - np.pi * (u / m.b) ** 2 / alpha)
+            / (np.sqrt(alpha) * np.sqrt(1j * m.b)))
 
 
 def rel_l2(a, b):
@@ -91,13 +80,13 @@ class TestDirect:
     def test_gaussian_closed_form(self):
         g = grid_n(4096)
         f = gaussian(g)
-        omega = Grid(-6.0, 12.0 / 257, 257)
-        out = lct_direct(f, fourier(), omega)
-        want = gaussian_fourier_spectrum(omega.points())
+        u_grid = Grid(-6.0, 12.0 / 257, 257)
+        out = lct_direct(f, fourier(), u_grid)
+        want = gaussian_spectrum(fourier(), u_grid.points())
         assert np.max(np.abs(out.values - want)) < 1e-6
 
     def test_even_symmetry(self):
-        # |L f| is even in omega for real even f when a = d
+        # |L f| is even in u for real even f when a = d
         m = CanonicalMatrix(np.cos(1.0), np.sin(1.0), -np.sin(1.0), np.cos(1.0))
         g = grid_n(2048)
         f = gaussian(g)
@@ -141,10 +130,10 @@ class TestFast:
         t = g.points()
         want = np.array(
             [
-                np.sum(f.values * np.exp(-1j * t * w)) * g.step
-                for w in fast.grid.points()
+                np.sum(f.values * np.exp(-2j * np.pi * t * u)) * g.step
+                for u in fast.grid.points()
             ]
-        ) / np.sqrt(2j * np.pi)
+        ) / np.sqrt(1j)
         assert np.max(np.abs(fast.values - want)) <= 1e-10
 
     def test_linearity(self):
@@ -161,7 +150,7 @@ class TestFast:
     @settings(max_examples=40, deadline=None)
     @given(a=NONZERO, b=NONZERO, c=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
     def test_discrete_norm_preserved(self, a, b, c, seed):
-        # sum |F|^2 d_omega = sum |f|^2 dt holds exactly on the induced grid, for either sign of b
+        # sum |F|^2 du = sum |f|^2 dt holds exactly on the induced grid, for either sign of b
         m = CanonicalMatrix(a, b, c, (1.0 + b * c) / a)
         g = grid_n(256, -3.0, 5.0)
         rng = np.random.default_rng(seed)
@@ -214,7 +203,7 @@ class TestInverse:
     def test_closed_form_spectrum_inverts_to_gaussian(self):
         g = grid_n(2048)
         ogrid = induced_omega_grid(g, fourier())
-        spec = LctSpectrum(ogrid, gaussian_fourier_spectrum(ogrid.points()))
+        spec = LctSpectrum(ogrid, gaussian_spectrum(fourier(), ogrid.points()))
         out = ilct(spec, fourier(), g, method="fast")
         assert rel_l2(out.values, gaussian(g).values) <= 1e-6
 
@@ -415,17 +404,17 @@ def wrapped_rad(turns):
 def exact_table_phases(t_grid, m, ks):
     """Phases of the input chirp and output factor at indices ks, from exact rationals.
 
-    The grid points t_min + k step and output points j w (j = k - n//2, w the
-    double omega step) are taken exactly; the chirp carries the (-1)^k fold,
-    the output factor the argument -sign(b) pi/4 of 1/sqrt(2 i pi b).
+    The grid points t_min + k step and output points u = j w (j = k - n//2, w the
+    double u step) are taken exactly; the chirp carries the (-1)^k fold, the
+    output factor the argument -sign(b) pi/4 of 1/sqrt(i b).
     """
     a, b, d, s, t0 = map(Fraction, (m.a, m.b, m.d, t_grid.step, t_grid.t_min))
     w = Fraction(induced_omega_grid(t_grid, m).step)
     chirp, out = [], []
     for k in map(int, ks):
-        t, om = t0 + k * s, (k - t_grid.count // 2) * w
-        chirp.append(a * t * t / (2 * b) / TWO_PI + Fraction(k, 2))
-        out.append(om * (d * om - 2 * t0) / (2 * b) / TWO_PI - Fraction(1 if b > 0 else -1, 8))
+        t, u = t0 + k * s, (k - t_grid.count // 2) * w
+        chirp.append(a * t * t / (2 * b) + Fraction(k, 2))
+        out.append(u * (d * u - 2 * t0) / (2 * b) - Fraction(1 if b > 0 else -1, 8))
     return wrapped_rad(chirp), wrapped_rad(out)
 
 
@@ -434,7 +423,7 @@ def phase_error(values, want):
 
 
 class TestExactPhases:
-    """Table phases reach 1e11 rad at 2^20; each must still be exact to 1e-14 rad."""
+    """Table phases reach 8e10 rad at 2^20 (large_d); each must still be exact to 1e-14 rad."""
 
     @pytest.mark.parametrize("e", [17, 20])
     @pytest.mark.parametrize(
@@ -449,14 +438,16 @@ class TestExactPhases:
         assert phase_error(chirp[ks], want_chirp) <= 1e-14
         assert phase_error(out[ks], want_out) <= 1e-14
         np.testing.assert_allclose(np.abs(chirp[ks]), 1.0, rtol=1e-15)
-        np.testing.assert_allclose(np.abs(out[ks]), g.step / np.sqrt(2 * np.pi * abs(m.b)),
-                                   rtol=1e-15)
+        np.testing.assert_allclose(np.abs(out[ks]), g.step / np.sqrt(abs(m.b)), rtol=1e-15)
 
     def test_reduction_exact_at_large_indices(self):
         # the 64-bit limb products wrap mod 2^64 by design, so indices far past any table
-        # built here (|j| = |k - n/2| up to 2^25, k up to 2^32) stay exact; no grid is built
+        # built here (|j| = |k - n/2| up to 2^25, k up to 2^32) stay exact; no grid is built.
+        # Each coefficient is a quotient of floats, so its binary expansion does not end.
         rng = np.random.default_rng(7)
-        quad, lin, const = (Fraction(float(x)) / TWO_PI for x in rng.uniform(-1e3, 1e3, 3))
+        pairs = zip(rng.uniform(-1e3, 1e3, 3), rng.uniform(3.0, 7.0, 3))
+        quad, lin, const = coeffs = [Fraction(float(x)) / Fraction(float(y)) for x, y in pairs]
+        assert all(v.denominator & (v.denominator - 1) for v in coeffs)  # none is dyadic
         ks = [0, 1, 2**25 - 1, 2**25, 2**25 + 1, 2**26 - 1, 2**31 + 12345, 2**32 - 1]
         ks += [int(k) for k in rng.integers(0, 2**26, 24)]
         got = lct._reduction(quad, lin, const)(np.array(ks, dtype=np.uint64)) / 2**20
@@ -498,7 +489,7 @@ class TestMemory:
         lct._factors(g, fresnel(3.0))
         kept, peak = self.traced_memory(lambda: lct._factors(g, M2111))
         assert kept <= 2 * one + 2**16
-        # the two tables and three arrays of room that are never written (see _factors)
+        # the two tables and the room, one array of 3n/2 points never written (see _factors)
         assert peak <= 5 * one + 80 * lct._FILL
         table = np.empty(g.count, np.complex128)
         turns = lct._reduction(Fraction(1, 3), Fraction(2, 7), Fraction(5, 11))
@@ -506,11 +497,11 @@ class TestMemory:
         assert peak <= 80 * lct._FILL  # block temporaries only: a grid array is 4 MiB
 
 
-def kernel_phase_bound(m, t_grid, omega_grid):
-    """Largest |a t^2| + |2 t omega| + |d omega^2| over 2|b| on the two grids' spans."""
+def kernel_phase_bound(m, t_grid, u_grid):
+    """Largest pi (|a t^2| + |2 t u| + |d u^2|) / |b| on the two grids' spans."""
     t = max(abs(t_grid.t_min), abs(t_grid.t_max))
-    w = max(abs(omega_grid.t_min), abs(omega_grid.t_max))
-    return (abs(m.a) * t * t + 2 * t * w + abs(m.d) * w * w) / (2 * abs(m.b))
+    u = max(abs(u_grid.t_min), abs(u_grid.t_max))
+    return np.pi * (abs(m.a) * t * t + 2 * t * u + abs(m.d) * u * u) / abs(m.b)
 
 
 @st.composite
@@ -527,17 +518,17 @@ class TestComposition:
     """L_{M1}(L_{M2} f) = +-L_{M1 M2} f, each transform by quadrature (``lct_direct``).
 
     f = exp(-pi t^2 + i g t^2) on 512 points of [-6, 6).  Its M2 transform is a
-    chirped Gaussian, |F(w)| ~ exp(-alpha w^2) with alpha = pi / (4 b2^2 (pi^2 + k^2)),
-    k = g + a2/(2 b2), and quadratic phase rho w^2 once M1's input chirp is added,
-    rho = d2/(2 b2) - alpha k / pi + a1/(2 b1).  The 600-point intermediate grid spans
+    chirped Gaussian, |F(w)| ~ exp(-alpha w^2) with alpha = pi^3 / (b2^2 (pi^2 + k^2)),
+    k = g + pi a2/b2, and quadratic phase rho w^2 once M1's input chirp is added,
+    rho = pi d2/b2 - alpha k / pi + pi a1/b1.  The 600-point intermediate grid spans
     |w| <= sqrt(40 / alpha), where |F| is below e^-40 of its peak.  The trapezoid rule
-    on it (step h) aliases the M1 integrand by exp(-E), E = alpha (2 pi/h - X/|b1|)^2 /
+    on it (step h) aliases the M1 integrand by exp(-E), E = alpha (2 pi/h - 2 pi X/|b1|)^2 /
     (4 (alpha^2 + rho^2)) at outputs |x| <= X = 4; draws with E < 37 are set aside.
-    The first transform's and the direct side's aliasing exponents exceed 1000 on these
-    ranges, so rounding is left: ``kernel`` rounds each phase to half an ulp of the
-    largest, Phi, so the bound is 2^-53 Phi (Phi about 300-1000 here).  Over 295 draws
-    the errors were 8e-16 to 1.2e-14, at most 0.19 of the bound: the roundings have
-    random signs.
+    The first transform's and the direct side's aliasing exponents are at least 58 and
+    35 on these ranges (e^-35 = 6e-16, 0.02 of the smallest bound), so rounding is left:
+    ``kernel`` rounds each phase to half an ulp of the largest, Phi, so the bound is
+    2^-53 Phi (Phi about 280-1300 here).  Over 600 draws the errors were 1e-15 to
+    1.5e-14, at most 0.19 of the bound: the roundings have random signs.
     """
 
     @settings(max_examples=25, deadline=None)
@@ -545,14 +536,14 @@ class TestComposition:
     def test_composition_law(self, m1, m2, g):
         m12 = compose(m1, m2)
         assume(abs(m12.b) >= 0.3)
-        k = g + m2.a / (2 * m2.b)
-        alpha = np.pi / (4 * m2.b**2 * (np.pi**2 + k**2))
-        rho = m2.d / (2 * m2.b) - alpha * k / np.pi + m1.a / (2 * m1.b)
+        k = g + np.pi * m2.a / m2.b
+        alpha = np.pi**3 / (m2.b**2 * (np.pi**2 + k**2))
+        rho = np.pi * m2.d / m2.b - alpha * k / np.pi + np.pi * m1.a / m1.b
         span = np.sqrt(40.0 / alpha)
         t_grid = Grid(-6.0, 12 / 512, 512)
         w_grid = Grid(-span, 2 * span / 600, 600)
         x_grid = Grid(-4.0, 8 / 300, 300)
-        reach = 2 * np.pi / w_grid.step - 4.0 / abs(m1.b)
+        reach = 2 * np.pi / w_grid.step - 2 * np.pi * 4.0 / abs(m1.b)
         assume(alpha * reach**2 / (4 * (alpha**2 + rho**2)) >= 37.0)  # E >= 37
         t = t_grid.points()
         f = SampledSignal(t_grid, np.exp(-np.pi * t**2 + 1j * g * t**2))
@@ -578,42 +569,59 @@ ATOM_IDS = ["haar2111", "frft0.3", "fresnel2", "frft-0.7"]
 
 
 def atom_spectrum(node, m, transform):
-    """``lct_fast`` by ``transform`` of the packet chirped by m, and the bridge of ``chirp_rate``.
+    """``lct_fast`` by ``transform`` of the packet chirped by m, and the identity of ``chirp_rate``.
 
-    The bridge is exp(i d~ w^2 / 2b) hat(w / 2 pi b) / sqrt(2 i pi b), d~ = d / 2 pi, with
-    the hat from the packets' engine: w_i / (2 pi b) = sign(b) (i - n/2) / SPAN is lattice
-    point sign(b) (i - n/2) + n/2, taken mod n (a period of the sampled transform).
+    The identity is exp(i pi (d/b) u^2) hat(u / b) / sqrt(i b), with the hat from the packets'
+    engine: u_i / b = sign(b) (i - n/2) / SPAN is lattice point sign(b) (i - n/2) + n/2, taken
+    mod n (a period of the sampled transform).
     """
     grid = node.signal.grid
     hat = node.hat.engine.lattice([node.hat])[0]
     atom = SampledSignal(grid, node.signal.values * chirp_phase(m, grid.points(), 0.0))
     spec = lct_fast(atom, transform)
-    omega = spec.grid.points()
+    u = spec.grid.points()
     k = np.arange(grid.count) - grid.count // 2
     idx = ((k if m.b > 0 else -k) + grid.count // 2) % grid.count
-    d_tilde = m.d / (2 * np.pi)
-    want = np.exp(1j * d_tilde * omega**2 / (2 * m.b)) * hat[idx] / np.sqrt(2j * np.pi * m.b)
+    want = np.exp(1j * np.pi * m.d / m.b * u**2) * hat[idx] / np.sqrt(1j * m.b)
     return spec.values, want
 
 
 class TestChirpedAtom:
-    """The LCT of a chirped packet is the output chirp times the packet's hat."""
+    """The LCT of a packet chirped by m is the output chirp times the packet's hat."""
 
     @pytest.mark.parametrize("n", [0, 3])
     @pytest.mark.parametrize("m", ATOM_MATRICES, ids=ATOM_IDS)
     def test_bridge_matrix_gives_hat(self, haar_packets, m, n):
-        # m~ = (2 pi a, b, c, d / 2 pi) cancels the atom's chirp (see canonical.chirp_rate).
-        # The reference's output-chirp phase reaches 1.0e5 rad (fresnel(2.0), |w| up to
-        # 256 pi |b|), where it rounds by up to 7.3e-12 rad; measured <= 9.8e-13.
-        got, want = atom_spectrum(haar_packets[n], m,
-                                  CanonicalMatrix(2 * np.pi * m.a, m.b, m.c, m.d / (2 * np.pi)))
+        # the transform of m itself bridges the atoms to their hats (see canonical.chirp_rate).
+        # The reference's output-chirp phase reaches 1.0e5 rad (fresnel(2.0), |u| up to
+        # 128 |b|), where it rounds by up to 7.3e-12 rad; measured <= 3.6e-13.
+        got, want = atom_spectrum(haar_packets[n], m, m)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("m", ATOM_MATRICES, ids=ATOM_IDS)
-    def test_own_matrix_leaves_a_chirp(self, haar_packets, m):
-        # the kernel of m has input chirp a/(2b), not pi a/b: its moduli miss (0.56-0.81 here)
-        got, want = atom_spectrum(haar_packets[0], m, m)
+    def test_other_chirp_rate_misses(self, haar_packets, m):
+        # negative control: m (1, 0; 1, 1) has the same b and chirp rate a/b + 1, so its input
+        # chirp leaves the atom's chirp rate 1: its moduli miss (0.63 of the peak here)
+        got, want = atom_spectrum(haar_packets[0], m, compose(m, CanonicalMatrix(1, 0, 1, 1)))
         assert np.max(np.abs(np.abs(got) - np.abs(want))) >= 0.1 * np.max(np.abs(want))
+
+
+CLOSED_FORM_MATRICES = MATRICES + [frft(0.3), fresnel(-2.0)]
+CLOSED_FORM_IDS = MATRIX_IDS + ["frft0.3", "fresnel-2"]
+
+
+class TestClosedForm:
+    """Both paths against ``gaussian_spectrum``, the transform of exp(-pi t^2) by any m."""
+
+    @pytest.mark.parametrize("n", [2**11, 2**12])
+    @pytest.mark.parametrize("m", CLOSED_FORM_MATRICES, ids=CLOSED_FORM_IDS)
+    def test_gaussian_for_every_matrix(self, m, n):
+        f = gaussian(grid_n(n))
+        fast = lct_fast(f, m)
+        want = gaussian_spectrum(m, fast.grid.points())
+        direct = lct_direct(f, m, fast.grid)
+        for got in (fast.values, direct.values):
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 class TestParseval:

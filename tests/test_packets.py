@@ -218,7 +218,8 @@ class TestLagGramAC10:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * inputs
+        # the cell copy of the inputs and one conjugated cell per signal: no conjugate copy
+        assert peak <= 1.5 * inputs
 
 
 class TestCertifyAC10:
