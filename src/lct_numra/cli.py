@@ -103,7 +103,8 @@ def build_parser() -> _Parser:
     p.add_argument("direction", choices=["fwd", "inv"])
     p.add_argument("--matrix", required=True)
     p.add_argument("--method", choices=["direct", "fast"], default=None,
-                   help="fwd: fast by default; inv: fast when the grids pair up, else direct")
+                   help="fwd: fast by default; inv: fast when the grids pair up, "
+                   "else direct (O(n^2), with a warning)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--t-grid", default=None,

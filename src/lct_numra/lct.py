@@ -1,20 +1,21 @@
 """Forward and inverse linear canonical transforms on sampled signals.
 
-Both take the normalized kernel of ``canonical.kernel``.  ``lct_direct`` is
-the O(n_t * n_u) quadrature oracle: it integrates f against the kernel row
-by row and accepts any output grid.  ``lct_fast`` is the chirp * FFT * chirp
-factorisation of Koc, Ozaktas, Candan & Kutay (IEEE TSP 56(6), 2008),
-O(n log n) on the induced grid u_i = |b| (i - n/2) / (n * step),
-i = 0 .. n - 1: DFT bin sign(b) (i - n/2) mod n.  A factor (-1)^j in the
-input chirp moves the DFT by n/2, so b > 0 takes an FFT and b < 0 an
-unscaled inverse FFT (norm="forward"), in place and in grid order.  The
-fast inverse undoes the same factors with the mirror FFT: the exact
-discrete inverse for either sign of b, on even counts.  Tables cost more
-than the FFT, so ``_factors`` keeps them, as FFTW keeps plans (Frigo &
-Johnson, 2005).  Their phases, up to 8e10 rad at 2^20 points, are exact to
-about 1e-15 rad: reduced mod 2 pi in rationals and 64-bit integer limbs
-(Payne & Hanek, SIGNUM Newsletter 18(1), 1983) and built in blocks of
-``_FILL / 2`` points.
+Both take the normalized kernel of ``canonical.kernel``, and L_m^-1 = L_{m^-1}
+for m^-1 = (d, -b, -c, a), as conj K_m(t, u) = K_{m^-1}(u, t).  ``lct_direct``
+is the O(n_t * n_u) quadrature oracle onto any output grid; of m^-1, it is
+the direct inverse.  ``lct_fast`` is the chirp * FFT * chirp factorisation of
+Koc, Ozaktas, Candan & Kutay (IEEE TSP 56(6), 2008), O(n log n) on the
+induced grid u_i = |b| (i - n/2) / (n * step), i = 0 .. n - 1: DFT bin
+sign(b) (i - n/2) mod n.  A factor (-1)^j in the input chirp moves the DFT
+by n/2, so b > 0 takes an FFT and b < 0 an unscaled inverse FFT
+(norm="forward"), in place and in grid order.  The fast inverse undoes the
+same factors with the mirror FFT, the exact discrete inverse for either sign
+of b on even counts; ``_apply`` runs multiply * FFT * multiply both ways.
+Tables cost more than the FFT, so ``_factors`` keeps them, as FFTW keeps
+plans (Frigo & Johnson, 2005).  Their phases, up to 8e10 rad at 2^20 points,
+are exact to about 1e-15 rad: reduced mod 2 pi in rationals and 64-bit
+integer limbs (Payne & Hanek, SIGNUM Newsletter 18(1), 1983) and built in
+blocks of ``_FILL / 2`` points.
 
 From ``_SPLIT`` points on, each transform takes one radix-2 decimation-in-time
 step (Cooley & Tukey, Math. Comp. 19, 1965): the input multiply writes even
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import os
 import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,24 +55,14 @@ _ROOTS = tuple(np.exp(2j * np.pi * (np.arange(1024) / size)) for size in (1024, 
 
 
 @dataclass(frozen=True)
-class LctSpectrum:
-    """Transform values on a uniform grid of the output variable u.
+class LctSpectrum(SampledSignal):
+    """Transform values: a signal sampled on a uniform grid of the output variable u.
 
     ``t_grid`` is the time grid of the transformed signal, when known, so
     that a stored spectrum can be inverted back onto its source samples.
     """
 
-    grid: Grid
-    values: np.ndarray
     t_grid: Grid | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.shape != (self.grid.count,):
-            raise ValueError("values length must match grid count")
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise ValueError("spectrum values must be finite")
-        object.__setattr__(self, "values", values)
 
 
 def induced_omega_grid(t_grid: Grid, m: CanonicalMatrix) -> Grid:
@@ -250,6 +242,31 @@ def _radix2(combine, v, factor, transform, norm: str, post) -> np.ndarray:
     return x
 
 
+def _apply(values: np.ndarray, t_grid: Grid, m: CanonicalMatrix, inverse: bool) -> np.ndarray:
+    """Fast transform of samples on t_grid, or (inverse) of samples on its induced grid.
+
+    Forward: x chirp, unscaled FFT, x out.  Inverse: / out, mirror FFT scaled by 1/n,
+    x conj(chirp).  Below ``_SPLIT`` points one FFT runs in place and the output multiply
+    goes ``_FILL`` points at a time; from there on ``_radix2`` takes the step (its scaled
+    half-size FFTs are twice the whole one).
+    """
+    _, chirp, out = _factors(t_grid, m)
+    transform = np.fft.fft if (m.b > 0) != inverse else np.fft.ifft
+    norm = "forward" if m.b < 0 else "backward"
+    if inverse:
+        combine, factor, post = np.divide, out, lambda lo, hi: np.conj(chirp[lo:hi])
+    else:
+        combine, factor, post = np.multiply, chirp, lambda lo, hi: out[lo:hi]
+    if t_grid.count >= _SPLIT:
+        half = (lambda lo, hi: post(lo, hi) * 0.5) if inverse else post
+        return _radix2(combine, values, factor, transform, norm, half)
+    x = combine(values, factor)
+    transform(x, out=x, norm=norm)
+    for lo in range(0, x.size, _FILL):
+        x[lo:lo + _FILL] *= post(lo, lo + _FILL)
+    return x
+
+
 def lct_fast(f: SampledSignal, m: CanonicalMatrix) -> LctSpectrum:
     """Chirp-FFT-chirp transform on the induced frequency grid.
 
@@ -260,14 +277,8 @@ def lct_fast(f: SampledSignal, m: CanonicalMatrix) -> LctSpectrum:
     require_valid(m)
     if f.grid.count & (f.grid.count - 1):
         raise ValueError("lct_fast requires a power-of-two sample count")
-    grid, chirp, out = _factors(f.grid, m)
-    transform, norm = (np.fft.fft, "backward") if m.b > 0 else (np.fft.ifft, "forward")
-    if f.grid.count >= _SPLIT:
-        x = _radix2(np.multiply, f.values, chirp, transform, norm, lambda lo, hi: out[lo:hi])
-        return LctSpectrum(grid, x, f.grid)
-    x = f.values * chirp
-    transform(x, out=x, norm=norm)
-    return LctSpectrum(grid, np.multiply(x, out, out=x), f.grid)
+    grid = _factors(f.grid, m)[0]  # the induced grid, kept with the tables
+    return LctSpectrum(grid, _apply(f.values, f.grid, m, inverse=False), f.grid)
 
 
 def _is_induced(spec_grid: Grid, t_grid: Grid, m: CanonicalMatrix) -> bool:
@@ -280,52 +291,35 @@ def _is_induced(spec_grid: Grid, t_grid: Grid, m: CanonicalMatrix) -> bool:
 
 
 def ilct(F: LctSpectrum, m: CanonicalMatrix, t_grid: Grid, method: str = "auto") -> SampledSignal:
-    """Inverse transform: integral of F(u) conj(K(t, u)) du.
+    """Inverse transform: integral of F(u) conj(K_m(t, u)) du, the transform of F by m^-1.
 
-    ``method`` is 'direct' (trapezoidal quadrature, any grids), 'fast'
-    (exact inverse of lct_fast, requires the induced grid pairing and an
-    even count), or 'auto' (fast when those hold, direct otherwise).
+    ``method`` is 'direct' (``lct_direct`` of F by m^-1 onto t_grid, any
+    grids), 'fast' (``_apply`` undoing lct_fast exactly, requires the induced
+    grid pairing and an even count), or 'auto' (fast when those hold, else
+    direct with a RuntimeWarning naming the cause and its n_t x n_u kernel
+    evaluations).
     """
     require_valid(m)
+    odd, paired = t_grid.count % 2 == 1, _is_induced(F.grid, t_grid, m)
     if method == "auto":
-        method = "fast" if t_grid.count % 2 == 0 and _is_induced(F.grid, t_grid, m) else "direct"
+        method = "direct" if odd or not paired else "fast"
+        if method == "direct":
+            cause = f"odd count {t_grid.count}" if odd else "t grid not paired with the u grid"
+            warnings.warn(f"ilct takes the direct inverse ({cause}): {t_grid.count} x "
+                          f"{F.grid.count} kernel evaluations", RuntimeWarning, stacklevel=2)
     if method == "fast":
-        if t_grid.count % 2 or not _is_induced(F.grid, t_grid, m):
+        if odd or not paired:
             raise ValueError("fast inverse requires the induced frequency grid and an even count")
-        _, chirp, out = _factors(t_grid, m)
-        transform, norm = (np.fft.ifft, "backward") if m.b > 0 else (np.fft.fft, "forward")
-        if t_grid.count >= _SPLIT:
-            x = _radix2(np.divide, F.values, out, transform, norm,
-                        lambda lo, hi: np.conj(chirp[lo:hi]) * 0.5)
-            return SampledSignal(t_grid, x)
-        x = F.values / out
-        transform(x, out=x, norm=norm)
-        for lo in range(0, x.size, _FILL):  # x conj(chirp), conjugating one block at a time
-            x[lo:lo + _FILL] *= np.conj(chirp[lo:lo + _FILL])
-        return SampledSignal(t_grid, x)
+        return SampledSignal(t_grid, _apply(F.values, t_grid, m, inverse=True))
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    omega = F.grid.points()
-    weighted = F.values * F.grid.trapezoid_weights()
-    t = t_grid.points()
-    out = np.empty(t_grid.count, dtype=np.complex128)
-    for lo in range(0, t_grid.count, _BLOCK):
-        hi = min(lo + _BLOCK, t_grid.count)
-        k = np.conj(kernel(m, t[lo:hi, None], omega[None, :]))
-        out[lo:hi] = k @ weighted
-    return SampledSignal(t_grid, out)
-
-
-def spectrum_inner(F: LctSpectrum, G: LctSpectrum) -> complex:
-    """Trapezoidal inner product of two spectra on a common grid."""
-    if F.grid != G.grid:
-        raise ValueError("spectra must share a grid")
-    return complex(np.sum(F.values * np.conj(G.values) * F.grid.trapezoid_weights()))
+    # conj K_m(t, u) = K_{m^-1}(u, t): the phase negates with b, and the principal root
+    # gives conj sqrt(i b) = sqrt(-i b) for either sign of b
+    inverse = CanonicalMatrix(m.d, -m.b, -m.c, m.a)
+    return SampledSignal(t_grid, lct_direct(F, inverse, t_grid).values)
 
 
 def parseval_residual(f: SampledSignal, g: SampledSignal, m: CanonicalMatrix) -> float:
     """|<Lf, Lg> - <f, g>| with the fast transform path."""
-    if f.grid != g.grid:
-        raise ValueError("signals must share a grid")
-    lhs = spectrum_inner(lct_fast(f, m), lct_fast(g, m))
-    return abs(lhs - inner_product(f, g))
+    rhs = inner_product(f, g)  # refuses two grids before any transform
+    return abs(inner_product(lct_fast(f, m), lct_fast(g, m)) - rhs)

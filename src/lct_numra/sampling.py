@@ -157,35 +157,13 @@ def gaussian(grid: Grid) -> SampledSignal:
 
 
 def _common_samples(f: SampledSignal, g: SampledSignal):
-    """Align two signals on the coarser of two nested grids; returns (f, g, grid).
+    """The values of two signals on their one grid; returns (f, g, grid).
 
-    Accepts identical grids, or one grid refining the other with shared
-    points (integer step ratio, aligned offsets).  Anything else is
-    rejected; no interpolation is ever performed.
+    Two different grids raise GridMismatchError: samples are never aligned
+    or interpolated across grids.
     """
-    gf, gg = f.grid, g.grid
-    if gf == gg:
-        return f.values, g.values, gf
-    if gf.step > gg.step:
-        coarse_vals, coarse, fine_sig = f.values, gf, g
-    else:
-        coarse_vals, coarse, fine_sig = g.values, gg, f
-    fine = fine_sig.grid
-    ratio = coarse.step / fine.step
-    k = round(ratio)
-    if k < 1 or abs(ratio - k) > _ALIGN_TOL:
-        raise GridMismatchError("grid steps are not nested")
-    off = (coarse.t_min - fine.t_min) / fine.step
-    o = round(off)
-    if abs(off - o) > _ALIGN_TOL:
-        raise GridMismatchError("grid offsets do not align")
-    idx = o + k * np.arange(coarse.count)
-    inside = (idx >= 0) & (idx < fine.count)
-    fine_vals = np.zeros(coarse.count, dtype=np.complex128)
-    fine_vals[inside] = fine_sig.values[idx[inside]]
-    if fine_sig is f:
-        return fine_vals, coarse_vals, coarse
-    return coarse_vals, fine_vals, coarse
+    grid = _common_grid([f, g])
+    return f.values, g.values, grid
 
 
 def inner_product(f: SampledSignal, g: SampledSignal) -> complex:
@@ -200,7 +178,7 @@ def norm(f: SampledSignal) -> float:
 
 
 def rel_l2_error(got: SampledSignal, ref: SampledSignal) -> float:
-    """||got - ref||_2 / ||ref||_2 on the common grid."""
+    """||got - ref||_2 / ||ref||_2; both signals must share one grid."""
     gv, rv, grid = _common_samples(got, ref)
     w = grid.trapezoid_weights()
     num = np.sqrt(np.sum(np.abs(gv - rv) ** 2 * w))

@@ -264,7 +264,9 @@ def served_engine(hats, grid: Grid, *, oversample: int = 16) -> HatEngine:
 
 
 def default_time_grid(ts: TranslationSet, window=(-1.0, 3.0), target_step=2.0**-10) -> Grid:
-    """Translation-compatible grid with step close to ``target_step``."""
+    """Translation-compatible grid with step close to ``target_step`` (finite and > 0)."""
+    if not 0.0 < target_step < np.inf:
+        raise ValueError(f"step must be finite and positive, got {target_step}")
     refinement = max(1, round(1.0 / (2 * ts.N * target_step)))
     return numra_grid(ts, window, refinement=refinement)
 
@@ -381,7 +383,10 @@ def cascade(
     otherwise a ConvergenceError carries the deviation.  The lattice
     engine also builds the tails of depths 1..``depth`` in the same pass
     (packets with up to ``depth`` digits, and coarser bases, need them).
+    J < 1 is refused: an empty product has no tail to check.
     """
+    if J < 1:
+        raise ValueError(f"cascade needs J >= 1 factors, got J={J}")
     _require_lowpass(p0)
     if grid is None:
         grid = default_time_grid(p0.ts)

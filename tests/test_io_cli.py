@@ -413,13 +413,31 @@ class TestLctCommand:
         back = tmp_path / "f2.csv"
         assert main(["lct", "fwd", "--matrix", "2,1,1,1", "--in", str(fpath),
                      "--out", str(spec)]) == 0
-        assert main(["lct", "inv", "--matrix", "2,1,1,1", "--t-grid=-4,0.00390625,2048",
-                     "--in", str(spec), "--out", str(back)]) == 0
+        with pytest.warns(RuntimeWarning, match=r"not paired.*2048 x 2048 kernel evaluations"):
+            assert main(["lct", "inv", "--matrix", "2,1,1,1", "--t-grid=-4,0.00390625,2048",
+                         "--in", str(spec), "--out", str(back)]) == 0
         t_grid = Grid(-4.0, 0.00390625, 2048)
         want = ilct(read_spectrum_csv(spec), CanonicalMatrix(2, 1, 1, 1), t_grid, method="direct")
         got = read_signal_csv(back)
         assert got.grid == t_grid
         np.testing.assert_array_equal(got.values, want.values)
+
+    def test_inverse_default_method_warns_on_stderr_only_when_unpaired(self, tmp_path):
+        # the fallback's warning reaches a shell user; a paired inverse prints nothing
+        g = Grid(-8.0, 16.0 / 256, 256)
+        fpath, spec = tmp_path / "f.csv", tmp_path / "F.csv"
+        write_signal_csv(fpath, gaussian(g))
+        assert main(["lct", "fwd", "--matrix", "2,1,1,1", "--in", str(fpath),
+                     "--out", str(spec)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(lct_numra.__file__).resolve().parents[1])}
+        inv = [sys.executable, "-m", "lct_numra.cli", "lct", "inv", "--matrix", "2,1,1,1",
+               "--in", str(spec), "--out", str(tmp_path / "b.csv")]
+        paired, unpaired = (subprocess.run(args, env=env, capture_output=True, text=True,
+                                           timeout=120)
+                            for args in (inv, inv + ["--t-grid=-4,0.03125,256"]))
+        assert paired.returncode == unpaired.returncode == 0, unpaired.stderr
+        assert paired.stderr == ""
+        assert "RuntimeWarning: ilct takes the direct inverse" in unpaired.stderr
 
     def test_inverse_without_recorded_t_grid_exit_one(self, tmp_path, capsys):
         g = Grid(0.0, 8.0 / 256, 256)
@@ -512,6 +530,16 @@ class TestCascadeCommand:
         assert "tail deviation" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("J", ["0", "-3"])
+    def test_no_factors_exit_one(self, tmp_path, capsys, J):
+        # J < 1 would write the empty product, a spike, as the scaling function
+        fpath = tmp_path / "filters.csv"
+        write_filter_csv(fpath, haar_filters(TranslationSet(1, 1), fourier()))
+        out = tmp_path / "phi.csv"
+        assert main(["cascade", "--filters", str(fpath), "--out", str(out), f"--J={J}"]) == 1
+        assert f"J >= 1 factors, got J={J}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inadmissible_filter_exit_two(self, tmp_path, capsys):
         base = haar_filters(TranslationSet(1, 1), fourier())
         doubled = PeriodicFilterPair(base.ts, base.u_grid, 2 * base.comp1, 2 * base.comp2)
@@ -600,6 +628,24 @@ class TestWindowRefused:
         assert main(["cascade", "--filters", str(fpath), "--window=3,-1",
                      "--out", str(out)]) == 1
         assert "window '3,-1'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "inf", "nan"])
+class TestStepRefused:
+    """A grid step that is not finite and positive exits 1 and writes nothing."""
+
+    def test_haar(self, tmp_path, capsys, step):
+        out = tmp_path / "fam"
+        assert main(["haar", "--N", "1", "--matrix", "0,1,-1,0", f"--step={step}",
+                     "--out-dir", str(out)]) == 1
+        assert "error: step must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_crosscheck(self, tmp_path, capsys, step):
+        out = tmp_path / "cc.json"
+        assert main(["crosscheck", f"--step={step}", "--out", str(out)]) == 1
+        assert "error: step must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -29,7 +29,6 @@ from lct_numra.lct import (
     lct_direct,
     lct_fast,
     parseval_residual,
-    spectrum_inner,
 )
 from lct_numra.packets import generate_packets
 from lct_numra.sampling import (
@@ -46,6 +45,8 @@ from lct_numra.wavelets import haar_filter_bank
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 MATRICES = [fourier(), fresnel(1.0), M2111, frft(-1.0)]
 MATRIX_IDS = ["fourier", "fresnel1", "haar2111", "frft_neg"]
+CLOSED_FORM_MATRICES = MATRICES + [frft(0.3), fresnel(-2.0)]
+CLOSED_FORM_IDS = MATRIX_IDS + ["frft0.3", "fresnel-2"]
 NONZERO = st.floats(-3.0, 3.0).filter(lambda x: abs(x) >= 0.1)
 
 
@@ -187,12 +188,24 @@ class TestInverse:
         back = ilct(lct_fast(f, m), m, g, method="fast")
         assert rel_l2(back.values, f.values) <= 1e-12
 
-    def test_direct_round_trip(self):
+    @pytest.mark.parametrize("m", CLOSED_FORM_MATRICES, ids=CLOSED_FORM_IDS)
+    def test_direct_round_trip(self, m):
         g = grid_n(1024)
         f = gaussian(g)
-        spec = lct_direct(f, M2111, induced_omega_grid(g, M2111))
-        back = ilct(spec, M2111, g, method="direct")
+        spec = lct_direct(f, m, induced_omega_grid(g, m))
+        back = ilct(spec, m, g, method="direct")
         assert rel_l2(back.values, f.values) <= 1e-6
+
+    @pytest.mark.parametrize("m", CLOSED_FORM_MATRICES, ids=CLOSED_FORM_IDS)
+    def test_kernel_of_inverse_matrix(self, m):
+        # conj K_m(t, u) = K_{m^-1}(u, t), the direct inverse's identity: a root off the
+        # principal branch for one sign of b flips the sign of one side
+        t = np.linspace(-3.0, 3.0, 61)
+        u = np.linspace(-2.5, 3.5, 53)
+        inverse = CanonicalMatrix(m.d, -m.b, -m.c, m.a)
+        want = np.conj(kernel(m, t[:, None], u[None, :]))
+        got = kernel(inverse, u[None, :], t[:, None])
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_zero_spectrum(self):
         g = grid_n(256)
@@ -211,8 +224,9 @@ class TestInverse:
         # the (-1)^j fold needs an even count: auto takes the direct path, fast refuses
         g = grid_n(255)
         spec = lct_direct(gaussian(g), M2111, induced_omega_grid(g, M2111))
-        np.testing.assert_array_equal(ilct(spec, M2111, g).values,
-                                      ilct(spec, M2111, g, method="direct").values)
+        with pytest.warns(RuntimeWarning, match=r"odd count 255\): 255 x 255 kernel evaluations"):
+            auto = ilct(spec, M2111, g)
+        np.testing.assert_array_equal(auto.values, ilct(spec, M2111, g, method="direct").values)
         with pytest.raises(ValueError, match="even count"):
             ilct(spec, M2111, g, method="fast")
 
@@ -606,10 +620,6 @@ class TestChirpedAtom:
         assert np.max(np.abs(np.abs(got) - np.abs(want))) >= 0.1 * np.max(np.abs(want))
 
 
-CLOSED_FORM_MATRICES = MATRICES + [frft(0.3), fresnel(-2.0)]
-CLOSED_FORM_IDS = MATRIX_IDS + ["frft0.3", "fresnel-2"]
-
-
 class TestClosedForm:
     """Both paths against ``gaussian_spectrum``, the transform of exp(-pi t^2) by any m."""
 
@@ -650,7 +660,7 @@ class TestParseval:
         f = gaussian(g)
         sig = SampledSignal(g, np.exp(-np.pi * (g.points() - 0.5) ** 2))
         res = parseval_residual(f, sig, fourier())
-        lhs = spectrum_inner(lct_fast(f, fourier()), lct_fast(sig, fourier()))
+        lhs = inner_product(lct_fast(f, fourier()), lct_fast(sig, fourier()))
         assert res == pytest.approx(abs(lhs - inner_product(f, sig)))
         assert res <= 1e-6
 

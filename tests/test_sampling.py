@@ -18,6 +18,7 @@ from lct_numra.sampling import (
     inner_product,
     norm,
     numra_grid,
+    rel_l2_error,
     translate_chirp,
 )
 from lct_numra.filters import TranslationSet
@@ -82,14 +83,14 @@ class TestInnerProduct:
         b = SampledSignal(g, rng.normal(size=g.count) + 1j * rng.normal(size=g.count))
         assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)))
 
-    def test_nested_grid_alignment(self):
-        coarse = Grid(-2.0, 2.0**-6, 256)
-        fine = Grid(-2.0, 2.0**-8, 1024)
-        f_c = gaussian(coarse)
-        f_f = gaussian(fine)
-        got = inner_product(f_c, f_f)
-        want = inner_product(f_c, f_c)
-        assert got == pytest.approx(want, abs=1e-12)
+    def test_nested_grids_refused(self):
+        # a coarse grid inside a fine one is not aligned: the signals must share one grid
+        coarse = gaussian(Grid(-2.0, 2.0**-6, 256))
+        fine = gaussian(Grid(-2.0, 2.0**-8, 1024))
+        with pytest.raises(GridMismatchError, match="share a common grid"):
+            inner_product(coarse, fine)
+        with pytest.raises(GridMismatchError, match="share a common grid"):
+            rel_l2_error(fine, coarse)
 
     def test_incompatible_grids_rejected(self):
         a = gaussian(Grid(0.0, 0.1, 10))

@@ -105,6 +105,13 @@ class TestHaarScaling:
         assert inner_product(phi, phi).real == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
+def test_default_time_grid_refuses_step(step):
+    # not silently replaced by the coarsest grid (step inf, -1) nor a ZeroDivisionError (0)
+    with pytest.raises(ValueError, match=f"step must be finite and positive, got {step}"):
+        default_time_grid(TranslationSet(1, 1), target_step=step)
+
+
 class TestHaarFilters:
     def test_n1_constant_half(self):
         for m in (fourier(), M2111):
@@ -175,6 +182,13 @@ class TestCascade:
         assert served_engine([result.hat], grid) is result.engine
         with pytest.raises(ValueError, match=r"\(262144 points\).*\(131072 points\)"):
             served_engine([result.hat], grid, oversample=8)
+
+    @pytest.mark.parametrize("J", [0, -3])
+    def test_refuses_empty_product(self, haar1_cascade, J):
+        # no factor: the product is 1 (a spike in time) and no tail is ever checked
+        _, p0, _ = haar1_cascade
+        with pytest.raises(ValueError, match=f"J >= 1 factors, got J={J}"):
+            cascade(p0, J=J)
 
     def test_rejects_filter_without_unit_response(self):
         ts = TranslationSet(1, 1)
