@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 EXIT_OK = 0
@@ -219,7 +220,11 @@ def _cmd_lct(args) -> int:
         else:
             raise ValueError(f"{args.infile}: no source t_grid in the sidecar; "
                              "pass --t-grid t_min,step,count")
-        sig = ilct(spec, m, grid, method=args.method or "auto")
+        with warnings.catch_warnings(record=True) as caught:  # the fallback's cost, as CLI text
+            warnings.simplefilter("always")
+            sig = ilct(spec, m, grid, method=args.method or "auto")
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         write_signal_csv(args.out, sig)
     return EXIT_OK
 

@@ -11,21 +11,22 @@ by n/2, so b > 0 takes an FFT and b < 0 an unscaled inverse FFT
 (norm="forward"), in place and in grid order.  The fast inverse undoes the
 same factors with the mirror FFT, the exact discrete inverse for either sign
 of b on even counts; ``_apply`` runs multiply * FFT * multiply both ways.
-Tables cost more than the FFT, so ``_factors`` keeps them, as FFTW keeps
-plans (Frigo & Johnson, 2005).  Their phases, up to 8e10 rad at 2^20 points,
-are exact to about 1e-15 rad: reduced mod 2 pi in rationals and 64-bit
-integer limbs (Payne & Hanek, SIGNUM Newsletter 18(1), 1983) and built in
-blocks of ``_FILL / 2`` points.
+A table build costs about one transform, so ``_factors`` keeps the tables,
+as FFTW keeps plans (Frigo & Johnson, 2005).  Their phases, up to 8e10 rad
+at 2^20 points, are exact to about 3e-15 rad: ``_fill`` makes each entry
+from three small factors, every phase reduced mod 2 pi in rationals and
+64-bit integer limbs (Payne & Hanek, SIGNUM Newsletter 18(1), 1983).
 
 From ``_SPLIT`` points on, each transform takes one radix-2 decimation-in-time
 step (Cooley & Tukey, Math. Comp. 19, 1965): the input multiply writes even
 samples to the first half of the result and odd ones to the second, each half
 gets a half-size FFT, and the butterfly E +- w^k O is folded into the output
-multiply.  The two halves, the butterflies and a table build are shared
-between two threads, as np.fft and numpy's arithmetic release the GIL.  The
-environment variable LCT_NUMRA_THREADS caps them: 1 starts no thread, 0 or
-unset means min(2, CPUs this process may run on).  The bits do not depend on
-the cap; the BLAS variables (OMP/OPENBLAS/MKL_NUM_THREADS) do not govern it.
+multiply.  The two halves and the butterflies are shared between two
+threads, as np.fft and numpy's arithmetic release the GIL; tables are built
+on the calling thread.  The environment variable LCT_NUMRA_THREADS caps the
+threads: 1 starts no thread, 0 or unset means min(2, CPUs this process may
+run on).  The bits do not depend on the cap; the BLAS variables
+(OMP/OPENBLAS/MKL_NUM_THREADS) do not govern it.
 
 The filter and wavelet layers work with the plain hat transform and leave
 this engine's factors out.  The transform of m cancels the chirp of an atom
@@ -50,8 +51,7 @@ _BLOCK = 512
 _TABLES: dict[int, tuple] = {}  # size class -> ((t_grid, m), factor table), see _factors
 _FILL = 1 << 14  # points per block of a table build or conjugate: temporaries stay in cache
 _SPLIT = 1 << 17  # counts from which a transform takes the radix-2 step (at 2^16 it gains nothing)
-_TWIDDLES: dict[tuple[int, int], np.ndarray] = {}  # (count, sign) -> w^j, j < _FILL, see _radix2
-_ROOTS = tuple(np.exp(2j * np.pi * (np.arange(1024) / size)) for size in (1024, 1 << 20))
+_TWIDDLES: dict[tuple[int, int], tuple] = {}  # (size class, sign) -> (count, w^j for j < _FILL)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def _reduction(quad, lin, const):
 
 
 def _threads(count: int) -> int:
-    """Threads for a transform or table of ``count`` points: 1 below ``_SPLIT``, else at most 2,
+    """Threads for a transform of ``count`` points: 1 below ``_SPLIT``, else at most 2,
     capped by LCT_NUMRA_THREADS (0, unset or not an integer: the CPUs this process may use)."""
     if count < _SPLIT:
         return 1
@@ -143,25 +143,37 @@ def _pair(first, second, threads: int) -> None:
         raise raised[0]
 
 
-def _fill(table: np.ndarray, turns, scale: float) -> None:
-    """table[k] = scale exp(2 pi i turns(k) / 2^20).  The top 20 bits of a turn pick two
-    ``_ROOTS`` entries; the rest is an angle x < 2 pi 2^-20: 1 - x^2/2 + i x.  Each half of
-    the table is built in blocks of ``_FILL / 2``, the second on a thread of its own when
-    ``_threads`` allows: each point's arithmetic is the same either way, and the temporaries
-    of both halves together stay those of one ``_FILL`` block."""
-    coarse = _ROOTS[0] * scale
+def _fill(table: np.ndarray, quad, lin, const, scale: float) -> None:
+    """table[k] = scale e(phi(k)), phi(k) = quad k^2 + lin k + const turns (exact rationals),
+    e(x) = exp(2 pi i x), from three small exact factors per block of S = ``_FILL / 2`` points.
 
-    def run(start, stop, size):
-        for lo in range(start, stop, size):
-            x = turns(np.arange(lo, min(lo + size, stop), dtype=np.uint64))
-            i = x.astype(np.int64)
-            x = (x - i) * (2.0 * np.pi / 2**20)
-            block = table[lo:lo + x.size]
-            block.real, block.imag = 1.0 - 0.5 * x * x, x
-            block *= _ROOTS[1][i & 1023] * coarse[(i >> 10) & 1023]
+    With k = b S + i, 0 <= i < S, phi(b S + i) = (quad i^2 + lin i) + 2 quad S b i + phi(b S),
+    and b i is an integer, so the middle term is rho b i mod 1 with rho = 2 quad S mod 1:
+      V[i] = e(quad i^2 + lin i), one row of S that every block shares;
+      U[b] = e(phi(b S)), one value per block;
+      R_b[i] = e(rho b i) = e(rho b w i1) e(rho b i0) for i = w i1 + i0, the outer product of
+        two rows of about sqrt(S) entries (as ``wavelets._root_powers``).
+    Every phase is reduced by ``_reduction`` (its limbs are exact for indices below 2^32; here
+    every b i < n) and exponentiated directly: nothing accumulates along the table, and each
+    entry carries the rounding of four exponentials and four products (3.1e-15 rad at most
+    where the tests compare with exact phases).  Per block, one outer product, whose first
+    row carries scale U[b], then one multiply by V into the table.
+    """
+    def e(quad, lin, const, k):  # e(quad k^2 + lin k + const) at uint64 indices k
+        return np.exp(_reduction(quad, lin, const)(k) * (2j * np.pi / 2**20))
 
-    h, n = table.size // 2, table.size
-    _pair(lambda: run(0, h, _FILL // 2), lambda: run(h, n, _FILL // 2), _threads(n))
+    n, size = table.size, _FILL // 2
+    w, rho = 1 << (size.bit_length() // 2), 2 * quad * size  # w = 128: size = 64 w
+    b = np.arange(-(-n // size), dtype=np.uint64)[:, None]
+    high = e(0, rho, 0, b * (w * np.arange(size // w, dtype=np.uint64)))
+    high *= e(quad * size * size, lin * size, const, b) * scale
+    low = e(0, rho, 0, b * np.arange(w, dtype=np.uint64))
+    v = e(quad, lin, 0, np.arange(min(size, n), dtype=np.uint64))
+    block = np.empty((size // w, w), np.complex128)
+    for k, lo in enumerate(range(0, n, size)):
+        hi = min(lo + size, n)
+        np.multiply(high[k, :, None], low[k], out=block)
+        np.multiply(block.reshape(-1)[:hi - lo], v[:hi - lo], out=table[lo:hi])
 
 
 def _factors(t_grid: Grid, m: CanonicalMatrix):
@@ -187,11 +199,13 @@ def _factors(t_grid: Grid, m: CanonicalMatrix):
     q, r = d * w * w / (2 * b), t0 * w / b
     # Room of 3n/2 points, allocated first and freed unwritten, below the kept table for the arrays
     # of a round trip's calling thread (result, half-size FFT scratch; the worker's scratch is in its
-    # own malloc arena): there they stay resident between calls (without it a 2^20 hit re-faults
-    # about 8 k pages).  Room of three grid arrays, as one FFT needed, reads 5 % more peak RSS.
+    # own malloc arena): there they stay resident between calls.  Measured on lct_roundtrip with the
+    # build on the calling thread: without the room a 2^20 hit re-faults 8.7 k pages and the traced
+    # 2^20 inverse takes 35 ms, not 28; peak RSS reads 412 MB without it, 418 (or 433, by where the
+    # build's small temporaries fall in the heap) with it.  Three grid arrays read 5 % more.
     chirp, out = [np.empty(k * t_grid.count // 2, np.complex128) for k in (3, 2, 2)][1:]
-    _fill(chirp, _reduction(c * s * s, 2 * c * t0 * s + Fraction(1, 2), c * t0 * t0), 1.0)
-    _fill(out, _reduction(q, -2 * h * q - r, h * h * q + h * r - Fraction(1 if b > 0 else -1, 8)),
+    _fill(chirp, c * s * s, 2 * c * t0 * s + Fraction(1, 2), c * t0 * t0, 1.0)
+    _fill(out, q, -2 * h * q - r, h * h * q + h * r - Fraction(1 if b > 0 else -1, 8),
           t_grid.step / np.sqrt(abs(m.b)))
     chirp.flags.writeable = out.flags.writeable = False
     _TABLES[size] = ((t_grid, m), (grid, chirp, out))
@@ -221,9 +235,11 @@ def _radix2(combine, v, factor, transform, norm: str, post) -> np.ndarray:
         transform(part, out=part, norm=norm)
 
     _pair(lambda: half(0), lambda: half(1), threads)
-    base = _TWIDDLES.get((n, sign))
-    if base is None:
-        base = _TWIDDLES[n, sign] = np.exp(sign * 2j * np.pi / n * np.arange(_FILL))
+    key = n.bit_length(), sign
+    slot = _TWIDDLES.get(key)
+    if slot is None or slot[0] != n:  # as ``_TABLES``: a size class keeps its last count
+        slot = _TWIDDLES[key] = (n, np.exp(sign * 2j * np.pi / n * np.arange(_FILL)))
+    base = slot[1]
 
     def butterflies(start, stop):
         block = np.empty(_FILL, np.complex128)

@@ -369,6 +369,19 @@ class TestSplit:
         want = one_fft(spec.values, m, g, inverse=True)
         assert rel_l2(ilct(spec, m, g, method="fast").values, want) <= 1e-15
 
+    def test_twiddles_keep_one_row_per_size_class_and_sign(self, monkeypatch):
+        # as the factor tables: counts of one size class replace each other's twiddle row
+        monkeypatch.setattr(lct, "_TWIDDLES", {})
+        rng = np.random.default_rng(4)
+        for n in [139264, 147456, 163840, 196608, 139264]:  # all of size class 18
+            g = grid_n(n)
+            for m in (M2111, frft(-1.0)):  # an ifft and an fft
+                values = rng.normal(size=n) + 1j * rng.normal(size=n)
+                spec = LctSpectrum(induced_omega_grid(g, m), values)
+                want = one_fft(spec.values, m, g, inverse=True)
+                assert rel_l2(ilct(spec, m, g, method="fast").values, want) <= 1e-15
+        assert len(lct._TWIDDLES) == 2
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_finishes_a_round_trip(self, monkeypatch):
         # a thread per call, not a pool: a forked child has no copy of a pool's worker
@@ -439,20 +452,28 @@ def phase_error(values, want):
 class TestExactPhases:
     """Table phases reach 8e10 rad at 2^20 (large_d); each must still be exact to 1e-14 rad."""
 
-    @pytest.mark.parametrize("e", [17, 20])
     @pytest.mark.parametrize(
-        "m", [M2111, CanonicalMatrix(0.5, 3, 1, 8), frft(-1.0), fourier()],
-        ids=["haar2111", "large_d", "frft_neg", "fourier"],
+        "n", [2**17, 2**20, 139264, 196608, 25576, 1000, 2**11],
+        ids=["17", "20", "n139264", "ac10_count", "short_last_block", "n1000", "n11"],
     )
-    def test_against_exact_reference(self, m, e):
-        g = grid_n(2**e)
-        ks = np.unique(np.r_[np.linspace(0, g.count - 1, 257).astype(np.int64), 1, g.count // 2])
+    @pytest.mark.parametrize(
+        "m", [M2111, CanonicalMatrix(0.5, 3, 1, 8), frft(-1.0), fourier(), frft(0.3)],
+        ids=["haar2111", "large_d", "frft_neg", "fourier", "frft0.3"],
+    )
+    def test_against_exact_reference(self, m, n):
+        # spread indices, and both sides of every edge of the _FILL / 2 blocks in which
+        # _fill builds a table from a per-block ramp (25576 = 3 blocks + 1000 points)
+        g, size = grid_n(n), lct._FILL // 2
+        edges = np.arange(0, n + size, size)
+        ks = np.r_[np.linspace(0, n - 1, 257).astype(np.int64), 1, n // 2]
+        ks = np.r_[ks, edges - 1, edges, edges + 1]
+        ks = np.unique(np.clip(ks, 0, n - 1))
         _, chirp, out = lct._factors(g, m)
         want_chirp, want_out = exact_table_phases(g, m, ks)
         assert phase_error(chirp[ks], want_chirp) <= 1e-14
         assert phase_error(out[ks], want_out) <= 1e-14
-        np.testing.assert_allclose(np.abs(chirp[ks]), 1.0, rtol=1e-15)
-        np.testing.assert_allclose(np.abs(out[ks]), g.step / np.sqrt(abs(m.b)), rtol=1e-15)
+        np.testing.assert_allclose(np.abs(chirp), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(np.abs(out), g.step / np.sqrt(abs(m.b)), rtol=1e-15)
 
     def test_reduction_exact_at_large_indices(self):
         # the 64-bit limb products wrap mod 2^64 by design, so indices far past any table
@@ -506,8 +527,8 @@ class TestMemory:
         # the two tables and the room, one array of 3n/2 points never written (see _factors)
         assert peak <= 5 * one + 80 * lct._FILL
         table = np.empty(g.count, np.complex128)
-        turns = lct._reduction(Fraction(1, 3), Fraction(2, 7), Fraction(5, 11))
-        _, peak = self.traced_memory(lambda: lct._fill(table, turns, 1.0))
+        phase = Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)
+        _, peak = self.traced_memory(lambda: lct._fill(table, *phase, 1.0))
         assert peak <= 80 * lct._FILL  # block temporaries only: a grid array is 4 MiB
 
 
