@@ -11,7 +11,8 @@ A pair whose samples are a short trigonometric polynomial evaluates L
 from its Fourier terms by one Horner-and-combine step on the phases
 z = exp(-4 pi i u) and cross = exp(-2 pi i u r/N): powers q^(2N), q^r of
 q = exp(-2 pi i u/N) at any real u, exact root-of-unity tables on a
-``wavelets.HatEngine`` lattice.  Other pairs take the nearest sample.
+``wavelets.HatEngine`` lattice; Horner skips zero bins by running in z^g
+for the stride g of the nonzero terms.  Other pairs take the nearest sample.
 
 This module owns the numerical verifiers for every admissibility
 condition used downstream (shift orthonormality of filter banks,
@@ -108,7 +109,8 @@ class PeriodicFilterPair:
     c_k exp(-4 pi i k u), bin k >= count/2 standing for k - count.  When
     the nonzero terms span at most ``_MAX_SPAN`` bins and reproduce every
     sample to rounding (``_EXACT_RTOL``), the pair is ``exact`` and
-    evaluates from them at any u; otherwise lookups take the nearest sample.
+    evaluates from them at any u (``_sparse``: lowest nonzero bin, stride g
+    of the others, their terms); otherwise lookups take the nearest sample.
     """
 
     ts: TranslationSet
@@ -116,6 +118,7 @@ class PeriodicFilterPair:
     comp1: np.ndarray
     comp2: np.ndarray
     _terms: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _sparse: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         count = self.u_grid.count
@@ -144,6 +147,9 @@ class PeriodicFilterPair:
             return None
         terms = coef[:, np.arange(lo, hi + 1) % count]
         terms[np.abs(terms) <= tol] = 0.0
+        nz = np.flatnonzero(np.any(terms != 0, axis=0))
+        k0, g = (int(nz[0]), int(np.gcd.reduce(nz - nz[0]))) if nz.size else (0, 0)
+        object.__setattr__(self, "_sparse", (lo + k0, g, terms[:, k0::g or terms.shape[1]]))
         object.__setattr__(self, "_terms", (lo, terms))  # checked through the evaluator itself
         c1, c2 = self.components_at(self.u_grid.points())
         misfit = max(np.max(np.abs(c1 - self.comp1)), np.max(np.abs(c2 - self.comp2)))
@@ -166,29 +172,30 @@ class PeriodicFilterPair:
         if self._terms is None:
             idx = np.round(np.mod(u, 0.5) / self.u_grid.step).astype(int) % self.u_grid.count
             return self.comp1[idx], self.comp2[idx]
-        return self._horner(self._phases(u)[0])
+        return self._horner(self._phases(u)[0], u.shape)
 
-    def _phases(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """z = exp(-4 pi i u) and cross = exp(-2 pi i u r/N) as powers of q = exp(-2 pi i u/N)."""
+    def _phases(self, u: np.ndarray):
+        """zpow(k) = z^k of z = exp(-4 pi i u), cross = exp(-2 pi i u r/N); q = exp(-2 pi i u/N)."""
         q = np.exp((-2j * np.pi / self.ts.N) * np.fmod(u, self.ts.N))  # L has period N in u
-        return q ** (2 * self.ts.N), q**self.ts.r
+        return (q ** (2 * self.ts.N)).__pow__, q**self.ts.r
 
-    def _horner(self, z: np.ndarray) -> np.ndarray:
-        """Both components of an exact pair from z, by Horner's rule in z."""
-        lo, terms = self._terms
-        coeffs = terms.T[::-1].reshape((-1, 2) + (1,) * z.ndim)
-        acc = np.empty((2,) + z.shape, dtype=np.complex128)
+    def _horner(self, zpow, shape: tuple) -> np.ndarray:
+        """Both components on ``shape`` points by Horner in z^g; zpow(k) = z^k, as needed."""
+        lo, g, terms = self._sparse
+        coeffs = terms.T[::-1].reshape((-1, 2) + (1,) * len(shape))
+        acc = np.empty((2,) + shape, dtype=np.complex128)
         acc[...] = coeffs[0]
+        zg = zpow(g) if len(coeffs) > 1 else None
         for c in coeffs[1:]:
-            acc *= z
+            acc *= zg
             acc += c
         if lo:
-            acc *= z**lo
+            acc *= zpow(lo)
         return acc
 
-    def _combine(self, z: np.ndarray, cross: np.ndarray) -> np.ndarray:
-        """Response comp1 + cross * comp2 of an exact pair from its phases z and cross."""
-        c1, c2 = self._horner(z)
+    def _combine(self, zpow, cross: np.ndarray) -> np.ndarray:
+        """Response comp1 + cross * comp2 of an exact pair from z^k = zpow(k) and cross."""
+        c1, c2 = self._horner(zpow, cross.shape)
         return c1 + cross * c2
 
 

@@ -9,9 +9,10 @@ integer subsampling.
 
 Every scaling, wavelet and packet hat is a product of filter rows
 L_d(u/(2N)^j) on one frequency lattice.  ``cascade`` creates a
-``HatEngine`` there that evaluates each row at most once and retains only
-the cascade tails in use and a few shallow low-pass rows, never one array
-per row.  A ``HatFunction`` takes its lattice values from the engine.
+``HatEngine`` there that evaluates each row once per period, multiplies
+the rows all tails share into one core, and retains only the cascade
+tails in use and a few shallow low-pass rows, never one array per row.
+A ``HatFunction`` takes its lattice values from the engine.
 
 Every lattice has step 1/``SPAN`` and every synthesis one time period of
 ``SPAN`` = 16, centred on 0.  That period holds every grid window the CLI
@@ -46,6 +47,7 @@ from .filters import (
 from .sampling import (
     Grid,
     SampledSignal,
+    _common_grid,
     chirp_phase,
     dilate,
     indicator,
@@ -93,6 +95,14 @@ def _root_powers(c: int, e0: int, m: int, order: int) -> np.ndarray:
     return np.outer(t[:-w], t[-w:]).ravel()[:m]
 
 
+def _cyclic(period: np.ndarray, a: int, b: int) -> np.ndarray:
+    """period[k % P], k = a..b-1: a slice, or a tiled copy where it wraps."""
+    s = a % period.size
+    if s + b - a <= period.size:
+        return period[s:s + b - a]
+    return np.resize(np.concatenate((period[s:], period[:s])), b - a)
+
+
 class HatEngine:
     """Products of dilated filter rows L_d(u/(2N)^j) on one frequency lattice.
 
@@ -104,20 +114,20 @@ class HatEngine:
         T_s(u) = prod_{j=s+1..s+J} L_0(u/(2N)^j),
 
     the cascade tail at depth s.  One pass over the low-pass rows builds
-    the tails of all requested depths: each row is evaluated once, in
-    blocks of the lattice, folded into every tail that contains it and
-    dropped.  The constructor builds tails 0..``depth`` and keeps the
-    shallow low-pass rows j <= depth, which digit 0 of a node reuses;
-    digit rows of node hats are evaluated once per ``lattice`` call and
-    folded into every hat that uses them.  A tail deeper than the first pass costs a
-    second pass.
+    the tails of all requested depths in blocks of the lattice: one core of
+    the rows all of them hold, completed by each tail's few edge rows.  The
+    constructor builds tails 0..``depth`` and keeps the shallow low-pass
+    rows j <= depth, which digit 0 of a node reuses; digit rows of node
+    hats are evaluated once per ``lattice`` call and folded into every hat
+    that uses them.  A tail deeper than the first pass costs a second pass.
 
     The lattice is u = e/SPAN, e = k - n//2.  Row j of an exact pair takes
-    z = q^(2N), cross = q^r of q = exp(-2 pi i e/order), order =
-    SPAN*N*(2N)^j, from phases c*e reduced exactly in int64 to
-    (-order/2, order/2]; an order past int64 needs no reduction, as
-    |c*e| < order/2.  Rows of other pairs use ``filter_eval``, which reads
-    the nearest stored sample.
+    the powers of z = q^(2N) it needs and cross = q^r of q = exp(-2 pi i
+    e/order), order = SPAN*N*(2N)^j, from phases c*e reduced exactly in
+    int64 to (-order/2, order/2]; an order past int64 needs no reduction,
+    as |c*e| < order/2.  Such a row has period ``order`` in k: where that
+    divides the lattice, one period is evaluated and blocks read it by
+    slice.  Rows of other pairs use ``filter_eval`` (nearest stored sample).
     """
 
     def __init__(self, lowpass: PeriodicFilterPair, grid: Grid, *, oversample: int, J: int,
@@ -135,8 +145,8 @@ class HatEngine:
         """True when this engine's lattice is the one used to synthesise onto ``grid``."""
         return self.u.size == round(oversample * SPAN / grid.step)
 
-    def _blocks(self):
-        return ((a, min(a + _BLOCK, self.u.size)) for a in range(0, self.u.size, _BLOCK))
+    def _blocks(self, n: int | None = None):
+        return ((a, min(a + _BLOCK, n or self.u.size)) for a in range(0, n or self.u.size, _BLOCK))
 
     def _row(self, pair: PeriodicFilterPair, j: int, a: int, b: int) -> np.ndarray:
         """Row L(u/(2N)^j) on lattice points a..b-1: the one place a row is evaluated."""
@@ -144,45 +154,69 @@ class HatEngine:
         if not pair.exact:
             return filter_eval(pair, self.u[a:b] / float(two_n) ** j)
         order, e0 = round(SPAN) * pair.ts.N * two_n**j, a - self.u.size // 2
-        return pair._combine(*(_root_powers(c, e0, b - a, order) for c in (two_n, pair.ts.r)))
+        return pair._combine(lambda k: _root_powers(two_n * k, e0, b - a, order),
+                             _root_powers(pair.ts.r, e0, b - a, order))
+
+    def _period(self, pair: PeriodicFilterPair, j: int) -> np.ndarray | None:
+        """Row j on one period, where one divides the lattice and is shorter; else None."""
+        order = round(SPAN) * pair.ts.N * self.lowpass.ts.dilation**j
+        if pair.exact and order < self.u.size and self.u.size % order == 0:
+            return np.concatenate([self._row(pair, j, a, b) for a, b in self._blocks(order)])
+        return None
 
     def _build_tails(self, depths, *, keep_rows: bool = False) -> None:
         new = sorted(set(depths) - set(self._tails))
         if not new:
             return
-        J = self.J
-        tails = {s: np.ones(self.u.size, dtype=np.complex128) for s in new}
-        rows = {j: np.empty(self.u.size, dtype=np.complex128)
-                for j in range(new[0] + 1, new[-1] + 1) if keep_rows and j not in self._rows}
+        J, lo, hi, low = self.J, new[0], new[-1], self.lowpass
+        # rows all new tails hold (but row J of a new T_0, checked); lead: their periodic product
+        core = [j for j in range(hi + 1, lo + J + 1) if not (lo == 0 and j == J)]
+        lead, rest = np.ones(1, dtype=np.complex128), []
+        for j in core:
+            p = self._period(low, j)
+            if p is None:
+                rest.append(j)
+            else:
+                np.multiply(p.reshape(-1, lead.size), lead, out=p.reshape(-1, lead.size))
+                lead = p
+        periods = {j: self._period(low, j) for j in range(lo + 1, hi + J + 1) if j not in core}
+        tails = {s: np.empty(self.u.size, dtype=np.complex128) for s in new}
+        rows = {j: np.empty(self.u.size, dtype=np.complex128) if periods[j] is None
+                else periods[j] for j in range(lo + 1, hi + 1) if keep_rows and j not in self._rows}
         deviation = 0.0
         for a, b in self._blocks():
-            for j in range(new[0] + 1, new[-1] + J + 1):
+            shared = _cyclic(lead, a, b).copy()
+            for j in rest:
+                shared *= self._row(low, j, a, b)
+            for s in new:
+                tails[s][a:b] = shared
+            for j, p in periods.items():  # the edge rows
                 users = [s for s in new if s < j <= s + J]
                 if not users and j not in rows:
                     continue
-                row = self._row(self.lowpass, j, a, b)
+                r = self._row(low, j, a, b) if p is None else _cyclic(p, a, b)
                 for s in users:
                     t = tails[s][a:b]
                     if s == 0 and j == J:
-                        full = t * row
+                        full = t * r
                         deviation = max(deviation, float(np.max(np.abs(full - t))))
                         t[...] = full
                     else:
-                        t *= row
-                if j in rows:
-                    rows[j][a:b] = row
+                        t *= r
+                if j in rows and p is None:
+                    rows[j][a:b] = r
         for arr in (*tails.values(), *rows.values()):
             arr.flags.writeable = False
         self._tails.update(tails)
         self._rows.update(rows)
-        if new[0] == 0:
+        if lo == 0:
             self.tail_deviation = deviation
 
     def lattice(self, hats, *, keep: bool = False) -> list[np.ndarray]:
         """Lattice values of hats bound to this engine (read-only when shared).
 
-        Each digit row is evaluated once and folded into every hat that
-        uses it.  ``keep`` stores the values on the hats, so later
+        Each digit row is evaluated once per period and folded into every
+        hat that uses it.  ``keep`` stores the values on the hats, so later
         consumers (bases, fold sums) reuse them for as long as the hats live.
         """
         todo = {id(h): h for h in hats if h._values is None}
@@ -195,12 +229,12 @@ class HatEngine:
             for i, pair in enumerate(h.filters):
                 j = h.level + i + 1
                 rows.setdefault((id(pair), j), (pair, j, []))[2].append(outs[key])
+        periods = {key: self._rows[j] if pair is self.lowpass and j in self._rows
+                   else self._period(pair, j) for key, (pair, j, _) in rows.items()}
         for a, b in self._blocks():
-            for pair, j, targets in rows.values():
-                if pair is self.lowpass and j in self._rows:
-                    row = self._rows[j][a:b]
-                else:
-                    row = self._row(pair, j, a, b)
+            for key, (pair, j, targets) in rows.items():
+                p = periods[key]
+                row = self._row(pair, j, a, b) if p is None else _cyclic(p, a, b)
                 for t in targets:
                     t[a:b] *= row
         if keep:
@@ -640,11 +674,10 @@ def l2_distance_off_jumps(a: SampledSignal, b: SampledSignal, jumps) -> float:
     right limit); excluding those measure-zero cells estimates the true
     L2 distance of the underlying functions.
     """
-    if a.grid != b.grid:
-        raise ValueError("signals must share a grid")
-    t = a.grid.points()
-    keep = np.ones(a.grid.count, dtype=bool)
+    grid = _common_grid([a, b])
+    t = grid.points()
+    keep = np.ones(grid.count, dtype=bool)
     for x in jumps:
-        keep &= np.abs(t - x) > 1.5 * a.grid.step
+        keep &= np.abs(t - x) > 1.5 * grid.step
     diff = np.abs(a.values - b.values) ** 2
-    return float(np.sqrt(np.sum(diff[keep]) * a.grid.step))
+    return float(np.sqrt(np.sum(diff[keep]) * grid.step))

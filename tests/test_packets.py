@@ -42,7 +42,7 @@ from lct_numra.wavelets import (
     haar_filter_bank,
 )
 
-from hat_reference import product_hat
+from hat_reference import ExactRows, product_hat
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 
@@ -423,9 +423,11 @@ class TestSubspaceSplit:
 class TestHatEngine:
     def test_each_row_evaluated_once_per_tree(self, monkeypatch):
         # generate, certify a level-1 and a level-0 basis, fold: every filter
-        # row L_d(u/(2N)^j) is evaluated on the lattice at most once
+        # row L_d(u/(2N)^j) is evaluated on exactly one period of the lattice,
+        # or on the whole lattice when its period does not divide it
         import lct_numra.wavelets as wavelets
 
+        # periods of 128 and 512 points then straddle block edges
         monkeypatch.setattr(wavelets, "_BLOCK", 1000)
         real = wavelets.HatEngine._row
         calls = []
@@ -444,10 +446,22 @@ class TestHatEngine:
         fold_residuals(nodes[1], ts, oversample=1)
         n = frequency_samples(grid, oversample=1).size
         assert len(calls) == len(set(calls))
+        points = {}
+        for key, size, j, _ in calls:
+            points[key, j] = points.get((key, j), 0) + size
+
+        def once(j):
+            order = 16 * 2 * 4**j
+            return min(order, n) if n % order == 0 else n
+
         # tails of depth 0..2 take the low-pass rows 1..22 (J = 20); the digit
         # rows are L_1, L_2, L_3 at level 1 and L_1 at level 2, while digit 0
         # of packet 4 reuses the low-pass row at level 1
-        assert sum(size for _, size, _, _ in calls) == 26 * n
+        want = {(id(bank[0]), j): once(j) for j in range(1, 23)}
+        want.update({(id(bank[d]), 1): once(1) for d in (1, 2, 3)})
+        want[id(bank[1]), 2] = once(2)
+        assert points == want
+        assert [once(j) for j in (1, 2, 3, 4)] == [128, 512, 2048, n]
 
     @pytest.mark.parametrize("N,r", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)])
     def test_lattice_rows_match_exact_phases(self, N, r):
@@ -498,6 +512,52 @@ class TestHatEngine:
             np.testing.assert_array_equal(got, filter_eval(pair, u / 2.0**j))
         phi = HatFunction(engine)
         np.testing.assert_array_equal(engine.lattice([phi])[0], product_hat(phi, u))
+
+    @pytest.mark.parametrize("N,r", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)])
+    def test_tails_and_hats_match_exact_phases(self, N, r, monkeypatch):
+        # refinement 72 gives every N periodic rows (periods of 32..256,
+        # 128 and 512, or 288 and 1728 points) that straddle block edges
+        import lct_numra.wavelets as wavelets
+
+        monkeypatch.setattr(wavelets, "_BLOCK", 1000)
+        ts = TranslationSet(N, r)
+        bank = haar_filter_bank(ts, M2111)
+        grid = numra_grid(ts, (-2.0, 2.0), refinement=72)
+        exact = ExactRows(frequency_samples(grid, oversample=1).size)
+        for depth in (0, 1, 2):
+            engine = wavelets.HatEngine(bank[0], grid, oversample=1, J=20, depth=depth)
+            assert engine._period(bank[0], 1) is not None
+            for s in range(depth + 1):
+                hat = HatFunction(engine).dilated(s)
+                assert np.max(np.abs(engine._tails[s] - exact.hat(hat))) <= 1e-14
+        nodes = [HatFunction(engine, tuple(bank[d] for d in digits(n, N).digits))
+                 for n in (1, 2 * N - 1, 2 * N, 2 * N + 1)]
+        hats = nodes + [h.dilated(1) for h in nodes[:2]] + [HatFunction(engine, (), 2)]
+        for hat, got in zip(hats, engine.lattice(hats)):
+            assert hat.depth <= 2
+            assert np.max(np.abs(got - exact.hat(hat))) <= 1e-14
+
+    def test_nearest_sample_tails_are_blockwise_filter_eval(self, monkeypatch):
+        # a nearest-sample low-pass has no period: every row is filter_eval
+        # block by block, so the tails do not depend on the block size, and
+        # the deepest tail, whose rows all follow the shared core, is the
+        # product formula bit for bit
+        import lct_numra.wavelets as wavelets
+
+        base = haar_filter_bank(TranslationSet(1, 1), fourier())[0]
+        phase = np.exp(1j * np.sin(2 * np.pi * base.u_grid.points()))
+        pair = PeriodicFilterPair(base.ts, base.u_grid, phase * base.comp1, phase * base.comp2)
+        grid = numra_grid(base.ts, (-2.0, 2.0), refinement=64)
+        whole = wavelets.HatEngine(pair, grid, oversample=1, J=20, depth=2)
+        monkeypatch.setattr(wavelets, "_BLOCK", 1000)
+        blocked = wavelets.HatEngine(pair, grid, oversample=1, J=20, depth=2)
+        assert all(blocked._period(pair, j) is None for j in range(1, 23))
+        for s in range(3):
+            np.testing.assert_array_equal(blocked._tails[s], whole._tails[s])
+            hat = HatFunction(blocked).dilated(s)
+            assert np.max(np.abs(blocked._tails[s] - product_hat(hat, blocked.u))) <= 1e-14
+        np.testing.assert_array_equal(blocked._tails[2],
+                                      product_hat(HatFunction(blocked, (), 2), blocked.u))
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_lattice_hats_match_product_formula(self, N):

@@ -11,6 +11,7 @@ from lct_numra.filters import (
 )
 from lct_numra.sampling import (
     Grid,
+    GridMismatchError,
     SampledSignal,
     chirp_phase,
     dilate,
@@ -402,6 +403,13 @@ class TestReferenceFormulas:
         dist2 = l2_distance_off_jumps(psi, ref, jumps=[0.0, 0.5, 1.0])
         assert dist == dist2  # deterministic
         assert np.isfinite(dist)
+
+    def test_distance_refuses_two_grids(self):
+        ts = TranslationSet(1, 1)
+        a = haar_scaling(ts, default_time_grid(ts))
+        b = haar_scaling(ts, numra_grid(ts, (-1.0, 3.0), refinement=256))
+        with pytest.raises(GridMismatchError):
+            l2_distance_off_jumps(a, b, jumps=[0.0, 1.0])
 
 
 def modulo_gather(fine, grid, oversample, shifts):
