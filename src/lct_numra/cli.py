@@ -284,8 +284,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_packets(args) -> int:
     from .filters import TranslationSet
-    from .io import config_hash, read_signal_csv, write_json, write_signal_csv
-    from .packets import generate_packets, translate_gram
+    from .io import read_signal_csv, write_json, write_signal_csv
+    from .packets import generate_packets
+    from .reports import packet_gram_report
     from .wavelets import default_time_grid, haar_filter_bank
 
     ts = TranslationSet(N=args.N, r=args.r)
@@ -310,23 +311,11 @@ def _cmd_packets(args) -> int:
     if not signals:
         print(f"no packet_*.csv files in {nodes_dir}", file=sys.stderr)
         return EXIT_USAGE
-    _, off = translate_gram(signals, ts, m, window)
-    cfg = {
-        "matrix": m.to_dict(),
-        "translation": ts.to_dict(),
-        "window": list(window),
-        "count": len(signals),
-    }
-    report = {
-        "config_hash": config_hash(cfg),
-        "config": cfg,
-        "tolerances": {"gram": args.tol},
-        "max_off_identity": off,
-        "ok": off <= args.tol,
-    }
+    report = packet_gram_report(signals, ts, m, window, args.tol)
     write_json(args.report, report)
     if not report["ok"]:
-        print(f"verification failed: gram residual {off:.3e}", file=sys.stderr)
+        print(f"verification failed: gram residual {report['max_off_identity']:.3e}",
+              file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK
 

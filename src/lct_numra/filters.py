@@ -62,11 +62,6 @@ class TranslationSet:
     def dilation(self) -> int:
         return 2 * self.N
 
-    @property
-    def spectral_intervals(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """The two intervals [0, 1/2) and [N/2, (N+1)/2) paired with the set."""
-        return ((0.0, 0.5), (self.N / 2.0, (self.N + 1) / 2.0))
-
     def to_dict(self) -> dict:
         return {"N": self.N, "r": self.r}
 
@@ -117,7 +112,6 @@ class PeriodicFilterPair:
     u_grid: Grid
     comp1: np.ndarray
     comp2: np.ndarray
-    _terms: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _sparse: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -133,10 +127,10 @@ class PeriodicFilterPair:
             if not np.all(np.isfinite(arr.view(np.float64))):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_terms", self._fourier_terms())
+        object.__setattr__(self, "_sparse", self._fourier_terms())
 
-    def _fourier_terms(self) -> tuple[int, np.ndarray] | None:
-        """(lo <= 0, coefficients of bins lo..hi per component) if they reproduce the samples."""
+    def _fourier_terms(self) -> tuple[int, int, np.ndarray] | None:
+        """(lowest nonzero bin, stride g, terms per component) if they reproduce the samples."""
         samples = np.stack([self.comp1, self.comp2])
         count = samples.shape[1]
         tol = _EXACT_RTOL * np.max(np.abs(samples))
@@ -149,17 +143,17 @@ class PeriodicFilterPair:
         terms[np.abs(terms) <= tol] = 0.0
         nz = np.flatnonzero(np.any(terms != 0, axis=0))
         k0, g = (int(nz[0]), int(np.gcd.reduce(nz - nz[0]))) if nz.size else (0, 0)
-        object.__setattr__(self, "_sparse", (lo + k0, g, terms[:, k0::g or terms.shape[1]]))
-        object.__setattr__(self, "_terms", (lo, terms))  # checked through the evaluator itself
-        c1, c2 = self.components_at(self.u_grid.points())
+        sparse = (lo + k0, g, terms[:, k0::g or terms.shape[1]])
+        u = self.u_grid.points()  # checked through the evaluator itself
+        c1, c2 = _horner(sparse, self._phases(u)[0], u.shape)
         misfit = max(np.max(np.abs(c1 - self.comp1)), np.max(np.abs(c2 - self.comp2)))
         # samples of a term up to bin k carry rounding of phases up to 2 pi k
-        return (lo, terms) if misfit <= tol * (hi - lo + 1) else None
+        return sparse if misfit <= tol * (hi - lo + 1) else None
 
     @property
     def exact(self) -> bool:
         """True when the pair evaluates from its Fourier terms, not by nearest sample."""
-        return self._terms is not None
+        return self._sparse is not None
 
     @property
     def shift_stride(self) -> int:
@@ -169,34 +163,39 @@ class PeriodicFilterPair:
     def components_at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Component values at arbitrary u (half-period reduction applied)."""
         u = np.asarray(u, dtype=float)
-        if self._terms is None:
+        if self._sparse is None:
             idx = np.round(np.mod(u, 0.5) / self.u_grid.step).astype(int) % self.u_grid.count
             return self.comp1[idx], self.comp2[idx]
-        return self._horner(self._phases(u)[0], u.shape)
+        return _horner(self._sparse, self._phases(u)[0], u.shape)
 
     def _phases(self, u: np.ndarray):
         """zpow(k) = z^k of z = exp(-4 pi i u), cross = exp(-2 pi i u r/N); q = exp(-2 pi i u/N)."""
         q = np.exp((-2j * np.pi / self.ts.N) * np.fmod(u, self.ts.N))  # L has period N in u
         return (q ** (2 * self.ts.N)).__pow__, q**self.ts.r
 
-    def _horner(self, zpow, shape: tuple) -> np.ndarray:
-        """Both components on ``shape`` points by Horner in z^g; zpow(k) = z^k, as needed."""
-        lo, g, terms = self._sparse
-        coeffs = terms.T[::-1].reshape((-1, 2) + (1,) * len(shape))
-        acc = np.empty((2,) + shape, dtype=np.complex128)
-        acc[...] = coeffs[0]
-        zg = zpow(g) if len(coeffs) > 1 else None
-        for c in coeffs[1:]:
-            acc *= zg
-            acc += c
-        if lo:
-            acc *= zpow(lo)
-        return acc
-
     def _combine(self, zpow, cross: np.ndarray) -> np.ndarray:
         """Response comp1 + cross * comp2 of an exact pair from z^k = zpow(k) and cross."""
-        c1, c2 = self._horner(zpow, cross.shape)
+        c1, c2 = _horner(self._sparse, zpow, cross.shape)
         return c1 + cross * c2
+
+
+def _horner(sparse: tuple, zpow, shape: tuple) -> np.ndarray:
+    """Both components of terms ``sparse`` on ``shape`` points by Horner in z^g;
+    zpow(k) = z^k, asked only for the powers needed."""
+    lo, g, terms = sparse
+    coeffs = terms.T[::-1].reshape((-1, 2) + (1,) * len(shape))
+    if len(coeffs) == 1:
+        acc = np.broadcast_to(coeffs[0], (2,) + shape).copy()
+    else:
+        zg = zpow(g)
+        acc = coeffs[0] * zg
+        for c in coeffs[1:-1]:
+            acc += c
+            acc *= zg
+        acc += coeffs[-1]
+    if lo:
+        acc *= zpow(lo)
+    return acc
 
 
 def filter_eval(p: PeriodicFilterPair, u) -> np.ndarray:

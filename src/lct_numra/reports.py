@@ -4,7 +4,7 @@ Reports are plain dictionaries designed for JSON emission: deterministic
 for a fixed configuration, carrying the config hash, the tolerance table,
 and per-condition residuals.  Condition codes: "2.21"/"2.22" bank
 orthonormality (plain/twisted), "2.33" quarter-period power profile,
-"3.4a"/"3.4b" scaling sums.
+"3.4a"/"3.4b" scaling sums.  ``packet_gram_report`` is the ``packets gram`` report.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from .canonical import CanonicalMatrix, validate
 from .filters import PeriodicFilterPair, TranslationSet, bank_residuals, omega_enumerate
 from .io import config_hash
-from .sampling import chirped_translate_gram, identity_deviation
+from .sampling import SampledSignal, chirped_translate_gram, identity_deviation
 from .wavelets import default_time_grid, haar_scaling, n2_reference_wavelets
 
 #: Default per-condition tolerances for verification reports.
@@ -37,6 +37,28 @@ def _report(config: dict, residuals: dict[str, float], tolerances: dict | None) 
         "residuals": residuals,
         "violations": violations,
         "ok": not violations,
+    }
+
+
+def packet_gram_report(signals: list[SampledSignal], ts: TranslationSet, m: CanonicalMatrix,
+                       window: tuple[float, float], tol: float) -> dict:
+    """Max |G - I| of the chirped translates of packet signals in ``window``; ok unless
+    above ``tol`` or NaN."""
+    from .packets import translate_gram  # not at the top: the other reports' CLI commands skip it
+
+    _, off = translate_gram(signals, ts, m, window)
+    config = {
+        "matrix": m.to_dict(),
+        "translation": ts.to_dict(),
+        "window": list(window),
+        "count": len(signals),
+    }
+    return {
+        "config_hash": config_hash(config),
+        "config": config,
+        "tolerances": {"gram": tol},
+        "max_off_identity": off,
+        "ok": off <= tol,
     }
 
 

@@ -9,9 +9,9 @@ integer subsampling.
 
 Every scaling, wavelet and packet hat is a product of filter rows
 L_d(u/(2N)^j) on one frequency lattice.  ``cascade`` creates a
-``HatEngine`` there that evaluates each row once per period, multiplies
-the rows all tails share into one core, and retains only the cascade
-tails in use and a few shallow low-pass rows, never one array per row.
+``HatEngine`` there that evaluates each row once, as an array on its
+period multiplied in by broadcasting, and retains only the cascade tails
+in use and a few shallow low-pass rows, never one array per row.
 A ``HatFunction`` takes its lattice values from the engine.
 
 Every lattice has step 1/``SPAN`` and every synthesis one time period of
@@ -68,17 +68,23 @@ class ConvergenceError(RuntimeError):
 #: Time period of every synthesis; the frequency lattice has step 1/SPAN.
 SPAN = 16.0
 
-#: Lattice points per block of a row pass; bounds the temporaries of one
-#: filter evaluation whatever the lattice size.
+#: Lattice points per ``_row`` call; bounds the temporaries of one filter
+#: evaluation whatever the period of the row.
 _BLOCK = 1 << 15
 
 
-def frequency_samples(grid: Grid, *, oversample: int = 16) -> np.ndarray:
-    """The u lattice used to inverse-transform onto ``grid`` (centered, step 1/SPAN)."""
+def _lattice_size(grid: Grid, oversample: int) -> int:
+    """Points oversample*SPAN/step of the u lattice that synthesises onto ``grid``."""
     n_f = oversample * SPAN / grid.step
     n = round(n_f)
     if abs(n_f - n) > 1e-9:
         raise ValueError("SPAN/step must give an integral transform size")
+    return n
+
+
+def frequency_samples(grid: Grid, *, oversample: int = 16) -> np.ndarray:
+    """The u lattice used to inverse-transform onto ``grid`` (centered, step 1/SPAN)."""
+    n = _lattice_size(grid, oversample)
     du = 1.0 / SPAN
     return (np.arange(n) - n // 2) * du
 
@@ -95,14 +101,6 @@ def _root_powers(c: int, e0: int, m: int, order: int) -> np.ndarray:
     return np.outer(t[:-w], t[-w:]).ravel()[:m]
 
 
-def _cyclic(period: np.ndarray, a: int, b: int) -> np.ndarray:
-    """period[k % P], k = a..b-1: a slice, or a tiled copy where it wraps."""
-    s = a % period.size
-    if s + b - a <= period.size:
-        return period[s:s + b - a]
-    return np.resize(np.concatenate((period[s:], period[:s])), b - a)
-
-
 class HatEngine:
     """Products of dilated filter rows L_d(u/(2N)^j) on one frequency lattice.
 
@@ -113,21 +111,25 @@ class HatEngine:
         prod_i L_{d_i}(u/(2N)^{l+i+1}) * T_{l+q}(u),
         T_s(u) = prod_{j=s+1..s+J} L_0(u/(2N)^j),
 
-    the cascade tail at depth s.  One pass over the low-pass rows builds
-    the tails of all requested depths in blocks of the lattice: one core of
-    the rows all of them hold, completed by each tail's few edge rows.  The
-    constructor builds tails 0..``depth`` and keeps the shallow low-pass
-    rows j <= depth, which digit 0 of a node reuses; digit rows of node
-    hats are evaluated once per ``lattice`` call and folded into every hat
-    that uses them.  A tail deeper than the first pass costs a second pass.
+    the cascade tail at depth s.  Each row is evaluated once, as one
+    array on its period P (``_period``), and multiplied into a lattice
+    array by broadcasting, ``target.reshape(-1, P) *= period``.  One pass
+    over the low-pass rows builds the tails of all requested depths: a
+    core of the rows all of them hold, tiled into each tail, then each
+    tail's few edge rows.  The constructor builds tails 0..``depth`` and
+    keeps the shallow low-pass rows j <= depth, which digit 0 of a node
+    reuses; digit rows of node hats are evaluated once per ``lattice``
+    call and multiplied into every hat that uses them.  A tail deeper
+    than the first pass costs a second pass.
 
     The lattice is u = e/SPAN, e = k - n//2.  Row j of an exact pair takes
     the powers of z = q^(2N) it needs and cross = q^r of q = exp(-2 pi i
     e/order), order = SPAN*N*(2N)^j, from phases c*e reduced exactly in
     int64 to (-order/2, order/2]; an order past int64 needs no reduction,
-    as |c*e| < order/2.  Such a row has period ``order`` in k: where that
-    divides the lattice, one period is evaluated and blocks read it by
-    slice.  Rows of other pairs use ``filter_eval`` (nearest stored sample).
+    as |c*e| < order/2.  Its period is ``order`` points where that divides
+    n; other rows, and all rows of other pairs (``filter_eval``, nearest
+    stored sample), take all n.  The periods are nested divisors of n, so
+    the core forms on the longest.  Products run accumulated times row.
     """
 
     def __init__(self, lowpass: PeriodicFilterPair, grid: Grid, *, oversample: int, J: int,
@@ -141,10 +143,6 @@ class HatEngine:
         self.tail_deviation = 0.0
         self._build_tails(range(depth + 1), keep_rows=True)
 
-    def serves(self, grid: Grid, *, oversample: int) -> bool:
-        """True when this engine's lattice is the one used to synthesise onto ``grid``."""
-        return self.u.size == round(oversample * SPAN / grid.step)
-
     def _blocks(self, n: int | None = None):
         return ((a, min(a + _BLOCK, n or self.u.size)) for a in range(0, n or self.u.size, _BLOCK))
 
@@ -157,67 +155,57 @@ class HatEngine:
         return pair._combine(lambda k: _root_powers(two_n * k, e0, b - a, order),
                              _root_powers(pair.ts.r, e0, b - a, order))
 
-    def _period(self, pair: PeriodicFilterPair, j: int) -> np.ndarray | None:
-        """Row j on one period, where one divides the lattice and is shorter; else None."""
+    def _period(self, pair: PeriodicFilterPair, j: int) -> np.ndarray:
+        """Row j on its period: its order where an exact pair's order divides n, else n points."""
+        n = self.u.size
         order = round(SPAN) * pair.ts.N * self.lowpass.ts.dilation**j
-        if pair.exact and order < self.u.size and self.u.size % order == 0:
-            return np.concatenate([self._row(pair, j, a, b) for a, b in self._blocks(order)])
-        return None
+        period = np.empty(order if pair.exact and n % order == 0 else n, dtype=np.complex128)
+        for a, b in self._blocks(period.size):
+            period[a:b] = self._row(pair, j, a, b)
+        return period
 
     def _build_tails(self, depths, *, keep_rows: bool = False) -> None:
         new = sorted(set(depths) - set(self._tails))
         if not new:
             return
         J, lo, hi, low = self.J, new[0], new[-1], self.lowpass
-        # rows all new tails hold (but row J of a new T_0, checked); lead: their periodic product
+        # the rows all new tails hold (but row J of a new T_0, checked), on nested periods
         core = [j for j in range(hi + 1, lo + J + 1) if not (lo == 0 and j == J)]
-        lead, rest = np.ones(1, dtype=np.complex128), []
+        acc = np.ones(1, dtype=np.complex128)
         for j in core:
-            p = self._period(low, j)
-            if p is None:
-                rest.append(j)
-            else:
-                np.multiply(p.reshape(-1, lead.size), lead, out=p.reshape(-1, lead.size))
-                lead = p
-        periods = {j: self._period(low, j) for j in range(lo + 1, hi + J + 1) if j not in core}
-        tails = {s: np.empty(self.u.size, dtype=np.complex128) for s in new}
-        rows = {j: np.empty(self.u.size, dtype=np.complex128) if periods[j] is None
-                else periods[j] for j in range(lo + 1, hi + 1) if keep_rows and j not in self._rows}
-        deviation = 0.0
-        for a, b in self._blocks():
-            shared = _cyclic(lead, a, b).copy()
-            for j in rest:
-                shared *= self._row(low, j, a, b)
-            for s in new:
-                tails[s][a:b] = shared
-            for j, p in periods.items():  # the edge rows
-                users = [s for s in new if s < j <= s + J]
-                if not users and j not in rows:
-                    continue
-                r = self._row(low, j, a, b) if p is None else _cyclic(p, a, b)
-                for s in users:
-                    t = tails[s][a:b]
-                    if s == 0 and j == J:
-                        full = t * r
-                        deviation = max(deviation, float(np.max(np.abs(full - t))))
-                        t[...] = full
-                    else:
-                        t *= r
-                if j in rows and p is None:
-                    rows[j][a:b] = r
-        for arr in (*tails.values(), *rows.values()):
-            arr.flags.writeable = False
+            row = self._period(low, j)
+            np.multiply(acc, row.reshape(-1, acc.size), out=row.reshape(-1, acc.size))
+            acc = row
+        tails = {s: np.tile(acc, self.u.size // acc.size) for s in new}
+        del acc  # freed before the edge rows: the tails hold the core now
+        for j in sorted(set(range(lo + 1, hi + J + 1)) - set(core)):  # the edge rows
+            users = [s for s in new if s < j <= s + J]
+            if not users:
+                continue
+            row = self._period(low, j)
+            for s in users:
+                t = tails[s].reshape(-1, row.size)
+                if s == 0 and j == J:
+                    full = t * row
+                    t -= full  # T_0's last factor moves it by |full - t|
+                    self.tail_deviation = float(np.max(np.abs(t)))
+                    tails[0] = full.ravel()
+                else:
+                    t *= row
+            if keep_rows and j <= hi:
+                row.flags.writeable = False
+                self._rows[j] = row
+        for t in tails.values():
+            t.flags.writeable = False
         self._tails.update(tails)
-        self._rows.update(rows)
-        if lo == 0:
-            self.tail_deviation = deviation
 
     def lattice(self, hats, *, keep: bool = False) -> list[np.ndarray]:
         """Lattice values of hats bound to this engine (read-only when shared).
 
-        Each digit row is evaluated once per period and folded into every
-        hat that uses it.  ``keep`` stores the values on the hats, so later
-        consumers (bases, fold sums) reuse them for as long as the hats live.
+        Each digit row is evaluated once, on its period, and multiplied into
+        every hat that uses it.  ``keep`` stores the values on the hats, so
+        later consumers (bases, fold sums) reuse them for as long as the
+        hats live.
         """
         todo = {id(h): h for h in hats if h._values is None}
         self._build_tails({h.depth for h in todo.values()})
@@ -229,14 +217,11 @@ class HatEngine:
             for i, pair in enumerate(h.filters):
                 j = h.level + i + 1
                 rows.setdefault((id(pair), j), (pair, j, []))[2].append(outs[key])
-        periods = {key: self._rows[j] if pair is self.lowpass and j in self._rows
-                   else self._period(pair, j) for key, (pair, j, _) in rows.items()}
-        for a, b in self._blocks():
-            for key, (pair, j, targets) in rows.items():
-                p = periods[key]
-                row = self._row(pair, j, a, b) if p is None else _cyclic(p, a, b)
-                for t in targets:
-                    t[a:b] *= row
+        for pair, j, targets in rows.values():
+            row = self._rows[j] if pair is self.lowpass and j in self._rows else self._period(pair, j)
+            for t in targets:
+                view = t.reshape(-1, row.size)
+                view *= row
         if keep:
             for key, h in todo.items():
                 outs[key].flags.writeable = False
@@ -290,8 +275,8 @@ def served_engine(hats, grid: Grid, *, oversample: int = 16) -> HatEngine:
     engine = hats[0].engine
     if not all(h.engine is engine for h in hats):
         raise ValueError("hats on one lattice must share one engine")
-    if not engine.serves(grid, oversample=oversample):
-        n = round(oversample * SPAN / grid.step)
+    n = _lattice_size(grid, oversample)
+    if engine.u.size != n:
         raise ValueError(f"engine lattice ({engine.u.size} points) does not serve "
                          f"the requested lattice ({n} points)")
     return engine

@@ -46,8 +46,8 @@ class ExactRows:
         N = pair.ts.N
         order = 16 * N * (2 * N) ** j
         cross = self.powers(pair.ts.r, order)
-        lo, terms = pair._terms
-        return sum((t1 + cross * t2) * self.powers(2 * N * (lo + k), order)
+        lo, g, terms = pair._sparse
+        return sum((t1 + cross * t2) * self.powers(2 * N * (lo + g * k), order)
                    for k, (t1, t2) in enumerate(terms.T))
 
     def hat(self, hat) -> np.ndarray:

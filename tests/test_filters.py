@@ -50,7 +50,6 @@ class TestTranslationSet:
     def test_valid(self):
         ts = TranslationSet(2, 1)
         assert ts.dilation == 4
-        assert ts.spectral_intervals == ((0.0, 0.5), (1.0, 1.5))
 
     @pytest.mark.parametrize("N,r", [(2, 2), (2, 5), (3, 3), (0, 1), (4, 9)])
     def test_invalid(self, N, r):

@@ -25,7 +25,7 @@ from lct_numra.io import (
     write_spectrum_csv,
 )
 from lct_numra.lct import LctSpectrum, ilct, lct_fast
-from lct_numra.reports import bank_report, lowpass_report
+from lct_numra.reports import bank_report, lowpass_report, packet_gram_report
 from lct_numra.sampling import Grid, SampledSignal, gaussian, numra_grid, rel_l2_error
 from lct_numra import lct, wavelets
 from lct_numra.wavelets import (
@@ -596,6 +596,25 @@ class TestPacketsCommand:
         assert payload["max_off_identity"] is None
         assert payload["ok"] is False
         assert "verification failed" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_gram_file_is_the_report(self, tmp_path):
+        # the CLI writes the in-process report byte for byte, a NaN residual as null
+        m = CanonicalMatrix(0, 1, -1, 0)
+        gen = tmp_path / "gen"
+        assert main(["packets", "gen", "--n-max", "1", "--N", "1", "--matrix", "0,1,-1,0",
+                     "--out-dir", str(gen), "--step", str(2.0**-10), "--window=-3,4"]) == 0
+        big = tmp_path / "big"
+        values = np.where(np.arange(256) % 2, 1e200, -1e200)
+        write_signal_csv(big / "packet_0.csv", SampledSignal(Grid(-2.0, 2.0**-6, 256), values))
+        for nodes, code in ((gen, 0), (big, 2)):
+            cli, lib = tmp_path / f"{nodes.name}.json", tmp_path / f"{nodes.name}_lib.json"
+            assert main(["packets", "gram", "--nodes", str(nodes), "--window=-1,1",
+                         "--matrix", "0,1,-1,0", "--N", "1", "--report", str(cli)]) == code
+            signals = [read_signal_csv(f) for f in sorted(nodes.glob("packet_*.csv"))]
+            write_json(lib, packet_gram_report(signals, TranslationSet(1, 1), m, (-1.0, 1.0),
+                                               1e-3))
+            assert cli.read_bytes() == lib.read_bytes()
 
 
 class TestWindowRefused:

@@ -1,4 +1,3 @@
-import functools
 import tracemalloc
 
 import numpy as np
@@ -220,6 +219,23 @@ class TestLagGramAC10:
             tracemalloc.stop()
         # the cell copy of the inputs and one conjugated cell per signal: no conjugate copy
         assert peak <= 1.5 * inputs
+
+
+class TestCascadeAC10:
+    def test_peak_memory_in_lattice_arrays(self):
+        # the three tails, row J and T_0's product with it, |their difference|
+        # and one row block's temporaries: six lattice arrays
+        ts = TranslationSet(2, 1)
+        bank = haar_filter_bank(ts, M2111)
+        grid = numra_grid(ts, (-5.0, 7.0), refinement=4096)
+        lattice_bytes = 16 * frequency_samples(grid, oversample=1).size
+        tracemalloc.start()
+        try:
+            cascade(bank[0], J=20, tol=1e-5, grid=grid, oversample=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * lattice_bytes
 
 
 class TestCertifyAC10:
@@ -466,31 +482,18 @@ class TestHatEngine:
     @pytest.mark.parametrize("N,r", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)])
     def test_lattice_rows_match_exact_phases(self, N, r):
         # each row term exp(-2 pi i c e/order) on u = e/span, order = span N (2N)^j,
-        # from the phase c e reduced modulo order in Python integers and the exp
-        # taken in long double; at N = 3, rows 23 and up have orders past int64
+        # against ExactRows (phases reduced in Python integers, exps in long
+        # double); at N = 3, rows 23 and up have orders past int64
         import lct_numra.wavelets as wavelets
 
         ts = TranslationSet(N, r)
         bank = haar_filter_bank(ts, M2111)
         grid = numra_grid(ts, (-2.0, 2.0), refinement=64)
         engine = wavelets.HatEngine(bank[0], grid, oversample=1, J=20, depth=0)
-        n = engine.u.size
-        e = np.arange(n, dtype=object) - n // 2
-        two_pi = 8 * np.arctan(np.longdouble(1))
-
-        @functools.cache
-        def powers(c, order):
-            red = (c * e) % order
-            red = np.where(2 * red > order, red - order, red).astype(np.int64)
-            return np.exp(-1j * two_pi * (red.astype(np.longdouble) / np.longdouble(order)))
-
+        exact = ExactRows(engine.u.size)
         for j in (1, 3, 6, 10, 15, 20, 22, 23):
-            order = 16 * N * (2 * N) ** j
-            cross = powers(r, order)
             for pair in bank:
-                lo, terms = pair._terms
-                want = sum((t1 + cross * t2) * powers(2 * N * (lo + k), order)
-                           for k, (t1, t2) in enumerate(terms.T))
+                want = exact.row(pair, j)
                 got = np.concatenate([engine._row(pair, j, a, b) for a, b in engine._blocks()])
                 assert np.max(np.abs(got - want)) <= 2e-15
 
@@ -526,7 +529,7 @@ class TestHatEngine:
         exact = ExactRows(frequency_samples(grid, oversample=1).size)
         for depth in (0, 1, 2):
             engine = wavelets.HatEngine(bank[0], grid, oversample=1, J=20, depth=depth)
-            assert engine._period(bank[0], 1) is not None
+            assert engine._period(bank[0], 1).size < engine.u.size
             for s in range(depth + 1):
                 hat = HatFunction(engine).dilated(s)
                 assert np.max(np.abs(engine._tails[s] - exact.hat(hat))) <= 1e-14
@@ -551,7 +554,7 @@ class TestHatEngine:
         whole = wavelets.HatEngine(pair, grid, oversample=1, J=20, depth=2)
         monkeypatch.setattr(wavelets, "_BLOCK", 1000)
         blocked = wavelets.HatEngine(pair, grid, oversample=1, J=20, depth=2)
-        assert all(blocked._period(pair, j) is None for j in range(1, 23))
+        assert all(blocked._period(pair, j).size == blocked.u.size for j in range(1, 23))
         for s in range(3):
             np.testing.assert_array_equal(blocked._tails[s], whole._tails[s])
             hat = HatFunction(blocked).dilated(s)
