@@ -19,10 +19,10 @@ one more inverse FFT.  A basis keeps its atoms
 unchirped: the time chirp, computed once per basis, cancels in the Gram,
 and analysis and synthesis apply it once per signal, each one product
 with the atoms; bases must be Gram-certified before use.
-``translate_gram`` certifies a packet set by
-``sampling.chirped_translate_gram``: its Gram comes from the cell lags of
-the unchirped packets, with the chirp as a diagonal phase, and no
-(atoms x count) stack of translates is built.
+``packet_gram`` is the band-limited Gram over one synthesis period: no grid
+enters it, its translates are circular with period ``SPAN``, and it comes
+from one fold of the kept hats, which ``fold_residuals`` shares; ``translate_gram``
+is the Gram on the signals' grid (``sampling.chirped_translate_gram``).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .filters import PeriodicFilterPair, TranslationSet, omega_enumerate, shift_
 from .sampling import (
     Grid,
     SampledSignal,
+    _GRAM_BLOCK,
     chirp_phase,
     chirped_translate_gram,
     identity_deviation,
@@ -46,6 +47,7 @@ from .wavelets import (
     SPAN,
     CascadeResult,
     HatFunction,
+    _roots,
     cascade,
     grid_samples,
     hat_to_signal,
@@ -160,21 +162,36 @@ def generate_packets(
     ]
 
 
+def _translations(ts: TranslationSet, lambda_window: tuple[float, float]) -> list[float]:
+    """The translations in the window; one that holds none certifies nothing and is refused."""
+    lambdas = omega_enumerate(ts, lambda_window)
+    if not lambdas:
+        raise ValueError(f"lambda window {tuple(lambda_window)} holds no translation")
+    return lambdas
+
+
 def translate_gram(
     system: list[SampledSignal],
     ts: TranslationSet,
     m: CanonicalMatrix,
     lambda_window: tuple[float, float],
 ) -> tuple[np.ndarray, float]:
-    """Gram of all chirped translates of the given signals; max |G - I|.
-
-    A window that holds no translation is refused: it certifies nothing.
-    """
-    lambdas = omega_enumerate(ts, lambda_window)
-    if not lambdas:
-        raise ValueError(f"lambda window {tuple(lambda_window)} holds no translation")
-    g = chirped_translate_gram(system, lambdas, m)
+    """Gram of all chirped translates of the given signals on their grid; max |G - I|."""
+    g = chirped_translate_gram(system, _translations(ts, lambda_window), m)
     return g, identity_deviation(g)
+
+
+def _lattice_fold(values: list[np.ndarray], period: int) -> np.ndarray:
+    """F[rho, i, k] = sum of values_i conj(values_k) over e = rho - n//2 mod ``period`` on
+    one lattice that ``period`` divides (a ValueError otherwise): one batched product per
+    block of ``_GRAM_BLOCK`` values, transposed in turn, so no hat stack is made."""
+    rows = [v.reshape(-1, period) for v in values]
+    per_block = max(1, _GRAM_BLOCK // (len(values) * period))
+    fold = np.zeros((period, len(values), len(values)), dtype=np.complex128)
+    for lo in range(0, max(map(len, rows)), per_block):  # unequal lattices fail to stack
+        block = np.stack([r[lo:lo + per_block].T for r in rows], axis=1)  # (rho, hat, row)
+        fold += block @ block.conj().transpose(0, 2, 1)
+    return fold
 
 
 def packet_gram(
@@ -183,8 +200,20 @@ def packet_gram(
     m: CanonicalMatrix,
     lambda_window: tuple[float, float],
 ) -> tuple[np.ndarray, float]:
-    """Gram of all chirped translates of the given packets; max |G - I|."""
-    return translate_gram([node.signal for node in nodes], ts, m, lambda_window)
+    """Gram of all chirped translates of the packets over one synthesis period; max |G - I|.
+
+    Band-limited, grid-free, translates circular with period ``SPAN``, node-major as
+    ``translate_gram``'s.  Each lam - mu is a multiple of 1/N: with F the ``_lattice_fold``
+    over SPAN*N residues rho, G_0 = (1/SPAN) sum_rho F[rho] exp(-2 pi i rho N (lam - mu)
+    /(SPAN N)), each phase reduced exactly, and G = D G_0 D^H."""
+    lambdas = _translations(ts, lambda_window)
+    period = round(SPAN) * ts.N
+    fold = _lattice_fold([node.hat.engine.lattice([node.hat])[0] for node in nodes], period)
+    shifts = np.round(np.asarray(lambdas) * ts.N).astype(np.int64)
+    d = _roots(shifts, np.arange(period) - nodes[0].hat.engine.u.size // 2, period)
+    d *= chirp_phase(m, 0.0, lambdas)[:, None]  # D's phase on each shift's row
+    g = np.einsum("xp,pik,yp->ixky", d, fold / SPAN, d.conj()).reshape(len(d) * len(nodes), -1)
+    return g, identity_deviation(g)
 
 
 @dataclass
@@ -335,13 +364,9 @@ def fold_residuals(
     level up.
     """
     grid = node.signal.grid
-    du = 1.0 / SPAN
-    vals = np.abs(served_engine([node.hat], grid, oversample=oversample).lattice([node.hat])[0]) ** 2
-    period = round(ts.N / du)
-    n_fold = vals.size // period
-    trimmed = vals[: n_fold * period]
-    h = trimmed.reshape(n_fold, period).sum(axis=0)
-    plain, twisted = shift_sums(h, round(0.5 / du), ts)
+    vals = served_engine([node.hat], grid, oversample=oversample).lattice([node.hat])[0]
+    h = _lattice_fold([vals], round(SPAN) * ts.N)[:, 0, 0].real
+    plain, twisted = shift_sums(h, round(SPAN / 2), ts)
     res_plain = float(np.max(np.abs(plain - 2.0)))
     res_twist = float(np.max(np.abs(twisted)))
     return res_plain, res_twist

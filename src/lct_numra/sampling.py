@@ -16,7 +16,9 @@ chirped Gram is D G_0 D^H with D the diagonal of those constants:
 ``chirped_translate_gram`` builds no translate.  Its shifts are whole
 cells of g = gcd of their offsets, one batched product per cell lag:
 n_sig^2 |lags| P multiply-adds for P = ceil(count/g) g, not a stack's
-(n_sig |lambdas|)^2 count.
+(n_sig |lambdas|)^2 count.  Its translates are zero-filled on the grid;
+``packets.packet_gram``, the band-limited Gram over one synthesis period,
+needs no grid, and its translates are circular with period SPAN.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ Every scaling, wavelet and packet hat is a product of filter rows
 L_d(u/(2N)^j) on one frequency lattice.  ``cascade`` creates a
 ``HatEngine`` there that evaluates each row once, as an array on its
 period multiplied in by broadcasting, and retains only the cascade tails
-in use and a few shallow low-pass rows, never one array per row.
+in use and a few shallow low-pass rows, never one array per row; an
+exact row is one small matrix product of two tables of roots of unity.
 A ``HatFunction`` takes its lattice values from the engine.
 
 Every lattice has step 1/``SPAN`` and every synthesis one time period of
@@ -68,8 +69,8 @@ class ConvergenceError(RuntimeError):
 #: Time period of every synthesis; the frequency lattice has step 1/SPAN.
 SPAN = 16.0
 
-#: Lattice points per ``_row`` call; bounds the temporaries of one filter
-#: evaluation whatever the period of the row.
+#: Lattice points per ``filter_eval`` call of a nearest-sample row; bounds the
+#: temporaries of its evaluation.
 _BLOCK = 1 << 15
 
 
@@ -89,16 +90,14 @@ def frequency_samples(grid: Grid, *, oversample: int = 16) -> np.ndarray:
     return (np.arange(n) - n // 2) * du
 
 
-def _root_powers(c: int, e0: int, m: int, order: int) -> np.ndarray:
-    """exp(-2 pi i c e/order), e = e0..e0+m-1: the outer product of two tables of
-    about sqrt(m) entries, each from an exactly reduced phase (see ``HatEngine``)."""
-    w = int(np.ceil(np.sqrt(m)))
-    p = c * np.concatenate([e0 + w * np.arange(-(-m // w)), np.arange(w)])
+def _roots(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """exp(-2 pi i a b/order) on the outer grid of a and b, from phases a*b reduced
+    exactly in int64 (see ``HatEngine``)."""
+    p = np.multiply.outer(a, b)
     if order <= np.iinfo(np.int64).max:
         p %= order
         p[p > order // 2] -= order
-    t = np.exp((-2j * np.pi) * (p / float(order)))
-    return np.outer(t[:-w], t[-w:]).ravel()[:m]
+    return np.exp((-2j * np.pi) * (p / float(order)))
 
 
 class HatEngine:
@@ -122,13 +121,15 @@ class HatEngine:
     call and multiplied into every hat that uses them.  A tail deeper
     than the first pass costs a second pass.
 
-    The lattice is u = e/SPAN, e = k - n//2.  Row j of an exact pair takes
-    the powers of z = q^(2N) it needs and cross = q^r of q = exp(-2 pi i
-    e/order), order = SPAN*N*(2N)^j, from phases c*e reduced exactly in
-    int64 to (-order/2, order/2]; an order past int64 needs no reduction,
-    as |c*e| < order/2.  Its period is ``order`` points where that divides
-    n; other rows, and all rows of other pairs (``filter_eval``, nearest
-    stored sample), take all n.  The periods are nested divisors of n, so
+    The lattice is u = e/SPAN, e = k - n//2.  Row j of an exact pair sums
+    2K terms c_t q^(s_t e), q = exp(-2 pi i/order), order = SPAN*N*(2N)^j,
+    s = 2N(lo + g b) for comp1 and 2N(lo + g b) + r for comp2 (``_sparse``).
+    On its period of P points (``order`` where that divides n, else n), w =
+    ceil(sqrt(P)), it is one product of two tables of roots, row.reshape(-1,
+    w) = (q^(s (w i - n//2)) c) @ q^(s l), each phase s*e reduced exactly in
+    int64 (``_roots``; an order past int64 needs none, as |s*e| < order/2).
+    Rows of other pairs (``filter_eval``, nearest stored sample) take all n
+    points, ``_BLOCK`` at a time.  The periods are nested divisors of n, so
     the core forms on the longest.  Products run accumulated times row.
     """
 
@@ -143,26 +144,21 @@ class HatEngine:
         self.tail_deviation = 0.0
         self._build_tails(range(depth + 1), keep_rows=True)
 
-    def _blocks(self, n: int | None = None):
-        return ((a, min(a + _BLOCK, n or self.u.size)) for a in range(0, n or self.u.size, _BLOCK))
-
-    def _row(self, pair: PeriodicFilterPair, j: int, a: int, b: int) -> np.ndarray:
-        """Row L(u/(2N)^j) on lattice points a..b-1: the one place a row is evaluated."""
-        two_n = self.lowpass.ts.dilation
-        if not pair.exact:
-            return filter_eval(pair, self.u[a:b] / float(two_n) ** j)
-        order, e0 = round(SPAN) * pair.ts.N * two_n**j, a - self.u.size // 2
-        return pair._combine(lambda k: _root_powers(two_n * k, e0, b - a, order),
-                             _root_powers(pair.ts.r, e0, b - a, order))
-
     def _period(self, pair: PeriodicFilterPair, j: int) -> np.ndarray:
         """Row j on its period: its order where an exact pair's order divides n, else n points."""
-        n = self.u.size
-        order = round(SPAN) * pair.ts.N * self.lowpass.ts.dilation**j
-        period = np.empty(order if pair.exact and n % order == 0 else n, dtype=np.complex128)
-        for a, b in self._blocks(period.size):
-            period[a:b] = self._row(pair, j, a, b)
-        return period
+        n, two_n = self.u.size, self.lowpass.ts.dilation
+        if not pair.exact:
+            period = np.empty(n, dtype=np.complex128)
+            for a in range(0, n, _BLOCK):
+                period[a:a + _BLOCK] = filter_eval(pair, self.u[a:a + _BLOCK] / float(two_n) ** j)
+            return period
+        order = round(SPAN) * pair.ts.N * two_n**j
+        size = order if n % order == 0 else n
+        w = int(np.ceil(np.sqrt(size)))
+        lo, g, terms = pair._sparse
+        s = (two_n * (lo + g * np.arange(terms.shape[1])) + np.array([[0], [pair.ts.r]])).ravel()
+        outer = _roots(w * np.arange(-(-size // w)) - n // 2, s, order) * terms.ravel()
+        return (outer @ _roots(s, np.arange(w), order)).ravel()[:size]
 
     def _build_tails(self, depths, *, keep_rows: bool = False) -> None:
         new = sorted(set(depths) - set(self._tails))
@@ -183,18 +179,22 @@ class HatEngine:
             if not users:
                 continue
             row = self._period(low, j)
-            for s in users:
+            for s in reversed(users):  # T_0 last: row J's buffer may take its product
                 t = tails[s].reshape(-1, row.size)
                 if s == 0 and j == J:
-                    full = t * row
+                    spare = row.size == t.size and j > hi  # not a kept shallow row
+                    full = row.reshape(t.shape) if spare else np.empty_like(t)
+                    np.multiply(t, row.reshape(1, -1), out=full)
                     t -= full  # T_0's last factor moves it by |full - t|
                     self.tail_deviation = float(np.max(np.abs(t)))
                     tails[0] = full.ravel()
+                    del t  # the old T_0, freed before the next row
                 else:
                     t *= row
             if keep_rows and j <= hi:
                 row.flags.writeable = False
                 self._rows[j] = row
+            del row  # freed before the next row is evaluated
         for t in tails.values():
             t.flags.writeable = False
         self._tails.update(tails)
@@ -295,15 +295,18 @@ def periodic_samples(values: np.ndarray) -> np.ndarray:
 
     The inverse 2pi-convention transform of values on u = e/SPAN is periodic
     with period ``SPAN``; sample i is at time (i - n//2) SPAN/n, so every
-    window inside [-SPAN/2, SPAN/2) is one run.  The inverse FFT and its
-    scale n/SPAN run in place on the ``ifftshift`` copy of the values,
-    which ``fftshift`` then centres; a transform into a second array
-    would hold one more period of samples beside the kept ones.
+    window inside [-SPAN/2, SPAN/2) is one run.  At even n (lattice sizes
+    are multiples of SPAN) both half-period shifts of the FFT are signs: the
+    odd values of one copy change sign, the inverse FFT runs in place, and
+    the scale n/SPAN carries the signs (-1)^(i - n//2) of the samples.
     """
-    fine = np.fft.ifftshift(values)
+    fine = values.copy()
+    fine[1::2] *= -1
     np.fft.ifft(fine, out=fine)  # the out= keyword needs numpy >= 2.0
-    fine *= values.size / SPAN
-    return np.fft.fftshift(fine)
+    scale = (-1) ** (values.size // 2) * values.size / SPAN
+    fine[::2] *= scale
+    fine[1::2] *= -scale
+    return fine
 
 
 def _first_index(grid: Grid, n: int, *, oversample: int) -> int:

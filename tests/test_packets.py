@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lct_numra
 from lct_numra.canonical import CanonicalMatrix, fourier, fresnel, frft
 from lct_numra.filters import PeriodicFilterPair, TranslationSet, filter_eval, omega_enumerate
 from lct_numra.packets import (
@@ -21,6 +26,7 @@ from lct_numra.packets import (
     packet_hat,
     packet_synthesize,
     reconstruct,
+    translate_gram,
 )
 from lct_numra.sampling import (
     SampledSignal,
@@ -168,16 +174,21 @@ class TestPacketGram:
         assert off <= 1e-3
 
 
-@pytest.fixture(scope="module")
-def ac10_nodes():
-    """The N = 2, r = 1 packets 0..4 of AC-10 (five signals of 196608 samples)."""
-    ts = TranslationSet(2, 1)
+def _ac10_tree(r):
+    """The N = 2 packets 0..4 of AC-10 (five signals of 196608 samples)."""
+    ts = TranslationSet(2, r)
     bank = haar_filter_bank(ts, M2111)
     grid = numra_grid(ts, (-5.0, 7.0), refinement=4096)
     scaling = cascade(bank[0], J=20, tol=1e-5, grid=grid, oversample=1)
     nodes = [packet_hat(digits(n, 2), bank, scaling=scaling, grid=grid, oversample=1)
              for n in range(5)]
     return ts, nodes
+
+
+@pytest.fixture(scope="module")
+def ac10_nodes():
+    """The r = 1 tree of ``_ac10_tree``."""
+    return _ac10_tree(1)
 
 
 class TestLagGramAC10:
@@ -187,7 +198,7 @@ class TestLagGramAC10:
         # the shift phases are the library's own doubles; the products and
         # sums of the zero-filled translates are taken in long double
         ts, nodes = ac10_nodes
-        g, _ = packet_gram(nodes, ts, M2111, self.WINDOW)
+        g, _ = translate_gram([node.signal for node in nodes], ts, M2111, self.WINDOW)
         grid = nodes[0].signal.grid
         lams = np.asarray(omega_enumerate(ts, self.WINDOW))
         offsets = np.round(lams / grid.step).astype(int)
@@ -213,7 +224,7 @@ class TestLagGramAC10:
         inputs = sum(node.signal.values.nbytes for node in nodes)
         tracemalloc.start()
         try:
-            packet_gram(nodes, ts, M2111, self.WINDOW)
+            translate_gram([node.signal for node in nodes], ts, M2111, self.WINDOW)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -221,10 +232,39 @@ class TestLagGramAC10:
         assert peak <= 1.5 * inputs
 
 
+class TestLatticeGramAC10:
+    WINDOW = TestLagGramAC10.WINDOW
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_matches_time_gram(self, r, ac10_nodes):
+        # the band-limited Gram over one period against the trapezoid Gram of the
+        # zero-filled translates on the grid: the packets have decayed at the
+        # window's edges, so the two agree far below the AC-10 bound
+        ts, nodes = ac10_nodes if r == 1 else _ac10_tree(r)
+        g, off = packet_gram(nodes, ts, M2111, self.WINDOW)
+        want, want_off = translate_gram([node.signal for node in nodes], ts, M2111, self.WINDOW)
+        assert g.shape == want.shape == (5 * 9, 5 * 9)
+        assert np.max(np.abs(g - want)) <= 1e-10
+        assert abs(off - want_off) <= 1e-10
+
+    def test_peak_memory_is_a_fraction_of_a_lattice_array(self, ac10_nodes):
+        # the kept hats are folded in blocks of _GRAM_BLOCK values: no lattice
+        # array, stack of hats or translate is made
+        ts, nodes = ac10_nodes
+        lattice_bytes = nodes[0].hat.engine.u.size * 16
+        tracemalloc.start()
+        try:
+            packet_gram(nodes, ts, M2111, self.WINDOW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * lattice_bytes
+
+
 class TestCascadeAC10:
     def test_peak_memory_in_lattice_arrays(self):
-        # the three tails, row J and T_0's product with it, |their difference|
-        # and one row block's temporaries: six lattice arrays
+        # at row J: the three tails, row J holding T_0's product, |their
+        # difference| and the engine's float lattice, five lattice arrays
         ts = TranslationSet(2, 1)
         bank = haar_filter_bank(ts, M2111)
         grid = numra_grid(ts, (-5.0, 7.0), refinement=4096)
@@ -236,6 +276,32 @@ class TestCascadeAC10:
         finally:
             tracemalloc.stop()
         assert peak <= 6.5 * lattice_bytes
+
+    def test_tails_do_not_depend_on_blas_threads(self):
+        # each exact row is one matrix product: its bits must not follow how
+        # the BLAS splits it over threads
+        child = (
+            "import hashlib\n"
+            "from lct_numra.canonical import CanonicalMatrix\n"
+            "from lct_numra.filters import TranslationSet\n"
+            "from lct_numra.sampling import numra_grid\n"
+            "from lct_numra.wavelets import cascade, haar_filter_bank\n"
+            "ts = TranslationSet(2, 1)\n"
+            "bank = haar_filter_bank(ts, CanonicalMatrix(2, 1, 1, 1))\n"
+            "grid = numra_grid(ts, (-5.0, 7.0), refinement=4096)\n"
+            "engine = cascade(bank[0], J=20, tol=1e-5, grid=grid, oversample=1).engine\n"
+            "tails = b''.join(engine._tails[s].tobytes() for s in range(3))\n"
+            "print(hashlib.sha256(tails).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(lct_numra.__file__).resolve().parents[1])}
+            proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestCertifyAC10:
@@ -439,20 +505,19 @@ class TestSubspaceSplit:
 class TestHatEngine:
     def test_each_row_evaluated_once_per_tree(self, monkeypatch):
         # generate, certify a level-1 and a level-0 basis, fold: every filter
-        # row L_d(u/(2N)^j) is evaluated on exactly one period of the lattice,
-        # or on the whole lattice when its period does not divide it
+        # row L_d(u/(2N)^j) is evaluated once, on exactly one period of the
+        # lattice, or on the whole lattice when its period does not divide it
         import lct_numra.wavelets as wavelets
 
-        # periods of 128 and 512 points then straddle block edges
-        monkeypatch.setattr(wavelets, "_BLOCK", 1000)
-        real = wavelets.HatEngine._row
+        real = wavelets.HatEngine._period
         calls = []
 
-        def counting(engine, pair, j, a, b):
-            calls.append((id(pair), b - a, j, a))
-            return real(engine, pair, j, a, b)
+        def counting(engine, pair, j):
+            period = real(engine, pair, j)
+            calls.append(((id(pair), j), period.size))
+            return period
 
-        monkeypatch.setattr(wavelets.HatEngine, "_row", counting)
+        monkeypatch.setattr(wavelets.HatEngine, "_period", counting)
         ts = TranslationSet(2, 1)
         bank = haar_filter_bank(ts, M2111)
         grid = numra_grid(ts, (-4.0, 4.0), refinement=64)
@@ -461,10 +526,8 @@ class TestHatEngine:
         make_basis(nodes, ts, M2111, [(n, 0, [0.0, 2.0]) for n in range(4)]).certify()
         fold_residuals(nodes[1], ts, oversample=1)
         n = frequency_samples(grid, oversample=1).size
-        assert len(calls) == len(set(calls))
-        points = {}
-        for key, size, j, _ in calls:
-            points[key, j] = points.get((key, j), 0) + size
+        points = dict(calls)
+        assert len(points) == len(calls)
 
         def once(j):
             order = 16 * 2 * 4**j
@@ -494,7 +557,7 @@ class TestHatEngine:
         for j in (1, 3, 6, 10, 15, 20, 22, 23):
             for pair in bank:
                 want = exact.row(pair, j)
-                got = np.concatenate([engine._row(pair, j, a, b) for a, b in engine._blocks()])
+                got = np.resize(engine._period(pair, j), engine.u.size)
                 assert np.max(np.abs(got - want)) <= 2e-15
 
     def test_nearest_sample_rows_are_filter_eval(self, monkeypatch):
@@ -511,7 +574,7 @@ class TestHatEngine:
         engine = wavelets.HatEngine(pair, grid, oversample=1, J=20, depth=0)
         u = engine.u
         for j in (0, 1, 2, 5, 11, 20):
-            got = np.concatenate([engine._row(pair, j, a, b) for a, b in engine._blocks()])
+            got = np.resize(engine._period(pair, j), u.size)
             np.testing.assert_array_equal(got, filter_eval(pair, u / 2.0**j))
         phi = HatFunction(engine)
         np.testing.assert_array_equal(engine.lattice([phi])[0], product_hat(phi, u))
