@@ -12,7 +12,9 @@ from its Fourier terms by one Horner-and-combine step on the phases
 z = exp(-4 pi i u) and cross = exp(-2 pi i u r/N): powers q^(2N), q^r of
 q = exp(-2 pi i u/N) at any real u, exact root-of-unity tables on a
 ``wavelets.HatEngine`` lattice; Horner skips zero bins by running in z^g
-for the stride g of the nonzero terms.  Other pairs take the nearest sample.
+for the stride g of the nonzero terms.  Other pairs take the nearest sample,
+and their phase exp(-2 pi i u r/N) takes u reduced mod N, so that L repeats
+with period N in u bit for bit, as an exact pair's reduced q does.
 
 This module owns the numerical verifiers for every admissibility
 condition used downstream (shift orthonormality of filter banks,
@@ -76,6 +78,15 @@ def omega_enumerate(ts: TranslationSet, window: tuple[float, float]) -> list[flo
     n = np.arange(math.floor(lo / 2.0) - 1, math.ceil(hi / 2.0) + 2)
     lam = np.concatenate([2.0 * n, 2.0 * n + ts.r / ts.N])
     return sorted(lam[(lo <= lam) & (lam < hi)].tolist())
+
+
+def translations(ts: TranslationSet, window: tuple[float, float]) -> list[float]:
+    """``omega_enumerate`` of a window that must hold a translation: an empty one
+    certifies and projects nothing, so it is refused (a ValueError)."""
+    lambdas = omega_enumerate(ts, window)
+    if not lambdas:
+        raise ValueError(f"lambda window {tuple(window)} holds no translation")
+    return lambdas
 
 
 def default_u_count(ts: TranslationSet) -> int:
@@ -173,11 +184,6 @@ class PeriodicFilterPair:
         q = np.exp((-2j * np.pi / self.ts.N) * np.fmod(u, self.ts.N))  # L has period N in u
         return (q ** (2 * self.ts.N)).__pow__, q**self.ts.r
 
-    def _combine(self, zpow, cross: np.ndarray) -> np.ndarray:
-        """Response comp1 + cross * comp2 of an exact pair from z^k = zpow(k) and cross."""
-        c1, c2 = _horner(self._sparse, zpow, cross.shape)
-        return c1 + cross * c2
-
 
 def _horner(sparse: tuple, zpow, shape: tuple) -> np.ndarray:
     """Both components of terms ``sparse`` on ``shape`` points by Horner in z^g;
@@ -199,13 +205,16 @@ def _horner(sparse: tuple, zpow, shape: tuple) -> np.ndarray:
 
 
 def filter_eval(p: PeriodicFilterPair, u) -> np.ndarray:
-    """Full response comp1(u) + exp(-2 pi i u r/N) comp2(u); u unreduced in the phase."""
+    """Full response comp1(u) + exp(-2 pi i u r/N) comp2(u), u reduced mod N in the phase."""
     u_arr = np.asarray(u, dtype=float)
     if p.exact:
-        vals = p._combine(*p._phases(u_arr))
+        zpow, cross = p._phases(u_arr)
+        c1, c2 = _horner(p._sparse, zpow, u_arr.shape)
     else:
         c1, c2 = p.components_at(u_arr)
-        vals = c1 + np.exp(-2j * np.pi * u_arr * p.ts.r / p.ts.N) * c2
+        # floor mod: u and u + N k take one phase, so lattice rows repeat bit for bit
+        cross = np.exp(-2j * np.pi * np.mod(u_arr, p.ts.N) * p.ts.r / p.ts.N)
+    vals = c1 + cross * c2
     return complex(vals) if u_arr.ndim == 0 else vals
 
 

@@ -152,7 +152,7 @@ def _fill(table: np.ndarray, quad, lin, const, scale: float) -> None:
       V[i] = e(quad i^2 + lin i), one row of S that every block shares;
       U[b] = e(phi(b S)), one value per block;
       R_b[i] = e(rho b i) = e(rho b w i1) e(rho b i0) for i = w i1 + i0, the outer product of
-        two rows of about sqrt(S) entries (as ``wavelets._root_powers``).
+        two rows of about sqrt(S) entries (as in ``wavelets._roots``).
     Every phase is reduced by ``_reduction`` (its limbs are exact for indices below 2^32; here
     every b i < n) and exponentiated directly: nothing accumulates along the table, and each
     entry carries the rounding of four exponentials and four products (3.1e-15 rad at most

@@ -21,8 +21,8 @@ and analysis and synthesis apply it once per signal, each one product
 with the atoms; bases must be Gram-certified before use.
 ``packet_gram`` is the band-limited Gram over one synthesis period: no grid
 enters it, its translates are circular with period ``SPAN``, and it comes
-from one fold of the kept hats, which ``fold_residuals`` shares; ``translate_gram``
-is the Gram on the signals' grid (``sampling.chirped_translate_gram``).
+from one fold of the kept hats, which ``fold_residuals`` shares; the Gram on
+the signals' grid is ``sampling.chirped_translate_gram``.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ from functools import cached_property
 import numpy as np
 
 from .canonical import CanonicalMatrix
-from .filters import PeriodicFilterPair, TranslationSet, omega_enumerate, shift_sums
+from .filters import PeriodicFilterPair, TranslationSet, shift_sums, translations
 from .sampling import (
     Grid,
     SampledSignal,
     _GRAM_BLOCK,
     chirp_phase,
-    chirped_translate_gram,
     identity_deviation,
     weighted_gram,
 )
@@ -162,25 +161,6 @@ def generate_packets(
     ]
 
 
-def _translations(ts: TranslationSet, lambda_window: tuple[float, float]) -> list[float]:
-    """The translations in the window; one that holds none certifies nothing and is refused."""
-    lambdas = omega_enumerate(ts, lambda_window)
-    if not lambdas:
-        raise ValueError(f"lambda window {tuple(lambda_window)} holds no translation")
-    return lambdas
-
-
-def translate_gram(
-    system: list[SampledSignal],
-    ts: TranslationSet,
-    m: CanonicalMatrix,
-    lambda_window: tuple[float, float],
-) -> tuple[np.ndarray, float]:
-    """Gram of all chirped translates of the given signals on their grid; max |G - I|."""
-    g = chirped_translate_gram(system, _translations(ts, lambda_window), m)
-    return g, identity_deviation(g)
-
-
 def _lattice_fold(values: list[np.ndarray], period: int) -> np.ndarray:
     """F[rho, i, k] = sum of values_i conj(values_k) over e = rho - n//2 mod ``period`` on
     one lattice that ``period`` divides (a ValueError otherwise): one batched product per
@@ -203,14 +183,14 @@ def packet_gram(
     """Gram of all chirped translates of the packets over one synthesis period; max |G - I|.
 
     Band-limited, grid-free, translates circular with period ``SPAN``, node-major as
-    ``translate_gram``'s.  Each lam - mu is a multiple of 1/N: with F the ``_lattice_fold``
+    ``chirped_translate_gram``'s.  Each lam - mu is a multiple of 1/N: with F the ``_lattice_fold``
     over SPAN*N residues rho, G_0 = (1/SPAN) sum_rho F[rho] exp(-2 pi i rho N (lam - mu)
     /(SPAN N)), each phase reduced exactly, and G = D G_0 D^H."""
-    lambdas = _translations(ts, lambda_window)
+    lambdas = translations(ts, lambda_window)
     period = round(SPAN) * ts.N
     fold = _lattice_fold([node.hat.engine.lattice([node.hat])[0] for node in nodes], period)
     shifts = np.round(np.asarray(lambdas) * ts.N).astype(np.int64)
-    d = _roots(shifts, np.arange(period) - nodes[0].hat.engine.u.size // 2, period)
+    d = _roots(shifts, np.arange(period) - nodes[0].hat.engine.n // 2, period)
     d *= chirp_phase(m, 0.0, lambdas)[:, None]  # D's phase on each shift's row
     g = np.einsum("xp,pik,yp->ixky", d, fold / SPAN, d.conj()).reshape(len(d) * len(nodes), -1)
     return g, identity_deviation(g)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .canonical import CanonicalMatrix, validate
-from .filters import PeriodicFilterPair, TranslationSet, bank_residuals, omega_enumerate
+from .filters import PeriodicFilterPair, TranslationSet, bank_residuals, translations
 from .io import config_hash
 from .sampling import SampledSignal, chirped_translate_gram, identity_deviation
 from .wavelets import default_time_grid, haar_scaling, n2_reference_wavelets
@@ -44,9 +44,7 @@ def packet_gram_report(signals: list[SampledSignal], ts: TranslationSet, m: Cano
                        window: tuple[float, float], tol: float) -> dict:
     """Max |G - I| of the chirped translates of packet signals in ``window``; ok unless
     above ``tol`` or NaN."""
-    from .packets import translate_gram  # not at the top: the other reports' CLI commands skip it
-
-    _, off = translate_gram(signals, ts, m, window)
+    off = identity_deviation(chirped_translate_gram(signals, translations(ts, window), m))
     config = {
         "matrix": m.to_dict(),
         "translation": ts.to_dict(),
@@ -109,7 +107,7 @@ def anomalous_n2_report(*, step: float = 2.0**-10) -> dict:
     matrix_report = validate(m, allow_nonunimodular=True)
     window = (lambda_window[0] - 2.0, lambda_window[1] + 3.0)
     grid = default_time_grid(ts, window, target_step=step)
-    lambdas = omega_enumerate(ts, lambda_window)
+    lambdas = translations(ts, lambda_window)
     psis = n2_reference_wavelets(grid)
     phi = haar_scaling(ts, grid)
     g = chirped_translate_gram(psis + [phi], lambdas, m)

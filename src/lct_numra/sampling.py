@@ -158,20 +158,10 @@ def gaussian(grid: Grid) -> SampledSignal:
     return SampledSignal(grid, np.exp(-np.pi * grid.points() ** 2))
 
 
-def _common_samples(f: SampledSignal, g: SampledSignal):
-    """The values of two signals on their one grid; returns (f, g, grid).
-
-    Two different grids raise GridMismatchError: samples are never aligned
-    or interpolated across grids.
-    """
-    grid = _common_grid([f, g])
-    return f.values, g.values, grid
-
-
 def inner_product(f: SampledSignal, g: SampledSignal) -> complex:
-    """Trapezoidal quadrature of f * conj(g)."""
-    fv, gv, grid = _common_samples(f, g)
-    return complex(np.sum(fv * np.conj(gv) * grid.trapezoid_weights()))
+    """Trapezoidal quadrature of f * conj(g); both signals must share one grid."""
+    grid = _common_grid([f, g])
+    return complex(np.sum(f.values * np.conj(g.values) * grid.trapezoid_weights()))
 
 
 def norm(f: SampledSignal) -> float:
@@ -181,10 +171,9 @@ def norm(f: SampledSignal) -> float:
 
 def rel_l2_error(got: SampledSignal, ref: SampledSignal) -> float:
     """||got - ref||_2 / ||ref||_2; both signals must share one grid."""
-    gv, rv, grid = _common_samples(got, ref)
-    w = grid.trapezoid_weights()
-    num = np.sqrt(np.sum(np.abs(gv - rv) ** 2 * w))
-    den = np.sqrt(np.sum(np.abs(rv) ** 2 * w))
+    w = _common_grid([got, ref]).trapezoid_weights()
+    num = np.sqrt(np.sum(np.abs(got.values - ref.values) ** 2 * w))
+    den = np.sqrt(np.sum(np.abs(ref.values) ** 2 * w))
     return float(num / den)
 
 
@@ -201,6 +190,8 @@ def chirp_phase(m: CanonicalMatrix, t, shift: float) -> np.ndarray:
 
 
 def _common_grid(system: list[SampledSignal]) -> Grid:
+    """The one grid of ``system``; samples are never aligned or interpolated across grids,
+    so two different grids raise GridMismatchError."""
     grid = system[0].grid
     if any(s.grid != grid for s in system[1:]):
         raise GridMismatchError("signals must share a common grid")

@@ -9,11 +9,11 @@ integer subsampling.
 
 Every scaling, wavelet and packet hat is a product of filter rows
 L_d(u/(2N)^j) on one frequency lattice.  ``cascade`` creates a
-``HatEngine`` there that evaluates each row once, as an array on its
-period multiplied in by broadcasting, and retains only the cascade tails
-in use and a few shallow low-pass rows, never one array per row; an
-exact row is one small matrix product of two tables of roots of unity.
-A ``HatFunction`` takes its lattice values from the engine.
+``HatEngine`` there that evaluates each row, as an array on its period
+multiplied in by broadcasting, and retains only the cascade tails in
+use, never a row; an exact row is one small matrix product of two tables
+of roots of unity.  A ``HatFunction`` takes its lattice values from the
+engine.
 
 Every lattice has step 1/``SPAN`` and every synthesis one time period of
 ``SPAN`` = 16, centred on 0.  That period holds every grid window the CLI
@@ -43,7 +43,7 @@ from .filters import (
     check_scaling_conditions,
     default_u_count,
     filter_eval,
-    omega_enumerate,
+    translations,
 )
 from .sampling import (
     Grid,
@@ -103,64 +103,65 @@ def _roots(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
 class HatEngine:
     """Products of dilated filter rows L_d(u/(2N)^j) on one frequency lattice.
 
-    Bound to a low-pass filter and the lattice ``u`` of
-    ``frequency_samples(grid, oversample)``.  A node with digit
-    filters L_{d_0}..L_{d_{q-1}} at level l has the hat
+    Bound to a low-pass filter and the size ``n`` of the lattice u = e/SPAN,
+    e = k - n//2, of ``frequency_samples(grid, oversample)``; it holds the
+    filter, n, J, the cascade tails and ``tail_deviation``, and no row.  A
+    node with digit filters L_{d_0}..L_{d_{q-1}} at level l has the hat
 
         prod_i L_{d_i}(u/(2N)^{l+i+1}) * T_{l+q}(u),
         T_s(u) = prod_{j=s+1..s+J} L_0(u/(2N)^j),
 
-    the cascade tail at depth s.  Each row is evaluated once, as one
-    array on its period P (``_period``), and multiplied into a lattice
-    array by broadcasting, ``target.reshape(-1, P) *= period``.  One pass
-    over the low-pass rows builds the tails of all requested depths: a
+    the cascade tail at depth s.  L has period N in u, so row j repeats
+    every order = SPAN*N*(2N)^j points of e, whatever form the pair takes.
+    Each row is evaluated as one array on its period P (``_period``: the
+    order where that divides n, else all n points) and multiplied into a
+    lattice array by broadcasting, ``target.reshape(-1, P) *= period``.  One
+    pass over the low-pass rows builds the tails of all requested depths: a
     core of the rows all of them hold, tiled into each tail, then each
-    tail's few edge rows.  The constructor builds tails 0..``depth`` and
-    keeps the shallow low-pass rows j <= depth, which digit 0 of a node
-    reuses; digit rows of node hats are evaluated once per ``lattice``
-    call and multiplied into every hat that uses them.  A tail deeper
-    than the first pass costs a second pass.
+    tail's few edge rows.  The constructor builds tails 0..``depth``; digit
+    rows of node hats are evaluated once per ``lattice`` call and multiplied
+    into every hat that uses them.  A tail deeper than the first pass costs
+    a second pass.
 
-    The lattice is u = e/SPAN, e = k - n//2.  Row j of an exact pair sums
-    2K terms c_t q^(s_t e), q = exp(-2 pi i/order), order = SPAN*N*(2N)^j,
-    s = 2N(lo + g b) for comp1 and 2N(lo + g b) + r for comp2 (``_sparse``).
-    On its period of P points (``order`` where that divides n, else n), w =
-    ceil(sqrt(P)), it is one product of two tables of roots, row.reshape(-1,
-    w) = (q^(s (w i - n//2)) c) @ q^(s l), each phase s*e reduced exactly in
-    int64 (``_roots``; an order past int64 needs none, as |s*e| < order/2).
-    Rows of other pairs (``filter_eval``, nearest stored sample) take all n
-    points, ``_BLOCK`` at a time.  The periods are nested divisors of n, so
-    the core forms on the longest.  Products run accumulated times row.
+    Row j of an exact pair sums 2K terms c_t q^(s_t e), q = exp(-2 pi
+    i/order), s = 2N(lo + g b) for comp1 and 2N(lo + g b) + r for comp2
+    (``_sparse``).  With w = ceil(sqrt(P)) it is one product of two tables
+    of roots, row.reshape(-1, w) = (q^(s (w i - n//2)) c) @ q^(s l), each
+    phase s*e reduced exactly in int64 (``_roots``; an order past int64
+    needs none, as |s*e| < order/2).  A row of another pair is
+    ``filter_eval`` (nearest stored sample) on its P points, ``_BLOCK`` at a
+    time.  The periods are nested divisors of n, so the core forms on the
+    longest.  Products run accumulated times row.
     """
 
     def __init__(self, lowpass: PeriodicFilterPair, grid: Grid, *, oversample: int, J: int,
                  depth: int):
         self.lowpass = lowpass
-        self.u = frequency_samples(grid, oversample=oversample)
+        self.n = _lattice_size(grid, oversample)
         self.J = J
         self._tails: dict[int, np.ndarray] = {}
-        self._rows: dict[int, np.ndarray] = {}
         #: Max |T_0 - prod_{j<J} L_0(u/(2N)^j)| over the lattice.
         self.tail_deviation = 0.0
-        self._build_tails(range(depth + 1), keep_rows=True)
+        self._build_tails(range(depth + 1))
 
     def _period(self, pair: PeriodicFilterPair, j: int) -> np.ndarray:
-        """Row j on its period: its order where an exact pair's order divides n, else n points."""
-        n, two_n = self.u.size, self.lowpass.ts.dilation
-        if not pair.exact:
-            period = np.empty(n, dtype=np.complex128)
-            for a in range(0, n, _BLOCK):
-                period[a:a + _BLOCK] = filter_eval(pair, self.u[a:a + _BLOCK] / float(two_n) ** j)
-            return period
+        """Row j on its period: SPAN*N*(2N)^j points where that divides n, else all n."""
+        n, two_n = self.n, self.lowpass.ts.dilation
         order = round(SPAN) * pair.ts.N * two_n**j
         size = order if n % order == 0 else n
+        if not pair.exact:
+            period = np.empty(size, dtype=np.complex128)
+            for a in range(0, size, _BLOCK):  # u as frequency_samples forms it
+                u = (np.arange(a, min(a + _BLOCK, size)) - n // 2) * (1.0 / SPAN)
+                period[a:a + _BLOCK] = filter_eval(pair, u / float(two_n) ** j)
+            return period
         w = int(np.ceil(np.sqrt(size)))
         lo, g, terms = pair._sparse
         s = (two_n * (lo + g * np.arange(terms.shape[1])) + np.array([[0], [pair.ts.r]])).ravel()
         outer = _roots(w * np.arange(-(-size // w)) - n // 2, s, order) * terms.ravel()
         return (outer @ _roots(s, np.arange(w), order)).ravel()[:size]
 
-    def _build_tails(self, depths, *, keep_rows: bool = False) -> None:
+    def _build_tails(self, depths) -> None:
         new = sorted(set(depths) - set(self._tails))
         if not new:
             return
@@ -172,7 +173,7 @@ class HatEngine:
             row = self._period(low, j)
             np.multiply(acc, row.reshape(-1, acc.size), out=row.reshape(-1, acc.size))
             acc = row
-        tails = {s: np.tile(acc, self.u.size // acc.size) for s in new}
+        tails = {s: np.tile(acc, self.n // acc.size) for s in new}
         del acc  # freed before the edge rows: the tails hold the core now
         for j in sorted(set(range(lo + 1, hi + J + 1)) - set(core)):  # the edge rows
             users = [s for s in new if s < j <= s + J]
@@ -182,8 +183,7 @@ class HatEngine:
             for s in reversed(users):  # T_0 last: row J's buffer may take its product
                 t = tails[s].reshape(-1, row.size)
                 if s == 0 and j == J:
-                    spare = row.size == t.size and j > hi  # not a kept shallow row
-                    full = row.reshape(t.shape) if spare else np.empty_like(t)
+                    full = row.reshape(t.shape) if row.size == t.size else np.empty_like(t)
                     np.multiply(t, row.reshape(1, -1), out=full)
                     t -= full  # T_0's last factor moves it by |full - t|
                     self.tail_deviation = float(np.max(np.abs(t)))
@@ -191,9 +191,6 @@ class HatEngine:
                     del t  # the old T_0, freed before the next row
                 else:
                     t *= row
-            if keep_rows and j <= hi:
-                row.flags.writeable = False
-                self._rows[j] = row
             del row  # freed before the next row is evaluated
         for t in tails.values():
             t.flags.writeable = False
@@ -218,7 +215,7 @@ class HatEngine:
                 j = h.level + i + 1
                 rows.setdefault((id(pair), j), (pair, j, []))[2].append(outs[key])
         for pair, j, targets in rows.values():
-            row = self._rows[j] if pair is self.lowpass and j in self._rows else self._period(pair, j)
+            row = self._period(pair, j)
             for t in targets:
                 view = t.reshape(-1, row.size)
                 view *= row
@@ -276,8 +273,8 @@ def served_engine(hats, grid: Grid, *, oversample: int = 16) -> HatEngine:
     if not all(h.engine is engine for h in hats):
         raise ValueError("hats on one lattice must share one engine")
     n = _lattice_size(grid, oversample)
-    if engine.u.size != n:
-        raise ValueError(f"engine lattice ({engine.u.size} points) does not serve "
+    if engine.n != n:
+        raise ValueError(f"engine lattice ({engine.n} points) does not serve "
                          f"the requested lattice ({n} points)")
     return engine
 
@@ -589,9 +586,7 @@ def project(
     window would truncate the projection).  A window that holds no
     translation is refused.
     """
-    lambdas = omega_enumerate(ts, lambda_window)
-    if not lambdas:
-        raise ValueError(f"lambda window {tuple(lambda_window)} holds no translation")
+    lambdas = translations(ts, lambda_window)
     grid = f.grid
     chirp = chirp_phase(m, grid.points(), 0.0)
     weighted = np.conj(f.values) * chirp * grid.trapezoid_weights()

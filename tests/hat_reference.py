@@ -4,7 +4,8 @@ import functools
 
 import numpy as np
 
-from lct_numra.filters import filter_eval
+from lct_numra.filters import PeriodicFilterPair, default_u_count, filter_eval
+from lct_numra.sampling import Grid
 
 
 def product_hat(hat, u) -> np.ndarray:
@@ -59,3 +60,23 @@ class ExactRows:
         for i, pair in enumerate(hat.filters):
             out *= self.row(pair, hat.level + i + 1)
         return out
+
+
+def bins_pair(ts, bins):
+    """An exact pair on the Fourier ``bins`` k, and its closed form at any u.
+
+    Each component sums unimodular terms exp(-4 pi i k u), scaled by
+    1/(2 len(bins)); the closed form reduces u mod 1/2 and, in the phase, mod N.
+    """
+    count = default_u_count(ts)
+    grid = Grid(0.0, 0.5 / count, count)
+    coef = np.exp(1j * np.outer([1.0, -0.7], np.arange(1, len(bins) + 1))) / (2 * len(bins))
+
+    def components(u):
+        return coef @ np.exp(-4j * np.pi * np.outer(bins, u))
+
+    def closed(u):
+        c1, c2 = components(np.mod(u, 0.5))
+        return c1 + np.exp(-2j * np.pi * np.mod(u, ts.N) * ts.r / ts.N) * c2
+
+    return PeriodicFilterPair(ts, grid, *components(grid.points())), closed

@@ -19,6 +19,8 @@ from lct_numra.filters import (
 from lct_numra.sampling import Grid
 from lct_numra.wavelets import haar_filter_bank, haar_filters
 
+from hat_reference import bins_pair
+
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 
 
@@ -43,7 +45,7 @@ def ramp_pair(ts):
 def nearest_sample_response(p, u):
     """Nearest-sample response: the component samples nearest u mod 1/2."""
     idx = np.round(np.mod(u, 0.5) / p.u_grid.step).astype(int) % p.u_grid.count
-    return p.comp1[idx] + np.exp(-2j * np.pi * u * p.ts.r / p.ts.N) * p.comp2[idx]
+    return p.comp1[idx] + np.exp(-2j * np.pi * np.mod(u, p.ts.N) * p.ts.r / p.ts.N) * p.comp2[idx]
 
 
 class TestTranslationSet:
@@ -133,11 +135,32 @@ class TestFilterEval:
                 assert p.exact
                 np.testing.assert_allclose(filter_eval(p, u), want, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("N,r,bins", [(1, 1, (-1, 0, 2)), (2, 1, (1, 3)), (3, 5, (2, 5, 8))])
+    def test_pair_off_bin_zero_exact_at_large_u(self, N, r, bins):
+        # a lowest nonzero bin other than 0: Horner's sum times z^lo
+        ts = TranslationSet(N, r)
+        p, closed = bins_pair(ts, bins)
+        assert p.exact and p._sparse[0] == bins[0]
+        u = np.random.default_rng(N + r).uniform(-1500.0, 1500.0, 2000)
+        np.testing.assert_allclose(filter_eval(p, u), closed(u), rtol=0, atol=1e-13)
+
     def test_nearest_sample_fallback_for_ramp(self):
         p = ramp_pair(TranslationSet(2, 1))
         assert not p.exact
         u = np.random.default_rng(3).uniform(-4.0, 4.0, 1000)
         np.testing.assert_array_equal(filter_eval(p, u), nearest_sample_response(p, u))
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_nearest_sample_response_has_period_n(self, N):
+        # the phase takes u mod N, so u + k N repeats the response of u bit for
+        # bit at dyadic u, as lattice rows on their period need
+        ts = TranslationSet(N, 1)
+        ramp = u_grid(ts).points().astype(complex)
+        p = PeriodicFilterPair(ts, u_grid(ts), ramp, 1j * ramp)
+        assert not p.exact
+        u = np.random.default_rng(11).integers(-2**12, 2**12, 1000) / 2.0**8
+        for k in (1, 16, 256, 4096):
+            np.testing.assert_array_equal(filter_eval(p, u + k * N), filter_eval(p, u))
 
     def test_scalar_in_complex_out(self):
         p = haar_filters(TranslationSet(2, 1), M2111)

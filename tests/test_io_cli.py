@@ -24,7 +24,7 @@ from lct_numra.io import (
     write_signal_csv,
     write_spectrum_csv,
 )
-from lct_numra.lct import LctSpectrum, ilct, lct_fast
+from lct_numra.lct import LctSpectrum, ilct, induced_omega_grid, lct_direct, lct_fast
 from lct_numra.reports import bank_report, lowpass_report, packet_gram_report
 from lct_numra.sampling import Grid, SampledSignal, gaussian, numra_grid, rel_l2_error
 from lct_numra import lct, wavelets
@@ -107,6 +107,15 @@ class TestSerialization:
         want = "t,re,im\n" + "".join(
             f"{t:.17g},{v.real:.17g},{v.imag:.17g}\n" for t, v in zip(sig.grid.points(), values))
         assert path.read_bytes() == want.encode()
+
+    def test_signal_without_sidecar_infers_grid(self, tmp_path):
+        sig = gaussian(Grid(-2.0, 2.0**-6, 256))
+        path = tmp_path / "sig.csv"
+        write_signal_csv(path, sig)
+        path.with_suffix(".json").unlink()
+        back = read_signal_csv(path)
+        assert back.grid == sig.grid  # from the t column: dyadic points, exact differences
+        np.testing.assert_array_equal(back.values, sig.values)
 
     def test_signal_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -340,6 +349,20 @@ class TestVerifyCommand:
         assert payload["residuals"]["2.22"] is None
         assert not payload["ok"]
 
+    def test_tol_overrides_every_tolerance(self, tmp_path, capsys):
+        fpath = tmp_path / "filters.csv"
+        write_filter_csv(fpath, haar_filters(TranslationSet(1, 1), fourier()))
+        report = tmp_path / "report.json"
+        args = ["verify", "--filters", str(fpath), "--report", str(report), "--tol"]
+        assert main(args + ["1e-30"]) == 2
+        payload = read_json(report)
+        assert payload["tolerances"] == {code: 1e-30 for code in payload["residuals"]}
+        violations = sorted(c for c, res in payload["residuals"].items() if res > 1e-30)
+        assert violations and payload["violations"] == violations
+        assert capsys.readouterr().err.strip().endswith(", ".join(violations))
+        assert main(args + ["1e-12"]) == 0
+        assert read_json(report)["ok"]
+
 
 class TestHaarCommand:
     def test_outputs_and_idempotence(self, tmp_path):
@@ -386,6 +409,18 @@ class TestLctCommand:
             "--in", str(spec), "--out", str(back),
         ]) == 0
         assert rel_l2_error(read_signal_csv(back), read_signal_csv(fpath)) <= 1e-6
+
+    def test_direct_forward_is_lct_direct(self, tmp_path):
+        g = Grid(-4.0, 8.0 / 256, 256)
+        fpath = tmp_path / "f.csv"
+        write_signal_csv(fpath, gaussian(g))
+        cli, lib = tmp_path / "cli", tmp_path / "lib"
+        assert main(["lct", "fwd", "--matrix", "2,1,1,1", "--method", "direct",
+                     "--in", str(fpath), "--out", str(cli / "F.csv")]) == 0
+        m = CanonicalMatrix(2, 1, 1, 1)
+        write_spectrum_csv(lib / "F.csv", lct_direct(gaussian(g), m, induced_omega_grid(g, m)))
+        for name in ("F.csv", "F.json"):
+            assert (cli / name).read_bytes() == (lib / name).read_bytes()
 
     def test_offset_source_round_trip_without_t_grid(self, tmp_path):
         n = 2048
@@ -582,6 +617,15 @@ class TestPacketsCommand:
             "--out-dir", str(tmp_path / "pk"),
         ]) == 2
         assert "tail deviation" in capsys.readouterr().err
+
+    def test_gram_without_packet_0_exits_one(self, tmp_path, capsys):
+        nodes = tmp_path / "pk"
+        write_signal_csv(nodes / "packet_1.csv", gaussian(Grid(-2.0, 2.0**-6, 256)))
+        report = tmp_path / "gram.json"
+        assert main(["packets", "gram", "--nodes", str(nodes), "--window=-1,1",
+                     "--matrix", "0,1,-1,0", "--N", "1", "--report", str(report)]) == 1
+        assert "no packet_*.csv files" in capsys.readouterr().err
+        assert not report.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_gram_overflow_exits_two(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 
 import lct_numra
 from lct_numra.canonical import CanonicalMatrix, fourier, fresnel, frft
-from lct_numra.filters import PeriodicFilterPair, TranslationSet, filter_eval, omega_enumerate
+from lct_numra.filters import (
+    PeriodicFilterPair,
+    TranslationSet,
+    complete_filters,
+    filter_eval,
+    omega_enumerate,
+    translations,
+)
 from lct_numra.packets import (
     BasisElement,
     CoefficientTable,
@@ -26,11 +34,11 @@ from lct_numra.packets import (
     packet_hat,
     packet_synthesize,
     reconstruct,
-    translate_gram,
 )
 from lct_numra.sampling import (
     SampledSignal,
     chirp_phase,
+    chirped_translate_gram,
     gram_matrix,
     identity_deviation,
     inner_product,
@@ -47,7 +55,7 @@ from lct_numra.wavelets import (
     haar_filter_bank,
 )
 
-from hat_reference import ExactRows, product_hat
+from hat_reference import ExactRows, bins_pair, product_hat
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 
@@ -198,7 +206,8 @@ class TestLagGramAC10:
         # the shift phases are the library's own doubles; the products and
         # sums of the zero-filled translates are taken in long double
         ts, nodes = ac10_nodes
-        g, _ = translate_gram([node.signal for node in nodes], ts, M2111, self.WINDOW)
+        signals = [node.signal for node in nodes]
+        g = chirped_translate_gram(signals, translations(ts, self.WINDOW), M2111)
         grid = nodes[0].signal.grid
         lams = np.asarray(omega_enumerate(ts, self.WINDOW))
         offsets = np.round(lams / grid.step).astype(int)
@@ -221,10 +230,12 @@ class TestLagGramAC10:
 
     def test_peak_memory_is_a_few_signals(self, ac10_nodes):
         ts, nodes = ac10_nodes
-        inputs = sum(node.signal.values.nbytes for node in nodes)
+        signals = [node.signal for node in nodes]
+        inputs = sum(s.values.nbytes for s in signals)
         tracemalloc.start()
         try:
-            translate_gram([node.signal for node in nodes], ts, M2111, self.WINDOW)
+            g = chirped_translate_gram(signals, translations(ts, self.WINDOW), M2111)
+            identity_deviation(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -242,7 +253,9 @@ class TestLatticeGramAC10:
         # window's edges, so the two agree far below the AC-10 bound
         ts, nodes = ac10_nodes if r == 1 else _ac10_tree(r)
         g, off = packet_gram(nodes, ts, M2111, self.WINDOW)
-        want, want_off = translate_gram([node.signal for node in nodes], ts, M2111, self.WINDOW)
+        signals = [node.signal for node in nodes]
+        want = chirped_translate_gram(signals, translations(ts, self.WINDOW), M2111)
+        want_off = identity_deviation(want)
         assert g.shape == want.shape == (5 * 9, 5 * 9)
         assert np.max(np.abs(g - want)) <= 1e-10
         assert abs(off - want_off) <= 1e-10
@@ -251,7 +264,7 @@ class TestLatticeGramAC10:
         # the kept hats are folded in blocks of _GRAM_BLOCK values: no lattice
         # array, stack of hats or translate is made
         ts, nodes = ac10_nodes
-        lattice_bytes = nodes[0].hat.engine.u.size * 16
+        lattice_bytes = nodes[0].hat.engine.n * 16
         tracemalloc.start()
         try:
             packet_gram(nodes, ts, M2111, self.WINDOW)
@@ -263,8 +276,8 @@ class TestLatticeGramAC10:
 
 class TestCascadeAC10:
     def test_peak_memory_in_lattice_arrays(self):
-        # at row J: the three tails, row J holding T_0's product, |their
-        # difference| and the engine's float lattice, five lattice arrays
+        # at row J: the three tails, row J holding T_0's product and |their
+        # difference| (a float array), four and a half lattice arrays
         ts = TranslationSet(2, 1)
         bank = haar_filter_bank(ts, M2111)
         grid = numra_grid(ts, (-5.0, 7.0), refinement=4096)
@@ -505,8 +518,9 @@ class TestSubspaceSplit:
 class TestHatEngine:
     def test_each_row_evaluated_once_per_tree(self, monkeypatch):
         # generate, certify a level-1 and a level-0 basis, fold: every filter
-        # row L_d(u/(2N)^j) is evaluated once, on exactly one period of the
-        # lattice, or on the whole lattice when its period does not divide it
+        # row L_d(u/(2N)^j) is evaluated once per lattice pass that needs it,
+        # on exactly one period of the lattice, or on the whole lattice when
+        # its period does not divide it
         import lct_numra.wavelets as wavelets
 
         real = wavelets.HatEngine._period
@@ -526,20 +540,19 @@ class TestHatEngine:
         make_basis(nodes, ts, M2111, [(n, 0, [0.0, 2.0]) for n in range(4)]).certify()
         fold_residuals(nodes[1], ts, oversample=1)
         n = frequency_samples(grid, oversample=1).size
-        points = dict(calls)
-        assert len(points) == len(calls)
 
         def once(j):
             order = 16 * 2 * 4**j
             return min(order, n) if n % order == 0 else n
 
         # tails of depth 0..2 take the low-pass rows 1..22 (J = 20); the digit
-        # rows are L_1, L_2, L_3 at level 1 and L_1 at level 2, while digit 0
-        # of packet 4 reuses the low-pass row at level 1
-        want = {(id(bank[0]), j): once(j) for j in range(1, 23)}
-        want.update({(id(bank[d]), 1): once(1) for d in (1, 2, 3)})
-        want[id(bank[1]), 2] = once(2)
-        assert points == want
+        # rows are L_0, L_1, L_2, L_3 at level 1 and L_1 at level 2, so the
+        # low-pass row at level 1 is evaluated twice: for the tails and for
+        # digit 0 of packet 4
+        want = Counter(((id(bank[0]), j), once(j)) for j in range(1, 23))
+        want.update(((id(bank[d]), 1), once(1)) for d in (0, 1, 2, 3))
+        want[(id(bank[1]), 2), once(2)] += 1
+        assert Counter(calls) == want
         assert [once(j) for j in (1, 2, 3, 4)] == [128, 512, 2048, n]
 
     @pytest.mark.parametrize("N,r", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)])
@@ -553,16 +566,33 @@ class TestHatEngine:
         bank = haar_filter_bank(ts, M2111)
         grid = numra_grid(ts, (-2.0, 2.0), refinement=64)
         engine = wavelets.HatEngine(bank[0], grid, oversample=1, J=20, depth=0)
-        exact = ExactRows(engine.u.size)
+        exact = ExactRows(engine.n)
         for j in (1, 3, 6, 10, 15, 20, 22, 23):
             for pair in bank:
                 want = exact.row(pair, j)
-                got = np.resize(engine._period(pair, j), engine.u.size)
+                got = np.resize(engine._period(pair, j), engine.n)
                 assert np.max(np.abs(got - want)) <= 2e-15
+
+    @pytest.mark.parametrize("N,r,bins", [(1, 1, (-1, 0, 2)), (2, 1, (1, 3)), (3, 5, (2, 5, 8))])
+    def test_rows_off_bin_zero_match_exact_phases(self, N, r, bins):
+        # exact pairs whose lowest nonzero bin is not 0, on a Haar engine's lattice
+        import lct_numra.wavelets as wavelets
+
+        ts = TranslationSet(N, r)
+        pair, _ = bins_pair(ts, bins)
+        assert pair._sparse[0] == bins[0]
+        low = haar_filter_bank(ts, M2111)[0]
+        grid = numra_grid(ts, (-2.0, 2.0), refinement=64)
+        engine = wavelets.HatEngine(low, grid, oversample=1, J=20, depth=0)
+        exact = ExactRows(engine.n)
+        for j in (0, 1, 3, 6, 10, 15, 20, 22, 23):
+            got = np.resize(engine._period(pair, j), engine.n)
+            assert np.max(np.abs(got - exact.row(pair, j))) <= 2e-15
 
     def test_nearest_sample_rows_are_filter_eval(self, monkeypatch):
         # Haar N = 1 times exp(i sin 2 pi u): no short Fourier series, so each
-        # row, and the tail built from them, is filter_eval at u/(2N)^j
+        # row, and the tail built from them, is filter_eval at u/(2N)^j; its
+        # period rows, tiled, are filter_eval on the whole lattice bit for bit
         import lct_numra.wavelets as wavelets
 
         monkeypatch.setattr(wavelets, "_BLOCK", 1000)
@@ -572,27 +602,39 @@ class TestHatEngine:
         assert not pair.exact
         grid = numra_grid(base.ts, (-2.0, 2.0), refinement=64)
         engine = wavelets.HatEngine(pair, grid, oversample=1, J=20, depth=0)
-        u = engine.u
+        u = frequency_samples(grid, oversample=1)
         for j in (0, 1, 2, 5, 11, 20):
             got = np.resize(engine._period(pair, j), u.size)
             np.testing.assert_array_equal(got, filter_eval(pair, u / 2.0**j))
         phi = HatFunction(engine)
         np.testing.assert_array_equal(engine.lattice([phi])[0], product_hat(phi, u))
+        # a completed N = 2 high-pass: rows of 32 4^j points, the one at j = 3
+        # over two blocks
+        ts = TranslationSet(2, 1)
+        bank = haar_filter_bank(ts, M2111)
+        high = complete_filters(bank[0])[0]
+        assert not high.exact
+        grid = numra_grid(ts, (-2.0, 2.0), refinement=64)
+        engine = wavelets.HatEngine(bank[0], grid, oversample=1, J=20, depth=0)
+        u = frequency_samples(grid, oversample=1)
+        assert [engine._period(high, j).size for j in (0, 3, 4)] == [32, 2048, u.size]
+        for j in (0, 1, 2, 3, 5, 11, 20):
+            got = np.resize(engine._period(high, j), u.size)
+            np.testing.assert_array_equal(got, filter_eval(high, u / 4.0**j))
 
     @pytest.mark.parametrize("N,r", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)])
-    def test_tails_and_hats_match_exact_phases(self, N, r, monkeypatch):
+    def test_tails_and_hats_match_exact_phases(self, N, r):
         # refinement 72 gives every N periodic rows (periods of 32..256,
-        # 128 and 512, or 288 and 1728 points) that straddle block edges
+        # 128 and 512, or 288 and 1728 points)
         import lct_numra.wavelets as wavelets
 
-        monkeypatch.setattr(wavelets, "_BLOCK", 1000)
         ts = TranslationSet(N, r)
         bank = haar_filter_bank(ts, M2111)
         grid = numra_grid(ts, (-2.0, 2.0), refinement=72)
         exact = ExactRows(frequency_samples(grid, oversample=1).size)
         for depth in (0, 1, 2):
             engine = wavelets.HatEngine(bank[0], grid, oversample=1, J=20, depth=depth)
-            assert engine._period(bank[0], 1).size < engine.u.size
+            assert engine._period(bank[0], 1).size < engine.n
             for s in range(depth + 1):
                 hat = HatFunction(engine).dilated(s)
                 assert np.max(np.abs(engine._tails[s] - exact.hat(hat))) <= 1e-14
@@ -604,7 +646,7 @@ class TestHatEngine:
             assert np.max(np.abs(got - exact.hat(hat))) <= 1e-14
 
     def test_nearest_sample_tails_are_blockwise_filter_eval(self, monkeypatch):
-        # a nearest-sample low-pass has no period: every row is filter_eval
+        # every row of a nearest-sample low-pass is filter_eval on its period,
         # block by block, so the tails do not depend on the block size, and
         # the deepest tail, whose rows all follow the shared core, is the
         # product formula bit for bit
@@ -617,13 +659,16 @@ class TestHatEngine:
         whole = wavelets.HatEngine(pair, grid, oversample=1, J=20, depth=2)
         monkeypatch.setattr(wavelets, "_BLOCK", 1000)
         blocked = wavelets.HatEngine(pair, grid, oversample=1, J=20, depth=2)
-        assert all(blocked._period(pair, j).size == blocked.u.size for j in range(1, 23))
+        u = frequency_samples(grid, oversample=1)
+        for j in range(1, 23):  # SPAN N (2N)^j points where they divide n, else all n
+            order = 16 * 2**j
+            assert blocked._period(pair, j).size == (order if u.size % order == 0 else u.size)
         for s in range(3):
             np.testing.assert_array_equal(blocked._tails[s], whole._tails[s])
             hat = HatFunction(blocked).dilated(s)
-            assert np.max(np.abs(blocked._tails[s] - product_hat(hat, blocked.u))) <= 1e-14
+            assert np.max(np.abs(blocked._tails[s] - product_hat(hat, u))) <= 1e-14
         np.testing.assert_array_equal(blocked._tails[2],
-                                      product_hat(HatFunction(blocked, (), 2), blocked.u))
+                                      product_hat(HatFunction(blocked, (), 2), u))
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_lattice_hats_match_product_formula(self, N):
@@ -684,7 +729,7 @@ class TestOneSynthesisPerHat:
         basis = make_basis(nodes, ts, M2111, [(n, 0, lams) for n in range(4)]
                            + [(1, 1, lams), (0, 2, lams)])
         engine = nodes[0].hat.engine
-        n = engine.u.size
+        n = engine.n
         idx = round(grid.t_min / grid.step) + np.arange(grid.count)
         for row, e in zip(basis._unchirped, basis.elements):
             cold = HatFunction(engine, e.node.hat.filters, e.level)
