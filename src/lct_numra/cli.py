@@ -90,6 +90,18 @@ def _parse_window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _parse_t_grid(text: str):
+    """Three numbers t_min,step,count; anything else is a usage error naming --t-grid."""
+    from .sampling import Grid
+
+    try:
+        t_min, step, count = text.split(",")
+        t_min, step, count = float(t_min), float(step), int(count)
+    except ValueError:
+        raise ValueError(f"--t-grid {text!r} is not three numbers t_min,step,count") from None
+    return Grid(t_min, step, count)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="lct-numra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -200,7 +212,6 @@ def _cmd_matrix(args) -> int:
 def _cmd_lct(args) -> int:
     from .io import read_signal_csv, read_spectrum_csv, write_signal_csv, write_spectrum_csv
     from .lct import ilct, induced_omega_grid, lct_direct, lct_fast
-    from .sampling import Grid
 
     m = _parse_matrix(args.matrix)
     if args.direction == "fwd":
@@ -213,8 +224,7 @@ def _cmd_lct(args) -> int:
     else:
         spec = read_spectrum_csv(args.infile)
         if args.t_grid:
-            t_min, step, count = args.t_grid.split(",")
-            grid = Grid(float(t_min), float(step), int(count))
+            grid = _parse_t_grid(args.t_grid)
         elif spec.t_grid is not None:
             grid = spec.t_grid
         else:

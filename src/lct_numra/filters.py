@@ -7,14 +7,14 @@ variable u is
 
     L(u) = comp1(u mod 1/2) + exp(-2 pi i u r / N) * comp2(u mod 1/2).
 
-A pair whose samples are a short trigonometric polynomial evaluates L
-from its Fourier terms by one Horner-and-combine step on the phases
-z = exp(-4 pi i u) and cross = exp(-2 pi i u r/N): powers q^(2N), q^r of
-q = exp(-2 pi i u/N) at any real u, exact root-of-unity tables on a
-``wavelets.HatEngine`` lattice; Horner skips zero bins by running in z^g
-for the stride g of the nonzero terms.  Other pairs take the nearest sample,
-and their phase exp(-2 pi i u r/N) takes u reduced mod N, so that L repeats
-with period N in u bit for bit, as an exact pair's reduced q does.
+``PeriodicFilterPair.components_at`` is the one evaluator of the
+components: a pair whose samples are a short trigonometric polynomial sums
+its Fourier terms, as a polynomial in z^g of z = exp(-4 pi i (u mod 1/2))
+for the stride g of its nonzero bins; any other pair takes the nearest
+sample.  ``filter_eval`` adds the one cross phase exp(-2 pi i (u mod N) r/N),
+so L repeats with period N in u bit for bit.  A ``wavelets.HatEngine``
+evaluates the exact rows of its lattice from the same terms by tables of
+roots of unity.
 
 This module owns the numerical verifiers for every admissibility
 condition used downstream (shift orthonormality of filter banks,
@@ -113,10 +113,11 @@ class PeriodicFilterPair:
 
     The samples are the filter.  Their inverse DFT gives the terms
     c_k exp(-4 pi i k u), bin k >= count/2 standing for k - count.  When
-    the nonzero terms span at most ``_MAX_SPAN`` bins and reproduce every
-    sample to rounding (``_EXACT_RTOL``), the pair is ``exact`` and
-    evaluates from them at any u (``_sparse``: lowest nonzero bin, stride g
-    of the others, their terms); otherwise lookups take the nearest sample.
+    the nonzero terms span at most ``_MAX_SPAN`` bins and ``components_at``
+    reproduces every sample from them to rounding (``_EXACT_RTOL``), the
+    pair is ``exact`` and evaluates from them at any u (``_sparse``: lowest
+    nonzero bin, stride g of the others, their terms); otherwise lookups
+    take the nearest sample.
     """
 
     ts: TranslationSet
@@ -135,6 +136,7 @@ class PeriodicFilterPair:
             arr = np.asarray(getattr(self, name), dtype=np.complex128)
             if arr.shape != (count,):
                 raise ValueError(f"{name} length must match the u grid")
+            arr = np.ascontiguousarray(arr)  # for the float view: copies strided input only
             if not np.all(np.isfinite(arr.view(np.float64))):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
@@ -155,9 +157,8 @@ class PeriodicFilterPair:
         nz = np.flatnonzero(np.any(terms != 0, axis=0))
         k0, g = (int(nz[0]), int(np.gcd.reduce(nz - nz[0]))) if nz.size else (0, 0)
         sparse = (lo + k0, g, terms[:, k0::g or terms.shape[1]])
-        u = self.u_grid.points()  # checked through the evaluator itself
-        c1, c2 = _horner(sparse, self._phases(u)[0], u.shape)
-        misfit = max(np.max(np.abs(c1 - self.comp1)), np.max(np.abs(c2 - self.comp2)))
+        object.__setattr__(self, "_sparse", sparse)  # checked through the evaluator itself
+        misfit = np.max(np.abs(np.stack(self.components_at(self.u_grid.points())) - samples))
         # samples of a term up to bin k carry rounding of phases up to 2 pi k
         return sparse if misfit <= tol * (hi - lo + 1) else None
 
@@ -172,49 +173,23 @@ class PeriodicFilterPair:
         return self.u_grid.count // (2 * self.ts.N)
 
     def components_at(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """Component values at arbitrary u (half-period reduction applied)."""
-        u = np.asarray(u, dtype=float)
+        """Component values at arbitrary u, reduced mod 1/2: the nearest sample, or
+        for an exact pair z^lo times its terms' polynomial in z^g, z = exp(-4 pi i u)."""
+        u = np.mod(np.asarray(u, dtype=float), 0.5)
         if self._sparse is None:
-            idx = np.round(np.mod(u, 0.5) / self.u_grid.step).astype(int) % self.u_grid.count
+            idx = np.round(u / self.u_grid.step).astype(int) % self.u_grid.count
             return self.comp1[idx], self.comp2[idx]
-        return _horner(self._sparse, self._phases(u)[0], u.shape)
-
-    def _phases(self, u: np.ndarray):
-        """zpow(k) = z^k of z = exp(-4 pi i u), cross = exp(-2 pi i u r/N); q = exp(-2 pi i u/N)."""
-        q = np.exp((-2j * np.pi / self.ts.N) * np.fmod(u, self.ts.N))  # L has period N in u
-        return (q ** (2 * self.ts.N)).__pow__, q**self.ts.r
-
-
-def _horner(sparse: tuple, zpow, shape: tuple) -> np.ndarray:
-    """Both components of terms ``sparse`` on ``shape`` points by Horner in z^g;
-    zpow(k) = z^k, asked only for the powers needed."""
-    lo, g, terms = sparse
-    coeffs = terms.T[::-1].reshape((-1, 2) + (1,) * len(shape))
-    if len(coeffs) == 1:
-        acc = np.broadcast_to(coeffs[0], (2,) + shape).copy()
-    else:
-        zg = zpow(g)
-        acc = coeffs[0] * zg
-        for c in coeffs[1:-1]:
-            acc += c
-            acc *= zg
-        acc += coeffs[-1]
-    if lo:
-        acc *= zpow(lo)
-    return acc
+        lo, g, terms = self._sparse
+        z = np.exp(-4j * np.pi * u)
+        return tuple(z**lo * np.polyval(t[::-1], z**g) for t in terms)
 
 
 def filter_eval(p: PeriodicFilterPair, u) -> np.ndarray:
     """Full response comp1(u) + exp(-2 pi i u r/N) comp2(u), u reduced mod N in the phase."""
     u_arr = np.asarray(u, dtype=float)
-    if p.exact:
-        zpow, cross = p._phases(u_arr)
-        c1, c2 = _horner(p._sparse, zpow, u_arr.shape)
-    else:
-        c1, c2 = p.components_at(u_arr)
-        # floor mod: u and u + N k take one phase, so lattice rows repeat bit for bit
-        cross = np.exp(-2j * np.pi * np.mod(u_arr, p.ts.N) * p.ts.r / p.ts.N)
-    vals = c1 + cross * c2
+    c1, c2 = p.components_at(u_arr)
+    # floor mod: u and u + N k take one phase, so lattice rows repeat bit for bit
+    vals = c1 + np.exp(-2j * np.pi * np.mod(u_arr, p.ts.N) * p.ts.r / p.ts.N) * c2
     return complex(vals) if u_arr.ndim == 0 else vals
 
 

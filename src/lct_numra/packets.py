@@ -59,6 +59,10 @@ class UncertifiedBasisError(RuntimeError):
     """Raised when a packet basis is used before passing certification."""
 
 
+#: Largest certified residual of a basis that analysis and synthesis accept.
+_CERTIFY_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class PacketIndex:
     """Nonnegative integer with its base-2N digit expansion (least significant first)."""
@@ -149,6 +153,8 @@ def generate_packets(
     oversample: int = 16,
 ) -> list[PacketNode]:
     """Packets 0..n_max sharing one cascade, one lattice pass and one time grid."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     ts = bank[0].ts
     indices = [digits(n, ts.N) for n in range(n_max + 1)]
     scaling = cascade(bank[0], grid=grid, oversample=oversample, depth=len(indices[-1].digits))
@@ -221,7 +227,7 @@ class PacketBasis:
     (``canonical.chirp_rate``), so the chirped Gram is D G_0 D^H with D diagonal
     and unimodular, and max |G - I| = max |G_0 - I|.  ``certify`` stores
     that deviation, whatever the matrix; analysis and synthesis refuse to
-    run unless it is within their tolerance.
+    run unless it is within ``_CERTIFY_TOL``.
     """
 
     ts: TranslationSet
@@ -278,12 +284,12 @@ class PacketBasis:
         self.residual = identity_deviation(weighted_gram(self._unchirped, self._grid))
         return self.residual
 
-    def require_certified(self, tol: float) -> None:
+    def require_certified(self) -> None:
         if self.residual is None:
             raise UncertifiedBasisError("basis has not been certified; call certify()")
-        if self.residual > tol:
+        if self.residual > _CERTIFY_TOL:
             raise UncertifiedBasisError(
-                f"basis residual {self.residual:.3e} exceeds tolerance {tol:.3e}"
+                f"basis residual {self.residual:.3e} exceeds tolerance {_CERTIFY_TOL:.3e}"
             )
 
 
@@ -295,14 +301,9 @@ class CoefficientTable:
     values: np.ndarray
 
 
-def packet_analyze(
-    f: SampledSignal,
-    basis: PacketBasis,
-    *,
-    tol: float = 1e-3,
-) -> CoefficientTable:
+def packet_analyze(f: SampledSignal, basis: PacketBasis) -> CoefficientTable:
     """Coefficients <f, atom>: demodulated f against the unchirped atoms, then phases."""
-    basis.require_certified(tol)
+    basis.require_certified()
     grid = f.grid
     if basis._grid != grid:
         raise ValueError("basis atoms must live on the signal grid")
@@ -314,14 +315,9 @@ def packet_analyze(
     return CoefficientTable(rows=rows, values=values)
 
 
-def packet_synthesize(
-    coeffs: CoefficientTable,
-    basis: PacketBasis,
-    *,
-    tol: float = 1e-3,
-) -> SampledSignal:
+def packet_synthesize(coeffs: CoefficientTable, basis: PacketBasis) -> SampledSignal:
     """Sum of coefficient-weighted atoms, modulated once; inverse of analyze on the span."""
-    basis.require_certified(tol)
+    basis.require_certified()
     if len(coeffs.values) != len(basis.elements):
         raise ValueError("coefficient table does not match the basis")
     grid = basis._grid

@@ -125,6 +125,7 @@ class SampledSignal:
         values = np.asarray(self.values, dtype=np.complex128)
         if values.shape != (self.grid.count,):
             raise ValueError("values length must match grid count")
+        values = np.ascontiguousarray(values)  # for the float view: copies strided input only
         if not np.all(np.isfinite(values.view(np.float64))):
             raise ValueError("signal values must be finite")
         object.__setattr__(self, "values", values)

@@ -464,14 +464,6 @@ def haar_scaling(ts: TranslationSet, grid: Grid | None = None) -> SampledSignal:
     return indicator(haar_support_intervals(ts), grid)
 
 
-def _haar_lattice_coeffs(
-    ts: TranslationSet, m: CanonicalMatrix, permissive: bool = False
-) -> np.ndarray:
-    """Unimodular phases ``chirp_phase(m, 0, 4k)`` of the 4k translates."""
-    require_valid(m, allow_nonunimodular=permissive)
-    return chirp_phase(m, 0.0, 4.0 * np.arange(ts.N))
-
-
 def haar_filters(
     ts: TranslationSet, m: CanonicalMatrix, *, permissive: bool = False
 ) -> PeriodicFilterPair:
@@ -498,7 +490,8 @@ def haar_filter_bank(
     pair holds A_d sampled on the u grid; its N lattice terms make it
     exact, so it evaluates the closed form at any u.
     """
-    coeffs = _haar_lattice_coeffs(ts, m, permissive)
+    require_valid(m, allow_nonunimodular=permissive)
+    coeffs = chirp_phase(m, 0.0, 4.0 * np.arange(ts.N))  # phases c_k of the 4k translates
     count = default_u_count(ts)
     grid = Grid(t_min=0.0, step=0.5 / count, count=count)
     u = grid.points()

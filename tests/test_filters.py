@@ -16,10 +16,10 @@ from lct_numra.filters import (
     m0,
     omega_enumerate,
 )
-from lct_numra.sampling import Grid
-from lct_numra.wavelets import haar_filter_bank, haar_filters
+from lct_numra.sampling import Grid, SampledSignal, numra_grid
+from lct_numra.wavelets import frequency_samples, haar_filter_bank, haar_filters
 
-from hat_reference import bins_pair
+from hat_reference import ExactRows, bins_pair
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 
@@ -137,7 +137,7 @@ class TestFilterEval:
 
     @pytest.mark.parametrize("N,r,bins", [(1, 1, (-1, 0, 2)), (2, 1, (1, 3)), (3, 5, (2, 5, 8))])
     def test_pair_off_bin_zero_exact_at_large_u(self, N, r, bins):
-        # a lowest nonzero bin other than 0: Horner's sum times z^lo
+        # a lowest nonzero bin other than 0: the terms' polynomial in z^g times z^lo
         ts = TranslationSet(N, r)
         p, closed = bins_pair(ts, bins)
         assert p.exact and p._sparse[0] == bins[0]
@@ -150,17 +150,37 @@ class TestFilterEval:
         u = np.random.default_rng(3).uniform(-4.0, 4.0, 1000)
         np.testing.assert_array_equal(filter_eval(p, u), nearest_sample_response(p, u))
 
-    @pytest.mark.parametrize("N", [1, 2])
-    def test_nearest_sample_response_has_period_n(self, N):
-        # the phase takes u mod N, so u + k N repeats the response of u bit for
-        # bit at dyadic u, as lattice rows on their period need
+    @pytest.mark.parametrize("N,exact", [(1, False), (2, False), (1, True), (2, True), (3, True)],
+                             ids=["nearest-1", "nearest-2", "exact-1", "exact-2", "exact-3"])
+    def test_response_has_period_n(self, N, exact):
+        # components take u mod 1/2 and the phase u mod N, so u + k N repeats the
+        # response of u bit for bit at dyadic u, as lattice rows on their period need;
+        # a ramp pair is read by nearest sample, every Haar bank filter from its terms
         ts = TranslationSet(N, 1)
-        ramp = u_grid(ts).points().astype(complex)
-        p = PeriodicFilterPair(ts, u_grid(ts), ramp, 1j * ramp)
-        assert not p.exact
+        if exact:
+            pairs = haar_filter_bank(ts, M2111)
+        else:
+            ramp = u_grid(ts).points().astype(complex)
+            pairs = [PeriodicFilterPair(ts, u_grid(ts), ramp, 1j * ramp)]
         u = np.random.default_rng(11).integers(-2**12, 2**12, 1000) / 2.0**8
-        for k in (1, 16, 256, 4096):
-            np.testing.assert_array_equal(filter_eval(p, u + k * N), filter_eval(p, u))
+        for p in pairs:
+            assert p.exact == exact
+            for k in (1, 16, 256, 4096):
+                np.testing.assert_array_equal(filter_eval(p, u + k * N), filter_eval(p, u))
+
+    @pytest.mark.parametrize("N,r", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)])
+    def test_exact_pairs_agree_with_lattice_phases(self, N, r):
+        # the two evaluators of an exact pair's terms: filter_eval at u/(2N)^j against
+        # ExactRows (phases reduced in Python integers, exps in long double); the
+        # rounding of the float u, up to |u| = 216 here, sets the error
+        ts = TranslationSet(N, r)
+        grid = numra_grid(ts, (-2.0, 2.0), refinement=72)
+        u = frequency_samples(grid, oversample=1)
+        exact = ExactRows(u.size)
+        for pair in haar_filter_bank(ts, M2111):
+            for j in range(4):
+                got = filter_eval(pair, u / float(2 * N) ** j)
+                assert np.max(np.abs(got - exact.row(pair, j))) <= 2e-13
 
     def test_scalar_in_complex_out(self):
         p = haar_filters(TranslationSet(2, 1), M2111)
@@ -383,3 +403,25 @@ class TestPairValidation:
         bad = Grid(0.0, 0.5 / 4096, 4096)  # 4096 not divisible by 12
         with pytest.raises(ValueError, match="4N"):
             PeriodicFilterPair(ts, bad, np.zeros(4096), np.zeros(4096))
+
+    def test_strided_input_accepted_and_checked(self):
+        # both constructors take every other column of a stacked array as it is
+        # and still refuse a NaN in it; a contiguous input is kept, not copied
+        ts = TranslationSet(2, 1)
+        grid = u_grid(ts)
+        bank = haar_filter_bank(ts, M2111)
+        st = np.stack([bank[1].comp1, bank[1].comp2], axis=1)
+        p = PeriodicFilterPair(ts, grid, st[:, 0], st[:, 1])
+        np.testing.assert_array_equal(p.comp1, bank[1].comp1)
+        np.testing.assert_array_equal(p.comp2, bank[1].comp2)
+        x = np.exp(1j * np.arange(16.0))
+        sig = SampledSignal(Grid(0.0, 1.0, 8), x[::2])
+        np.testing.assert_array_equal(sig.values, x[::2])
+        assert np.shares_memory(SampledSignal(Grid(0.0, 1.0, 16), x).values, x)
+        st[5, 1] = x[6] = np.nan
+        with pytest.raises(ValueError, match="comp2 must be finite"):
+            PeriodicFilterPair(ts, grid, st[:, 0], st[:, 1])
+        with pytest.raises(ValueError, match="finite"):
+            SampledSignal(Grid(0.0, 1.0, 8), x[::2])
+        with pytest.raises(ValueError, match="length"):
+            SampledSignal(Grid(0.0, 1.0, 1), np.complex128(1.0))

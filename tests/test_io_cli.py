@@ -490,6 +490,18 @@ class TestLctCommand:
         assert "--t-grid" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_grid", ["1,2", "0,x,8", "0,0.5,8,1"])
+    def test_inverse_malformed_t_grid_exit_one(self, tmp_path, capsys, t_grid):
+        g = Grid(-8.0, 16.0 / 256, 256)
+        spec = tmp_path / "F.csv"
+        write_spectrum_csv(spec, lct_fast(gaussian(g), CanonicalMatrix(2, 1, 1, 1)))
+        out = tmp_path / "f.csv"
+        assert main(["lct", "inv", "--matrix", "2,1,1,1", f"--t-grid={t_grid}",
+                     "--in", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --t-grid '{t_grid}' is not three numbers t_min,step,count\n")
+        assert not out.exists()
+
     def test_inverse_refuses_omega_header(self, tmp_path, capsys):
         # a spectrum written with an x column "omega" has a grid 2 pi wider than the
         # induced one: refused by its header, not inverted by quadrature
@@ -617,6 +629,19 @@ class TestPacketsCommand:
             "--out-dir", str(tmp_path / "pk"),
         ]) == 2
         assert "tail deviation" in capsys.readouterr().err
+
+    def test_gen_negative_n_max_exits_one(self, tmp_path):
+        # refused by generate_packets as a usage error, not an IndexError traceback
+        out = tmp_path / "pk"
+        env = {**os.environ, "PYTHONPATH": str(Path(lct_numra.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-m", "lct_numra.cli", "packets", "gen",
+                              "--n-max", "-1", "--N", "1", "--matrix", "0,1,-1,0",
+                              "--out-dir", str(out)], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: n_max must be nonnegative")
+        assert "Traceback" not in run.stderr
+        assert not out.exists()
 
     def test_gram_without_packet_0_exits_one(self, tmp_path, capsys):
         nodes = tmp_path / "pk"

@@ -1,0 +1,185 @@
+#!/usr/bin/env python3
+"""Compare the outputs of two checkouts on one fixed list of CLI commands.
+
+    python3 tools/compare_outputs.py PARENT CHANGE
+
+PARENT and CHANGE are checkout roots (their ``src/`` is put on PYTHONPATH) or
+``src`` directories themselves.  Every command in ``COMMANDS`` runs as
+``python -m lct_numra.cli`` from each root into that root's own temporary
+directory, with the BLAS pools pinned to one thread; a short library script
+(``LIBRARY``) also saves engine tails, cascade signals and packet hats as
+``.npy`` files.  The inputs (a 2^17-row signal) are written once, by PARENT,
+and read by both.
+
+For every output file the script prints "byte-identical", or the largest
+difference of its numbers relative to the largest |number| in the file, or
+that the text around the numbers differs.  It also prints each command's exit
+code on both sides.  It exits 1 if any file, file list or exit code differs.
+The file is not named ``test_*.py`` so the repository's test run does not
+collect it; it moves no bound.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+M = "2,1,1,1"
+FAMILIES = {  # name: haar options
+    "haar-1": ["--N", "1", "--matrix", M],
+    "haar-2": ["--N", "2", "--matrix", M],
+    "haar-3": ["--N", "3", "--matrix", M],
+    "haar-2-r3": ["--N", "2", "--r", "3", "--matrix", M],
+    "haar-3-r5": ["--N", "3", "--r", "5", "--matrix", "0.5,1,-0.75,0.5"],
+}
+
+#: (name, CLI arguments); {in} is the shared input directory, {out} this root's.
+COMMANDS = [(name, ["haar", *opts, "--out-dir", f"{{out}}/{name}"])
+            for name, opts in FAMILIES.items()]
+for _fam in ("haar-1", "haar-2", "haar-2-r3", "haar-3"):
+    for _k in (0, 1):
+        _filters = f"{{out}}/{_fam}/filters_{_k}.csv"
+        COMMANDS += [
+            (f"cascade-{_fam}-{_k}", ["cascade", "--filters", _filters,
+                                      "--out", f"{{out}}/cascade-{_fam}-{_k}.csv"]),
+            (f"verify-{_fam}-{_k}", ["verify", "--filters", _filters,
+                                     "--report", f"{{out}}/verify-{_fam}-{_k}.json"]),
+        ]
+COMMANDS += [
+    ("packets-gen-1", ["packets", "gen", "--n-max", "3", "--N", "1", "--matrix", "0,1,-1,0",
+                       "--step", str(2.0**-12), "--out-dir", "{out}/packets-1"]),
+    ("packets-gram-1", ["packets", "gram", "--nodes", "{out}/packets-1", "--window=-2,2.0001",
+                        "--N", "1", "--matrix", "0,1,-1,0", "--report", "{out}/gram-1.json"]),
+    ("packets-gen-2", ["packets", "gen", "--n-max", "3", "--N", "2", "--matrix", M,
+                       "--out-dir", "{out}/packets-2"]),
+    ("packets-gram-2", ["packets", "gram", "--nodes", "{out}/packets-2", "--window=-2,2.0001",
+                        "--N", "2", "--matrix", M, "--report", "{out}/gram-2.json"]),
+    ("project", ["project", "--in", "{in}/f.csv", "--N", "1", "--matrix", "0,1,-1,0",
+                 "--level", "2", "--window=-24,24", "--out", "{out}/project.csv"]),
+    ("crosscheck", ["crosscheck", "--out", "{out}/crosscheck.json"]),
+    ("lct-fwd", ["lct", "fwd", "--matrix", M, "--in", "{in}/f.csv", "--out", "{out}/F.csv"]),
+    ("lct-inv", ["lct", "inv", "--matrix", M, "--in", "{out}/F.csv", "--out", "{out}/f_inv.csv"]),
+]
+
+INPUTS = """
+import sys
+from lct_numra.io import write_signal_csv
+from lct_numra.sampling import Grid, gaussian
+write_signal_csv(sys.argv[1] + "/f.csv", gaussian(Grid(-8.0, 2.0**-13, 2**17)))
+"""
+
+#: Library outputs no CLI file carries: engine tail T_0, its tail deviation, the
+#: cascade signal and the lattice hats of packets 0..3.
+LIBRARY = """
+import sys
+import numpy as np
+from lct_numra.canonical import CanonicalMatrix
+from lct_numra.filters import TranslationSet
+from lct_numra.packets import generate_packets
+from lct_numra.sampling import numra_grid
+from lct_numra.wavelets import cascade, haar_filter_bank
+for N, r in [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)]:
+    ts = TranslationSet(N, r)
+    bank = haar_filter_bank(ts, CanonicalMatrix(2, 1, 1, 1))
+    grid = numra_grid(ts, (-2.0, 2.0), refinement=64)
+    res = cascade(bank[0], grid=grid, oversample=1, depth=0)
+    out = f"{sys.argv[1]}/lib/{N}-{r}"
+    np.save(f"{out}-tail0.npy", res.hat.engine._tails[0])
+    np.save(f"{out}-tail_deviation.npy", res.tail_deviation)
+    np.save(f"{out}-phi.npy", res.signal.values)
+    for node in generate_packets(3, bank, grid=grid, oversample=1):
+        np.save(f"{out}-packet{node.index.n}-hat.npy", node.hat._values)
+"""
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\b(?:nan|inf|NaN|Infinity)\b")
+
+
+def _pythonpath(root: Path) -> str:
+    """The directory holding ``lct_numra`` under ``root``; a root with none is refused."""
+    for path in (root / "src", root):
+        if (path / "lct_numra").is_dir():
+            return str(path)
+    raise SystemExit(f"{root}: no lct_numra package in it or in its src/")
+
+
+def _env(pythonpath: str) -> dict:
+    pinned = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    return {**os.environ, **pinned, "PYTHONPATH": pythonpath}
+
+
+def run_all(pythonpath: str, inputs: Path, out: Path) -> dict[str, int]:
+    """Exit code of every command (and of the library script) run from ``pythonpath``
+    into ``out``."""
+    (out / "lib").mkdir(parents=True)
+    codes = {}
+    for name, args in COMMANDS:
+        args = [a.replace("{in}", str(inputs)).replace("{out}", str(out)) for a in args]
+        proc = subprocess.run([sys.executable, "-m", "lct_numra.cli", *args],
+                              env=_env(pythonpath), capture_output=True, timeout=600)
+        codes[name] = proc.returncode
+    proc = subprocess.run([sys.executable, "-c", LIBRARY, str(out)], env=_env(pythonpath),
+                          capture_output=True, timeout=600)
+    codes["library"] = proc.returncode
+    return codes
+
+
+def _numbers(path: Path) -> tuple[str, np.ndarray]:
+    """The text of a file with its numbers cut out, and the numbers."""
+    if path.suffix == ".npy":
+        arr = np.load(path)
+        return f"{arr.dtype} {arr.shape}", arr.ravel()
+    text = path.read_text()
+    return _NUMBER.sub("#", text), np.array([complex(t.replace("Infinity", "inf"))
+                                             for t in _NUMBER.findall(text)])
+
+
+def compare_file(a: Path, b: Path) -> str | None:
+    """None when byte-identical, else how the two files differ."""
+    if a.read_bytes() == b.read_bytes():
+        return None
+    (text_a, num_a), (text_b, num_b) = _numbers(a), _numbers(b)
+    if text_a != text_b or num_a.shape != num_b.shape:
+        return "text differs"
+    scale = np.max(np.abs(num_a), initial=0.0) or 1.0
+    return f"max relative difference {np.max(np.abs(num_a - num_b)) / scale:.3g}"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    paths = [_pythonpath(Path(r).resolve()) for r in argv]
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        tmp = Path(tmp)
+        inputs = tmp / "in"
+        inputs.mkdir()
+        subprocess.run([sys.executable, "-c", INPUTS, str(inputs)], env=_env(paths[0]),
+                       check=True, timeout=600)
+        outs = [tmp / "parent", tmp / "change"]
+        codes = [run_all(path, inputs, out) for path, out in zip(paths, outs)]
+        same = True
+        for name in codes[0]:
+            ok = codes[0][name] == codes[1][name]
+            same &= ok
+            print(f"exit {codes[0][name]} / {codes[1][name]}{'' if ok else '  DIFFERS'}  {name}")
+        files = [{p.relative_to(out) for p in out.rglob("*") if p.is_file()} for out in outs]
+        for rel in sorted(files[0] | files[1]):
+            if rel not in files[0] or rel not in files[1]:
+                status = f"only in {'change' if rel in files[1] else 'parent'}"
+            else:
+                status = compare_file(outs[0] / rel, outs[1] / rel) or "byte-identical"
+            same &= status == "byte-identical"
+            print(f"{status}  {rel}")
+        print(f"{len(files[0] | files[1])} files, {len(codes[0])} exit codes: "
+              + ("all identical" if same else "DIFFERENCES"))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
