@@ -137,21 +137,6 @@ def fresnel(b: float) -> CanonicalMatrix:
     return CanonicalMatrix(1.0, float(b), 0.0, 1.0)
 
 
-def special(name: str, value: float | None = None) -> CanonicalMatrix:
-    """Named special-case matrix: 'fourier', 'frft' (angle), 'fresnel' (b)."""
-    if name == "fourier":
-        return fourier()
-    if name == "frft":
-        if value is None:
-            raise MatrixError("frft requires an angle")
-        return frft(value)
-    if name == "fresnel":
-        if value is None:
-            raise MatrixError("fresnel requires a b parameter")
-        return fresnel(value)
-    raise MatrixError(f"unknown special matrix {name!r}")
-
-
 def chirp_rate(m: CanonicalMatrix, num=float):
     """The chirp rate a/b of m, as num(a) / num(b): the one place it is formed.
 

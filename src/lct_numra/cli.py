@@ -331,17 +331,17 @@ def _cmd_packets(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    from .filters import TranslationSet
+    from .filters import CASCADE_CODES, TranslationSet, require_lowpass
     from .io import read_signal_csv, write_signal_csv
-    from .wavelets import _require_lowpass, haar_filter_bank, haar_scaling, project
+    from .wavelets import haar_filter_bank, haar_scaling, project
 
     ts = TranslationSet(N=args.N, r=args.r)
     m = _parse_matrix(args.matrix)
     window = _parse_window(args.window)
     f = read_signal_csv(args.infile)
-    # haar_family's refusals without its cascade: an admissible closed-form low-pass has
+    # the cascade's gate without its cascade: an admissible closed-form low-pass has
     # every lattice phase 1, so its scaling function is the indicator for any matrix
-    _require_lowpass(haar_filter_bank(ts, m)[0])
+    require_lowpass(haar_filter_bank(ts, m)[0], CASCADE_CODES)
     result = project(f, haar_scaling(ts), ts, m, args.level, window)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)

@@ -27,6 +27,10 @@ plain and twisted bank orthonormality sums, "2.33" is quarter-period
 invariance of the power profile m0, "3.4a"/"3.4b" are the scaling sums.
 All four sums, and the packet fold sums one level up, are the same plain
 and twisted sum over 2N half-period shifts; ``shift_sums`` computes it.
+
+The low-pass conditions have one owner: ``lowpass_residuals`` is their
+residual table ("L0" = |L(0) - 1|, "2.33", "3.4a", "3.4b"), which the
+reports read, and ``require_lowpass`` the one gate that refuses a filter.
 """
 
 from __future__ import annotations
@@ -95,9 +99,12 @@ def default_u_count(ts: TranslationSet) -> int:
     return ((4096 + block - 1) // block) * block
 
 
-#: Largest admissibility residual of a low-pass pair that ``complete_filters``
-#: and ``wavelets.cascade`` accept.
-ADMISSIBLE_TOL = 1e-8
+#: Largest residual of each low-pass condition that ``require_lowpass`` accepts:
+#: L(0) = 1 to rounding, each sum (2.33, 3.4a, 3.4b) to 1e-8.
+_LOWPASS_TOL = {"L0": 1e-10, "2.33": 1e-8, "3.4a": 1e-8, "3.4b": 1e-8}
+
+#: The low-pass conditions of the cascade: L(0) = 1 and the scaling sums.
+CASCADE_CODES = ("L0", "3.4a", "3.4b")
 
 #: Most Fourier bins the terms of an exact pair may span.
 _MAX_SPAN = 64
@@ -267,6 +274,26 @@ def check_scaling_conditions(p0: PeriodicFilterPair) -> tuple[float, float]:
     return res_a, res_b
 
 
+def lowpass_residuals(p0: PeriodicFilterPair) -> dict[str, float]:
+    """The low-pass conditions' residuals by code: "L0" = |L(0) - 1|, "2.33" of
+    ``check_m0_period``, "3.4a"/"3.4b" of ``check_scaling_conditions``."""
+    res_a, res_b = check_scaling_conditions(p0)
+    return {"L0": abs(filter_eval(p0, 0.0) - 1.0), "2.33": check_m0_period(p0),
+            "3.4a": res_a, "3.4b": res_b}
+
+
+def require_lowpass(p0: PeriodicFilterPair, codes: tuple[str, ...]) -> None:
+    """Raise a FilterConditionError naming each listed code whose residual is not within
+    its gate tolerance (``not res <= tol``, as in the reports, so a NaN fails)."""
+    res = lowpass_residuals(p0)
+    failed = [code for code in codes if not res[code] <= _LOWPASS_TOL[code]]
+    if failed:
+        detail = ", ".join(f"{code} residual {res[code]:.3e}" for code in failed)
+        if "L0" in failed:
+            detail += f"; filter response at 0 is {filter_eval(p0, 0.0):.17g}, expected 1"
+        raise FilterConditionError(f"low-pass filter fails admissibility ({detail})")
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner products of stacked vectors over their trailing (2N, 2) axes."""
     return np.sum(a * np.conj(b), axis=(-2, -1))
@@ -288,10 +315,9 @@ def _aligners(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def complete_filters(p0: PeriodicFilterPair) -> list[PeriodicFilterPair]:
     """Extend an admissible low-pass pair to 2N - 1 high-pass pairs.
 
-    Preconditions: the scaling-condition residuals and the quarter-period
-    residual of ``p0`` must be below ``ADMISSIBLE_TOL``.  The completion is
-    pointwise in u (no smoothness across samples is guaranteed); its
-    output re-certifies under check_orthonormality at the stored samples.
+    Preconditions: ``require_lowpass`` for 2.33, 3.4a and 3.4b (L(0) may differ
+    from 1).  The completion is pointwise in u (no smoothness across samples
+    is guaranteed); its output re-certifies under check_orthonormality.
 
     At a sample u of the base cell [0, 1/(4N)) the low-pass values at the
     2N shifts u + p/(4N) form v0 of shape (2N, 2), row p holding the two
@@ -304,13 +330,7 @@ def complete_filters(p0: PeriodicFilterPair) -> list[PeriodicFilterPair]:
     standard unit vectors, appended by residual-norm pivoting.  Every
     step runs on all samples at once, stacked as (samples, 2N, 2).
     """
-    res_a, res_b = check_scaling_conditions(p0)
-    res_q = check_m0_period(p0)
-    worst = max(res_a, res_b, res_q)
-    if worst > ADMISSIBLE_TOL:
-        raise FilterConditionError(
-            f"low-pass filter fails admissibility (max residual {worst:.3e})"
-        )
+    require_lowpass(p0, ("2.33", "3.4a", "3.4b"))
     N = p0.ts.N
     two_n = 2 * N
     base = p0.shift_stride  # samples per base cell; shift p starts at p * base
@@ -352,16 +372,10 @@ def bank_residuals(bank: list[PeriodicFilterPair]) -> dict[str, float]:
     """Worst-case residuals of a whole filter bank (index 0 = low-pass).
 
     Returns a mapping with the per-condition maxima over all index pairs,
-    keyed by condition code; a NaN residual of any pair is kept, not dropped.
+    keyed by condition code, and the ``lowpass_residuals`` of filter 0; a
+    NaN residual of any pair is kept, not dropped.
     """
     sums = np.array([check_orthonormality(pl, pk, same_index=(i == j))
                      for i, pl in enumerate(bank) for j, pk in enumerate(bank)])
     res21, res22 = (float(v) for v in sums.max(axis=0))
-    res_a, res_b = check_scaling_conditions(bank[0])
-    return {
-        "2.21": res21,
-        "2.22": res22,
-        "2.33": check_m0_period(bank[0]),
-        "3.4a": res_a,
-        "3.4b": res_b,
-    }
+    return {"2.21": res21, "2.22": res22, **lowpass_residuals(bank[0])}

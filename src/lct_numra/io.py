@@ -21,7 +21,7 @@ import numpy as np
 
 from .filters import PeriodicFilterPair, TranslationSet
 from .lct import LctSpectrum
-from .sampling import Grid, SampledSignal
+from .sampling import _ALIGN_TOL, Grid, SampledSignal
 
 
 #: Rows formatted per block of a CSV write.
@@ -94,7 +94,9 @@ def _write_sampled(path: str | Path, x_name: str, grid: Grid, values: np.ndarray
 def _read_sampled(path: str | Path, x_name: str) -> tuple[Grid, np.ndarray, dict]:
     """Grid, complex values and sidecar dict (empty when absent) of a sampled CSV.
 
-    Without a sidecar the grid is inferred from the x column.
+    The x column must be the grid's points, exactly those of the sidecar's grid
+    (%.17g round-trips a float64) or without a sidecar within ``_ALIGN_TOL``
+    steps of the uniform grid inferred from it; its first x off the grid is named.
     """
     path = Path(path)
     x, re, im = _read_columns(path, [x_name, "re", "im"])
@@ -108,6 +110,11 @@ def _read_sampled(path: str | Path, x_name: str) -> tuple[Grid, np.ndarray, dict
         grid = Grid(t_min=float(x[0]), step=step, count=len(x))
     if grid.count != len(x):
         raise ValueError(f"{path}: row count does not match the grid sidecar")
+    slack = 0.0 if sidecar.exists() else _ALIGN_TOL * grid.step
+    on_grid = np.abs(x - grid.points()) <= slack  # NaN is not
+    if not on_grid.all():
+        i = int(np.argmin(on_grid))
+        raise ValueError(f"{path}: {x_name} = {float(x[i])} in data row {i + 1} is off {grid}")
     return grid, re + 1j * im, meta
 
 

@@ -262,8 +262,9 @@ class PacketBasis:
                 fine = hat.periodic()
             if atoms is None:  # after the first synthesis, whose temporaries are gone
                 atoms = np.empty((len(self.elements), grid.count), dtype=np.complex128)
-            shifts = [delays.index_of(self.elements[i].lam / two_n**level) for i in rows]
-            grid_samples(fine, grid, oversample=1, shifts=shifts, out=[atoms[i] for i in rows])
+            for i in rows:
+                delay = delays.index_of(self.elements[i].lam / two_n**level)
+                atoms[i] = grid_samples(fine, grid, oversample=1, delay=delay)
         atoms.flags.writeable = False
         return atoms
 

@@ -3,8 +3,9 @@
 Reports are plain dictionaries designed for JSON emission: deterministic
 for a fixed configuration, carrying the config hash, the tolerance table,
 and per-condition residuals.  Condition codes: "2.21"/"2.22" bank
-orthonormality (plain/twisted), "2.33" quarter-period power profile,
-"3.4a"/"3.4b" scaling sums.  ``packet_gram_report`` is the ``packets gram`` report.
+orthonormality (plain/twisted), then ``filters.lowpass_residuals`` of filter 0:
+"L0" |L(0) - 1|, "2.33" quarter-period power profile, "3.4a"/"3.4b" scaling
+sums.  ``packet_gram_report`` is the ``packets gram`` report.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ DEFAULT_TOLERANCES = {
     "2.33": 1e-10,
     "3.4a": 1e-10,
     "3.4b": 1e-10,
+    "L0": 1e-10,
 }
 
 

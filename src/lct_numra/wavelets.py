@@ -21,11 +21,11 @@ and the benchmark use; a grid outside [-8, 8) is refused, not wrapped.
 
 Synthesis happens once per hat.  ``periodic_samples`` is the one inverse
 FFT: one period of the hat's inverse transform on the fine time step.
-``grid_samples`` cuts grid samples for any list of delays from it by
-slices.  A kept hat (``HatEngine.lattice(keep=True)``; the cascade keeps
-its own) holds its periodic samples beside its lattice values, so every
-grid signal and undilated basis atom of it is a cut of one transform; at
-oversample 1 its signals are read-only windows of those samples.
+``grid_samples`` cuts the grid samples of one delay from it by slices.  A
+kept hat (``HatEngine.lattice(keep=True)``; the cascade keeps its own)
+holds its periodic samples beside its lattice values, so every grid signal
+and undilated basis atom of it is a cut of one transform; at oversample 1
+its signals are read-only windows of those samples.
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ import numpy as np
 
 from .canonical import CanonicalMatrix, require_valid
 from .filters import (
-    ADMISSIBLE_TOL,
-    FilterConditionError,
+    CASCADE_CODES,
     PeriodicFilterPair,
     TranslationSet,
-    check_scaling_conditions,
     default_u_count,
     filter_eval,
+    require_lowpass,
     translations,
 )
 from .sampling import (
@@ -306,38 +305,28 @@ def periodic_samples(values: np.ndarray) -> np.ndarray:
     return fine
 
 
-def _first_index(grid: Grid, n: int, *, oversample: int) -> int:
-    """Index of the grid's first point in n ``periodic_samples`` of step step/oversample.
+def grid_samples(fine: np.ndarray, grid: Grid, *, oversample: int, delay: int = 0) -> np.ndarray:
+    """Grid samples delayed by ``delay`` fine steps, cut from ``periodic_samples``.
 
-    The grid window must sit inside [-SPAN/2, SPAN/2) and its origin on the
-    fine lattice (which holds whenever SPAN/step is integral).
+    Every oversample-th fine sample from the grid's first point minus the
+    delay, modulo n.  One contiguous run (oversample 1, no wrap) is one slice
+    of ``fine``, based on ``fine`` itself and read-only when it is; otherwise
+    a strided slice and, past the period's end, one more are copied out.  The
+    grid window must sit inside [-SPAN/2, SPAN/2) and its origin on the fine
+    lattice (which holds whenever SPAN/step is integral).
     """
     if grid.t_min < -SPAN / 2 or grid.t_max > SPAN / 2:
         raise ValueError("grid window exceeds the transform period")
     idx0 = grid.t_min / (grid.step / oversample)
     if abs(idx0 - round(idx0)) > 1e-6:
         raise ValueError("grid origin does not align with the transform lattice")
-    return round(idx0) + n // 2
-
-
-def grid_samples(fine: np.ndarray, grid: Grid, *, oversample: int = 16, shifts=(0,), out=None):
-    """(delays x count) grid samples cut from ``periodic_samples`` by slices.
-
-    Row i holds the grid samples delayed by ``shifts[i]`` fine steps: every
-    oversample-th fine sample from the grid's first point minus the delay,
-    modulo n, read as one strided slice and, past the period's end, one
-    more.  ``out``, when given, is the sequence of rows to fill.
-    """
     n = fine.size
-    i0 = _first_index(grid, n, oversample=oversample)
-    if out is None:
-        out = np.empty((len(shifts), grid.count), dtype=np.complex128)
-    for row, s in zip(out, shifts):
-        start = (i0 - int(s)) % n
-        head = fine[start::oversample][: grid.count]
-        wrap = fine[start + oversample * head.size - n::oversample][: grid.count - head.size]
-        np.concatenate((head, wrap), out=row)
-    return out
+    start = (round(idx0) + n // 2 - int(delay)) % n
+    if oversample == 1 and start + grid.count <= n:
+        return fine[start:start + grid.count]
+    head = fine[start::oversample][: grid.count]
+    wrap = fine[start + oversample * head.size - n::oversample][: grid.count - head.size]
+    return np.concatenate((head, wrap))
 
 
 def hat_to_signal(hat: HatFunction, grid: Grid, *, oversample: int = 16) -> SampledSignal:
@@ -348,13 +337,7 @@ def hat_to_signal(hat: HatFunction, grid: Grid, *, oversample: int = 16) -> Samp
     A kept hat is synthesised once; each further grid costs one cut.
     """
     served_engine([hat], grid, oversample=oversample)
-    fine = hat.periodic()
-    if oversample == 1 and fine is hat._periodic:
-        # a kept hat holds these samples anyway, so its signal is a read-only
-        # window of them; at oversample > 1 a window would be strided
-        i0 = _first_index(grid, fine.size, oversample=1)
-        return SampledSignal(grid, fine[i0:i0 + grid.count])
-    return SampledSignal(grid, grid_samples(fine, grid, oversample=oversample)[0])
+    return SampledSignal(grid, grid_samples(hat.periodic(), grid, oversample=oversample))
 
 
 @dataclass(frozen=True)
@@ -371,19 +354,6 @@ class CascadeResult:
         return self.hat.engine
 
 
-def _require_lowpass(p0: PeriodicFilterPair) -> None:
-    """The cascade's preconditions: L(0) = 1 within 1e-10, scaling conditions within
-    ``ADMISSIBLE_TOL``; a FilterConditionError otherwise."""
-    lam0 = filter_eval(p0, 0.0)
-    if abs(lam0 - 1.0) > 1e-10:
-        raise FilterConditionError(f"filter response at 0 is {lam0:.17g}, expected 1")
-    res_a, res_b = check_scaling_conditions(p0)
-    if max(res_a, res_b) > ADMISSIBLE_TOL:
-        raise FilterConditionError(
-            f"scaling conditions fail (residuals {res_a:.3e}, {res_b:.3e})"
-        )
-
-
 def cascade(
     p0: PeriodicFilterPair,
     J: int = 20,
@@ -395,8 +365,9 @@ def cascade(
 ) -> CascadeResult:
     """Scaling function from the truncated product of dilated filter responses.
 
-    hat(phi)(u) = prod_{j=1..J} L(u / (2N)^j).  Requires L(0) = 1 within
-    1e-10 and the scaling conditions within ``ADMISSIBLE_TOL``.  The tail is
+    hat(phi)(u) = prod_{j=1..J} L(u / (2N)^j).  ``p0`` must pass
+    ``filters.require_lowpass`` for ``CASCADE_CODES`` (L(0) = 1 and the
+    scaling sums); a FilterConditionError names what fails.  The tail is
     checked on the inverse-transform lattice: the uniform difference
     between the J-term and (J-1)-term products must be at most ``tol``,
     otherwise a ConvergenceError carries the deviation.  The lattice
@@ -406,7 +377,7 @@ def cascade(
     """
     if J < 1:
         raise ValueError(f"cascade needs J >= 1 factors, got J={J}")
-    _require_lowpass(p0)
+    require_lowpass(p0, CASCADE_CODES)
     if grid is None:
         grid = default_time_grid(p0.ts)
     engine = HatEngine(p0, grid, oversample=oversample, J=J, depth=depth)

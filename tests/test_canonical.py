@@ -12,7 +12,6 @@ from lct_numra.canonical import (
     fresnel,
     identity,
     kernel,
-    special,
     validate,
 )
 
@@ -126,22 +125,20 @@ class TestCompose:
 
 class TestSpecial:
     def test_fourier(self):
-        assert special("fourier").as_tuple() == (0.0, 1.0, -1.0, 0.0)
+        assert fourier().as_tuple() == (0.0, 1.0, -1.0, 0.0)
 
     def test_frft_quarter_turn(self):
-        got = special("frft", np.pi / 2)
+        got = frft(np.pi / 2)
         np.testing.assert_allclose(got.as_tuple(), fourier().as_tuple(), atol=1e-15)
 
     def test_fresnel(self):
-        assert special("fresnel", 2.0).as_tuple() == (1.0, 2.0, 0.0, 1.0)
+        assert fresnel(2.0).as_tuple() == (1.0, 2.0, 0.0, 1.0)
 
     def test_degenerate_rejected(self):
         with pytest.raises(MatrixError):
             frft(np.pi)
         with pytest.raises(MatrixError, match="b = 0"):
             fresnel(0.0)
-        with pytest.raises(MatrixError):
-            special("unknown")
 
 
 class TestKernel:

@@ -16,6 +16,7 @@ from lct_numra.filters import (
     m0,
     omega_enumerate,
 )
+from lct_numra.reports import bank_report
 from lct_numra.sampling import Grid, SampledSignal, numra_grid
 from lct_numra.wavelets import frequency_samples, haar_filter_bank, haar_filters
 
@@ -367,6 +368,14 @@ class TestCompletion:
         np.testing.assert_allclose(high.comp1, want.comp1, atol=1e-12)
         np.testing.assert_allclose(high.comp2, want.comp2, atol=1e-12)
 
+    def test_highpass_completes_but_report_names_l0(self):
+        # completion needs 2.33 and the scaling sums, not L(0) = 1; the report of the
+        # completed "bank" still refuses its filter 0 as a low-pass
+        high = haar_filter_bank(TranslationSet(2, 1), M2111)[1]
+        bank = [high] + complete_filters(high)
+        assert len(bank) == 4
+        assert bank_report(bank)["violations"] == ["L0"]
+
     def test_inadmissible_input_rejected(self):
         p = ramp_pair(TranslationSet(1, 1))
         with pytest.raises(FilterConditionError, match="admissibility"):
@@ -377,7 +386,7 @@ class TestBankResiduals:
     def test_closed_form_bank(self):
         bank = haar_filter_bank(TranslationSet(2, 1), M2111)
         res = bank_residuals(bank)
-        assert set(res) == {"2.21", "2.22", "2.33", "3.4a", "3.4b"}
+        assert set(res) == {"2.21", "2.22", "2.33", "3.4a", "3.4b", "L0"}
         assert max(res.values()) <= 1e-12
 
     def test_nan_pair_residual_kept(self):

@@ -117,6 +117,21 @@ class TestSerialization:
         assert back.grid == sig.grid  # from the t column: dyadic points, exact differences
         np.testing.assert_array_equal(back.values, sig.values)
 
+    @pytest.mark.parametrize("t, sidecar, bad", [
+        ([10, 13, 16, 19, 22, 25, 28, 31], {"t_min": 0.0, "step": 0.5, "count": 8},
+         "t = 10.0 in data row 1"),
+        ([0, 0.1, 0.5, 0.6], None, "t = 0.1 in data row 2"),
+    ], ids=["off-sidecar-grid", "uneven-without-sidecar"])
+    def test_t_column_off_its_grid_exits_one(self, tmp_path, capsys, t, sidecar, bad):
+        path = tmp_path / "sig.csv"
+        path.write_text("t,re,im\n" + "".join(f"{x},1,0\n" for x in t))
+        if sidecar is not None:
+            write_json(path.with_suffix(".json"), sidecar)
+        out = tmp_path / "F.csv"
+        assert main(["lct", "fwd", "--matrix", "2,1,1,1", "--in", str(path), "--out", str(out)]) == 1
+        assert f"error: {path}: {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_signal_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y,z\n0,0,0\n")
@@ -137,7 +152,7 @@ class TestReports:
     def test_lowpass_report_pinned(self):
         report = lowpass_report(haar_filters(self.ts, self.m))
         assert report["config_hash"] == (
-            "4909839b604536bcced985b90f55935490ddb51bf76ac5b5f7194a5595a3bd41"
+            "60d893f5e35d327fae7b47e4c26f3caeaf0b7720370266224e88eae9726c9aeb"
         )
         assert report["residuals"] == {
             "2.21": 4.442569315895073e-16,
@@ -145,13 +160,14 @@ class TestReports:
             "2.33": 4.440892098500626e-16,
             "3.4a": 4.440892098500626e-16,
             "3.4b": 5.269049186782155e-16,
+            "L0": 1.8343086978806335e-15,
         }
         assert report["ok"] and report["violations"] == []
 
     def test_bank_report_pinned(self):
         report = bank_report(haar_filter_bank(self.ts, self.m))
         assert report["config_hash"] == (
-            "6d3350a5c1c8d262c18dd1d40043ac0ce86c038f6530a85445b78d118d2ad4f4"
+            "ce168a8736742706a4109bcc580e59b6bf62ab41874afb279e493b25ff2b3465"
         )
         assert report["residuals"] == {
             "2.21": 4.451977957430657e-16,
@@ -159,6 +175,7 @@ class TestReports:
             "2.33": 4.440892098500626e-16,
             "3.4a": 4.440892098500626e-16,
             "3.4b": 5.269049186782155e-16,
+            "L0": 1.8343086978806335e-15,
         }
         assert report["ok"] and report["violations"] == []
 
@@ -314,7 +331,7 @@ class TestVerifyCommand:
         report = tmp_path / "report.json"
         assert main(["verify", "--filters", str(fpath), "--report", str(report)]) == 0
         payload = read_json(report)
-        assert set(payload["residuals"]) == {"2.21", "2.22", "2.33", "3.4a", "3.4b"}
+        assert set(payload["residuals"]) == {"2.21", "2.22", "2.33", "3.4a", "3.4b", "L0"}
         assert "config_hash" in payload and "tolerances" in payload
         assert all(res <= 1e-10 for res in payload["residuals"].values())
 
@@ -334,13 +351,13 @@ class TestVerifyCommand:
         assert payload["residuals"]["2.21"] == pytest.approx(1.0)
 
     def test_nan_residuals_are_violations(self, tmp_path):
-        # components near 1e200 overflow: 2.21/3.4a are inf, 2.22/2.33/3.4b NaN
+        # components near 1e200 overflow: 2.21/3.4a are inf, 2.22/2.33/3.4b NaN, L0 about 1e200
         p0 = haar_filters(TranslationSet(1, 1), CanonicalMatrix(2, 1, 1, 1))
         big = PeriodicFilterPair(p0.ts, p0.u_grid, 1e200 * p0.comp1, 1e200 * p0.comp2)
         fpath = tmp_path / "big.csv"
         write_filter_csv(fpath, big)
         report = tmp_path / "report.json"
-        every = ["2.21", "2.22", "2.33", "3.4a", "3.4b"]
+        every = ["2.21", "2.22", "2.33", "3.4a", "3.4b", "L0"]
         with np.errstate(all="ignore"):
             assert lowpass_report(big)["violations"] == every
             assert main(["verify", "--filters", str(fpath), "--report", str(report)]) == 2
@@ -348,6 +365,23 @@ class TestVerifyCommand:
         assert payload["violations"] == every
         assert payload["residuals"]["2.22"] is None
         assert not payload["ok"]
+
+    @pytest.mark.parametrize("N, r, m", [(1, 1, (2, 1, 1, 1)), (2, 1, (2, 1, 1, 1)),
+                                         (3, 1, (2, 1, 1, 1)), (2, 3, (2, 1, 1, 1)),
+                                         (3, 5, (0.5, 1, -0.75, 0.5))],
+                             ids=["1", "2", "3", "2-r3", "3-r5"])
+    def test_agrees_with_cascade_on_every_haar_filter(self, tmp_path, N, r, m):
+        # one gate: verify names L0 exactly where cascade refuses the file, so a
+        # high-pass (L(0) = 0) is no longer verified as a low-pass
+        bank = haar_filter_bank(TranslationSet(N, r), CanonicalMatrix(*m))
+        report = tmp_path / "report.json"
+        for k, pair in enumerate(bank):
+            fpath = tmp_path / f"filters_{k}.csv"
+            write_filter_csv(fpath, pair)
+            verified = main(["verify", "--filters", str(fpath), "--report", str(report)])
+            cascaded = main(["cascade", "--filters", str(fpath), "--out", str(tmp_path / "phi.csv")])
+            assert verified == cascaded == (0 if k == 0 else 2)
+            assert ("L0" in read_json(report)["violations"]) == (k > 0)
 
     def test_tol_overrides_every_tolerance(self, tmp_path, capsys):
         fpath = tmp_path / "filters.csv"

@@ -198,6 +198,14 @@ class TestCascade:
         with pytest.raises(FilterConditionError):
             cascade(doubled)
 
+    def test_rejects_nan_scaling_residual(self, monkeypatch):
+        # max(0.0, nan) is 0.0, so a gate on the largest residual would pass this
+        import lct_numra.filters as filters
+
+        monkeypatch.setattr(filters, "check_scaling_conditions", lambda p: (0.0, np.nan))
+        with pytest.raises(FilterConditionError, match="3.4b residual nan"):
+            cascade(haar_filters(TranslationSet(1, 1), fourier()))
+
 
 class TestWaveletFromFilters:
     def test_classical_haar_reproduced(self, haar1_cascade):
@@ -435,7 +443,7 @@ class TestGridSamples:
         fine = rng.normal(size=n) + 1j * rng.normal(size=n)
         shifts = [0, 1, -1, 5, -5, oversample * 64 + 3, -oversample * 64 - 3,
                   n - 1, 1 - n, n, 2 * n + 7, -3 * n - 2]
-        got = grid_samples(fine, grid, oversample=oversample, shifts=shifts)
+        got = np.stack([grid_samples(fine, grid, oversample=oversample, delay=s) for s in shifts])
         np.testing.assert_array_equal(got, modulo_gather(fine, grid, oversample, shifts))
 
     def test_refuses_grid_outside_period_or_off_lattice(self):

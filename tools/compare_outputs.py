@@ -8,8 +8,9 @@ PARENT and CHANGE are checkout roots (their ``src/`` is put on PYTHONPATH) or
 ``python -m lct_numra.cli`` from each root into that root's own temporary
 directory, with the BLAS pools pinned to one thread; a short library script
 (``LIBRARY``) also saves engine tails, cascade signals and packet hats as
-``.npy`` files.  The inputs (a 2^17-row signal) are written once, by PARENT,
-and read by both.
+``.npy`` files.  The inputs (a 2^17-row signal, and two 8- and 4-row signal
+files whose t column is off their grid) are written once, by PARENT, and read
+by both.
 
 For every output file the script prints "byte-identical", or the largest
 difference of its numbers relative to the largest |number| in the file, or
@@ -65,13 +66,25 @@ COMMANDS += [
     ("crosscheck", ["crosscheck", "--out", "{out}/crosscheck.json"]),
     ("lct-fwd", ["lct", "fwd", "--matrix", M, "--in", "{in}/f.csv", "--out", "{out}/F.csv"]),
     ("lct-inv", ["lct", "inv", "--matrix", M, "--in", "{out}/F.csv", "--out", "{out}/f_inv.csv"]),
+    # signal files whose t column is off their grid: refused with exit 1
+    ("lct-fwd-moved", ["lct", "fwd", "--matrix", M, "--in", "{in}/moved.csv",
+                       "--out", "{out}/F-moved.csv"]),
+    ("lct-fwd-uneven", ["lct", "fwd", "--matrix", M, "--in", "{in}/uneven.csv",
+                        "--out", "{out}/F-uneven.csv"]),
 ]
 
 INPUTS = """
-import sys
+import json, sys
 from lct_numra.io import write_signal_csv
 from lct_numra.sampling import Grid, gaussian
 write_signal_csv(sys.argv[1] + "/f.csv", gaussian(Grid(-8.0, 2.0**-13, 2**17)))
+# a Grid(0, 0.5, 8) sidecar over t = 10, 13, ..., 31, and uneven t without a sidecar
+with open(sys.argv[1] + "/moved.csv", "w") as fh:
+    fh.write("t,re,im\\n" + "".join(f"{10 + 3 * k},1,0\\n" for k in range(8)))
+with open(sys.argv[1] + "/moved.json", "w") as fh:
+    json.dump({"t_min": 0.0, "step": 0.5, "count": 8}, fh)
+with open(sys.argv[1] + "/uneven.csv", "w") as fh:
+    fh.write("t,re,im\\n0,1,0\\n0.1,1,0\\n0.5,1,0\\n0.6,1,0\\n")
 """
 
 #: Library outputs no CLI file carries: engine tail T_0, its tail deviation, the
