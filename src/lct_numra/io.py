@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -64,6 +65,14 @@ def _sidecar(path: Path) -> Path:
     return path.with_suffix(".json")
 
 
+def _from_sidecar(cls, meta: dict, sidecar: Path):
+    """``cls.from_dict(meta)``; a key the sidecar lacks is named with its path."""
+    try:
+        return cls.from_dict(meta)
+    except KeyError as exc:
+        raise ValueError(f"{sidecar}: missing key {exc}") from None
+
+
 def _columns_csv(header: list[str], columns: list[np.ndarray]) -> Iterator[str]:
     """CSV text in chunks: the header, then one %-format per block of rows."""
     yield ",".join(header) + "\n"
@@ -78,7 +87,11 @@ def _read_columns(path: Path, expected_header: list[str]) -> list[np.ndarray]:
         header = fh.readline().strip().split(",")
         if header != expected_header:
             raise ValueError(f"{path}: expected header {expected_header}, got {header}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body is named below
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if not data.shape[0]:
+        raise ValueError(f"{path}: no data rows")
     return [data[:, i] for i in range(data.shape[1])]
 
 
@@ -103,7 +116,7 @@ def _read_sampled(path: str | Path, x_name: str) -> tuple[Grid, np.ndarray, dict
     sidecar = _sidecar(path)
     if sidecar.exists():
         meta = read_json(sidecar)
-        grid = Grid.from_dict(meta)
+        grid = _from_sidecar(Grid, meta, sidecar)
     else:
         meta = {}
         step = float(np.mean(np.diff(x))) if len(x) > 1 else 1.0
@@ -135,7 +148,9 @@ def write_spectrum_csv(path: str | Path, spectrum: LctSpectrum) -> None:
 
 def read_spectrum_csv(path: str | Path) -> LctSpectrum:
     grid, values, meta = _read_sampled(path, "u")
-    t_grid = Grid.from_dict(meta["t_grid"]) if "t_grid" in meta else None
+    t_grid = None
+    if "t_grid" in meta:
+        t_grid = _from_sidecar(Grid, meta["t_grid"], _sidecar(Path(path)))
     return LctSpectrum(grid, values, t_grid)
 
 
@@ -151,7 +166,7 @@ def write_filter_csv(path: str | Path, pair: PeriodicFilterPair) -> None:
 def read_filter_csv(path: str | Path) -> PeriodicFilterPair:
     path = Path(path)
     u, re1, im1, re2, im2 = _read_columns(path, ["u", "re1", "im1", "re2", "im2"])
-    ts = TranslationSet.from_dict(read_json(_sidecar(path)))
+    ts = _from_sidecar(TranslationSet, read_json(_sidecar(path)), _sidecar(path))
     count = len(u)
     grid = Grid(t_min=0.0, step=0.5 / count, count=count)
     return PeriodicFilterPair(ts, grid, re1 + 1j * im1, re2 + 1j * im2)

@@ -9,16 +9,20 @@ with the low-pass cascade tail:
 
 for digits d_0..d_{q-1} (the packet recursion of Coifman & Wickerhauser,
 IEEE Trans. IT 38(2), 1992).  All packets of one cascade share its
-``wavelets.HatEngine``, and a node keeps its lattice values
-and its periodic samples (``HatFunction.periodic``), so bases and fold
-sums over it evaluate no filter again.  Each hat is synthesised once:
-packet 0 is the cascade's own kept hat, so its signal is a cut of the
-samples the cascade synthesised, and a basis cuts its level-0 atoms from
-the node's kept periodic samples; only a dilated (level >= 1) hat costs
-one more inverse FFT.  A basis keeps its atoms
-unchirped: the time chirp, computed once per basis, cancels in the Gram,
-and analysis and synthesis apply it once per signal, each one product
-with the atoms; bases must be Gram-certified before use.
+``wavelets.HatEngine``, and a node keeps its lattice values, so bases and
+fold sums over it evaluate no filter again.  Each hat is synthesised at
+most once, on the first read of its periodic samples
+(``HatFunction.periodic``): a node's ``signal`` is made when it is first
+read, so a node that only the lattice sums read is never synthesised.
+Packet 0 is the cascade's own kept hat, whose samples the cascade
+synthesised; a basis takes its level-0 atoms as windows of the nodes' kept
+periodic samples, and only a dilated (level >= 1) hat costs one more
+inverse FFT, which its atoms' windows keep.  No (atoms x count) array is
+made.  A basis keeps its atoms unchirped: the time chirp, one read-only
+array per (grid, matrix) shared by consecutive bases, cancels in the
+Gram, and analysis and synthesis apply it once per signal, with one dot
+product or one scaled sum per atom; bases must be Gram-certified before
+use.
 ``packet_gram`` is the band-limited Gram over one synthesis period: no grid
 enters it, its translates are circular with period ``SPAN``, and it comes
 from one fold of the kept hats, which ``fold_residuals`` shares; the Gram on
@@ -99,11 +103,22 @@ def reconstruct(idx: PacketIndex, N: int) -> int:
 
 @dataclass(frozen=True)
 class PacketNode:
-    """One packet: its index, frequency-domain hat, and time samples."""
+    """One packet: its index, frequency-domain hat, and the grid of its time samples.
+
+    ``signal`` is synthesised on its first read and kept (at oversample 1 a
+    read-only window of the hat's kept periodic samples), so a node that only
+    lattice sums read (``packet_gram``, ``fold_residuals``) is never
+    inverse-transformed.
+    """
 
     index: PacketIndex
     hat: HatFunction
-    signal: SampledSignal
+    grid: Grid
+    oversample: int = 16
+
+    @cached_property
+    def signal(self) -> SampledSignal:
+        return hat_to_signal(self.hat, self.grid, oversample=self.oversample)
 
 
 def packet_hat(
@@ -122,10 +137,11 @@ def packet_hat(
 
         hat(W_{2Nn + k})(u) = L_k(u/2N) hat(W_n)(u/2N)
 
-    holds exactly along the code path.  The node keeps its values and
-    periodic samples on the cascade's lattice; a grid (default: the
-    cascade's) that lattice does not serve is refused.  Index 0 is the
-    cascade's own hat, whose periodic samples the cascade already holds.
+    holds exactly along the code path.  The node keeps its values on the
+    cascade's lattice, and its periodic samples once they are first read; a
+    grid (default: the cascade's) that lattice does not serve is refused
+    here.  Index 0 is the cascade's own hat, whose periodic samples the
+    cascade already holds.
     """
     ts = bank[0].ts
     if len(bank) != 2 * ts.N:
@@ -135,8 +151,8 @@ def packet_hat(
     if grid is None:
         grid = scaling.signal.grid
     hat = _node_hat(scaling, bank, idx)
-    scaling.engine.lattice([hat], keep=True)
-    return PacketNode(index=idx, hat=hat, signal=hat_to_signal(hat, grid, oversample=oversample))
+    served_engine([hat], grid, oversample=oversample).lattice([hat], keep=True)
+    return PacketNode(idx, hat, grid, oversample)
 
 
 def _node_hat(scaling: CascadeResult, bank, idx: PacketIndex) -> HatFunction:
@@ -159,12 +175,9 @@ def generate_packets(
     indices = [digits(n, ts.N) for n in range(n_max + 1)]
     scaling = cascade(bank[0], grid=grid, oversample=oversample, depth=len(indices[-1].digits))
     hats = [_node_hat(scaling, bank, idx) for idx in indices]
-    scaling.engine.lattice(hats, keep=True)
     grid = scaling.signal.grid
-    return [
-        PacketNode(idx, hat, hat_to_signal(hat, grid, oversample=oversample))
-        for idx, hat in zip(indices, hats)
-    ]
+    served_engine(hats, grid, oversample=oversample).lattice(hats, keep=True)
+    return [PacketNode(idx, hat, grid, oversample) for idx, hat in zip(indices, hats)]
 
 
 def _lattice_fold(values: list[np.ndarray], period: int) -> np.ndarray:
@@ -211,6 +224,21 @@ class BasisElement:
     lam: float
 
 
+#: The last time chirp: ((grid, m), read-only chirp_phase(m, t, 0) on the grid).
+_CHIRP: list[tuple] = []
+
+
+def _time_chirp(grid: Grid, m: CanonicalMatrix) -> np.ndarray:
+    """chirp_phase(m, t, 0) on ``grid``, shared by the bases of one (grid, matrix)."""
+    if _CHIRP and _CHIRP[0][0] == (grid, m):
+        return _CHIRP[0][1]
+    _CHIRP.clear()  # the old chirp is freed before the new one is made
+    chirp = chirp_phase(m, grid.points(), 0.0)
+    chirp.flags.writeable = False
+    _CHIRP.append(((grid, m), chirp))
+    return chirp
+
+
 @dataclass
 class PacketBasis:
     """A finite packet system with a certification gate.
@@ -219,10 +247,13 @@ class PacketBasis:
     hat(W_n)(u/(2N)^j), shifted by lam/(2N)^j, from one shared frequency
     lattice at oversample 1 (the nodes' cascade is built with it), so spans
     at different levels nest exactly and Nyquist-rate quadrature of atom
-    products is alias-free.  A level-0 atom is cut from
-    its node's kept periodic samples; each dilated (node, level) takes one
-    synthesis, from the rows and tails the nodes' engine holds.  The cuts
-    fill one read-only (atoms x count) array.  These atoms are
+    products is alias-free.  Each atom is a read-only window of one period of
+    samples (``wavelets.grid_samples``): a level-0 atom of its node's kept
+    periodic samples, and a dilated (node, level) group of one synthesis,
+    from the rows and tails the nodes' engine holds, that its windows keep
+    alive.  Only an atom whose cut wraps the period is a copy, so no
+    (atoms x count) array is made and the memory of a basis does not grow
+    with its translates.  These atoms are
     unchirped: a chirped atom (``signals``) is one times ``chirp_phase(m, t, lam)``
     (``canonical.chirp_rate``), so the chirped Gram is D G_0 D^H with D diagonal
     and unimodular, and max |G - I| = max |G_0 - I|.  ``certify`` stores
@@ -237,12 +268,12 @@ class PacketBasis:
 
     @property
     def _grid(self) -> Grid:
-        return self.elements[0].node.signal.grid
+        return self.elements[0].node.grid
 
     @cached_property
-    def _unchirped(self) -> np.ndarray:
+    def _unchirped(self) -> tuple[np.ndarray, ...]:
         grid = self._grid
-        if any(e.node.signal.grid != grid for e in self.elements):
+        if any(e.node.grid != grid for e in self.elements):
             raise ValueError("all basis nodes must share one grid")
         two_n = float(self.ts.dilation)
         delays = Grid(0.0, grid.step, 1)  # at oversample 1, shifts are whole grid steps
@@ -254,32 +285,26 @@ class PacketBasis:
         engine = served_engine(hats, grid, oversample=1)
         dilated = [h for (_, level), h in zip(groups, hats) if level]
         values = dict(zip(map(id, dilated), engine.lattice(dilated)))
-        atoms = None
+        atoms: list[np.ndarray] = [None] * len(self.elements)
         for ((_, level), rows), hat in zip(groups.items(), hats):
             if level:
                 fine = periodic_samples(two_n ** (-level / 2.0) * values.pop(id(hat)))
             else:
                 fine = hat.periodic()
-            if atoms is None:  # after the first synthesis, whose temporaries are gone
-                atoms = np.empty((len(self.elements), grid.count), dtype=np.complex128)
             for i in rows:
                 delay = delays.index_of(self.elements[i].lam / two_n**level)
                 atoms[i] = grid_samples(fine, grid, oversample=1, delay=delay)
-        atoms.flags.writeable = False
-        return atoms
-
-    @cached_property
-    def _time_chirp(self) -> np.ndarray:
-        """chirp_phase(m, t, 0) on the basis grid, shared by signals, analysis and synthesis."""
-        return chirp_phase(self.m, self._grid.points(), 0.0)
+                atoms[i].flags.writeable = False
+        return tuple(atoms)
 
     def _phases(self) -> np.ndarray:
         return chirp_phase(self.m, 0.0, np.array([e.lam for e in self.elements]))
 
     def signals(self) -> list[SampledSignal]:
         """The chirped atoms."""
-        return [SampledSignal(self._grid, row * self._time_chirp * phase)
-                for row, phase in zip(self._unchirped, self._phases())]
+        chirp = _time_chirp(self._grid, self.m)
+        return [SampledSignal(self._grid, atom * chirp * phase)
+                for atom, phase in zip(self._unchirped, self._phases())]
 
     def certify(self) -> float:
         self.residual = identity_deviation(weighted_gram(self._unchirped, self._grid))
@@ -303,15 +328,16 @@ class CoefficientTable:
 
 
 def packet_analyze(f: SampledSignal, basis: PacketBasis) -> CoefficientTable:
-    """Coefficients <f, atom>: demodulated f against the unchirped atoms, then phases."""
+    """Coefficients <f, atom>: demodulated f against each unchirped atom, then phases."""
     basis.require_certified()
     grid = f.grid
     if basis._grid != grid:
         raise ValueError("basis atoms must live on the signal grid")
     weighted = np.conj(f.values)
-    weighted *= basis._time_chirp
+    weighted *= _time_chirp(grid, basis.m)
     weighted *= grid.trapezoid_weights()
-    values = basis._phases().conj() * np.conj(basis._unchirped @ weighted)
+    dots = np.array([atom @ weighted for atom in basis._unchirped])
+    values = basis._phases().conj() * np.conj(dots)
     rows = tuple((e.node.index.n, e.level, e.lam) for e in basis.elements)
     return CoefficientTable(rows=rows, values=values)
 
@@ -322,8 +348,11 @@ def packet_synthesize(coeffs: CoefficientTable, basis: PacketBasis) -> SampledSi
     if len(coeffs.values) != len(basis.elements):
         raise ValueError("coefficient table does not match the basis")
     grid = basis._grid
-    acc = (coeffs.values * basis._phases()) @ basis._unchirped
-    acc *= basis._time_chirp
+    acc = np.zeros(grid.count, dtype=np.complex128)
+    term = np.empty_like(acc)
+    for c, atom in zip(coeffs.values * basis._phases(), basis._unchirped):
+        acc += np.multiply(atom, c, out=term)
+    acc *= _time_chirp(grid, basis.m)
     return SampledSignal(grid, acc)
 
 
@@ -340,7 +369,7 @@ def fold_residuals(
     twisted sum must vanish, mirroring the filter-bank conditions one
     level up.
     """
-    grid = node.signal.grid
+    grid = node.grid
     vals = served_engine([node.hat], grid, oversample=oversample).lattice([node.hat])[0]
     h = _lattice_fold([vals], round(SPAN) * ts.N)[:, 0, 0].real
     plain, twisted = shift_sums(h, round(SPAN / 2), ts)

@@ -12,7 +12,8 @@ A chirped basis element is an unchirped one times the time chirp and the
 constant of its shift (``chirp_phase``, in the convention stated by
 ``canonical.chirp_rate``).  The time chirp cancels in every product, so a
 chirped Gram is D G_0 D^H with D the diagonal of those constants:
-``dilate`` and ``weighted_gram`` take unchirped samples, and
+``dilate`` and ``weighted_gram`` take unchirped samples (``weighted_gram``
+any sequence of rows, stacked one column block at a time), and
 ``chirped_translate_gram`` builds no translate.  Its shifts are whole
 cells of g = gcd of their offsets, one batched product per cell lag:
 n_sig^2 |lags| P multiply-adds for P = ceil(count/g) g, not a stack's
@@ -308,16 +309,18 @@ def dilate(phi: SampledSignal, j: int, N: int, lam: float, *,
     return SampledSignal(grid, (2 * N) ** (j / 2.0) * phi.value_at(scale * grid.points() - lam))
 
 
-def weighted_gram(rows: np.ndarray, grid: Grid) -> np.ndarray:
-    """Trapezoidal inner products of the rows of a (signals x count) array on ``grid``.
+def weighted_gram(rows, grid: Grid) -> np.ndarray:
+    """Trapezoidal inner products of equal-length rows on ``grid``.
 
-    The product is summed over column blocks, so the weighted conjugate is
-    one block at a time, never a copy of ``rows``.
+    ``rows`` is any sequence of ``grid.count`` samples each (the rows of a
+    2-D array are one), so windows of longer arrays are read in place.  The
+    product is summed over column blocks: one block of the rows is stacked
+    and its weighted conjugate taken at a time, never a copy of ``rows``.
     """
     w = grid.trapezoid_weights()
-    g = np.zeros((rows.shape[0], rows.shape[0]), dtype=np.complex128)
-    for a in range(0, rows.shape[1], _GRAM_BLOCK):
-        block = rows[:, a:a + _GRAM_BLOCK]
+    g = np.zeros((len(rows), len(rows)), dtype=np.complex128)
+    for a in range(0, grid.count if len(rows) else 0, _GRAM_BLOCK):
+        block = np.stack([row[a:a + _GRAM_BLOCK] for row in rows])
         b = block.conj()
         b *= w[a:a + _GRAM_BLOCK]
         g += block @ b.T
@@ -328,8 +331,7 @@ def gram_matrix(system: list[SampledSignal]) -> np.ndarray:
     """Pairwise trapezoidal inner products of signals on one common grid."""
     if not system:
         return np.zeros((0, 0), dtype=np.complex128)
-    grid = _common_grid(system)
-    return weighted_gram(np.stack([s.values for s in system]), grid)
+    return weighted_gram([s.values for s in system], _common_grid(system))
 
 
 def identity_deviation(g: np.ndarray) -> float:

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,26 @@ class TestSerialization:
         out = tmp_path / "F.csv"
         assert main(["lct", "fwd", "--matrix", "2,1,1,1", "--in", str(path), "--out", str(out)]) == 1
         assert f"error: {path}: {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, sidecar, named, cause", [
+        ("0,1,0\n1,1,0\n", {"t_min": 0.0, "count": 2}, "sig.json", "missing key 'step'"),
+        ("", None, "sig.csv", "no data rows"),
+    ], ids=["sidecar-without-step", "header-only"])
+    def test_malformed_signal_file_exits_one(self, tmp_path, capsys, rows, sidecar, named,
+                                             cause):
+        # one error line naming the file and the cause: no traceback, no numpy warning
+        path = tmp_path / "sig.csv"
+        path.write_text("t,re,im\n" + rows)
+        if sidecar is not None:
+            write_json(path.with_suffix(".json"), sidecar)
+        out = tmp_path / "F.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["lct", "fwd", "--matrix", "2,1,1,1", "--in", str(path),
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / named}: {cause}\n"
         assert not out.exists()
 
     def test_signal_header_checked(self, tmp_path):

@@ -55,6 +55,7 @@ from lct_numra.wavelets import (
     haar_filter_bank,
 )
 
+import basis_reference
 from hat_reference import ExactRows, bins_pair, product_hat
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
@@ -339,7 +340,8 @@ class TestCertifyAC10:
         basis = PacketBasis(ts, M2111, [BasisElement(nodes[n], 0, float(lam))
                                         for n in range(4) for lam in lams])
         rows, grid = basis._unchirped, basis._grid
-        want = rows @ (rows.conj() * grid.trapezoid_weights()).T
+        stack = np.stack(rows)
+        want = stack @ (stack.conj() * grid.trapezoid_weights()).T
         assert np.max(np.abs(weighted_gram(rows, grid) - want)) <= 1e-14
 
 
@@ -742,3 +744,108 @@ class TestOneSynthesisPerHat:
                 np.testing.assert_array_equal(e.node.signal.values, row)
                 assert np.shares_memory(e.node.signal.values, e.node.hat.periodic())
                 assert not e.node.signal.values.flags.writeable
+
+
+WRAPPED_SPEC = [(2, 0, [-1.0, 0.0, 1.0, 2.0, 3.0])]  # at lam = 3 the cut wraps the period
+
+
+class TestWindowedBasis:
+    """Atoms are windows of kept syntheses; a node synthesises on its first read."""
+
+    @pytest.mark.parametrize("m", [fourier(), M2111], ids=["fourier", "2111"])
+    @pytest.mark.parametrize("spec", [
+        PARENT_SPEC, CHILDREN_SPEC, WRAPPED_SPEC,
+        [(0, 2, range(-1, 2)), (2, 1, range(-1, 2)), (6, 0, range(-1, 2)), (7, 0, range(-1, 2))],
+    ], ids=["parent", "children", "wrapped", "three-levels"])
+    def test_matches_stacked_oracle(self, haar1_nodes, m, spec):
+        ts = TranslationSet(1, 1)
+        basis = make_basis(haar1_nodes, ts, m, spec)
+        stack = basis_reference.stacked_atoms(basis)
+        assert basis.certify() == basis_reference.certify(basis, stack)
+        assert basis.residual <= 1e-3
+        grid = basis._grid
+        rng = np.random.default_rng(31)
+        f = SampledSignal(grid, rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count))
+        want = basis_reference.analyze(f, basis, stack)
+        got = packet_analyze(f, basis).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        c = rng.normal(size=len(stack)) + 1j * rng.normal(size=len(stack))
+        want = basis_reference.synthesize(c, basis, stack)
+        got = packet_synthesize(CoefficientTable(packet_analyze(f, basis).rows, c), basis).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_atoms_are_windows_but_a_wrapped_cut(self, haar1_nodes):
+        ts = TranslationSet(1, 1)
+        basis = make_basis(haar1_nodes, ts, fourier(), WRAPPED_SPEC + [(1, 1, [0.0, 3.0])])
+        kept = haar1_nodes[2].hat.periodic()
+        level1 = basis._unchirped[-1].base
+        for atom, e in zip(basis._unchirped, basis.elements):
+            assert not atom.flags.writeable
+            if e.level == 1:
+                assert atom.base is level1  # one synthesis per (node, level)
+            elif e.lam == 3.0:
+                assert not np.shares_memory(atom, kept)
+            else:
+                assert atom.base is kept
+
+    def test_retained_memory_does_not_grow_with_translates(self):
+        # level-1 atoms of two packets: one synthesis per packet whatever the
+        # number of translates (a stack of 20 per packet would hold 40 atoms)
+        ts = TranslationSet(1, 1)
+        bank = haar_filter_bank(ts, fourier())
+        grid = numra_grid(ts, (-2.0, 2.0), refinement=512)
+        nodes = generate_packets(2, bank, grid=grid, oversample=1)
+        retained = {}
+        for count in (2, 20):
+            elements = [BasisElement(nodes[n], 1, float(lam))
+                        for n in (1, 2) for lam in range(-10, count - 10)]
+            tracemalloc.start()
+            try:
+                basis = PacketBasis(ts, fourier(), elements)
+                basis.certify()
+                retained[count] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del basis
+        atom_bytes = 16 * grid.count
+        assert retained[20] - retained[2] <= atom_bytes
+
+    def test_lattice_sums_synthesise_nothing(self, monkeypatch):
+        # fresh nodes: the Gram and the fold sums read lattice values only, and
+        # a node's signal is synthesised on its first read and kept
+        import lct_numra.packets as packets
+        import lct_numra.wavelets as wavelets
+        from lct_numra.wavelets import hat_to_signal
+
+        ts = TranslationSet(2, 1)
+        bank = haar_filter_bank(ts, M2111)
+        grid = numra_grid(ts, (-4.0, 4.0), refinement=64)
+        nodes = generate_packets(4, bank, grid=grid, oversample=1)
+        calls = []
+        real = wavelets.periodic_samples
+
+        def counting(values):
+            calls.append(values.size)
+            return real(values)
+
+        monkeypatch.setattr(wavelets, "periodic_samples", counting)
+        monkeypatch.setattr(packets, "periodic_samples", counting)
+        packet_gram(nodes, ts, M2111, (-2.0, 2.0))
+        for node in nodes:
+            fold_residuals(node, ts, oversample=1)
+        assert calls == []
+        signal = nodes[3].signal
+        assert len(calls) == 1
+        assert nodes[3].signal is signal
+        assert len(calls) == 1
+        want = hat_to_signal(nodes[3].hat, grid, oversample=1)
+        np.testing.assert_array_equal(signal.values, want.values)
+        assert signal.grid == want.grid
+
+    def test_unserved_grid_refused_when_the_node_is_made(self, haar1):
+        ts, bank, grid, scaling = haar1
+        with pytest.raises(ValueError, match="does not serve"):
+            packet_hat(digits(1, ts.N), bank, scaling=scaling, grid=grid, oversample=2)
+        coarse = numra_grid(ts, (-6.0, 6.0), refinement=4096)
+        with pytest.raises(ValueError, match="does not serve"):
+            packet_hat(digits(1, ts.N), bank, scaling=scaling, grid=coarse, oversample=1)

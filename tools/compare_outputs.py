@@ -7,8 +7,8 @@ PARENT and CHANGE are checkout roots (their ``src/`` is put on PYTHONPATH) or
 ``src`` directories themselves.  Every command in ``COMMANDS`` runs as
 ``python -m lct_numra.cli`` from each root into that root's own temporary
 directory, with the BLAS pools pinned to one thread; a short library script
-(``LIBRARY``) also saves engine tails, cascade signals and packet hats as
-``.npy`` files.  The inputs (a 2^17-row signal, and two 8- and 4-row signal
+(``LIBRARY``) also saves engine tails, cascade signals, packet hats and the
+AC-11 packet bases' residuals, coefficients and syntheses as ``.npy`` files.  The inputs (a 2^17-row signal, and two 8- and 4-row signal
 files whose t column is off their grid) are written once, by PARENT, and read
 by both.
 
@@ -88,14 +88,17 @@ with open(sys.argv[1] + "/uneven.csv", "w") as fh:
 """
 
 #: Library outputs no CLI file carries: engine tail T_0, its tail deviation, the
-#: cascade signal and the lattice hats of packets 0..3.
+#: cascade signal and the lattice hats of packets 0..3; and of the AC-11 parent and
+#: children bases, the certify residual, the coefficients of a random signal and
+#: their synthesis.
 LIBRARY = """
 import sys
 import numpy as np
-from lct_numra.canonical import CanonicalMatrix
+from lct_numra.canonical import CanonicalMatrix, fourier
 from lct_numra.filters import TranslationSet
-from lct_numra.packets import generate_packets
-from lct_numra.sampling import numra_grid
+from lct_numra.packets import (BasisElement, PacketBasis, generate_packets, packet_analyze,
+                               packet_synthesize)
+from lct_numra.sampling import SampledSignal, numra_grid
 from lct_numra.wavelets import cascade, haar_filter_bank
 for N, r in [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)]:
     ts = TranslationSet(N, r)
@@ -108,6 +111,19 @@ for N, r in [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)]:
     np.save(f"{out}-phi.npy", res.signal.values)
     for node in generate_packets(3, bank, grid=grid, oversample=1):
         np.save(f"{out}-packet{node.index.n}-hat.npy", node.hat._values)
+ts = TranslationSet(1, 1)
+grid = numra_grid(ts, (-6.0, 6.0), refinement=8192)
+nodes = generate_packets(3, haar_filter_bank(ts, fourier()), grid=grid, oversample=1)
+rng = np.random.default_rng(7)
+f = SampledSignal(grid, rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count))
+for name, packets in [("parent", [(1, 1)]), ("children", [(2, 0), (3, 0)])]:
+    basis = PacketBasis(ts, fourier(), [BasisElement(nodes[n], level, float(lam))
+                                        for n, level in packets for lam in range(-2, 3)])
+    out = f"{sys.argv[1]}/lib/ac11-{name}"
+    np.save(f"{out}-residual.npy", basis.certify())
+    table = packet_analyze(f, basis)
+    np.save(f"{out}-analysis.npy", table.values)
+    np.save(f"{out}-synthesis.npy", packet_synthesize(table, basis).values)
 """
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\b(?:nan|inf|NaN|Infinity)\b")
