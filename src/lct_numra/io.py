@@ -66,11 +66,13 @@ def _sidecar(path: Path) -> Path:
 
 
 def _from_sidecar(cls, meta: dict, sidecar: Path):
-    """``cls.from_dict(meta)``; a key the sidecar lacks is named with its path."""
+    """``cls.from_dict(meta)``; a missing key or a refused value is named with the sidecar's path."""
     try:
         return cls.from_dict(meta)
     except KeyError as exc:
         raise ValueError(f"{sidecar}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:  # TypeError: a null value
+        raise ValueError(f"{sidecar}: {exc}") from None
 
 
 def _columns_csv(header: list[str], columns: list[np.ndarray]) -> Iterator[str]:
@@ -95,6 +97,14 @@ def _read_columns(path: Path, expected_header: list[str]) -> list[np.ndarray]:
     return [data[:, i] for i in range(data.shape[1])]
 
 
+def _require_on_grid(path: Path, x_name: str, x: np.ndarray, grid: Grid, slack: float) -> None:
+    """Refuse an x column that is not ``grid``'s points within ``slack``, naming its first bad row."""
+    on_grid = np.abs(x - grid.points()) <= slack  # NaN is not
+    if not on_grid.all():
+        i = int(np.argmin(on_grid))
+        raise ValueError(f"{path}: {x_name} = {float(x[i])} in data row {i + 1} is off {grid}")
+
+
 def _write_sampled(path: str | Path, x_name: str, grid: Grid, values: np.ndarray,
                    **sidecar) -> None:
     """Columns (x, re, im) over ``grid`` plus a sidecar: the grid and any extra keys."""
@@ -107,9 +117,8 @@ def _write_sampled(path: str | Path, x_name: str, grid: Grid, values: np.ndarray
 def _read_sampled(path: str | Path, x_name: str) -> tuple[Grid, np.ndarray, dict]:
     """Grid, complex values and sidecar dict (empty when absent) of a sampled CSV.
 
-    The x column must be the grid's points, exactly those of the sidecar's grid
-    (%.17g round-trips a float64) or without a sidecar within ``_ALIGN_TOL``
-    steps of the uniform grid inferred from it; its first x off the grid is named.
+    The x column must be the grid's points (``_require_on_grid``): exactly those of the
+    sidecar's grid, or without a sidecar within ``_ALIGN_TOL`` steps of the grid inferred from it.
     """
     path = Path(path)
     x, re, im = _read_columns(path, [x_name, "re", "im"])
@@ -123,11 +132,7 @@ def _read_sampled(path: str | Path, x_name: str) -> tuple[Grid, np.ndarray, dict
         grid = Grid(t_min=float(x[0]), step=step, count=len(x))
     if grid.count != len(x):
         raise ValueError(f"{path}: row count does not match the grid sidecar")
-    slack = 0.0 if sidecar.exists() else _ALIGN_TOL * grid.step
-    on_grid = np.abs(x - grid.points()) <= slack  # NaN is not
-    if not on_grid.all():
-        i = int(np.argmin(on_grid))
-        raise ValueError(f"{path}: {x_name} = {float(x[i])} in data row {i + 1} is off {grid}")
+    _require_on_grid(path, x_name, x, grid, 0.0 if sidecar.exists() else _ALIGN_TOL * grid.step)
     return grid, re + 1j * im, meta
 
 
@@ -164,9 +169,10 @@ def write_filter_csv(path: str | Path, pair: PeriodicFilterPair) -> None:
 
 
 def read_filter_csv(path: str | Path) -> PeriodicFilterPair:
+    """A filter pair; its u column must be its u grid's points exactly (%.17g round-trips)."""
     path = Path(path)
     u, re1, im1, re2, im2 = _read_columns(path, ["u", "re1", "im1", "re2", "im2"])
     ts = _from_sidecar(TranslationSet, read_json(_sidecar(path)), _sidecar(path))
-    count = len(u)
-    grid = Grid(t_min=0.0, step=0.5 / count, count=count)
+    grid = Grid(t_min=0.0, step=0.5 / len(u), count=len(u))
+    _require_on_grid(path, "u", u, grid, 0.0)
     return PeriodicFilterPair(ts, grid, re1 + 1j * im1, re2 + 1j * im2)

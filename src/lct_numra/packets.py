@@ -18,11 +18,10 @@ Packet 0 is the cascade's own kept hat, whose samples the cascade
 synthesised; a basis takes its level-0 atoms as windows of the nodes' kept
 periodic samples, and only a dilated (level >= 1) hat costs one more
 inverse FFT, which its atoms' windows keep.  No (atoms x count) array is
-made.  A basis keeps its atoms unchirped: the time chirp, one read-only
-array per (grid, matrix) shared by consecutive bases, cancels in the
-Gram, and analysis and synthesis apply it once per signal, with one dot
-product or one scaled sum per atom; bases must be Gram-certified before
-use.
+made.  A basis keeps its atoms unchirped, since the chirps cancel in the
+Gram; analysis and synthesis are ``sampling.chirped_coefficients`` and
+``sampling.chirped_sum`` of those atoms, and bases must be Gram-certified
+before use.
 ``packet_gram`` is the band-limited Gram over one synthesis period: no grid
 enters it, its translates are circular with period ``SPAN``, and it comes
 from one fold of the kept hats, which ``fold_residuals`` shares; the Gram on
@@ -42,7 +41,10 @@ from .sampling import (
     Grid,
     SampledSignal,
     _GRAM_BLOCK,
+    _time_chirp,
     chirp_phase,
+    chirped_coefficients,
+    chirped_sum,
     identity_deviation,
     weighted_gram,
 )
@@ -143,22 +145,21 @@ def packet_hat(
     here.  Index 0 is the cascade's own hat, whose periodic samples the
     cascade already holds.
     """
-    ts = bank[0].ts
-    if len(bank) != 2 * ts.N:
+    return _nodes([idx], bank, scaling, grid, oversample)[0]
+
+
+def _nodes(indices, bank, scaling: CascadeResult, grid: Grid | None, oversample) -> list[PacketNode]:
+    """The nodes of ``indices`` on ``grid`` (default: the cascade's), their lattice values
+    kept in one pass; a bank of other than 2N filters, or a digit it lacks, is refused."""
+    if len(bank) != 2 * bank[0].ts.N:
         raise ValueError("bank must hold 2N filters")
-    if any(d < 0 or d >= 2 * ts.N for d in idx.digits):
+    if any(d < 0 or d >= len(bank) for idx in indices for d in idx.digits):
         raise ValueError("digit out of range for this bank")
-    if grid is None:
-        grid = scaling.signal.grid
-    hat = _node_hat(scaling, bank, idx)
-    served_engine([hat], grid, oversample=oversample).lattice([hat], keep=True)
-    return PacketNode(idx, hat, grid, oversample)
-
-
-def _node_hat(scaling: CascadeResult, bank, idx: PacketIndex) -> HatFunction:
-    if not idx.digits:
-        return scaling.hat
-    return HatFunction(scaling.engine, tuple(bank[d] for d in idx.digits))
+    grid = scaling.signal.grid if grid is None else grid
+    hats = [HatFunction(scaling.engine, tuple(bank[d] for d in idx.digits)) if idx.digits
+            else scaling.hat for idx in indices]
+    served_engine(hats, grid, oversample=oversample).lattice(hats, keep=True)
+    return [PacketNode(idx, hat, grid, oversample) for idx, hat in zip(indices, hats)]
 
 
 def generate_packets(
@@ -171,13 +172,9 @@ def generate_packets(
     """Packets 0..n_max sharing one cascade, one lattice pass and one time grid."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    ts = bank[0].ts
-    indices = [digits(n, ts.N) for n in range(n_max + 1)]
+    indices = [digits(n, bank[0].ts.N) for n in range(n_max + 1)]
     scaling = cascade(bank[0], grid=grid, oversample=oversample, depth=len(indices[-1].digits))
-    hats = [_node_hat(scaling, bank, idx) for idx in indices]
-    grid = scaling.signal.grid
-    served_engine(hats, grid, oversample=oversample).lattice(hats, keep=True)
-    return [PacketNode(idx, hat, grid, oversample) for idx, hat in zip(indices, hats)]
+    return _nodes(indices, bank, scaling, None, oversample)
 
 
 def _lattice_fold(values: list[np.ndarray], period: int) -> np.ndarray:
@@ -224,21 +221,6 @@ class BasisElement:
     lam: float
 
 
-#: The last time chirp: ((grid, m), read-only chirp_phase(m, t, 0) on the grid).
-_CHIRP: list[tuple] = []
-
-
-def _time_chirp(grid: Grid, m: CanonicalMatrix) -> np.ndarray:
-    """chirp_phase(m, t, 0) on ``grid``, shared by the bases of one (grid, matrix)."""
-    if _CHIRP and _CHIRP[0][0] == (grid, m):
-        return _CHIRP[0][1]
-    _CHIRP.clear()  # the old chirp is freed before the new one is made
-    chirp = chirp_phase(m, grid.points(), 0.0)
-    chirp.flags.writeable = False
-    _CHIRP.append(((grid, m), chirp))
-    return chirp
-
-
 @dataclass
 class PacketBasis:
     """A finite packet system with a certification gate.
@@ -253,10 +235,10 @@ class PacketBasis:
     from the rows and tails the nodes' engine holds, that its windows keep
     alive.  Only an atom whose cut wraps the period is a copy, so no
     (atoms x count) array is made and the memory of a basis does not grow
-    with its translates.  These atoms are
-    unchirped: a chirped atom (``signals``) is one times ``chirp_phase(m, t, lam)``
-    (``canonical.chirp_rate``), so the chirped Gram is D G_0 D^H with D diagonal
-    and unimodular, and max |G - I| = max |G_0 - I|.  ``certify`` stores
+    with its translates.  These atoms are unchirped, and ``sampling``
+    chirps them (``signals``, analysis and synthesis), so the chirped Gram
+    is D G_0 D^H with D diagonal and unimodular, and max |G - I| =
+    max |G_0 - I|.  ``certify`` stores
     that deviation, whatever the matrix; analysis and synthesis refuse to
     run unless it is within ``_CERTIFY_TOL``.
     """
@@ -276,7 +258,6 @@ class PacketBasis:
         if any(e.node.grid != grid for e in self.elements):
             raise ValueError("all basis nodes must share one grid")
         two_n = float(self.ts.dilation)
-        delays = Grid(0.0, grid.step, 1)  # at oversample 1, shifts are whole grid steps
         groups: dict[tuple[int, int], list[int]] = {}
         for i, e in enumerate(self.elements):
             groups.setdefault((id(e.node), e.level), []).append(i)
@@ -292,19 +273,21 @@ class PacketBasis:
             else:
                 fine = hat.periodic()
             for i in rows:
-                delay = delays.index_of(self.elements[i].lam / two_n**level)
+                delay = grid.steps(self.elements[i].lam / two_n**level)  # at oversample 1
                 atoms[i] = grid_samples(fine, grid, oversample=1, delay=delay)
                 atoms[i].flags.writeable = False
         return tuple(atoms)
 
-    def _phases(self) -> np.ndarray:
-        return chirp_phase(self.m, 0.0, np.array([e.lam for e in self.elements]))
+    @property
+    def _lambdas(self) -> list[float]:
+        return [e.lam for e in self.elements]
 
     def signals(self) -> list[SampledSignal]:
         """The chirped atoms."""
         chirp = _time_chirp(self._grid, self.m)
+        phases = chirp_phase(self.m, 0.0, np.asarray(self._lambdas, dtype=float))
         return [SampledSignal(self._grid, atom * chirp * phase)
-                for atom, phase in zip(self._unchirped, self._phases())]
+                for atom, phase in zip(self._unchirped, phases)]
 
     def certify(self) -> float:
         self.residual = identity_deviation(weighted_gram(self._unchirped, self._grid))
@@ -328,32 +311,21 @@ class CoefficientTable:
 
 
 def packet_analyze(f: SampledSignal, basis: PacketBasis) -> CoefficientTable:
-    """Coefficients <f, atom>: demodulated f against each unchirped atom, then phases."""
+    """Coefficients <f, atom> of every chirped atom (``sampling.chirped_coefficients``)."""
     basis.require_certified()
-    grid = f.grid
-    if basis._grid != grid:
+    if basis._grid != f.grid:
         raise ValueError("basis atoms must live on the signal grid")
-    weighted = np.conj(f.values)
-    weighted *= _time_chirp(grid, basis.m)
-    weighted *= grid.trapezoid_weights()
-    dots = np.array([atom @ weighted for atom in basis._unchirped])
-    values = basis._phases().conj() * np.conj(dots)
+    values = chirped_coefficients(f, basis._unchirped, basis._lambdas, basis.m)
     rows = tuple((e.node.index.n, e.level, e.lam) for e in basis.elements)
     return CoefficientTable(rows=rows, values=values)
 
 
 def packet_synthesize(coeffs: CoefficientTable, basis: PacketBasis) -> SampledSignal:
-    """Sum of coefficient-weighted atoms, modulated once; inverse of analyze on the span."""
+    """Sum of coefficient-weighted chirped atoms (``sampling.chirped_sum``), inverse of analyze."""
     basis.require_certified()
     if len(coeffs.values) != len(basis.elements):
         raise ValueError("coefficient table does not match the basis")
-    grid = basis._grid
-    acc = np.zeros(grid.count, dtype=np.complex128)
-    term = np.empty_like(acc)
-    for c, atom in zip(coeffs.values * basis._phases(), basis._unchirped):
-        acc += np.multiply(atom, c, out=term)
-    acc *= _time_chirp(grid, basis.m)
-    return SampledSignal(grid, acc)
+    return chirped_sum(coeffs.values, basis._unchirped, basis._lambdas, basis.m, basis._grid)
 
 
 def fold_residuals(

@@ -1,4 +1,4 @@
-"""Uniform grids, sampled complex signals, and chirped translates.
+"""Uniform grids, sampled complex signals, and the chirped-atom system.
 
 Signals model compactly supported functions: the value outside the grid
 window is 0.  Quadrature is trapezoidal, and ``Grid.trapezoid_weights``
@@ -10,16 +10,21 @@ grid.
 
 A chirped basis element is an unchirped one times the time chirp and the
 constant of its shift (``chirp_phase``, in the convention stated by
-``canonical.chirp_rate``).  The time chirp cancels in every product, so a
-chirped Gram is D G_0 D^H with D the diagonal of those constants:
-``dilate`` and ``weighted_gram`` take unchirped samples (``weighted_gram``
-any sequence of rows, stacked one column block at a time), and
-``chirped_translate_gram`` builds no translate.  Its shifts are whole
-cells of g = gcd of their offsets, one batched product per cell lag:
-n_sig^2 |lags| P multiply-adds for P = ceil(count/g) g, not a stack's
-(n_sig |lambdas|)^2 count.  Its translates are zero-filled on the grid;
-``packets.packet_gram``, the band-limited Gram over one synthesis period,
-needs no grid, and its translates are circular with period SPAN.
+``canonical.chirp_rate``).  This module owns the chirped-atom system of
+the projection and packet modules: the time chirp (``_time_chirp``, one
+slot), analysis and synthesis of any iterable of unchirped atoms
+(``chirped_coefficients``, ``chirped_sum``), the translate
+(``translate_chirp``) and the whole-step check (``Grid.steps``).  The
+time chirp cancels in every product, so a chirped Gram is D G_0 D^H with
+D the diagonal of the shift constants: ``dilate`` and ``weighted_gram``
+take unchirped samples (``weighted_gram`` any sequence of rows, stacked
+one column block at a time), and ``chirped_translate_gram`` builds no
+translate.  Its shifts are whole cells of g = gcd of their offsets, one
+batched product per cell lag: n_sig^2 |lags| P multiply-adds for P =
+ceil(count/g) g, not a stack's (n_sig |lambdas|)^2 count.  Its
+translates are zero-filled on the grid; ``packets.packet_gram``, the
+band-limited Gram over one synthesis period, needs no grid, and its
+translates are circular with period SPAN.
 """
 
 from __future__ import annotations
@@ -62,8 +67,8 @@ class Grid:
         object.__setattr__(self, "t_min", float(self.t_min))
         object.__setattr__(self, "step", float(self.step))
         object.__setattr__(self, "count", int(self.count))
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if not (-np.inf < self.t_min < np.inf and 0.0 < self.step < np.inf):  # NaN fails both
+            raise ValueError(f"t_min must be finite and step finite and positive: {self}")
         if self.count <= 0:
             raise ValueError("count must be positive")
 
@@ -82,13 +87,17 @@ class Grid:
         w[-1] *= 0.5
         return w
 
+    def steps(self, x: float) -> int:
+        """The length ``x`` as a whole number of steps; raises OffGridError otherwise."""
+        ratio = x / self.step
+        n = round(ratio)
+        if abs(ratio - n) > _ALIGN_TOL:
+            raise OffGridError(f"{x} is not a multiple of step {self.step} (ratio {ratio})")
+        return int(n)
+
     def index_of(self, t: float) -> int:
         """Exact index of a grid point; raises OffGridError otherwise."""
-        ratio = (t - self.t_min) / self.step
-        idx = round(ratio)
-        if abs(ratio - idx) > _ALIGN_TOL:
-            raise OffGridError(f"t = {t} is not on the grid (offset {ratio})")
-        return int(idx)
+        return self.steps(t - self.t_min)
 
     def to_dict(self) -> dict:
         return {"t_min": self.t_min, "step": self.step, "count": self.count}
@@ -146,13 +155,19 @@ class SampledSignal:
         return out
 
 
-def indicator(intervals, grid: Grid) -> SampledSignal:
-    """Indicator of a union of [lo, hi) intervals, right-limit at jumps."""
+def piecewise_constant(pieces, grid: Grid) -> SampledSignal:
+    """Signal equal to val on each [lo, hi, val) piece, right-limit at jumps; a later piece
+    overwrites an earlier one where they overlap."""
     t = grid.points()
     vals = np.zeros(grid.count, dtype=np.complex128)
-    for lo, hi in intervals:
-        vals += ((t >= lo - _ALIGN_TOL * grid.step) & (t < hi - _ALIGN_TOL * grid.step))
+    for lo, hi, val in pieces:
+        vals[(t >= lo - _ALIGN_TOL * grid.step) & (t < hi - _ALIGN_TOL * grid.step)] = val
     return SampledSignal(grid, vals)
+
+
+def indicator(intervals, grid: Grid) -> SampledSignal:
+    """Indicator of a union of [lo, hi) intervals, right-limit at jumps."""
+    return piecewise_constant([(lo, hi, 1.0) for lo, hi in intervals], grid)
 
 
 def gaussian(grid: Grid) -> SampledSignal:
@@ -200,33 +215,49 @@ def _common_grid(system: list[SampledSignal]) -> Grid:
     return grid
 
 
-def _offset(lam: float, grid: Grid) -> int:
-    """Samples in a translation by ``lam``; raises OffGridError unless it is whole."""
-    ratio = lam / grid.step
-    offset = round(ratio)
-    if abs(ratio - offset) > _ALIGN_TOL:
-        raise OffGridError(f"translation {lam} is not a multiple of step {grid.step}")
-    return int(offset)
+#: The last time chirp: ((grid, m), read-only chirp_phase(m, t, 0) on the grid).
+_CHIRP: list[tuple] = []
 
 
-def _translated(values: np.ndarray, offsets: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(rows, offsets, t) samples at indices t of each row shifted by each offset, zero-filled."""
-    idx = t[None, :] - offsets[:, None]
-    inside = (idx >= 0) & (idx < values.shape[1])
-    return np.where(inside, values[:, np.clip(idx, 0, values.shape[1] - 1)], 0.0)
+def _time_chirp(grid: Grid, m: CanonicalMatrix) -> np.ndarray:
+    """chirp_phase(m, t, 0) on ``grid``, shared by the bases and projections of one (grid, matrix)."""
+    if _CHIRP and _CHIRP[0][0] == (grid, m):
+        return _CHIRP[0][1]
+    _CHIRP.clear()  # the old chirp is freed before the new one is made
+    chirp = chirp_phase(m, grid.points(), 0.0)
+    chirp.flags.writeable = False
+    _CHIRP.append(((grid, m), chirp))
+    return chirp
+
+
+def chirped_coefficients(f: SampledSignal, atoms, lambdas, m: CanonicalMatrix) -> np.ndarray:
+    """<f, atom * chirp_phase(m, t, lam)> for unchirped atoms (any iterable) on ``f.grid`` and
+    their shifts: f demodulated and weighted once, one dot product per atom, then the phases."""
+    weighted = np.conj(f.values)
+    weighted *= _time_chirp(f.grid, m)
+    weighted *= f.grid.trapezoid_weights()
+    dots = np.array([atom @ weighted for atom in atoms])
+    return chirp_phase(m, 0.0, np.asarray(lambdas, dtype=float)).conj() * np.conj(dots)
+
+
+def chirped_sum(coeffs, atoms, lambdas, m: CanonicalMatrix, grid: Grid) -> SampledSignal:
+    """Sum of c * atom * chirp_phase(m, t, lam) over coefficients, unchirped atoms (any
+    iterable) on ``grid`` and shifts: one scaled sum into one scratch array, modulated once."""
+    acc = np.zeros(grid.count, dtype=np.complex128)
+    term = np.empty_like(acc)
+    for c, atom in zip(coeffs * chirp_phase(m, 0.0, np.asarray(lambdas, dtype=float)), atoms):
+        acc += np.multiply(atom, c, out=term)
+    acc *= _time_chirp(grid, m)
+    return SampledSignal(grid, acc)
 
 
 def translate_chirp(phi: SampledSignal, lam: float, m: CanonicalMatrix) -> SampledSignal:
-    """Chirped translate t -> phi(t - lam) * chirp_phase(m, t, lam) (``canonical.chirp_rate``).
-
-    ``lam`` must be an exact multiple of the grid step; this is rejected
-    otherwise rather than silently interpolated.
-    """
-    grid = phi.grid
-    offset = np.array([_offset(lam, grid)])
-    row = _translated(phi.values[None], offset, np.arange(grid.count))[0, 0]
-    row *= chirp_phase(m, grid.points(), 0.0) * chirp_phase(m, 0.0, lam)
-    return SampledSignal(grid, row)
+    """Chirped translate phi(t - lam) * chirp_phase(m, t, lam): ``dilate`` at level 0 times the
+    time chirp and the shift's phase.  ``lam`` must be a whole number of grid steps; it is
+    refused otherwise, never interpolated."""
+    row = dilate(phi, 0, 1, lam).values
+    row *= _time_chirp(phi.grid, m) * chirp_phase(m, 0.0, lam)
+    return SampledSignal(phi.grid, row)
 
 
 def chirped_translate_gram(system: list[SampledSignal], lambdas,
@@ -249,7 +280,7 @@ def chirped_translate_gram(system: list[SampledSignal], lambdas,
         return np.zeros((0, 0), dtype=np.complex128)
     grid = _common_grid(system)
     count = grid.count
-    offsets = np.array([_offset(lam, grid) for lam in lambdas])
+    offsets = np.array([grid.steps(lam) for lam in lambdas])
     live = np.flatnonzero(np.abs(offsets) < count)
     cell = int(np.gcd.reduce(offsets[live])) or count
     n_cells, n_whole = -(-count // cell), count // cell
@@ -285,7 +316,9 @@ def chirped_translate_gram(system: list[SampledSignal], lambdas,
     # the window's part cell and the trapezoid endpoints, sample by sample
     t = np.union1d(np.arange(n_whole * cell, count), [0, count - 1])
     w = grid.trapezoid_weights()[t] - grid.step * (t < n_whole * cell)
-    edge = _translated(values, offsets, t).reshape(n_sig * n_lam, t.size)
+    idx = t[None, :] - offsets[:, None]
+    edge = np.where((idx >= 0) & (idx < count), values[:, np.clip(idx, 0, count - 1)], 0.0)
+    edge = edge.reshape(n_sig * n_lam, t.size)
     g = g0.reshape(n_sig * n_lam, -1) * grid.step + (edge * w) @ edge.conj().T
     phases = np.tile(chirp_phase(m, 0.0, lambdas), n_sig)
     return g * phases[:, None] * phases.conj()
@@ -303,7 +336,7 @@ def dilate(phi: SampledSignal, j: int, N: int, lam: float, *,
     """
     if abs(j) > DEFAULT_LEVEL_BUDGET:
         raise ValueError(f"level {j} exceeds budget {DEFAULT_LEVEL_BUDGET}")
-    _offset(lam, phi.grid)
+    phi.grid.steps(lam)
     grid = phi.grid if grid is None else grid
     scale = float(2 * N) ** j
     return SampledSignal(grid, (2 * N) ** (j / 2.0) * phi.value_at(scale * grid.points() - lam))

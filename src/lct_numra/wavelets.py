@@ -49,11 +49,14 @@ from .sampling import (
     SampledSignal,
     _common_grid,
     chirp_phase,
+    chirped_coefficients,
+    chirped_sum,
     dilate,
     indicator,
     inner_product,
     norm,
     numra_grid,
+    piecewise_constant,
 )
 
 
@@ -543,48 +546,33 @@ def project(
     """Orthogonal projection of f onto the level-j span of scaling translates.
 
     P_j f = sum_lambda <f, e_{j,lambda}> e_{j,lambda} over the translations
-    of ``ts`` in the window, e_{j,lambda} = ``dilate(phi, j, N, lambda)`` times
-    ``chirp_phase(m, t, lambda)`` (``canonical.chirp_rate``): f is demodulated
-    once and the sum over the unchirped translates modulated once.  A
+    of ``ts`` in the window, e_{j,lambda} the chirped ``dilate(phi, j, N,
+    lambda)``: ``sampling.chirped_coefficients`` and ``sampling.chirped_sum``
+    read the unchirped translates one at a time, made afresh for each.  A
     warning is attached when boundary coefficients are non-negligible (the
     window would truncate the projection).  A window that holds no
     translation is refused.
     """
     lambdas = translations(ts, lambda_window)
-    grid = f.grid
-    chirp = chirp_phase(m, grid.points(), 0.0)
-    weighted = np.conj(f.values) * chirp * grid.trapezoid_weights()
-    phases = chirp_phase(m, 0.0, np.asarray(lambdas, dtype=float))
-    acc = np.zeros(grid.count, dtype=np.complex128)
-    coeffs: dict[float, complex] = {}
-    for lam, phase in zip(lambdas, phases):
-        e = dilate(phi, j, ts.N, lam, grid=grid).values
-        c = np.conj(np.sum(weighted * e))
-        coeffs[lam] = complex(np.conj(phase) * c)
-        acc += c * e
-    acc *= chirp
+
+    def atoms():
+        return (dilate(phi, j, ts.N, lam, grid=f.grid).values for lam in lambdas)
+
+    values = chirped_coefficients(f, atoms(), lambdas, m)
+    coeffs = dict(zip(lambdas, map(complex, values)))
     warnings = []
     boundary = max(abs(coeffs[lambdas[0]]), abs(coeffs[lambdas[-1]]))
     if boundary > 1e-6 * max(1.0, norm(f)):
         warnings.append(
             "translation window may be too small: boundary coefficients are non-negligible"
         )
-    return ProjectionResult(SampledSignal(grid, acc), coeffs, tuple(warnings))
+    return ProjectionResult(chirped_sum(values, atoms(), lambdas, m, f.grid), coeffs,
+                            tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
 # Closed-form reference signals used for cross-checking
 # ---------------------------------------------------------------------------
-
-
-def piecewise_constant(pieces, grid: Grid) -> SampledSignal:
-    """Signal equal to val on each [lo, hi) piece (right-limit at jumps)."""
-    t = grid.points()
-    vals = np.zeros(grid.count, dtype=np.complex128)
-    for lo, hi, val in pieces:
-        mask = (t >= lo - 1e-9 * grid.step) & (t < hi - 1e-9 * grid.step)
-        vals[mask] = val
-    return SampledSignal(grid, vals)
 
 
 def n2_reference_wavelets(grid: Grid) -> list[SampledSignal]:

@@ -32,15 +32,20 @@ def _time_chirp(basis) -> np.ndarray:
     return chirp_phase(basis.m, basis._grid.points(), 0.0)
 
 
+def _shift_phases(basis) -> np.ndarray:
+    """chirp_phase(m, 0, lam) of every element's shift."""
+    return chirp_phase(basis.m, 0.0, np.array([e.lam for e in basis.elements], dtype=float))
+
+
 def analyze(f, basis, stack: np.ndarray) -> np.ndarray:
     """<f, atom> for every chirped atom: one product with the stack."""
     weighted = np.conj(f.values) * _time_chirp(basis) * f.grid.trapezoid_weights()
-    return basis._phases().conj() * np.conj(stack @ weighted)
+    return _shift_phases(basis).conj() * np.conj(stack @ weighted)
 
 
 def synthesize(coeffs: np.ndarray, basis, stack: np.ndarray) -> np.ndarray:
     """Samples of the coefficient-weighted sum of the chirped atoms."""
-    return (coeffs * basis._phases()) @ stack * _time_chirp(basis)
+    return (coeffs * _shift_phases(basis)) @ stack * _time_chirp(basis)
 
 
 def certify(basis, stack: np.ndarray) -> float:

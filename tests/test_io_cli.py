@@ -153,6 +153,25 @@ class TestSerialization:
         assert capsys.readouterr().err == f"error: {tmp_path / named}: {cause}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("step, cause", [("NaN", "must be finite"),
+                                             ("Infinity", "must be finite"),
+                                             ("null", "not 'NoneType'")])
+    def test_nonfinite_sidecar_grid_exits_one(self, tmp_path, capsys, step, cause):
+        # refused by the grid and named with the sidecar, before any sample is compared
+        path = tmp_path / "sig.csv"
+        path.write_text("t,re,im\n0,1,0\n1,1,0\n")
+        path.with_suffix(".json").write_text(f'{{"t_min": 0.0, "step": {step}, "count": 2}}')
+        out = tmp_path / "F.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["lct", "fwd", "--matrix", "2,1,1,1", "--in", str(path),
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'sig.json'}: ") and err.count("\n") == 1
+        assert cause in err
+        assert not out.exists()
+
     def test_signal_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y,z\n0,0,0\n")
@@ -404,6 +423,22 @@ class TestVerifyCommand:
             assert verified == cascaded == (0 if k == 0 else 2)
             assert ("L0" in read_json(report)["violations"]) == (k > 0)
 
+    @pytest.mark.parametrize("u, bad", [(lambda u: np.full_like(u, 7.0), "u = 7.0"),
+                                        (lambda u: u[::-1], "u = 0.4998779296875")],
+                             ids=["all-seven", "reversed"])
+    def test_u_column_off_its_grid_exits_one(self, tmp_path, capsys, u, bad):
+        pair = haar_filters(TranslationSet(2, 1), CanonicalMatrix(2, 1, 1, 1))
+        fpath = tmp_path / "filters.csv"
+        write_filter_csv(fpath, pair)
+        lines = fpath.read_text().splitlines(keepends=True)
+        fpath.write_text(lines[0] + "".join(
+            f"{float(x)!r},{line.split(',', 1)[1]}" for x, line in zip(u(pair.u_grid.points()), lines[1:])))
+        report = tmp_path / "report.json"
+        assert main(["verify", "--filters", str(fpath), "--report", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {fpath}: {bad} in data row 1 is off {pair.u_grid}\n")
+        assert not report.exists()
+
     def test_tol_overrides_every_tolerance(self, tmp_path, capsys):
         fpath = tmp_path / "filters.csv"
         write_filter_csv(fpath, haar_filters(TranslationSet(1, 1), fourier()))
@@ -555,6 +590,20 @@ class TestLctCommand:
                      "--in", str(spec), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"error: --t-grid '{t_grid}' is not three numbers t_min,step,count\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_grid", ["0,nan,8", "0,inf,8", "nan,0.5,8"])
+    def test_inverse_nonfinite_t_grid_exit_one(self, tmp_path, capsys, t_grid):
+        # refused when the grid is made, before any inverse runs
+        g = Grid(-8.0, 16.0 / 256, 256)
+        spec = tmp_path / "F.csv"
+        write_spectrum_csv(spec, lct_fast(gaussian(g), CanonicalMatrix(2, 1, 1, 1)))
+        out = tmp_path / "f.csv"
+        assert main(["lct", "inv", "--matrix", "2,1,1,1", f"--t-grid={t_grid}",
+                     "--in", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_min must be finite and step finite and positive: Grid(")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_inverse_refuses_omega_header(self, tmp_path, capsys):

@@ -157,6 +157,15 @@ class TestPacketHat:
                 worst = max(worst, float(np.max(np.abs(product_hat(child, u) - rhs))))
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_generate_packets_refuses_bank_size(self, size):
+        # exactly 2N filters: a short bank must not run out of digits, a long one is not taken
+        ts = TranslationSet(2, 1)
+        bank = haar_filter_bank(ts, M2111)
+        grid = numra_grid(ts, (-2.0, 2.0), refinement=16)
+        with pytest.raises(ValueError, match="bank must hold 2N filters"):
+            generate_packets(5, (bank + bank)[:size], grid=grid, oversample=1)
+
     def test_digit_out_of_range(self, haar1):
         ts, bank, grid, scaling = haar1
         with pytest.raises(ValueError, match="digit"):

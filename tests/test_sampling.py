@@ -10,6 +10,8 @@ from lct_numra.sampling import (
     OffGridError,
     SampledSignal,
     chirp_phase,
+    chirped_coefficients,
+    chirped_sum,
     chirped_translate_gram,
     dilate,
     gaussian,
@@ -36,6 +38,20 @@ class TestGrid:
             Grid(0.0, -1.0, 4)
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("t_min, step", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0),
+                                             (-np.inf, 1.0)])
+    def test_rejects_nonfinite(self, t_min, step):
+        with pytest.raises(ValueError, match="must be finite"):
+            Grid(t_min, step, 8)
+
+    def test_steps(self):
+        g = Grid(-1.0, 0.25, 16)
+        assert g.steps(1.5) == 6
+        assert g.steps(-0.5) == -2
+        assert g.steps(0.0) == 0
+        with pytest.raises(OffGridError, match="multiple of step"):
+            g.steps(0.3)
 
     def test_index_of(self):
         g = Grid(-1.0, 0.25, 16)
@@ -164,6 +180,17 @@ class TestTranslateChirp:
             phase = np.exp(1j * np.pi * 2.0 * (lam**2 - sig**2))
             assert chirped == pytest.approx(phase * plain, abs=1e-10)
 
+    @pytest.mark.parametrize("m", [M2111, CanonicalMatrix(0.5, 1, -0.75, 0.5)],
+                             ids=["2111", "half"])
+    @pytest.mark.parametrize("lam", [0.0, 0.75, -1.25, 3.5, -20.0])
+    def test_is_dilate_times_chirps_bitwise(self, m, lam):
+        # 3.5 leaves most of the window, -20 all of it
+        g = Grid(-2.0, 2.0**-6, 256)
+        f = indicator([(0.0, 0.5), (1.0, 1.5)], g)
+        want = dilate(f, 0, 2, lam).values * (chirp_phase(m, g.points(), 0.0)
+                                              * chirp_phase(m, 0.0, lam))
+        np.testing.assert_array_equal(translate_chirp(f, lam, m).values, want)
+
     def test_chirped_gram_modulus_matches_unchirped(self):
         ts = TranslationSet(1, 1)
         g = numra_grid(ts, (-4.0, 4.0), refinement=64)
@@ -220,6 +247,39 @@ class TestChirpedTranslateGram:
         g = std_grid(step=2.0**-8, lo=-2.0, hi=2.0)
         assert chirped_translate_gram([], [0.0, 1.0], M2111).shape == (0, 0)
         assert chirped_translate_gram([gaussian(g)], [], M2111).shape == (0, 0)
+
+
+class TestChirpedAtoms:
+    """Analysis and synthesis of unchirped atoms against explicit chirped translates."""
+
+    LAMS = [-1.0, 0.0, 0.5, 2.0]
+
+    def _inputs(self):
+        g = Grid(-2.0, 2.0**-6, 256)
+        f = indicator([(0.0, 0.5), (1.0, 1.5)], g)
+        atoms = tuple(dilate(f, 0, 2, lam).values for lam in self.LAMS)
+        rng = np.random.default_rng(3)
+        sig = SampledSignal(g, rng.normal(size=g.count) + 1j * rng.normal(size=g.count))
+        return g, f, atoms, sig
+
+    def test_match_chirped_translates(self):
+        g, f, atoms, sig = self._inputs()
+        system = [translate_chirp(f, lam, M2111) for lam in self.LAMS]
+        coeffs = chirped_coefficients(sig, atoms, self.LAMS, M2111)
+        want = np.array([inner_product(sig, e) for e in system])
+        np.testing.assert_allclose(coeffs, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+        out = chirped_sum(coeffs, atoms, self.LAMS, M2111, g)
+        want = sum(c * e.values for c, e in zip(coeffs, system))
+        np.testing.assert_allclose(out.values, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+    def test_generator_and_tuple_give_the_same_bits(self):
+        g, _, atoms, sig = self._inputs()
+        coeffs = chirped_coefficients(sig, atoms, self.LAMS, M2111)
+        again = chirped_coefficients(sig, (a for a in atoms), self.LAMS, M2111)
+        np.testing.assert_array_equal(again, coeffs)
+        out = chirped_sum(coeffs, atoms, self.LAMS, M2111, g)
+        again = chirped_sum(coeffs, (a for a in atoms), self.LAMS, M2111, g)
+        np.testing.assert_array_equal(again.values, out.values)
 
 
 class TestChirpPhase:

@@ -41,6 +41,7 @@ from lct_numra.wavelets import (
 )
 
 from hat_reference import product_hat
+from project_reference import project_loop
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 
@@ -357,6 +358,25 @@ class TestProjection:
                 assert abs(res.coefficients[lam] - c) <= 1e-14 * nf
                 want += c * e.values
             assert np.max(np.abs(res.signal.values - want)) <= 1e-14 * nf
+
+    @pytest.mark.parametrize("m", [M2111, CanonicalMatrix(0.5, 1, -0.75, 0.5)],
+                             ids=["2111", "half"])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_matches_loop_oracle(self, N, m):
+        # the shared analysis and synthesis change only the summation order of the loop
+        ts = TranslationSet(N, 1)
+        grid = numra_grid(ts, (-4.0, 4.0), refinement=64, max_level=1)
+        phi = haar_scaling(ts, grid)
+        rng = np.random.default_rng(29 + N)
+        f = SampledSignal(grid, rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count))
+        for j in (-1, 0, 1):
+            res = project(f, phi, ts, m, j, (-2.0, 2.0))
+            want, coeffs = project_loop(f, phi, ts, m, j, (-2.0, 2.0))
+            got = np.array([res.coefficients[lam] for lam in coeffs])
+            ref = np.array(list(coeffs.values()))
+            assert list(res.coefficients) == list(coeffs)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+            assert np.max(np.abs(res.signal.values - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestFamilyPipeline:

@@ -7,10 +7,12 @@ PARENT and CHANGE are checkout roots (their ``src/`` is put on PYTHONPATH) or
 ``src`` directories themselves.  Every command in ``COMMANDS`` runs as
 ``python -m lct_numra.cli`` from each root into that root's own temporary
 directory, with the BLAS pools pinned to one thread; a short library script
-(``LIBRARY``) also saves engine tails, cascade signals, packet hats and the
-AC-11 packet bases' residuals, coefficients and syntheses as ``.npy`` files.  The inputs (a 2^17-row signal, and two 8- and 4-row signal
-files whose t column is off their grid) are written once, by PARENT, and read
-by both.
+(``LIBRARY``) also saves engine tails, cascade signals, packet hats, the
+AC-11 packet bases' residuals, coefficients and syntheses, and chirped
+translates as ``.npy`` files.  The inputs (a 2^17-row signal, two 8- and
+4-row signal files whose t column is off their grid, a filter file whose u
+column is off its grid, and two signal files whose sidecar step is not
+finite) are written once, by PARENT, and read by both.
 
 For every output file the script prints "byte-identical", or the largest
 difference of its numbers relative to the largest |number| in the file, or
@@ -63,6 +65,11 @@ COMMANDS += [
                         "--N", "2", "--matrix", M, "--report", "{out}/gram-2.json"]),
     ("project", ["project", "--in", "{in}/f.csv", "--N", "1", "--matrix", "0,1,-1,0",
                  "--level", "2", "--window=-24,24", "--out", "{out}/project.csv"]),
+    # chirped: the time chirp and the shift phases are not 1
+    ("project-2-up", ["project", "--in", "{in}/f.csv", "--N", "2", "--matrix", M,
+                      "--level", "1", "--window=-16,16", "--out", "{out}/project-2-up.csv"]),
+    ("project-2-down", ["project", "--in", "{in}/f.csv", "--N", "2", "--matrix", M,
+                        "--level", "-1", "--window=-4,4", "--out", "{out}/project-2-down.csv"]),
     ("crosscheck", ["crosscheck", "--out", "{out}/crosscheck.json"]),
     ("lct-fwd", ["lct", "fwd", "--matrix", M, "--in", "{in}/f.csv", "--out", "{out}/F.csv"]),
     ("lct-inv", ["lct", "inv", "--matrix", M, "--in", "{out}/F.csv", "--out", "{out}/f_inv.csv"]),
@@ -71,12 +78,27 @@ COMMANDS += [
                        "--out", "{out}/F-moved.csv"]),
     ("lct-fwd-uneven", ["lct", "fwd", "--matrix", M, "--in", "{in}/uneven.csv",
                         "--out", "{out}/F-uneven.csv"]),
+    # a filter file whose u column is all 7: refused with exit 1
+    ("verify-u-seven", ["verify", "--filters", "{in}/u-seven.csv",
+                        "--report", "{out}/verify-u-seven.json"]),
+    # grids with a non-finite step, from the option and from a sidecar: refused with exit 1
+    ("lct-inv-nan-step", ["lct", "inv", "--matrix", M, "--in", "{out}/F.csv", "--t-grid=0,nan,8",
+                          "--out", "{out}/f-nan-step.csv"]),
+    ("lct-inv-inf-step", ["lct", "inv", "--matrix", M, "--in", "{out}/F.csv", "--t-grid=0,inf,8",
+                          "--out", "{out}/f-inf-step.csv"]),
+    ("lct-fwd-nan-sidecar", ["lct", "fwd", "--matrix", M, "--in", "{in}/nan-step.csv",
+                             "--out", "{out}/F-nan-step.csv"]),
+    ("lct-fwd-inf-sidecar", ["lct", "fwd", "--matrix", M, "--in", "{in}/inf-step.csv",
+                             "--out", "{out}/F-inf-step.csv"]),
 ]
 
 INPUTS = """
 import json, sys
-from lct_numra.io import write_signal_csv
+from lct_numra.canonical import CanonicalMatrix
+from lct_numra.filters import TranslationSet
+from lct_numra.io import write_filter_csv, write_signal_csv
 from lct_numra.sampling import Grid, gaussian
+from lct_numra.wavelets import haar_filters
 write_signal_csv(sys.argv[1] + "/f.csv", gaussian(Grid(-8.0, 2.0**-13, 2**17)))
 # a Grid(0, 0.5, 8) sidecar over t = 10, 13, ..., 31, and uneven t without a sidecar
 with open(sys.argv[1] + "/moved.csv", "w") as fh:
@@ -85,12 +107,25 @@ with open(sys.argv[1] + "/moved.json", "w") as fh:
     json.dump({"t_min": 0.0, "step": 0.5, "count": 8}, fh)
 with open(sys.argv[1] + "/uneven.csv", "w") as fh:
     fh.write("t,re,im\\n0,1,0\\n0.1,1,0\\n0.5,1,0\\n0.6,1,0\\n")
+# the N = 2 low-pass filter with its u column replaced by 7
+low = haar_filters(TranslationSet(2, 1), CanonicalMatrix(2, 1, 1, 1))
+write_filter_csv(sys.argv[1] + "/u-seven.csv", low)
+with open(sys.argv[1] + "/u-seven.csv") as fh:
+    lines = fh.read().splitlines(keepends=True)
+with open(sys.argv[1] + "/u-seven.csv", "w") as fh:
+    fh.write(lines[0] + "".join("7," + line.split(",", 1)[1] for line in lines[1:]))
+# two-row signals whose sidecar step is NaN or Infinity
+for name, step in [("nan-step", "NaN"), ("inf-step", "Infinity")]:
+    with open(f"{sys.argv[1]}/{name}.csv", "w") as fh:
+        fh.write("t,re,im\\n0,1,0\\n1,1,0\\n")
+    with open(f"{sys.argv[1]}/{name}.json", "w") as fh:
+        fh.write(f'{{"t_min": 0.0, "step": {step}, "count": 2}}')
 """
 
 #: Library outputs no CLI file carries: engine tail T_0, its tail deviation, the
-#: cascade signal and the lattice hats of packets 0..3; and of the AC-11 parent and
+#: cascade signal and the lattice hats of packets 0..3; of the AC-11 parent and
 #: children bases, the certify residual, the coefficients of a random signal and
-#: their synthesis.
+#: their synthesis; and chirped translates under two matrices, one leaving the window.
 LIBRARY = """
 import sys
 import numpy as np
@@ -98,7 +133,7 @@ from lct_numra.canonical import CanonicalMatrix, fourier
 from lct_numra.filters import TranslationSet
 from lct_numra.packets import (BasisElement, PacketBasis, generate_packets, packet_analyze,
                                packet_synthesize)
-from lct_numra.sampling import SampledSignal, numra_grid
+from lct_numra.sampling import SampledSignal, indicator, numra_grid, translate_chirp
 from lct_numra.wavelets import cascade, haar_filter_bank
 for N, r in [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)]:
     ts = TranslationSet(N, r)
@@ -124,6 +159,12 @@ for name, packets in [("parent", [(1, 1)]), ("children", [(2, 0), (3, 0)])]:
     table = packet_analyze(f, basis)
     np.save(f"{out}-analysis.npy", table.values)
     np.save(f"{out}-synthesis.npy", packet_synthesize(table, basis).values)
+ts = TranslationSet(2, 1)
+grid = numra_grid(ts, (-4.0, 4.0), refinement=64)
+phi = indicator([(0.0, 0.5), (1.0, 1.5)], grid)
+for name, m in [("2111", CanonicalMatrix(2, 1, 1, 1)), ("half", CanonicalMatrix(0.5, 1, -0.75, 0.5))]:
+    rows = [translate_chirp(phi, lam, m).values for lam in (-5.0, -1.5, 0.0, 0.5, 3.5)]
+    np.save(f"{sys.argv[1]}/lib/translate-{name}.npy", np.stack(rows))
 """
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\b(?:nan|inf|NaN|Infinity)\b")
