@@ -271,7 +271,9 @@ def _cmd_cascade(args) -> int:
               "evaluated by nearest sample", file=sys.stderr)
     grid = default_time_grid(pair.ts, _parse_window(args.window), target_step=args.step)
     result = cascade(pair, J=args.J, tol=args.tol, grid=grid, depth=0)
-    write_signal_csv(args.out, result.signal)
+    # the sidecar records the approximations: the truncated tail and nearest-sample rows
+    write_signal_csv(args.out, result.signal, tail_deviation=result.tail_deviation,
+                     J=result.engine.J, nearest_sample=not pair.exact)
     return EXIT_OK
 
 
@@ -308,7 +310,8 @@ def _cmd_packets(args) -> int:
         nodes = generate_packets(args.n_max, bank, grid=grid, oversample=1)
         out = Path(args.out_dir)
         for node in nodes:
-            write_signal_csv(out / f"packet_{node.index.n}.csv", node.signal)
+            write_signal_csv(out / f"packet_{node.index.n}.csv", node.signal,
+                             band_deficit=node.band_deficit)
         return EXIT_OK
 
     window = _parse_window(args.window)

@@ -5,7 +5,9 @@ written atomically (temp file + rename) so reruns either replace outputs
 whole or not at all.  Signals and spectra share one format: columns
 (x, re, im) plus a JSON sidecar holding the grid.  A spectrum's sidecar
 also records the time grid of its source signal under "t_grid", so the
-inverse transform can land back on the source samples.
+inverse transform can land back on the source samples.  A signal's sidecar
+may carry more keys (a cascade's approximations, a packet's band deficit),
+which reading ignores.
 """
 
 from __future__ import annotations
@@ -136,8 +138,9 @@ def _read_sampled(path: str | Path, x_name: str) -> tuple[Grid, np.ndarray, dict
     return grid, re + 1j * im, meta
 
 
-def write_signal_csv(path: str | Path, signal: SampledSignal) -> None:
-    _write_sampled(path, "t", signal.grid, signal.values)
+def write_signal_csv(path: str | Path, signal: SampledSignal, **sidecar) -> None:
+    """Signal CSV, columns (t, re, im); the sidecar holds the grid and any extra keys."""
+    _write_sampled(path, "t", signal.grid, signal.values, **sidecar)
 
 
 def read_signal_csv(path: str | Path) -> SampledSignal:

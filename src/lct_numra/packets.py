@@ -8,24 +8,24 @@ with the low-pass cascade tail:
     T_q(u) = prod_{j=q+1..q+J} L_0(u/(2N)^j) = hat(phi)(u/(2N)^q)
 
 for digits d_0..d_{q-1} (the packet recursion of Coifman & Wickerhauser,
-IEEE Trans. IT 38(2), 1992).  All packets of one cascade share its
-``wavelets.HatEngine``, and a node keeps its lattice values, so bases and
-fold sums over it evaluate no filter again.  Each hat is synthesised at
-most once, on the first read of its periodic samples
-(``HatFunction.periodic``): a node's ``signal`` is made when it is first
-read, so a node that only the lattice sums read is never synthesised.
-Packet 0 is the cascade's own kept hat, whose samples the cascade
-synthesised; a basis takes its level-0 atoms as windows of the nodes' kept
-periodic samples, and only a dilated (level >= 1) hat costs one more
-inverse FFT, which its atoms' windows keep.  No (atoms x count) array is
-made.  A basis keeps its atoms unchirped, since the chirps cancel in the
-Gram; analysis and synthesis are ``sampling.chirped_coefficients`` and
+IEEE Trans. IT 38(2), 1992); packets 1..2N-1 are the wavelets.  All
+packets of one cascade share its ``wavelets.HatEngine``, and a node's hat
+keeps its lattice values, so bases and fold sums over it evaluate no filter
+again.  Each hat is synthesised at most once, on the first read of its
+periodic samples (``HatFunction.periodic``): a node is a
+``wavelets.SampledHat``, as the cascade's result is, so one that only the
+lattice sums read is never synthesised.  Packet 0 is the cascade's own
+hat; a basis takes its level-0 atoms as windows of the nodes' periodic
+samples, and only a dilated (level >= 1) hat costs one more inverse FFT,
+which its atoms' windows keep.  No (atoms x count) array is made.  A basis
+keeps its atoms unchirped, since the chirps cancel in the Gram; analysis
+and synthesis are ``sampling.chirped_coefficients`` and
 ``sampling.chirped_sum`` of those atoms, and bases must be Gram-certified
 before use.
 ``packet_gram`` is the band-limited Gram over one synthesis period: no grid
 enters it, its translates are circular with period ``SPAN``, and it comes
-from one fold of the kept hats, which ``fold_residuals`` shares; the Gram on
-the signals' grid is ``sampling.chirped_translate_gram``.
+from one fold of the hats' values, which ``fold_residuals`` shares; the
+Gram on the signals' grid is ``sampling.chirped_translate_gram``.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ from .wavelets import (
     SPAN,
     CascadeResult,
     HatFunction,
+    SampledHat,
     _roots,
     cascade,
     grid_samples,
-    hat_to_signal,
     periodic_samples,
     served_engine,
 )
@@ -104,23 +104,21 @@ def reconstruct(idx: PacketIndex, N: int) -> int:
 
 
 @dataclass(frozen=True)
-class PacketNode:
-    """One packet: its index, frequency-domain hat, and the grid of its time samples.
+class PacketNode(SampledHat):
+    """One packet: its index and its level-0 hat on the grid of its time samples.
 
-    ``signal`` is synthesised on its first read and kept (at oversample 1 a
-    read-only window of the hat's kept periodic samples), so a node that only
-    lattice sums read (``packet_gram``, ``fold_residuals``) is never
-    inverse-transformed.
+    A node that only lattice sums read (``packet_gram``, ``fold_residuals``,
+    ``band_deficit``) is never inverse-transformed.
     """
 
-    index: PacketIndex
-    hat: HatFunction
-    grid: Grid
-    oversample: int = 16
+    index: PacketIndex = field(kw_only=True)
 
-    @cached_property
-    def signal(self) -> SampledSignal:
-        return hat_to_signal(self.hat, self.grid, oversample=self.oversample)
+    @property
+    def band_deficit(self) -> float:
+        """d = 1 - sum |hat|^2 / SPAN over the lattice, the norm its band misses: 1 - Re G_nn
+        of ``packet_gram`` (the summed diagonal of ``_lattice_fold``)."""
+        values = self.hat.engine.lattice([self.hat])[0]
+        return 1.0 - float(np.vdot(values, values).real) / SPAN
 
 
 def packet_hat(
@@ -139,27 +137,26 @@ def packet_hat(
 
         hat(W_{2Nn + k})(u) = L_k(u/2N) hat(W_n)(u/2N)
 
-    holds exactly along the code path.  The node keeps its values on the
-    cascade's lattice, and its periodic samples once they are first read; a
-    grid (default: the cascade's) that lattice does not serve is refused
-    here.  Index 0 is the cascade's own hat, whose periodic samples the
-    cascade already holds.
+    holds exactly along the code path.  The node's hat holds its values on
+    the cascade's lattice, and its periodic samples once they are first
+    read; a grid (default: the cascade's) that lattice does not serve is
+    refused here.  Index 0 is the cascade's own hat.
     """
     return _nodes([idx], bank, scaling, grid, oversample)[0]
 
 
 def _nodes(indices, bank, scaling: CascadeResult, grid: Grid | None, oversample) -> list[PacketNode]:
     """The nodes of ``indices`` on ``grid`` (default: the cascade's), their lattice values
-    kept in one pass; a bank of other than 2N filters, or a digit it lacks, is refused."""
+    evaluated in one pass; a bank of other than 2N filters, or a digit it lacks, is refused."""
     if len(bank) != 2 * bank[0].ts.N:
         raise ValueError("bank must hold 2N filters")
     if any(d < 0 or d >= len(bank) for idx in indices for d in idx.digits):
         raise ValueError("digit out of range for this bank")
-    grid = scaling.signal.grid if grid is None else grid
+    grid = scaling.grid if grid is None else grid
     hats = [HatFunction(scaling.engine, tuple(bank[d] for d in idx.digits)) if idx.digits
             else scaling.hat for idx in indices]
-    served_engine(hats, grid, oversample=oversample).lattice(hats, keep=True)
-    return [PacketNode(idx, hat, grid, oversample) for idx, hat in zip(indices, hats)]
+    served_engine(hats, grid, oversample=oversample).lattice(hats)
+    return [PacketNode(hat, grid, oversample, index=idx) for idx, hat in zip(indices, hats)]
 
 
 def generate_packets(
@@ -230,7 +227,7 @@ class PacketBasis:
     lattice at oversample 1 (the nodes' cascade is built with it), so spans
     at different levels nest exactly and Nyquist-rate quadrature of atom
     products is alias-free.  Each atom is a read-only window of one period of
-    samples (``wavelets.grid_samples``): a level-0 atom of its node's kept
+    samples (``wavelets.grid_samples``): a level-0 atom of its node's
     periodic samples, and a dilated (node, level) group of one synthesis,
     from the rows and tails the nodes' engine holds, that its windows keep
     alive.  Only an atom whose cut wraps the period is a copy, so no
@@ -263,13 +260,12 @@ class PacketBasis:
             groups.setdefault((id(e.node), e.level), []).append(i)
         hats = [self.elements[rows[0]].node.hat.dilated(level)
                 for (_, level), rows in groups.items()]
-        engine = served_engine(hats, grid, oversample=1)
-        dilated = [h for (_, level), h in zip(groups, hats) if level]
-        values = dict(zip(map(id, dilated), engine.lattice(dilated)))
+        # the dilated hats in one pass, so rows they share are evaluated once
+        served_engine(hats, grid, oversample=1).lattice([h for h in hats if h.level])
         atoms: list[np.ndarray] = [None] * len(self.elements)
         for ((_, level), rows), hat in zip(groups.items(), hats):
             if level:
-                fine = periodic_samples(two_n ** (-level / 2.0) * values.pop(id(hat)))
+                fine = periodic_samples(two_n ** (-level / 2.0) * hat._values)
             else:
                 fine = hat.periodic()
             for i in rows:
@@ -332,17 +328,18 @@ def fold_residuals(
     node: PacketNode,
     ts: TranslationSet,
     *,
-    oversample: int = 16,
+    oversample: int | None = None,
 ) -> tuple[float, float]:
     """Residuals of the two folded power sums of a packet hat.
 
     h(u) = sum_j |hat(W)(u + N j)|^2 folded over the whole stored lattice;
     the plain sum of h over the 2N half-integer shifts must be 2 and the
     twisted sum must vanish, mirroring the filter-bank conditions one
-    level up.
+    level up.  ``oversample`` defaults to the node's; one whose lattice the
+    node's engine does not hold is refused.
     """
-    grid = node.grid
-    vals = served_engine([node.hat], grid, oversample=oversample).lattice([node.hat])[0]
+    oversample = node.oversample if oversample is None else oversample
+    vals = served_engine([node.hat], node.grid, oversample=oversample).lattice([node.hat])[0]
     h = _lattice_fold([vals], round(SPAN) * ts.N)[:, 0, 0].real
     plain, twisted = shift_sums(h, round(SPAN / 2), ts)
     res_plain = float(np.max(np.abs(plain - 2.0)))

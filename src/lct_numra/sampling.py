@@ -107,15 +107,15 @@ class Grid:
         return cls(float(obj["t_min"]), float(obj["step"]), int(obj["count"]))
 
 
-def numra_grid(ts, window: tuple[float, float], *, refinement: int = 1,
-               max_level: int = 0) -> Grid:
-    """Grid compatible with a translation set: step = 1/(2N*K*(2N)^J).
+def numra_grid(ts, window: tuple[float, float], *, refinement: int = 1) -> Grid:
+    """Grid compatible with a translation set: step = 1/(2N*K), K = ``refinement``.
 
-    Every element of the translation set and every dilation by (2N)^j,
-    |j| <= max_level, then maps grid points to grid points.
+    Every element of the translation set then maps grid points to grid
+    points, and with K a multiple of (2N)^J so does every dilation by
+    (2N)^j, |j| <= J.
     """
     two_n = 2 * ts.N
-    step = 1.0 / (two_n * refinement * two_n**max_level)
+    step = 1.0 / (two_n * refinement)
     t_lo, t_hi = window
     i_lo = round(t_lo / step)
     if abs(i_lo * step - t_lo) > _ALIGN_TOL * step:

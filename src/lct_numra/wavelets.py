@@ -19,18 +19,18 @@ Every lattice has step 1/``SPAN`` and every synthesis one time period of
 ``SPAN`` = 16, centred on 0.  That period holds every grid window the CLI
 and the benchmark use; a grid outside [-8, 8) is refused, not wrapped.
 
-Synthesis happens once per hat.  ``periodic_samples`` is the one inverse
-FFT: one period of the hat's inverse transform on the fine time step.
-``grid_samples`` cuts the grid samples of one delay from it by slices.  A
-kept hat (``HatEngine.lattice(keep=True)``; the cascade keeps its own)
-holds its periodic samples beside its lattice values, so every grid signal
-and undilated basis atom of it is a cut of one transform; at oversample 1
-its signals are read-only windows of those samples.
+A hat is evaluated and synthesised at most once while it lives: it stores
+the values ``HatEngine.lattice`` gives it and its ``periodic_samples``, the
+one inverse FFT, of which ``grid_samples`` cuts every grid signal and
+undilated basis atom (at oversample 1, read-only windows).  A ``SampledHat``
+(the cascade's result, a packet node) makes its signal on first read.  The
+wavelets are the one-digit packet hats L_k(u/2N) hat(phi)(u/2N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -198,34 +198,31 @@ class HatEngine:
             t.flags.writeable = False
         self._tails.update(tails)
 
-    def lattice(self, hats, *, keep: bool = False) -> list[np.ndarray]:
-        """Lattice values of hats bound to this engine (read-only when shared).
+    def lattice(self, hats) -> list[np.ndarray]:
+        """Lattice values of hats bound to this engine, read-only and stored on each hat.
 
         Each digit row is evaluated once, on its period, and multiplied into
-        every hat that uses it.  ``keep`` stores the values on the hats, so
-        later consumers (bases, fold sums) reuse them for as long as the
-        hats live.
+        every hat that needs values; a hat evaluates at most once while it
+        lives, and its values die with it.
         """
         todo = {id(h): h for h in hats if h._values is None}
         self._build_tails({h.depth for h in todo.values()})
-        outs = {}
         rows: dict[tuple[int, int], tuple[PeriodicFilterPair, int, list]] = {}
-        for key, h in todo.items():
+        for h in todo.values():
             tail = self._tails[h.depth]
-            outs[key] = tail.copy() if h.filters else tail
+            values = tail.copy() if h.filters else tail
+            object.__setattr__(h, "_values", values)
             for i, pair in enumerate(h.filters):
                 j = h.level + i + 1
-                rows.setdefault((id(pair), j), (pair, j, []))[2].append(outs[key])
+                rows.setdefault((id(pair), j), (pair, j, []))[2].append(values)
         for pair, j, targets in rows.values():
             row = self._period(pair, j)
             for t in targets:
                 view = t.reshape(-1, row.size)
                 view *= row
-        if keep:
-            for key, h in todo.items():
-                outs[key].flags.writeable = False
-                object.__setattr__(h, "_values", outs[key])
-        return [outs[id(h)] if id(h) in outs else h._values for h in hats]
+        for h in todo.values():
+            h._values.flags.writeable = False
+        return [h._values for h in hats]
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,17 +245,13 @@ class HatFunction:
         return self.level + len(self.filters)
 
     def periodic(self) -> np.ndarray:
-        """``periodic_samples`` of this hat's lattice values (read-only when kept).
-
-        A kept hat keeps them, so it is synthesised once whatever reads it.
-        """
-        if self._periodic is not None:
-            return self._periodic
-        fine = periodic_samples(self.engine.lattice([self])[0])
-        if self._values is not None:
+        """``periodic_samples`` of this hat's lattice values, read-only and stored on the
+        hat, so it is synthesised once whatever reads it."""
+        if self._periodic is None:
+            fine = periodic_samples(self.engine.lattice([self])[0])
             fine.flags.writeable = False
             object.__setattr__(self, "_periodic", fine)
-        return fine
+        return self._periodic
 
     def child(self, pair: PeriodicFilterPair) -> "HatFunction":
         """hat(u) of the child packet: L(u/2N) times this hat at u/2N."""
@@ -337,24 +330,38 @@ def hat_to_signal(hat: HatFunction, grid: Grid, *, oversample: int = 16) -> Samp
 
     The frequency cutoff is oversample/(2*step); the grid window must sit
     inside the period [-SPAN/2, SPAN/2) with its origin on the fine lattice.
-    A kept hat is synthesised once; each further grid costs one cut.
+    A hat is synthesised once while it lives; each further grid costs one cut.
     """
     served_engine([hat], grid, oversample=oversample)
     return SampledSignal(grid, grid_samples(hat.periodic(), grid, oversample=oversample))
 
 
 @dataclass(frozen=True)
-class CascadeResult:
-    """Scaling function returned by the cascade: time samples plus its hat."""
+class SampledHat:
+    """A hat and the grid of its time samples; ``signal``, ``hat_to_signal`` at
+    ``oversample``, is made on first read and kept."""
 
-    signal: SampledSignal
     hat: HatFunction
-    tail_deviation: float
+    grid: Grid
+    oversample: int = 16
+
+    @cached_property
+    def signal(self) -> SampledSignal:
+        return hat_to_signal(self.hat, self.grid, oversample=self.oversample)
+
+
+@dataclass(frozen=True)
+class CascadeResult(SampledHat):
+    """Scaling function returned by the cascade: its evaluated hat on its grid."""
 
     @property
     def engine(self) -> HatEngine:
         """The lattice engine shared by every hat built on this cascade."""
         return self.hat.engine
+
+    @property
+    def tail_deviation(self) -> float:
+        return self.engine.tail_deviation
 
 
 def cascade(
@@ -376,7 +383,9 @@ def cascade(
     otherwise a ConvergenceError carries the deviation.  The lattice
     engine also builds the tails of depths 1..``depth`` in the same pass
     (packets with up to ``depth`` digits, and coarser bases, need them).
-    J < 1 is refused: an empty product has no tail to check.
+    The hat holds its lattice values, and no inverse FFT is made before the
+    first read of ``signal``.  J < 1 is refused: an empty product has no
+    tail to check.
     """
     if J < 1:
         raise ValueError(f"cascade needs J >= 1 factors, got J={J}")
@@ -391,23 +400,8 @@ def cascade(
             deviation,
         )
     hat = HatFunction(engine)
-    engine.lattice([hat], keep=True)
-    signal = hat_to_signal(hat, grid, oversample=oversample)
-    return CascadeResult(signal=signal, hat=hat, tail_deviation=deviation)
-
-
-def wavelet_from_filters(
-    phi_hat: HatFunction,
-    pk: PeriodicFilterPair,
-    *,
-    grid: Grid | None = None,
-    oversample: int = 16,
-) -> tuple[SampledSignal, HatFunction]:
-    """Wavelet hat(psi)(u) = L_k(u/2N) hat(phi)(u/2N), inverse-transformed."""
-    if grid is None:
-        grid = default_time_grid(pk.ts)
-    hat = phi_hat.child(pk)
-    return hat_to_signal(hat, grid, oversample=oversample), hat
+    engine.lattice([hat])
+    return CascadeResult(hat, grid, oversample)
 
 
 def two_scale_residual(phi_hat: HatFunction) -> float:
@@ -491,7 +485,6 @@ class WaveletFamily:
     psi: tuple[SampledSignal, ...]
     filters: tuple[PeriodicFilterPair, ...]
     phi_hat: HatFunction
-    psi_hat: tuple[HatFunction, ...]
 
     def __post_init__(self):
         phi_norm = norm(self.phi)
@@ -510,17 +503,16 @@ def haar_family(
     oversample: int = 16,
     permissive: bool = False,
 ) -> WaveletFamily:
-    """Complete Haar-type family: exact scaling samples, spectral wavelets."""
+    """Complete Haar-type family: exact scaling samples, spectral wavelets (packet hats
+    1..2N-1 of the cascade, one temporary hat at a time; phi's hat is not synthesised)."""
     if grid is None:
         grid = default_time_grid(ts)
     bank = haar_filter_bank(ts, m, permissive=permissive)
     result = cascade(bank[0], grid=grid, oversample=oversample, depth=1)
-    psi, psi_hat = zip(*(
-        wavelet_from_filters(result.hat, pk, grid=grid, oversample=oversample)
-        for pk in bank[1:]
-    ))
+    psi = tuple(hat_to_signal(result.hat.child(pk), grid, oversample=oversample)
+                for pk in bank[1:])
     return WaveletFamily(ts=ts, m=m, phi=haar_scaling(ts, grid), psi=psi, filters=tuple(bank),
-                         phi_hat=result.hat, psi_hat=psi_hat)
+                         phi_hat=result.hat)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from lct_numra.wavelets import (
     l2_distance_off_jumps,
     piecewise_constant,
     two_scale_residual,
-    wavelet_from_filters,
 )
 
 from hat_reference import product_hat

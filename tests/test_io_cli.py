@@ -29,8 +29,10 @@ from lct_numra.lct import LctSpectrum, ilct, induced_omega_grid, lct_direct, lct
 from lct_numra.reports import bank_report, lowpass_report, packet_gram_report
 from lct_numra.sampling import Grid, SampledSignal, gaussian, numra_grid, rel_l2_error
 from lct_numra import lct, wavelets
+from lct_numra.packets import generate_packets
 from lct_numra.wavelets import (
     cascade,
+    default_time_grid,
     haar_family,
     haar_filter_bank,
     haar_filters,
@@ -676,6 +678,23 @@ class TestCascadeCommand:
         assert "evaluated by nearest sample" in capsys.readouterr().err
         assert out.exists()
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "nearest"])
+    def test_sidecar_records_approximations(self, tmp_path, exact):
+        # the truncated tail (its deviation and J) and nearest-sample rows, as the library has them
+        base = haar_filters(TranslationSet(1, 1), fourier())
+        phase = 1.0 if exact else np.exp(1j * np.sin(2 * np.pi * base.u_grid.points()))
+        pair = PeriodicFilterPair(base.ts, base.u_grid, phase * base.comp1, phase * base.comp2)
+        fpath = tmp_path / "filters.csv"
+        write_filter_csv(fpath, pair)
+        out = tmp_path / "phi.csv"
+        assert main(["cascade", "--filters", str(fpath), "--out", str(out), "--J", "22"]) == 0
+        meta = read_strict_json(tmp_path / "phi.json")
+        grid = default_time_grid(pair.ts, (-1.0, 3.0), 2.0**-10)
+        res = cascade(read_filter_csv(fpath), J=22, tol=1e-5, grid=grid, depth=0)
+        assert meta == {**grid.to_dict(), "tail_deviation": res.tail_deviation,
+                        "J": res.engine.J, "nearest_sample": not exact}
+        assert read_signal_csv(out).grid == grid
+
     def test_unconverged_tail_exit_two(self, tmp_path, capsys):
         pair = haar_filters(TranslationSet(1, 1), fourier())
         fpath = tmp_path / "filters.csv"
@@ -722,6 +741,23 @@ class TestPacketsCommand:
         assert payload["ok"]
         assert payload["tolerances"]["gram"] == 1e-3
         assert payload["max_off_identity"] <= 1e-3
+
+    def test_gen_sidecars_record_band_deficit(self, tmp_path):
+        # each packet's sidecar holds its grid and its band deficit, and the signal reads back
+        out = tmp_path / "pk"
+        assert main(["packets", "gen", "--n-max", "2", "--N", "1", "--matrix", "0,1,-1,0",
+                     "--out-dir", str(out), "--step", str(2.0**-8), "--window=-2,3"]) == 0
+        ts = TranslationSet(1, 1)
+        grid = default_time_grid(ts, (-2.0, 3.0), 2.0**-8)
+        nodes = generate_packets(2, haar_filter_bank(ts, fourier()), grid=grid, oversample=1)
+        for node in nodes:
+            path = out / f"packet_{node.index.n}.csv"
+            meta = read_strict_json(path.with_suffix(".json"))
+            assert meta == {**grid.to_dict(), "band_deficit": node.band_deficit}
+            assert 0.0 < meta["band_deficit"] < 1e-2
+            back = read_signal_csv(path)
+            assert back.grid == grid
+            np.testing.assert_array_equal(back.values, node.signal.values)
 
     def test_gen_cascade_failure_exit_two(self, tmp_path, monkeypatch, capsys):
         import lct_numra.packets as packets

@@ -52,7 +52,9 @@ from lct_numra.wavelets import (
     cascade,
     default_time_grid,
     frequency_samples,
+    haar_family,
     haar_filter_bank,
+    hat_to_signal,
 )
 
 import basis_reference
@@ -367,6 +369,35 @@ class TestFoldSums:
             plain, twisted = fold_residuals(node, ts, oversample=1)
             assert plain <= 1e-3
             assert twisted <= 1e-3
+
+    def test_oversample_defaults_to_the_node(self):
+        # nodes fold the lattice they were made on; one they were not made on is refused
+        ts = TranslationSet(2, 1)
+        bank = haar_filter_bank(ts, fourier())
+        grid = numra_grid(ts, (-4.0, 4.0), refinement=64)
+        for oversample, other in [(1, 16), (16, 1)]:
+            nodes = generate_packets(4, bank, grid=grid, oversample=oversample)
+            for node in nodes:
+                assert fold_residuals(node, ts) == fold_residuals(node, ts, oversample=oversample)
+            with pytest.raises(ValueError, match="does not serve"):
+                fold_residuals(nodes[1], ts, oversample=other)
+
+
+class TestBandDeficit:
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_is_one_minus_gram_diagonal(self, r):
+        # the AC-10 N = 2 nodes: d = 1 - Re G_nn at every translate, and the
+        # largest d is max |G - I|
+        ts = TranslationSet(2, r)
+        bank = haar_filter_bank(ts, M2111)
+        grid = numra_grid(ts, (-5.0, 7.0), refinement=4096)
+        nodes = generate_packets(4, bank, grid=grid, oversample=1)
+        d = np.array([node.band_deficit for node in nodes])
+        g, off = packet_gram(nodes, ts, M2111, (-4.0, 4.0 + 1e-9))
+        diag = np.diag(g).real.reshape(len(nodes), -1)  # node-major
+        assert np.max(np.abs(1.0 - diag - d[:, None])) <= 1e-14
+        assert off == pytest.approx(d.max(), abs=1e-14)
+        assert np.all(d > 0.0)
 
 
 def make_basis(nodes, ts, m, specs):
@@ -697,6 +728,21 @@ class TestHatEngine:
                 assert np.max(np.abs(got - product_hat(hat, u))) <= 1e-14
 
 
+def count_lattice_iffts(monkeypatch, grid) -> list:
+    """A list that each inverse FFT of ``grid``'s oversample-1 lattice size appends to."""
+    n = frequency_samples(grid, oversample=1).size
+    real = np.fft.ifft
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == (n,):
+            calls.append(n)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    return calls
+
+
 class TestOneSynthesisPerHat:
     """Each (hat, level) is inverse-transformed once; the rest are cuts of it."""
 
@@ -709,27 +755,61 @@ class TestOneSynthesisPerHat:
 
     def test_one_inverse_fft_per_hat_and_level(self, small, monkeypatch):
         ts, bank, grid = small
-        real = np.fft.ifft
-        sizes = []
-
-        def counting(a, *args, **kwargs):
-            sizes.append(np.shape(a))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "ifft", counting)
+        calls = count_lattice_iffts(monkeypatch, grid)
         nodes = generate_packets(3, bank, grid=grid, oversample=1)
         parent = make_basis(nodes, ts, M2111, [(0, 1, [0.0, 0.5, 2.0])])
         children = make_basis(nodes, ts, M2111, [(n, 0, [0.0, 0.5, 2.0]) for n in range(4)])
         for b in (parent, children):
             b.certify()
             b.signals()
-        n = frequency_samples(grid, oversample=1).size
         # packets 0..3 at level 0 (packet 0 is the cascade's) and packet 0 at level 1
-        assert sizes.count((n,)) == 5
+        assert len(calls) == 5
         scaling = cascade(bank[0], J=20, tol=1e-5, grid=grid, oversample=1)
         node0 = packet_hat(digits(0, ts.N), bank, scaling=scaling, grid=grid, oversample=1)
         assert node0.hat is scaling.hat
-        assert sizes.count((n,)) == 6
+        assert len(calls) == 5  # the cascade synthesises nothing
+        signal = scaling.signal
+        assert len(calls) == 6
+        assert scaling.signal is signal
+        node0.signal
+        assert len(calls) == 6  # one synthesis for the hat, whoever reads it
+
+    def test_cascade_synthesises_on_first_read(self, small, monkeypatch):
+        ts, bank, grid = small
+        calls = count_lattice_iffts(monkeypatch, grid)
+        scaling = cascade(bank[0], J=20, tol=1e-5, grid=grid, oversample=1)
+        assert calls == [] and scaling.tail_deviation <= 1e-5
+        assert scaling.signal.grid == grid
+        assert len(calls) == 1
+        np.testing.assert_array_equal(scaling.signal.values,
+                                      hat_to_signal(scaling.hat, grid, oversample=1).values)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_family_synthesises_its_wavelets_only(self, N, monkeypatch):
+        # phi is the closed form, so the cascade's scaling hat is never inverse-transformed
+        ts = TranslationSet(N, 1)
+        grid = numra_grid(ts, (-2.0, 2.0), refinement=64)
+        calls = count_lattice_iffts(monkeypatch, grid)
+        fam = haar_family(ts, M2111, grid=grid, oversample=1)
+        assert len(fam.psi) == 2 * N - 1
+        assert len(calls) == 2 * N - 1
+
+    def test_a_hat_evaluates_and_synthesises_once(self, small):
+        # hats with digit filters that no caller kept: a second read returns the same array
+        ts, bank, grid = small
+        engine = cascade(bank[0], J=20, tol=1e-5, grid=grid, oversample=1).engine
+        hat = HatFunction(engine, (bank[1], bank[2]))
+        values = engine.lattice([hat])[0]
+        assert engine.lattice([hat])[0] is values
+        fine = hat.periodic()
+        assert hat.periodic() is fine
+        other = HatFunction(engine, (bank[3],))  # synthesised before its values are asked for
+        samples = other.periodic()
+        assert other.periodic() is samples
+        assert engine.lattice([other])[0] is other._values
+        for a in (values, fine, other._values, samples):
+            assert not a.flags.writeable
 
     def test_cut_atoms_equal_cold_synthesis(self, small):
         # every atom against its hat's lattice values computed afresh,
@@ -824,7 +904,6 @@ class TestWindowedBasis:
         # a node's signal is synthesised on its first read and kept
         import lct_numra.packets as packets
         import lct_numra.wavelets as wavelets
-        from lct_numra.wavelets import hat_to_signal
 
         ts = TranslationSet(2, 1)
         bank = haar_filter_bank(ts, M2111)

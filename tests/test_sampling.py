@@ -62,7 +62,7 @@ class TestGrid:
 
     def test_numra_grid_alignment(self):
         ts = TranslationSet(2, 1)
-        g = numra_grid(ts, (-2.0, 2.0), refinement=8, max_level=2)
+        g = numra_grid(ts, (-2.0, 2.0), refinement=8 * 4**2)
         # every translation-set element inside the window lands on the grid
         for lam in (0.0, 0.5, -1.5, 2.0 - g.step):
             ratio = lam / g.step
@@ -312,7 +312,7 @@ class TestDilateChirp:
 
     def test_level_zero_matches_translate(self):
         ts = TranslationSet(2, 1)
-        g = numra_grid(ts, (-4.0, 4.0), refinement=64, max_level=2)
+        g = numra_grid(ts, (-4.0, 4.0), refinement=64 * 4**2)
         f = indicator([(0.0, 0.5), (1.0, 1.5)], g)
         a = dilate(f, 0, ts.N, 0.5).values * chirp_phase(M2111, g.points(), 0.5)
         b = translate_chirp(f, 0.5, M2111)
@@ -320,7 +320,7 @@ class TestDilateChirp:
 
     def test_norm_preserved(self):
         ts = TranslationSet(1, 1)
-        g = numra_grid(ts, (-6.0, 6.0), refinement=256, max_level=3)
+        g = numra_grid(ts, (-6.0, 6.0), refinement=256 * 2**3)
         f = indicator([(0.0, 1.0)], g)
         for j in (-2, -1, 1, 2):
             out = dilate(f, j, ts.N, 0.0)
@@ -329,7 +329,7 @@ class TestDilateChirp:
 
     def test_haar_level_one(self):
         ts = TranslationSet(1, 1)
-        g = numra_grid(ts, (-2.0, 2.0), refinement=256, max_level=1)
+        g = numra_grid(ts, (-2.0, 2.0), refinement=256 * 2)
         f = indicator([(0.0, 1.0)], g)
         out = dilate(f, 1, 1, 0.0)
         want = np.sqrt(2.0) * indicator([(0.0, 0.5)], g).values
@@ -337,8 +337,8 @@ class TestDilateChirp:
 
     def test_finer_target_grid(self):
         ts = TranslationSet(2, 1)
-        coarse = numra_grid(ts, (-4.0, 4.0), refinement=16, max_level=1)
-        fine = numra_grid(ts, (-4.0, 4.0), refinement=64, max_level=1)
+        coarse = numra_grid(ts, (-4.0, 4.0), refinement=16 * 4)
+        fine = numra_grid(ts, (-4.0, 4.0), refinement=64 * 4)
         f = indicator([(0.0, 0.5), (1.0, 1.5)], coarse)
         out = dilate(f, 1, ts.N, 0.5, grid=fine)
         t = fine.points()

@@ -31,13 +31,13 @@ from lct_numra.wavelets import (
     haar_filter_bank,
     haar_filters,
     haar_scaling,
+    hat_to_signal,
     l2_distance_off_jumps,
     n2_reference_wavelets,
     piecewise_constant,
     project,
     served_engine,
     two_scale_residual,
-    wavelet_from_filters,
 )
 
 from hat_reference import product_hat
@@ -212,14 +212,14 @@ class TestWaveletFromFilters:
     def test_classical_haar_reproduced(self, haar1_cascade):
         ts, _, result = haar1_cascade
         bank = haar_filter_bank(ts, fourier())
-        psi, _ = wavelet_from_filters(result.hat, bank[1], grid=result.signal.grid)
+        psi = hat_to_signal(result.hat.child(bank[1]), result.grid)
         ref = classical_haar_wavelet(psi.grid)
         assert l2_distance_off_jumps(psi, ref, jumps=[0.0, 0.5, 1.0]) <= 1e-2
 
     def test_hat_at_zero_equals_filter_response(self, haar1_cascade):
         ts, _, result = haar1_cascade
         bank = haar_filter_bank(ts, fourier())
-        _, psi_hat = wavelet_from_filters(result.hat, bank[1], grid=result.signal.grid)
+        psi_hat = result.hat.child(bank[1])
         want = filter_eval(bank[1], 0.0)
         assert product_hat(psi_hat, np.array([0.0]))[0] == pytest.approx(want, abs=1e-12)
 
@@ -233,7 +233,7 @@ class TestWaveletFromFilters:
         count = p0.u_grid.count
         pk = PeriodicFilterPair(ts, p0.u_grid, np.full(count, -0.5, dtype=complex),
                                 np.full(count, 0.5, dtype=complex))
-        _, psi_hat = wavelet_from_filters(result.hat, pk, grid=result.signal.grid)
+        psi_hat = result.hat.child(pk)
         u = np.linspace(-3.0, 3.0, 601)
         lhs = product_hat(psi_hat, 2 * u)
         rhs = 0.5 * (np.exp(-2j * np.pi * u) - 1.0) * product_hat(result.hat, u)
@@ -365,7 +365,7 @@ class TestProjection:
     def test_matches_loop_oracle(self, N, m):
         # the shared analysis and synthesis change only the summation order of the loop
         ts = TranslationSet(N, 1)
-        grid = numra_grid(ts, (-4.0, 4.0), refinement=64, max_level=1)
+        grid = numra_grid(ts, (-4.0, 4.0), refinement=64 * 2 * N)
         phi = haar_scaling(ts, grid)
         rng = np.random.default_rng(29 + N)
         f = SampledSignal(grid, rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count))
@@ -425,7 +425,7 @@ class TestReferenceFormulas:
         p0 = haar_filters(ts, M2111)
         result = cascade(p0, J=20, tol=1e-5)
         bank = haar_filter_bank(ts, M2111)
-        psi, _ = wavelet_from_filters(result.hat, bank[1], grid=result.signal.grid)
+        psi = hat_to_signal(result.hat.child(bank[1]), result.grid)
         ref = chirped_reference_wavelet(psi.grid)
         dist = l2_distance_off_jumps(psi, ref, jumps=[0.0, 0.5, 1.0])
         dist2 = l2_distance_off_jumps(psi, ref, jumps=[0.0, 0.5, 1.0])

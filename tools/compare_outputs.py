@@ -7,12 +7,13 @@ PARENT and CHANGE are checkout roots (their ``src/`` is put on PYTHONPATH) or
 ``src`` directories themselves.  Every command in ``COMMANDS`` runs as
 ``python -m lct_numra.cli`` from each root into that root's own temporary
 directory, with the BLAS pools pinned to one thread; a short library script
-(``LIBRARY``) also saves engine tails, cascade signals, packet hats, the
-AC-11 packet bases' residuals, coefficients and syntheses, and chirped
-translates as ``.npy`` files.  The inputs (a 2^17-row signal, two 8- and
-4-row signal files whose t column is off their grid, a filter file whose u
-column is off its grid, and two signal files whose sidecar step is not
-finite) are written once, by PARENT, and read by both.
+(``LIBRARY``) also saves engine tails, cascade signals, packet hats and band
+deficits, oversample-1 wavelets, the AC-11 packet bases' residuals,
+coefficients and syntheses, and chirped translates as ``.npy`` files.  The
+inputs (a 2^17-row signal, two 8- and 4-row signal files whose t column is
+off their grid, a filter file whose u column is off its grid, and two signal
+files whose sidecar step is not finite) are written once, by PARENT, and
+read by both.
 
 For every output file the script prints "byte-identical", or the largest
 difference of its numbers relative to the largest |number| in the file, or
@@ -123,7 +124,8 @@ for name, step in [("nan-step", "NaN"), ("inf-step", "Infinity")]:
 """
 
 #: Library outputs no CLI file carries: engine tail T_0, its tail deviation, the
-#: cascade signal and the lattice hats of packets 0..3; of the AC-11 parent and
+#: cascade signal, the lattice hats and band deficits of packets 0..3, and at N = 2 the
+#: oversample-1 wavelets of ``haar_family``; of the AC-11 parent and
 #: children bases, the certify residual, the coefficients of a random signal and
 #: their synthesis; and chirped translates under two matrices, one leaving the window.
 LIBRARY = """
@@ -134,7 +136,7 @@ from lct_numra.filters import TranslationSet
 from lct_numra.packets import (BasisElement, PacketBasis, generate_packets, packet_analyze,
                                packet_synthesize)
 from lct_numra.sampling import SampledSignal, indicator, numra_grid, translate_chirp
-from lct_numra.wavelets import cascade, haar_filter_bank
+from lct_numra.wavelets import cascade, haar_family, haar_filter_bank
 for N, r in [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)]:
     ts = TranslationSet(N, r)
     bank = haar_filter_bank(ts, CanonicalMatrix(2, 1, 1, 1))
@@ -146,6 +148,12 @@ for N, r in [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)]:
     np.save(f"{out}-phi.npy", res.signal.values)
     for node in generate_packets(3, bank, grid=grid, oversample=1):
         np.save(f"{out}-packet{node.index.n}-hat.npy", node.hat._values)
+        if hasattr(node, "band_deficit"):  # a checkout without band deficits saves none
+            np.save(f"{out}-packet{node.index.n}-deficit.npy", node.band_deficit)
+    if N == 2:  # the CLI's haar runs at oversample 16 only
+        fam = haar_family(ts, CanonicalMatrix(2, 1, 1, 1), grid=grid, oversample=1)
+        for k, psi in enumerate(fam.psi, start=1):
+            np.save(f"{out}-psi{k}.npy", psi.values)
 ts = TranslationSet(1, 1)
 grid = numra_grid(ts, (-6.0, 6.0), refinement=8192)
 nodes = generate_packets(3, haar_filter_bank(ts, fourier()), grid=grid, oversample=1)
