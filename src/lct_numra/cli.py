@@ -62,6 +62,36 @@ def _join_list_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _number(cast, lo, hi, what: str):
+    """An argparse type: ``cast`` of the text in [lo, hi], else a usage error (exit 1) before
+    any work.  NaN fails the comparison, and the float bounds are finite."""
+    def parse(text: str):
+        try:
+            if lo <= (value := cast(text)) <= hi:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
+#: A tolerance bounds a residual, which is >= 0; a grid step is > 0.
+_TOL = _number(float, 0.0, sys.float_info.max, "a finite number >= 0")
+_STEP = _number(float, 2.0**-1074, sys.float_info.max, "a finite number > 0")
+#: The closed-form bank of N has terms on the Fourier bins 0, 2, ..., 2(N - 1), and a pair
+#: is exact (evaluated from its terms, not by nearest sample) only while they span fewer
+#: than ``filters._MAX_SPAN`` = 64 bins: N <= 32, and r <= 2N - 1 <= 63.
+_N = _number(int, 1, 32, "an integer in [1, 32]")
+_R = _number(int, 1, 63, "an integer in [1, 63]")
+#: Row J of a cascade has period SPAN*N*(2N)^J, a float divisor of its phases, which
+#: ``wavelets.cascade`` keeps below 2^1023: 16*2^J at N = 1, so J <= 1018.
+_J = _number(int, 1, 1018, "an integer in [1, 1018]")
+#: A packet count (``packets.generate_packets`` bounds it by its lattice), and a level
+#: within ``sampling.DEFAULT_LEVEL_BUDGET``, the levels ``sampling.dilate`` takes.
+_COUNT = _number(int, 0, math.inf, "an integer >= 0")
+_LEVEL = _number(int, -16, 16, "an integer in [-16, 16]")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -124,54 +154,54 @@ def build_parser() -> _Parser:
                    help="t_min,step,count for inv (default: the grid recorded with the spectrum)")
 
     p = sub.add_parser("haar", help="emit a Haar-type family and its verification")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--N", type=_N, required=True)
+    p.add_argument("--r", type=_R, default=1)
     p.add_argument("--matrix", required=True)
     p.add_argument("--allow-nonunimodular", action="store_true")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--step", type=float, default=2.0**-10)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--step", type=_STEP, default=2.0**-10)
+    p.add_argument("--tol", type=_TOL, default=1e-10)
 
     p = sub.add_parser("cascade", help="scaling function from a low-pass filter file")
     p.add_argument("--filters", required=True)
-    p.add_argument("--J", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--J", type=_J, default=20)
+    p.add_argument("--tol", type=_TOL, default=1e-5)
     p.add_argument("--out", required=True)
-    p.add_argument("--step", type=float, default=2.0**-10)
+    p.add_argument("--step", type=_STEP, default=2.0**-10)
     p.add_argument("--window", default="-1,3",
                    help="time window lo,hi of the output grid, inside [-8, 8)")
 
     p = sub.add_parser("verify", help="verify filter admissibility conditions")
     p.add_argument("--filters", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--tol", type=float, default=None, help="override all tolerances")
+    p.add_argument("--tol", type=_TOL, default=None, help="override all tolerances")
 
     p = sub.add_parser("packets", help="wavelet packet generation and certification")
     psub = p.add_subparsers(dest="packets_command", required=True)
     g = psub.add_parser("gen", help="generate packets 0..n-max")
-    g.add_argument("--n-max", type=int, required=True)
-    g.add_argument("--N", type=int, required=True)
-    g.add_argument("--r", type=int, default=1)
+    g.add_argument("--n-max", type=_COUNT, required=True)
+    g.add_argument("--N", type=_N, required=True)
+    g.add_argument("--r", type=_R, default=1)
     g.add_argument("--matrix", required=True)
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--step", type=float, default=2.0**-10)
+    g.add_argument("--step", type=_STEP, default=2.0**-10)
     g.add_argument("--window", default="-4,5",
                    help="time window lo,hi of the packet grid, inside [-8, 8)")
     q = psub.add_parser("gram", help="Gram certification of generated packets")
     q.add_argument("--nodes", required=True, help="directory produced by packets gen")
     q.add_argument("--window", required=True, help="lambda window lo,hi")
     q.add_argument("--report", required=True)
-    q.add_argument("--matrix", required=True)
-    q.add_argument("--N", type=int, required=True)
-    q.add_argument("--r", type=int, default=1)
-    q.add_argument("--tol", type=float, default=1e-3)
+    q.add_argument("--matrix", required=True, help="as given to packets gen")
+    q.add_argument("--N", type=_N, required=True, help="as given to packets gen")
+    q.add_argument("--r", type=_R, default=1)
+    q.add_argument("--tol", type=_TOL, default=1e-3)
 
     p = sub.add_parser("project", help="project a signal onto a dilated scaling span")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--N", type=_N, required=True)
+    p.add_argument("--r", type=_R, default=1)
     p.add_argument("--matrix", required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_LEVEL, required=True)
     p.add_argument("--window", required=True, help="lambda window lo,hi")
     p.add_argument("--out", required=True)
 
@@ -180,7 +210,7 @@ def build_parser() -> _Parser:
         help="deterministic cross-check report for the anomalous N=2 reference wavelets",
     )
     p.add_argument("--out", required=True)
-    p.add_argument("--step", type=float, default=2.0**-10)
+    p.add_argument("--step", type=_STEP, default=2.0**-10)
 
     return parser
 
@@ -296,7 +326,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_packets(args) -> int:
     from .filters import TranslationSet
-    from .io import read_signal_csv, write_json, write_signal_csv
+    from .io import read_packet_csv, write_json, write_signal_csv
     from .packets import generate_packets
     from .reports import packet_gram_report
     from .wavelets import default_time_grid, haar_filter_bank
@@ -311,16 +341,15 @@ def _cmd_packets(args) -> int:
         out = Path(args.out_dir)
         for node in nodes:
             write_signal_csv(out / f"packet_{node.index.n}.csv", node.signal,
-                             band_deficit=node.band_deficit)
+                             band_deficit=node.band_deficit, translation=ts.to_dict(),
+                             matrix=m.to_dict())
         return EXIT_OK
 
     window = _parse_window(args.window)
     nodes_dir = Path(args.nodes)
-    signals = []
-    n = 0
-    while (nodes_dir / f"packet_{n}.csv").exists():
-        signals.append(read_signal_csv(nodes_dir / f"packet_{n}.csv"))
-        n += 1
+    signals = []  # each file read once, and refused if it records another set or matrix
+    while (path := nodes_dir / f"packet_{len(signals)}.csv").exists():
+        signals.append(read_packet_csv(path, ts, m))
     if not signals:
         print(f"no packet_*.csv files in {nodes_dir}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,8 +6,8 @@ whole or not at all.  Signals and spectra share one format: columns
 (x, re, im) plus a JSON sidecar holding the grid.  A spectrum's sidecar
 also records the time grid of its source signal under "t_grid", so the
 inverse transform can land back on the source samples.  A signal's sidecar
-may carry more keys (a cascade's approximations, a packet's band deficit),
-which reading ignores.
+may carry more keys (a cascade's approximations; a packet's band deficit,
+translation set and matrix), which reading ignores but ``read_packet_csv``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .canonical import CanonicalMatrix
 from .filters import PeriodicFilterPair, TranslationSet
 from .lct import LctSpectrum
 from .sampling import _ALIGN_TOL, Grid, SampledSignal
@@ -145,6 +146,17 @@ def write_signal_csv(path: str | Path, signal: SampledSignal, **sidecar) -> None
 
 def read_signal_csv(path: str | Path) -> SampledSignal:
     grid, values, _ = _read_sampled(path, "t")
+    return SampledSignal(grid, values)
+
+
+def read_packet_csv(path: str | Path, ts: TranslationSet, m: CanonicalMatrix) -> SampledSignal:
+    """A packet signal, refused if its sidecar records ("translation", "matrix") another
+    translation set than ``ts`` or another matrix than ``m``."""
+    grid, values, meta = _read_sampled(path, "t")
+    sidecar = _sidecar(Path(path))
+    for key, given in (("translation", ts), ("matrix", m)):
+        if key in meta and (recorded := _from_sidecar(type(given), meta[key], sidecar)) != given:
+            raise ValueError(f"{sidecar}: records {recorded}, not the given {given}")
     return SampledSignal(grid, values)
 
 

@@ -11,15 +11,16 @@ for digits d_0..d_{q-1} (the packet recursion of Coifman & Wickerhauser,
 IEEE Trans. IT 38(2), 1992); packets 1..2N-1 are the wavelets.  All
 packets of one cascade share its ``wavelets.HatEngine``, and a node's hat
 keeps its lattice values, so bases and fold sums over it evaluate no filter
-again.  Each hat is synthesised at most once, on the first read of its
-periodic samples (``HatFunction.periodic``): a node is a
-``wavelets.SampledHat``, as the cascade's result is, so one that only the
-lattice sums read is never synthesised.  Packet 0 is the cascade's own
-hat; a basis takes its level-0 atoms as windows of the nodes' periodic
-samples, and only a dilated (level >= 1) hat costs one more inverse FFT,
-which its atoms' windows keep.  No (atoms x count) array is made.  A basis
-keeps its atoms unchirped, since the chirps cancel in the Gram; analysis
-and synthesis are ``sampling.chirped_coefficients`` and
+again.  A packet is read through its node: its bank (the engine's
+low-pass filter) owns the translation set, its lattice the oversample, and
+its hat the level's (2N)^{-level/2}; a ``ts`` or ``oversample`` given beside
+the nodes is checked against them.  Each hat, dilated or not, is
+synthesised at most once, on the first read of ``HatFunction.periodic``: a
+node is a ``wavelets.SampledHat``, so one that only the lattice sums read is
+never synthesised.  Packet 0 is the cascade's own hat; a basis cuts its
+atoms from one dilated hat per (node, level), and makes no (atoms x count)
+array.  A basis keeps its atoms unchirped, since the chirps cancel in the
+Gram; analysis and synthesis are ``sampling.chirped_coefficients`` and
 ``sampling.chirped_sum`` of those atoms, and bases must be Gram-certified
 before use.
 ``packet_gram`` is the band-limited Gram over one synthesis period: no grid
@@ -53,10 +54,11 @@ from .wavelets import (
     CascadeResult,
     HatFunction,
     SampledHat,
+    _lattice_size,
     _roots,
     cascade,
+    default_time_grid,
     grid_samples,
-    periodic_samples,
     served_engine,
 )
 
@@ -87,8 +89,6 @@ class PacketIndex:
 
 def digits(n: int, N: int) -> PacketIndex:
     """Base-2N expansion of n; empty for n = 0, reconstruction is exact."""
-    if n < 0:
-        raise ValueError("packet index must be nonnegative")
     base = 2 * N
     out = []
     rest = int(n)
@@ -127,7 +127,7 @@ def packet_hat(
     *,
     scaling: CascadeResult,
     grid: Grid | None = None,
-    oversample: int = 16,
+    oversample: int | None = None,
 ) -> PacketNode:
     """Packet hat from the digit filters continued with the low-pass tail.
 
@@ -139,16 +139,20 @@ def packet_hat(
 
     holds exactly along the code path.  The node's hat holds its values on
     the cascade's lattice, and its periodic samples once they are first
-    read; a grid (default: the cascade's) that lattice does not serve is
-    refused here.  Index 0 is the cascade's own hat.
+    read; a grid (default: the cascade's) that lattice does not serve, at
+    its own oversample or one given, is refused here.  Index 0 is the cascade's.
     """
     return _nodes([idx], bank, scaling, grid, oversample)[0]
 
 
 def _nodes(indices, bank, scaling: CascadeResult, grid: Grid | None, oversample) -> list[PacketNode]:
     """The nodes of ``indices`` on ``grid`` (default: the cascade's), their lattice values
-    evaluated in one pass; a bank of other than 2N filters, or a digit it lacks, is refused."""
-    if len(bank) != 2 * bank[0].ts.N:
+    evaluated in one pass; a bank of other than the 2N filters of the scaling's translation
+    set, or a digit it lacks, is refused."""
+    ts = scaling.engine.lowpass.ts
+    if any(pair.ts != ts for pair in bank):
+        raise ValueError(f"bank filters are not all of the scaling's {ts}")
+    if len(bank) != 2 * ts.N:
         raise ValueError("bank must hold 2N filters")
     if any(d < 0 or d >= len(bank) for idx in indices for d in idx.digits):
         raise ValueError("digit out of range for this bank")
@@ -156,7 +160,7 @@ def _nodes(indices, bank, scaling: CascadeResult, grid: Grid | None, oversample)
     hats = [HatFunction(scaling.engine, tuple(bank[d] for d in idx.digits)) if idx.digits
             else scaling.hat for idx in indices]
     served_engine(hats, grid, oversample=oversample).lattice(hats)
-    return [PacketNode(hat, grid, oversample, index=idx) for idx, hat in zip(indices, hats)]
+    return [PacketNode(hat, grid, index=idx) for idx, hat in zip(indices, hats)]
 
 
 def generate_packets(
@@ -166,25 +170,39 @@ def generate_packets(
     grid: Grid | None = None,
     oversample: int = 16,
 ) -> list[PacketNode]:
-    """Packets 0..n_max sharing one cascade, one lattice pass and one time grid."""
+    """Packets 0..n_max sharing one cascade, one lattice pass and one time grid; n_max + 1
+    orthonormal packets of SPAN translates each need as many dimensions of the lattice."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    size = _lattice_size(default_time_grid(bank[0].ts) if grid is None else grid, oversample)
+    if (n_max + 1) * SPAN > size:
+        raise ValueError(f"{n_max + 1} packets of {SPAN:g} translates exceed the {size} "
+                         f"dimensions of their lattice")
     indices = [digits(n, bank[0].ts.N) for n in range(n_max + 1)]
     scaling = cascade(bank[0], grid=grid, oversample=oversample, depth=len(indices[-1].digits))
-    return _nodes(indices, bank, scaling, None, oversample)
+    return _nodes(indices, bank, scaling, None, None)
 
 
-def _lattice_fold(values: list[np.ndarray], period: int) -> np.ndarray:
-    """F[rho, i, k] = sum of values_i conj(values_k) over e = rho - n//2 mod ``period`` on
-    one lattice that ``period`` divides (a ValueError otherwise): one batched product per
-    block of ``_GRAM_BLOCK`` values, transposed in turn, so no hat stack is made."""
+def _require_packets_of(nodes, ts: TranslationSet) -> None:
+    """Refuse nodes whose bank, the owner of their translation set, is not of ``ts``."""
+    if any(node.hat.engine.lowpass.ts != ts for node in nodes):
+        raise ValueError(f"nodes are not packets of {ts}")
+
+
+def _lattice_fold(nodes: list[PacketNode], ts: TranslationSet) -> np.ndarray:
+    """F[e, i, k] = sum of hat_i conj(hat_k) over u = e'/SPAN, e' = e mod SPAN*N, for packets
+    of ``ts`` on one lattice that SPAN*N divides (a ValueError otherwise): one batched product
+    per block of ``_GRAM_BLOCK`` values, transposed in turn, so no hat stack is made."""
+    _require_packets_of(nodes, ts)
+    period = round(SPAN) * ts.N
+    values = [node.hat.engine.lattice([node.hat])[0] for node in nodes]
     rows = [v.reshape(-1, period) for v in values]
     per_block = max(1, _GRAM_BLOCK // (len(values) * period))
     fold = np.zeros((period, len(values), len(values)), dtype=np.complex128)
     for lo in range(0, max(map(len, rows)), per_block):  # unequal lattices fail to stack
         block = np.stack([r[lo:lo + per_block].T for r in rows], axis=1)  # (rho, hat, row)
         fold += block @ block.conj().transpose(0, 2, 1)
-    return fold
+    return np.roll(fold, -(values[0].size // 2), axis=0)  # rows from rho = k mod period to e
 
 
 def packet_gram(
@@ -197,13 +215,12 @@ def packet_gram(
 
     Band-limited, grid-free, translates circular with period ``SPAN``, node-major as
     ``chirped_translate_gram``'s.  Each lam - mu is a multiple of 1/N: with F the ``_lattice_fold``
-    over SPAN*N residues rho, G_0 = (1/SPAN) sum_rho F[rho] exp(-2 pi i rho N (lam - mu)
-    /(SPAN N)), each phase reduced exactly, and G = D G_0 D^H."""
+    over SPAN*N residues e, G_0 = (1/SPAN) sum_e F[e] exp(-2 pi i e N (lam - mu)/(SPAN N)),
+    each phase reduced exactly, and G = D G_0 D^H.  ``ts`` must be the nodes' own."""
     lambdas = translations(ts, lambda_window)
-    period = round(SPAN) * ts.N
-    fold = _lattice_fold([node.hat.engine.lattice([node.hat])[0] for node in nodes], period)
+    fold = _lattice_fold(nodes, ts)
     shifts = np.round(np.asarray(lambdas) * ts.N).astype(np.int64)
-    d = _roots(shifts, np.arange(period) - nodes[0].hat.engine.n // 2, period)
+    d = _roots(shifts, np.arange(len(fold)), len(fold))
     d *= chirp_phase(m, 0.0, lambdas)[:, None]  # D's phase on each shift's row
     g = np.einsum("xp,pik,yp->ixky", d, fold / SPAN, d.conj()).reshape(len(d) * len(nodes), -1)
     return g, identity_deviation(g)
@@ -222,15 +239,16 @@ class BasisElement:
 class PacketBasis:
     """A finite packet system with a certification gate.
 
-    The atom at (n, level j, lam) inverse-transforms (2N)^{-j/2}
-    hat(W_n)(u/(2N)^j), shifted by lam/(2N)^j, from one shared frequency
-    lattice at oversample 1 (the nodes' cascade is built with it), so spans
-    at different levels nest exactly and Nyquist-rate quadrature of atom
-    products is alias-free.  Each atom is a read-only window of one period of
-    samples (``wavelets.grid_samples``): a level-0 atom of its node's
-    periodic samples, and a dilated (node, level) group of one synthesis,
-    from the rows and tails the nodes' engine holds, that its windows keep
-    alive.  Only an atom whose cut wraps the period is a copy, so no
+    The atom at (n, level j, lam) is ``HatFunction.periodic`` of the dilated
+    hat (2N)^{-j/2} hat(W_n)(u/(2N)^j), shifted by lam/(2N)^j, from one
+    shared frequency lattice at oversample 1 (the nodes' cascade is built with
+    it, and it is checked), so spans at different levels nest exactly and
+    Nyquist-rate quadrature of atom products is alias-free.  ``ts`` sets the
+    dilations and delays, so nodes of another translation set are refused.
+    Each atom is a read-only window (``wavelets.grid_samples``) of one
+    synthesis per (node, level), which its windows keep alive; the dilated
+    hats are evaluated in one pass from the rows and tails the nodes' engine
+    holds.  Only an atom whose cut wraps the period is a copy, so no
     (atoms x count) array is made and the memory of a basis does not grow
     with its translates.  These atoms are unchirped, and ``sampling``
     chirps them (``signals``, analysis and synthesis), so the chirped Gram
@@ -245,6 +263,9 @@ class PacketBasis:
     elements: list[BasisElement]
     residual: float | None = field(default=None)
 
+    def __post_init__(self):
+        _require_packets_of([e.node for e in self.elements], self.ts)
+
     @property
     def _grid(self) -> Grid:
         return self.elements[0].node.grid
@@ -254,24 +275,15 @@ class PacketBasis:
         grid = self._grid
         if any(e.node.grid != grid for e in self.elements):
             raise ValueError("all basis nodes must share one grid")
-        two_n = float(self.ts.dilation)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, e in enumerate(self.elements):
-            groups.setdefault((id(e.node), e.level), []).append(i)
-        hats = [self.elements[rows[0]].node.hat.dilated(level)
-                for (_, level), rows in groups.items()]
+        hats = {(id(e.node.hat), e.level): e.node.hat.dilated(e.level) for e in self.elements}
         # the dilated hats in one pass, so rows they share are evaluated once
-        served_engine(hats, grid, oversample=1).lattice([h for h in hats if h.level])
-        atoms: list[np.ndarray] = [None] * len(self.elements)
-        for ((_, level), rows), hat in zip(groups.items(), hats):
-            if level:
-                fine = periodic_samples(two_n ** (-level / 2.0) * hat._values)
-            else:
-                fine = hat.periodic()
-            for i in rows:
-                delay = grid.steps(self.elements[i].lam / two_n**level)  # at oversample 1
-                atoms[i] = grid_samples(fine, grid, oversample=1, delay=delay)
-                atoms[i].flags.writeable = False
+        served_engine([*hats.values()], grid, oversample=1).lattice(hats.values())
+        atoms = []
+        for e in self.elements:
+            delay = grid.steps(e.lam / self.ts.dilation**e.level)  # at oversample 1
+            atoms.append(grid_samples(hats[id(e.node.hat), e.level].periodic(), grid,
+                                      oversample=1, delay=delay))
+            atoms[-1].flags.writeable = False
         return tuple(atoms)
 
     @property
@@ -335,12 +347,11 @@ def fold_residuals(
     h(u) = sum_j |hat(W)(u + N j)|^2 folded over the whole stored lattice;
     the plain sum of h over the 2N half-integer shifts must be 2 and the
     twisted sum must vanish, mirroring the filter-bank conditions one
-    level up.  ``oversample`` defaults to the node's; one whose lattice the
-    node's engine does not hold is refused.
+    level up.  ``ts`` must be the node's own, and ``oversample``, when
+    given, must be its lattice's (``served_engine``).
     """
-    oversample = node.oversample if oversample is None else oversample
-    vals = served_engine([node.hat], node.grid, oversample=oversample).lattice([node.hat])[0]
-    h = _lattice_fold([vals], round(SPAN) * ts.N)[:, 0, 0].real
+    served_engine([node.hat], node.grid, oversample=oversample)
+    h = _lattice_fold([node], ts)[:, 0, 0].real
     plain, twisted = shift_sums(h, round(SPAN / 2), ts)
     res_plain = float(np.max(np.abs(plain - 2.0)))
     res_twist = float(np.max(np.abs(twisted)))

@@ -20,11 +20,12 @@ Every lattice has step 1/``SPAN`` and every synthesis one time period of
 and the benchmark use; a grid outside [-8, 8) is refused, not wrapped.
 
 A hat is evaluated and synthesised at most once while it lives: it stores
-the values ``HatEngine.lattice`` gives it and its ``periodic_samples``, the
-one inverse FFT, of which ``grid_samples`` cuts every grid signal and
-undilated basis atom (at oversample 1, read-only windows).  A ``SampledHat``
-(the cascade's result, a packet node) makes its signal on first read.  The
-wavelets are the one-digit packet hats L_k(u/2N) hat(phi)(u/2N).
+the values ``HatEngine.lattice`` gives it and ``HatFunction.periodic``, the
+one inverse FFT at every level, of which ``grid_samples`` cuts every grid
+signal and basis atom (at oversample 1, read-only windows).  A lattice owns
+its oversample, the fine steps per grid step (``_oversample``).  A
+``SampledHat`` (the cascade's result, a packet node) makes its signal on
+first read.  The wavelets are the one-digit packet hats L_k(u/2N) hat(phi)(u/2N).
 """
 
 from __future__ import annotations
@@ -83,6 +84,11 @@ def _lattice_size(grid: Grid, oversample: int) -> int:
     if abs(n_f - n) > 1e-9:
         raise ValueError("SPAN/step must give an integral transform size")
     return n
+
+
+def _oversample(n: int, grid: Grid) -> int:
+    """Fine steps per step of ``grid`` on an n-point lattice: the inverse of ``_lattice_size``."""
+    return round(n * grid.step / SPAN)
 
 
 def frequency_samples(grid: Grid, *, oversample: int = 16) -> np.ndarray:
@@ -231,7 +237,7 @@ class HatFunction:
 
     ``filters`` are the digit filters, least significant first; the empty
     tuple at level 0 is the scaling function.  Lattice values come from
-    ``engine``.
+    ``engine``, whose low-pass filter owns N and the translation set.
     """
 
     engine: HatEngine
@@ -245,10 +251,13 @@ class HatFunction:
         return self.level + len(self.filters)
 
     def periodic(self) -> np.ndarray:
-        """``periodic_samples`` of this hat's lattice values, read-only and stored on the
-        hat, so it is synthesised once whatever reads it."""
+        """``periodic_samples`` of (2N)^{-level/2} times this hat's lattice values (at level
+        >= 1 the normalised dilate), read-only and stored on the hat, so it is synthesised
+        once whatever reads it."""
         if self._periodic is None:
-            fine = periodic_samples(self.engine.lattice([self])[0])
+            values = self.engine.lattice([self])[0]
+            scale = float(self.engine.lowpass.ts.dilation) ** (-self.level / 2.0)
+            fine = periodic_samples(scale * values if self.level else values)
             fine.flags.writeable = False
             object.__setattr__(self, "_periodic", fine)
         return self._periodic
@@ -262,12 +271,13 @@ class HatFunction:
         return self if j == 0 else HatFunction(self.engine, self.filters, self.level + j)
 
 
-def served_engine(hats, grid: Grid, *, oversample: int = 16) -> HatEngine:
-    """The one engine the hats share, refused unless it holds the lattice of ``grid``."""
+def served_engine(hats, grid: Grid, *, oversample: int | None = None) -> HatEngine:
+    """The one engine the hats share, refused unless it holds the lattice of ``grid`` at
+    ``oversample``: by default the lattice's own, a given one is checked, not trusted."""
     engine = hats[0].engine
     if not all(h.engine is engine for h in hats):
         raise ValueError("hats on one lattice must share one engine")
-    n = _lattice_size(grid, oversample)
+    n = _lattice_size(grid, _oversample(engine.n, grid) if oversample is None else oversample)
     if engine.n != n:
         raise ValueError(f"engine lattice ({engine.n} points) does not serve "
                          f"the requested lattice ({n} points)")
@@ -325,29 +335,29 @@ def grid_samples(fine: np.ndarray, grid: Grid, *, oversample: int, delay: int = 
     return np.concatenate((head, wrap))
 
 
-def hat_to_signal(hat: HatFunction, grid: Grid, *, oversample: int = 16) -> SampledSignal:
+def hat_to_signal(hat: HatFunction, grid: Grid, *, oversample: int | None = None) -> SampledSignal:
     """Inverse 2pi-convention transform of ``hat`` sampled onto ``grid``.
 
-    The frequency cutoff is oversample/(2*step); the grid window must sit
-    inside the period [-SPAN/2, SPAN/2) with its origin on the fine lattice.
-    A hat is synthesised once while it lives; each further grid costs one cut.
+    The frequency cutoff is oversample/(2*step), the lattice's (``served_engine``);
+    the grid window must sit inside the period [-SPAN/2, SPAN/2) with its origin on
+    the fine lattice.  A hat is synthesised once while it lives; each further grid
+    costs one cut.
     """
-    served_engine([hat], grid, oversample=oversample)
-    return SampledSignal(grid, grid_samples(hat.periodic(), grid, oversample=oversample))
+    n = served_engine([hat], grid, oversample=oversample).n
+    return SampledSignal(grid, grid_samples(hat.periodic(), grid, oversample=_oversample(n, grid)))
 
 
 @dataclass(frozen=True)
 class SampledHat:
-    """A hat and the grid of its time samples; ``signal``, ``hat_to_signal`` at
-    ``oversample``, is made on first read and kept."""
+    """A hat and the grid of its time samples; ``signal``, ``hat_to_signal`` at the
+    lattice's oversample, is made on first read and kept."""
 
     hat: HatFunction
     grid: Grid
-    oversample: int = 16
 
     @cached_property
     def signal(self) -> SampledSignal:
-        return hat_to_signal(self.hat, self.grid, oversample=self.oversample)
+        return hat_to_signal(self.hat, self.grid)
 
 
 @dataclass(frozen=True)
@@ -385,10 +395,13 @@ def cascade(
     (packets with up to ``depth`` digits, and coarser bases, need them).
     The hat holds its lattice values, and no inverse FFT is made before the
     first read of ``signal``.  J < 1 is refused: an empty product has no
-    tail to check.
+    tail to check.  So is a J whose deepest row period SPAN*N*(2N)^(J+depth),
+    a float divisor of its phases (``_roots``), reaches 2^1023.
     """
     if J < 1:
         raise ValueError(f"cascade needs J >= 1 factors, got J={J}")
+    if np.log2(SPAN * p0.ts.N) + (J + depth) * np.log2(p0.ts.dilation) >= 1023:
+        raise ValueError(f"cascade rows to (2N)^{J + depth} at N={p0.ts.N} exceed the float range")
     require_lowpass(p0, CASCADE_CODES)
     if grid is None:
         grid = default_time_grid(p0.ts)
@@ -401,7 +414,7 @@ def cascade(
         )
     hat = HatFunction(engine)
     engine.lattice([hat])
-    return CascadeResult(hat, grid, oversample)
+    return CascadeResult(hat, grid)
 
 
 def two_scale_residual(phi_hat: HatFunction) -> float:
@@ -509,8 +522,7 @@ def haar_family(
         grid = default_time_grid(ts)
     bank = haar_filter_bank(ts, m, permissive=permissive)
     result = cascade(bank[0], grid=grid, oversample=oversample, depth=1)
-    psi = tuple(hat_to_signal(result.hat.child(pk), grid, oversample=oversample)
-                for pk in bank[1:])
+    psi = tuple(hat_to_signal(result.hat.child(pk), grid) for pk in bank[1:])
     return WaveletFamily(ts=ts, m=m, phi=haar_scaling(ts, grid), psi=psi, filters=tuple(bank),
                          phi_hat=result.hat)
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -711,7 +712,8 @@ class TestCascadeCommand:
         write_filter_csv(fpath, haar_filters(TranslationSet(1, 1), fourier()))
         out = tmp_path / "phi.csv"
         assert main(["cascade", "--filters", str(fpath), "--out", str(out), f"--J={J}"]) == 1
-        assert f"J >= 1 factors, got J={J}" in capsys.readouterr().err
+        assert f"error: argument --J: must be an integer in [1, 1018], got '{J}'" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     def test_inadmissible_filter_exit_two(self, tmp_path, capsys):
@@ -743,7 +745,8 @@ class TestPacketsCommand:
         assert payload["max_off_identity"] <= 1e-3
 
     def test_gen_sidecars_record_band_deficit(self, tmp_path):
-        # each packet's sidecar holds its grid and its band deficit, and the signal reads back
+        # each packet's sidecar holds its grid, its band deficit, its translation set and the
+        # matrix, and the signal reads back
         out = tmp_path / "pk"
         assert main(["packets", "gen", "--n-max", "2", "--N", "1", "--matrix", "0,1,-1,0",
                      "--out-dir", str(out), "--step", str(2.0**-8), "--window=-2,3"]) == 0
@@ -753,7 +756,8 @@ class TestPacketsCommand:
         for node in nodes:
             path = out / f"packet_{node.index.n}.csv"
             meta = read_strict_json(path.with_suffix(".json"))
-            assert meta == {**grid.to_dict(), "band_deficit": node.band_deficit}
+            assert meta == {**grid.to_dict(), "band_deficit": node.band_deficit,
+                            "translation": {"N": 1, "r": 1}, "matrix": fourier().to_dict()}
             assert 0.0 < meta["band_deficit"] < 1e-2
             back = read_signal_csv(path)
             assert back.grid == grid
@@ -771,7 +775,7 @@ class TestPacketsCommand:
         assert "tail deviation" in capsys.readouterr().err
 
     def test_gen_negative_n_max_exits_one(self, tmp_path):
-        # refused by generate_packets as a usage error, not an IndexError traceback
+        # refused by the parser as a usage error, not an IndexError traceback
         out = tmp_path / "pk"
         env = {**os.environ, "PYTHONPATH": str(Path(lct_numra.__file__).resolve().parents[1])}
         run = subprocess.run([sys.executable, "-m", "lct_numra.cli", "packets", "gen",
@@ -779,7 +783,7 @@ class TestPacketsCommand:
                               "--out-dir", str(out)], env=env, capture_output=True, text=True,
                              timeout=120)
         assert run.returncode == 1
-        assert run.stderr.startswith("error: n_max must be nonnegative")
+        assert "error: argument --n-max: must be an integer >= 0, got '-1'" in run.stderr
         assert "Traceback" not in run.stderr
         assert not out.exists()
 
@@ -871,13 +875,13 @@ class TestStepRefused:
         out = tmp_path / "fam"
         assert main(["haar", "--N", "1", "--matrix", "0,1,-1,0", f"--step={step}",
                      "--out-dir", str(out)]) == 1
-        assert "error: step must be finite and positive" in capsys.readouterr().err
+        assert "error: argument --step: must be a finite number > 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_crosscheck(self, tmp_path, capsys, step):
         out = tmp_path / "cc.json"
         assert main(["crosscheck", f"--step={step}", "--out", str(out)]) == 1
-        assert "error: step must be finite and positive" in capsys.readouterr().err
+        assert "error: argument --step: must be a finite number > 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -983,3 +987,118 @@ class TestJsonWriter:
         text = path.read_text()
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
+
+
+class TestGramChecksWhatGenWrote:
+    """``packets gen`` records the translation set and matrix; ``packets gram`` refuses
+    files that record others than its options, and reads each file once."""
+
+    @pytest.fixture(scope="class")
+    def gen(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("pk")
+        assert main(["packets", "gen", "--n-max", "3", "--N", "1", "--matrix", "0,1,-1,0",
+                     "--step", str(2.0**-8), "--window=-2,3", "--out-dir", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("opts,recorded,given", [
+        (["--N", "2"], "TranslationSet(N=1, r=1)", "TranslationSet(N=2, r=1)"),
+        (["--N", "3"], "TranslationSet(N=1, r=1)", "TranslationSet(N=3, r=1)"),
+        (["--matrix", "2,1,1,1"], "CanonicalMatrix(a=0.0, b=1.0, c=-1.0, d=0.0)",
+         "CanonicalMatrix(a=2.0, b=1.0, c=1.0, d=1.0)"),
+    ])
+    def test_mismatch_exits_one_naming_both(self, gen, tmp_path, capsys, opts, recorded, given):
+        # at N = 2 the Gram read 0.5 and exited 2; at N = 3 the error named neither option
+        report = tmp_path / "gram.json"
+        assert main(["packets", "gram", "--nodes", str(gen), "--window=-2,2", "--N", "1",
+                     "--matrix", "0,1,-1,0", "--report", str(report), *opts]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {gen / 'packet_0.json'}: records {recorded}, not the given {given}\n"
+        assert not report.exists()
+
+    def test_files_that_disagree_refused(self, gen, tmp_path, capsys):
+        nodes = tmp_path / "pk"
+        for n in range(2):
+            for suffix in (".csv", ".json"):
+                (nodes / f"packet_{n}{suffix}").parent.mkdir(exist_ok=True)
+                (nodes / f"packet_{n}{suffix}").write_bytes((gen / f"packet_{n}{suffix}").read_bytes())
+        meta = read_json(nodes / "packet_1.json")
+        write_json(nodes / "packet_1.json", {**meta, "translation": {"N": 2, "r": 3}})
+        assert main(["packets", "gram", "--nodes", str(nodes), "--window=-2,2", "--N", "1",
+                     "--matrix", "0,1,-1,0", "--report", str(tmp_path / "g.json")]) == 1
+        assert "packet_1.json: records TranslationSet(N=2, r=3)" in capsys.readouterr().err
+
+    def test_each_file_read_once(self, gen, tmp_path, monkeypatch):
+        import lct_numra.io as io
+
+        reads = Counter()
+        for name in ("_read_columns", "read_json"):
+            real = getattr(io, name)
+            monkeypatch.setattr(io, name, lambda path, *a, _real=real, _name=name: (
+                reads.update([(_name, Path(path).name)]), _real(path, *a))[1])
+        assert main(["packets", "gram", "--nodes", str(gen), "--window=-2,2", "--N", "1",
+                     "--matrix", "0,1,-1,0", "--report", str(tmp_path / "g.json")]) in (0, 2)
+        assert reads == Counter({("_read_columns", f"packet_{n}.csv"): 1 for n in range(4)}
+                                | {("read_json", f"packet_{n}.json"): 1 for n in range(4)})
+
+
+#: (command, arguments that run cheaply, numeric options); {d} is a scratch directory.
+SWEEP = [
+    (["haar"], ["--N", "1", "--matrix", "0,1,-1,0", "--step", "0.0625", "--out-dir", "{d}/h"],
+     ["N", "r", "step", "tol"]),
+    (["cascade"], ["--filters", "{d}/f.csv", "--step", "0.0625", "--out", "{d}/c.csv"],
+     ["J", "tol", "step"]),
+    (["verify"], ["--filters", "{d}/f.csv", "--report", "{d}/v.json"], ["tol"]),
+    (["packets", "gen"], ["--n-max", "1", "--N", "1", "--matrix", "0,1,-1,0", "--step",
+                          "0.0625", "--out-dir", "{d}/g"], ["n-max", "N", "r", "step"]),
+    (["packets", "gram"], ["--nodes", "{d}/pk", "--window=-1,1", "--N", "1", "--matrix",
+                           "0,1,-1,0", "--report", "{d}/q.json"], ["N", "r", "tol"]),
+    (["project"], ["--in", "{d}/s.csv", "--N", "1", "--matrix", "0,1,-1,0", "--level", "0",
+                   "--window=-1,1", "--out", "{d}/p.csv"], ["N", "r", "level"]),
+    (["crosscheck"], ["--step", "0.0625", "--out", "{d}/x.json"], ["step"]),
+]
+
+
+class TestNumbersRefusedBeforeWork:
+    """Every numeric option at 0, -1, nan, inf and a huge value: no traceback, and each
+    value outside its kind exits 1 with one ``error:`` line, before any work."""
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("sweep")
+        write_filter_csv(d / "f.csv", haar_filters(TranslationSet(1, 1), fourier()))
+        write_signal_csv(d / "pk" / "packet_0.csv", gaussian(Grid(-2.0, 2.0**-6, 256)))
+        write_signal_csv(d / "s.csv", gaussian(Grid(-2.0, 2.0**-6, 256)))
+        return d
+
+    @pytest.mark.parametrize("command,args,options", SWEEP, ids=[" ".join(c[0]) for c in SWEEP])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e300", str(10**30)])
+    def test_sweep(self, scratch, capsys, command, args, options, value):
+        args = [a.replace("{d}", str(scratch)) for a in args]
+        for option in options:
+            code = main([*command, *args, f"--{option}={value}"])  # a traceback would raise
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (option, err)
+            integer = option not in ("step", "tol")  # a huge float is a number
+            if (value in ("nan", "inf") or (value == "-1" and option != "level")
+                    or (value in ("1e300", str(10**30)) and integer)):
+                assert code == 1 and err.count("error: ") == 1, (option, err)
+
+    def test_bounds_are_the_library_limits(self):
+        from lct_numra.sampling import DEFAULT_LEVEL_BUDGET
+
+        # N <= 32: the closed-form bank is exact there and by nearest sample beyond
+        m = CanonicalMatrix(2, 1, 1, 1)
+        assert haar_filters(TranslationSet(32, 1), m).exact
+        assert not haar_filters(TranslationSet(33, 1), m).exact
+        assert main(["project", "--in", "x", "--N", "1", "--matrix", "0,1,-1,0", "--window=-1,1",
+                     "--level", str(DEFAULT_LEVEL_BUDGET + 1), "--out", "y"]) == 1
+        # J <= 1018: row J's period 16 * 2^J stays below 2^1023 at N = 1, and cascade
+        # refuses the J of a larger N before any row is evaluated
+        low = haar_filters(TranslationSet(1, 1), fourier())
+        grid = numra_grid(TranslationSet(1, 1), (-1.0, 1.0), refinement=1)
+        assert cascade(low, J=1018, grid=grid, oversample=1, depth=0).engine.J == 1018
+        with pytest.raises(ValueError, match="exceed the float range"):
+            cascade(low, J=1019, grid=grid, oversample=1, depth=0)
+        low2 = haar_filters(TranslationSet(2, 1), m)
+        with pytest.raises(ValueError, match=r"\(2N\)\^510 at N=2 exceed the float range"):
+            cascade(low2, J=510, depth=0)

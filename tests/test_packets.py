@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lct_numra
+from lct_numra import wavelets
 from lct_numra.canonical import CanonicalMatrix, fourier, fresnel, frft
 from lct_numra.filters import (
     PeriodicFilterPair,
@@ -900,9 +902,9 @@ class TestWindowedBasis:
         assert retained[20] - retained[2] <= atom_bytes
 
     def test_lattice_sums_synthesise_nothing(self, monkeypatch):
-        # fresh nodes: the Gram and the fold sums read lattice values only, and
-        # a node's signal is synthesised on its first read and kept
-        import lct_numra.packets as packets
+        # fresh nodes: the Gram and the fold sums read lattice values only, a node's
+        # signal is synthesised on its first read and kept, and a basis synthesises
+        # each of its dilated hats once, through the one path HatFunction.periodic
         import lct_numra.wavelets as wavelets
 
         ts = TranslationSet(2, 1)
@@ -917,7 +919,6 @@ class TestWindowedBasis:
             return real(values)
 
         monkeypatch.setattr(wavelets, "periodic_samples", counting)
-        monkeypatch.setattr(packets, "periodic_samples", counting)
         packet_gram(nodes, ts, M2111, (-2.0, 2.0))
         for node in nodes:
             fold_residuals(node, ts, oversample=1)
@@ -929,6 +930,12 @@ class TestWindowedBasis:
         want = hat_to_signal(nodes[3].hat, grid, oversample=1)
         np.testing.assert_array_equal(signal.values, want.values)
         assert signal.grid == want.grid
+        # dilated hats: packet 1 and packet 0 at level 1, packet 2 at level 0
+        basis = make_basis(nodes, ts, M2111, [(1, 1, [0.0, 0.5, 2.0]), (0, 1, [0.0]),
+                                              (2, 0, [0.0, 2.0])])
+        basis.certify()
+        basis.signals()
+        assert len(calls) == 1 + 3
 
     def test_unserved_grid_refused_when_the_node_is_made(self, haar1):
         ts, bank, grid, scaling = haar1
@@ -937,3 +944,80 @@ class TestWindowedBasis:
         coarse = numra_grid(ts, (-6.0, 6.0), refinement=4096)
         with pytest.raises(ValueError, match="does not serve"):
             packet_hat(digits(1, ts.N), bank, scaling=scaling, grid=coarse, oversample=1)
+
+
+class TestReadThroughTheNode:
+    """The bank owns a packet's translation set, the lattice its oversample, and the hat its
+    level's scale; a value restated beside the nodes is checked, not trusted."""
+
+    @pytest.fixture(scope="class")
+    def n2(self):
+        ts = TranslationSet(2, 1)
+        bank = haar_filter_bank(ts, M2111)
+        grid = numra_grid(ts, (-4.0, 4.0), refinement=64)
+        scaling = cascade(bank[0], J=20, tol=1e-5, grid=grid, oversample=1)
+        nodes = [packet_hat(digits(n, 2), bank, scaling=scaling, oversample=1) for n in range(4)]
+        return ts, bank, grid, scaling, nodes
+
+    @pytest.mark.parametrize("other", [TranslationSet(1, 1), TranslationSet(2, 3)])
+    def test_restated_translation_set_refused(self, n2, other):
+        # an N = 1 set read these N = 2 nodes' Gram residual as 0.4992 (0.0111 with their own)
+        ts, _, _, _, nodes = n2
+        message = f"nodes are not packets of {other}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            packet_gram(nodes, other, M2111, (-2.0, 2.0))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fold_residuals(nodes[1], other, oversample=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PacketBasis(other, M2111, [BasisElement(nodes[1], 0, 0.0)])
+        assert packet_gram(nodes, ts, M2111, (-2.0, 2.0))[1] < 0.05
+        assert max(fold_residuals(nodes[1], ts, oversample=1)) < 0.05
+
+    @pytest.mark.parametrize("other", [TranslationSet(1, 1), TranslationSet(2, 3)])
+    def test_bank_of_another_set_refused(self, n2, other):
+        ts, bank, grid, scaling, _ = n2
+        foreign = haar_filter_bank(other, M2111)
+        with pytest.raises(ValueError, match=re.escape(f"not all of the scaling's {ts}")):
+            packet_hat(digits(1, 1), foreign, scaling=scaling, oversample=1)
+        mixed = bank[:3] + foreign[-1:]  # 2N filters, the last of another set
+        with pytest.raises(ValueError, match=re.escape(f"not all of the scaling's {ts}")):
+            generate_packets(3, mixed, grid=grid, oversample=1)
+
+    def test_lattice_owns_the_oversample(self, n2):
+        # an oversample-1 cascade serves its own grid without a restated oversample
+        ts, bank, grid, scaling, nodes = n2
+        for n, explicit in enumerate(nodes):
+            node = packet_hat(digits(n, 2), bank, scaling=scaling, grid=grid)
+            np.testing.assert_array_equal(node.signal.values, explicit.signal.values)
+            np.testing.assert_array_equal(hat_to_signal(node.hat, grid).values,
+                                          hat_to_signal(node.hat, grid, oversample=1).values)
+        coarse = numra_grid(ts, (-4.0, 4.0), refinement=16)  # 4 fine steps per grid step
+        np.testing.assert_array_equal(hat_to_signal(nodes[1].hat, coarse).values,
+                                      nodes[1].signal.values[::4])
+        for oversample in (2, 16):
+            with pytest.raises(ValueError, match="does not serve"):
+                hat_to_signal(nodes[1].hat, grid, oversample=oversample)
+            with pytest.raises(ValueError, match="does not serve"):
+                packet_hat(digits(1, 2), bank, scaling=scaling, oversample=oversample)
+
+    def test_dilated_atoms_keep_their_bits(self, n2):
+        # HatFunction.periodic scales a dilated hat before its inverse FFT, as the
+        # bases did with their own synthesis: (2N)^(-level/2) times the lattice values
+        ts, _, grid, _, nodes = n2
+        basis = make_basis(nodes, ts, M2111, [(1, 1, [0.0, 0.5, 2.0]), (0, 2, [0.0])])
+        for atom, e in zip(basis._unchirped, basis.elements):
+            hat = e.node.hat.dilated(e.level)
+            values = hat.engine.lattice([hat])[0]
+            fine = wavelets.periodic_samples(4.0 ** (-e.level / 2) * values)
+            delay = grid.steps(e.lam / 4**e.level)
+            np.testing.assert_array_equal(atom, wavelets.grid_samples(fine, grid, oversample=1,
+                                                                      delay=delay))
+
+    def test_packet_count_bounded_by_the_lattice(self, n2):
+        # (n_max + 1) packets of SPAN translates each need as many lattice dimensions
+        ts, bank, grid, _, _ = n2
+        n = frequency_samples(grid, oversample=1).size
+        with pytest.raises(ValueError, match=f"exceed the {n} dimensions"):
+            generate_packets(n // 16, bank, grid=grid, oversample=1)
+        with pytest.raises(ValueError, match="packet index must be nonnegative"):
+            digits(-1, 2)

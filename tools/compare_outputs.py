@@ -60,6 +60,11 @@ COMMANDS += [
                        "--step", str(2.0**-12), "--out-dir", "{out}/packets-1"]),
     ("packets-gram-1", ["packets", "gram", "--nodes", "{out}/packets-1", "--window=-2,2.0001",
                         "--N", "1", "--matrix", "0,1,-1,0", "--report", "{out}/gram-1.json"]),
+    # packets of another translation set than the options give: refused with exit 1
+    ("packets-gram-1-N2", ["packets", "gram", "--nodes", "{out}/packets-1", "--window=-2,2.0001",
+                           "--N", "2", "--matrix", "0,1,-1,0", "--report", "{out}/gram-1-N2.json"]),
+    ("packets-gram-1-N3", ["packets", "gram", "--nodes", "{out}/packets-1", "--window=-2,2.0001",
+                           "--N", "3", "--matrix", "0,1,-1,0", "--report", "{out}/gram-1-N3.json"]),
     ("packets-gen-2", ["packets", "gen", "--n-max", "3", "--N", "2", "--matrix", M,
                        "--out-dir", "{out}/packets-2"]),
     ("packets-gram-2", ["packets", "gram", "--nodes", "{out}/packets-2", "--window=-2,2.0001",
