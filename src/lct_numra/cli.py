@@ -1,8 +1,15 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 verification failure (a
-residual above its tolerance; the report is still written).  Outputs are
-deterministic for a fixed configuration and written atomically.
+residual above its tolerance; the report is still written).  A non-zero exit
+prints one line that names its cause:
+
+- an option's text, refused by the parser before any work: the usage line,
+  then ``lct-numra <command>: error: argument --X: must be …, got '…'``;
+- a refused input or computation: ``error: …``;
+- a failed verification: ``verification failed: …``.
+
+Outputs are deterministic for a fixed configuration and written atomically.
 
 The environment variable LCT_NUMRA_THREADS caps internal parallelism.
 The library reads it on every transform of ``lct._SPLIT`` points or more,
@@ -25,22 +32,11 @@ import sys
 import warnings
 from pathlib import Path
 
+from . import thread_cap
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("LCT_NUMRA_THREADS")
-    if not cap:
-        return
-    try:
-        n = int(cap)
-    except ValueError:
-        return
-    if n > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
 
 
 #: Options whose value is a comma-separated list of numbers.
@@ -62,17 +58,47 @@ def _join_list_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _number(cast, lo, hi, what: str):
-    """An argparse type: ``cast`` of the text in [lo, hi], else a usage error (exit 1) before
-    any work.  NaN fails the comparison, and the float bounds are finite."""
-    def parse(text: str):
+def _typed(parse, what: str):
+    """An argparse type: ``parse`` of the text, and on a ValueError a usage error (exit 1)
+    before any work."""
+    def typed(text: str):
         try:
-            if lo <= (value := cast(text)) <= hi:
-                return value
+            return parse(text)
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
-    return parse
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
+    return typed
+
+
+def _number(cast, lo, hi, what: str):
+    """``cast`` of the text in [lo, hi].  NaN fails the comparison, and the float bounds
+    are finite."""
+    def parse(text: str):
+        if lo <= (value := cast(text)) <= hi:
+            return value
+        raise ValueError(text)
+    return _typed(parse, what)
+
+
+def _matrix(text: str):
+    """Four numbers a,b,c,d; a non-finite entry is ``validate``'s violation, not a usage error."""
+    from .canonical import CanonicalMatrix
+
+    a, b, c, d = (float(p) for p in text.split(","))
+    return CanonicalMatrix(a, b, c, d)
+
+
+def _window(text: str) -> tuple[float, float]:
+    lo, hi = (float(p) for p in text.split(","))
+    if not -math.inf < lo < hi < math.inf:  # NaN fails
+        raise ValueError(text)
+    return lo, hi
+
+
+def _t_grid(text: str):
+    from .sampling import Grid
+
+    t_min, step, count = text.split(",")
+    return Grid(float(t_min), float(step), int(count))  # Grid refuses the non-finite
 
 
 #: A tolerance bounds a residual, which is >= 0; a grid step is > 0.
@@ -90,6 +116,10 @@ _J = _number(int, 1, 1018, "an integer in [1, 1018]")
 #: within ``sampling.DEFAULT_LEVEL_BUDGET``, the levels ``sampling.dilate`` takes.
 _COUNT = _number(int, 0, math.inf, "an integer >= 0")
 _LEVEL = _number(int, -16, 16, "an integer in [-16, 16]")
+_MATRIX = _typed(_matrix, "four numbers a,b,c,d")
+_WINDOW = _typed(_window, "two finite numbers lo,hi with lo < hi")
+_T_GRID = _typed(_t_grid, "t_min,step,count with t_min finite, step finite and > 0 "
+                 "and count an integer > 0")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,127 +129,111 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_matrix(text: str):
-    from .canonical import CanonicalMatrix
-
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("matrix must be four comma-separated numbers a,b,c,d")
-    a, b, c, d = (float(p) for p in parts)
-    return CanonicalMatrix(a, b, c, d)
-
-
-def _parse_window(text: str) -> tuple[float, float]:
-    """Two finite numbers lo,hi with lo < hi; anything else is a usage error."""
-    try:
-        lo, hi = (float(p) for p in text.split(","))
-    except ValueError:
-        lo = hi = math.nan
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"window {text!r} is not two finite numbers lo,hi with lo < hi")
-    return lo, hi
-
-
-def _parse_t_grid(text: str):
-    """Three numbers t_min,step,count; anything else is a usage error naming --t-grid."""
-    from .sampling import Grid
-
-    try:
-        t_min, step, count = text.split(",")
-        t_min, step, count = float(t_min), float(step), int(count)
-    except ValueError:
-        raise ValueError(f"--t-grid {text!r} is not three numbers t_min,step,count") from None
-    return Grid(t_min, step, count)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="lct-numra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("matrix", help="validate a parameter matrix")
-    p.add_argument("--matrix", required=True)
+    p.set_defaults(run=_cmd_matrix)
+    p.add_argument("--matrix", type=_MATRIX, required=True)
     p.add_argument("--allow-nonunimodular", action="store_true")
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("lct", help="forward/inverse LCT of a signal file, kernel "
                        "exp{i pi (a t^2 - 2 t u + d u^2) / b} / sqrt(i b); spectra are in u")
+    p.set_defaults(run=_cmd_lct)
     p.add_argument("direction", choices=["fwd", "inv"])
-    p.add_argument("--matrix", required=True)
+    p.add_argument("--matrix", type=_MATRIX, required=True)
     p.add_argument("--method", choices=["direct", "fast"], default=None,
                    help="fwd: fast by default; inv: fast when the grids pair up, "
                    "else direct (O(n^2), with a warning)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--t-grid", default=None,
+    p.add_argument("--t-grid", type=_T_GRID, default=None,
                    help="t_min,step,count for inv (default: the grid recorded with the spectrum)")
 
     p = sub.add_parser("haar", help="emit a Haar-type family and its verification")
+    p.set_defaults(run=_cmd_haar)
     p.add_argument("--N", type=_N, required=True)
     p.add_argument("--r", type=_R, default=1)
-    p.add_argument("--matrix", required=True)
+    p.add_argument("--matrix", type=_MATRIX, required=True)
     p.add_argument("--allow-nonunimodular", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--step", type=_STEP, default=2.0**-10)
     p.add_argument("--tol", type=_TOL, default=1e-10)
 
     p = sub.add_parser("cascade", help="scaling function from a low-pass filter file")
+    p.set_defaults(run=_cmd_cascade)
     p.add_argument("--filters", required=True)
     p.add_argument("--J", type=_J, default=20)
     p.add_argument("--tol", type=_TOL, default=1e-5)
     p.add_argument("--out", required=True)
     p.add_argument("--step", type=_STEP, default=2.0**-10)
-    p.add_argument("--window", default="-1,3",
+    p.add_argument("--window", type=_WINDOW, default="-1,3",
                    help="time window lo,hi of the output grid, inside [-8, 8)")
 
     p = sub.add_parser("verify", help="verify filter admissibility conditions")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--filters", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--tol", type=_TOL, default=None, help="override all tolerances")
+    p.add_argument("--tol", type=_TOL, default=1e-10, help="tolerance of every condition")
 
     p = sub.add_parser("packets", help="wavelet packet generation and certification")
     psub = p.add_subparsers(dest="packets_command", required=True)
     g = psub.add_parser("gen", help="generate packets 0..n-max")
+    g.set_defaults(run=_cmd_packets_gen)
     g.add_argument("--n-max", type=_COUNT, required=True)
     g.add_argument("--N", type=_N, required=True)
     g.add_argument("--r", type=_R, default=1)
-    g.add_argument("--matrix", required=True)
+    g.add_argument("--matrix", type=_MATRIX, required=True)
     g.add_argument("--out-dir", required=True)
     g.add_argument("--step", type=_STEP, default=2.0**-10)
-    g.add_argument("--window", default="-4,5",
+    g.add_argument("--window", type=_WINDOW, default="-4,5",
                    help="time window lo,hi of the packet grid, inside [-8, 8)")
     q = psub.add_parser("gram", help="Gram certification of generated packets")
+    q.set_defaults(run=_cmd_packets_gram)
     q.add_argument("--nodes", required=True, help="directory produced by packets gen")
-    q.add_argument("--window", required=True, help="lambda window lo,hi")
+    q.add_argument("--window", type=_WINDOW, required=True, help="lambda window lo,hi")
     q.add_argument("--report", required=True)
-    q.add_argument("--matrix", required=True, help="as given to packets gen")
+    q.add_argument("--matrix", type=_MATRIX, required=True, help="as given to packets gen")
     q.add_argument("--N", type=_N, required=True, help="as given to packets gen")
     q.add_argument("--r", type=_R, default=1)
     q.add_argument("--tol", type=_TOL, default=1e-3)
 
     p = sub.add_parser("project", help="project a signal onto a dilated scaling span")
+    p.set_defaults(run=_cmd_project)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--N", type=_N, required=True)
     p.add_argument("--r", type=_R, default=1)
-    p.add_argument("--matrix", required=True)
+    p.add_argument("--matrix", type=_MATRIX, required=True)
     p.add_argument("--level", type=_LEVEL, required=True)
-    p.add_argument("--window", required=True, help="lambda window lo,hi")
+    p.add_argument("--window", type=_WINDOW, required=True, help="lambda window lo,hi")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser(
         "crosscheck",
         help="deterministic cross-check report for the anomalous N=2 reference wavelets",
     )
+    p.set_defaults(run=_cmd_crosscheck)
     p.add_argument("--out", required=True)
     p.add_argument("--step", type=_STEP, default=2.0**-10)
 
     return parser
 
 
+def _verdict(ok: bool, cause) -> int:
+    """Exit 0, or exit 2 with the one line ``verification failed: <cause>``."""
+    if ok:
+        return EXIT_OK
+    print(f"verification failed: {cause}", file=sys.stderr)
+    return EXIT_VERIFICATION
+
+
 def _cmd_matrix(args) -> int:
     from .canonical import validate
     from .io import write_json
 
-    m = _parse_matrix(args.matrix)
+    m = args.matrix
     report = validate(m, allow_nonunimodular=args.allow_nonunimodular)
     payload = {
         "matrix": m.to_dict(),
@@ -230,20 +244,16 @@ def _cmd_matrix(args) -> int:
     }
     if args.report:
         write_json(args.report, payload)
-    for line in report.violations:
-        print(f"violation: {line}", file=sys.stderr)
-    if not report.ok:
-        return EXIT_VERIFICATION
-    if args.allow_nonunimodular and not validate(m).ok:
+    if report.ok and args.allow_nonunimodular and not validate(m).ok:
         print(f"warning: det = {report.det:.17g} accepted in permissive mode", file=sys.stderr)
-    return EXIT_OK
+    return _verdict(report.ok, "; ".join(report.violations))
 
 
 def _cmd_lct(args) -> int:
     from .io import read_signal_csv, read_spectrum_csv, write_signal_csv, write_spectrum_csv
     from .lct import ilct, induced_omega_grid, lct_direct, lct_fast
 
-    m = _parse_matrix(args.matrix)
+    m = args.matrix
     if args.direction == "fwd":
         sig = read_signal_csv(args.infile)
         if args.method != "direct":
@@ -253,11 +263,8 @@ def _cmd_lct(args) -> int:
         write_spectrum_csv(args.out, spec)
     else:
         spec = read_spectrum_csv(args.infile)
-        if args.t_grid:
-            grid = _parse_t_grid(args.t_grid)
-        elif spec.t_grid is not None:
-            grid = spec.t_grid
-        else:
+        grid = args.t_grid or spec.t_grid
+        if grid is None:
             raise ValueError(f"{args.infile}: no source t_grid in the sidecar; "
                              "pass --t-grid t_min,step,count")
         with warnings.catch_warnings(record=True) as caught:  # the fallback's cost, as CLI text
@@ -272,23 +279,22 @@ def _cmd_lct(args) -> int:
 def _cmd_haar(args) -> int:
     from .filters import TranslationSet
     from .io import write_filter_csv, write_json, write_signal_csv
-    from .reports import DEFAULT_TOLERANCES, bank_report
+    from .reports import bank_report
     from .wavelets import default_time_grid, haar_family
 
     ts = TranslationSet(N=args.N, r=args.r)
-    m = _parse_matrix(args.matrix)
     grid = default_time_grid(ts, target_step=args.step)
-    fam = haar_family(ts, m, grid=grid, permissive=args.allow_nonunimodular)
+    fam = haar_family(ts, args.matrix, grid=grid, permissive=args.allow_nonunimodular)
     out = Path(args.out_dir)
     write_signal_csv(out / "phi.csv", fam.phi)
     for k, psi in enumerate(fam.psi, start=1):
         write_signal_csv(out / f"psi_{k}.csv", psi)
     for k, pair in enumerate(fam.filters):
         write_filter_csv(out / f"filters_{k}.csv", pair)
-    report = bank_report(list(fam.filters), {code: args.tol for code in DEFAULT_TOLERANCES})
-    report["matrix"] = m.to_dict()
+    report = bank_report(list(fam.filters), args.tol)
+    report["matrix"] = args.matrix.to_dict()
     write_json(out / "verify.json", report)
-    return EXIT_OK if report["ok"] else EXIT_VERIFICATION
+    return _verdict(report["ok"], f"condition(s) {', '.join(report['violations'])}")
 
 
 def _cmd_cascade(args) -> int:
@@ -299,7 +305,7 @@ def _cmd_cascade(args) -> int:
     if not pair.exact:
         print(f"warning: {args.filters} is not a short trigonometric polynomial; "
               "evaluated by nearest sample", file=sys.stderr)
-    grid = default_time_grid(pair.ts, _parse_window(args.window), target_step=args.step)
+    grid = default_time_grid(pair.ts, args.window, target_step=args.step)
     result = cascade(pair, J=args.J, tol=args.tol, grid=grid, depth=0)
     # the sidecar records the approximations: the truncated tail and nearest-sample rows
     write_signal_csv(args.out, result.signal, tail_deviation=result.tail_deviation,
@@ -309,57 +315,47 @@ def _cmd_cascade(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .io import read_filter_csv, write_json
-    from .reports import DEFAULT_TOLERANCES, lowpass_report
+    from .reports import lowpass_report
 
-    pair = read_filter_csv(args.filters)
-    tol = None
-    if args.tol is not None:
-        tol = {code: args.tol for code in DEFAULT_TOLERANCES}
-    report = lowpass_report(pair, tol)
+    report = lowpass_report(read_filter_csv(args.filters), args.tol)
     write_json(args.report, report)
-    if not report["ok"]:
-        names = ", ".join(report["violations"])
-        print(f"verification failed: condition(s) {names}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    return _verdict(report["ok"], f"condition(s) {', '.join(report['violations'])}")
 
 
-def _cmd_packets(args) -> int:
+def _cmd_packets_gen(args) -> int:
     from .filters import TranslationSet
-    from .io import read_packet_csv, write_json, write_signal_csv
+    from .io import write_signal_csv
     from .packets import generate_packets
-    from .reports import packet_gram_report
     from .wavelets import default_time_grid, haar_filter_bank
 
     ts = TranslationSet(N=args.N, r=args.r)
-    m = _parse_matrix(args.matrix)
-    if args.packets_command == "gen":
-        bank = haar_filter_bank(ts, m)
-        grid = default_time_grid(ts, window=_parse_window(args.window), target_step=args.step)
-        # oversample 1 keeps every packet in the band the Gram quadrature resolves
-        nodes = generate_packets(args.n_max, bank, grid=grid, oversample=1)
-        out = Path(args.out_dir)
-        for node in nodes:
-            write_signal_csv(out / f"packet_{node.index.n}.csv", node.signal,
-                             band_deficit=node.band_deficit, translation=ts.to_dict(),
-                             matrix=m.to_dict())
-        return EXIT_OK
+    bank = haar_filter_bank(ts, args.matrix)
+    grid = default_time_grid(ts, window=args.window, target_step=args.step)
+    # oversample 1 keeps every packet in the band the Gram quadrature resolves
+    nodes = generate_packets(args.n_max, bank, grid=grid, oversample=1)
+    out = Path(args.out_dir)
+    for node in nodes:
+        write_signal_csv(out / f"packet_{node.index.n}.csv", node.signal,
+                         band_deficit=node.band_deficit, translation=ts.to_dict(),
+                         matrix=args.matrix.to_dict())
+    return EXIT_OK
 
-    window = _parse_window(args.window)
+
+def _cmd_packets_gram(args) -> int:
+    from .filters import TranslationSet
+    from .io import read_packet_csv, write_json
+    from .reports import packet_gram_report
+
+    ts = TranslationSet(N=args.N, r=args.r)
     nodes_dir = Path(args.nodes)
     signals = []  # each file read once, and refused if it records another set or matrix
     while (path := nodes_dir / f"packet_{len(signals)}.csv").exists():
-        signals.append(read_packet_csv(path, ts, m))
+        signals.append(read_packet_csv(path, ts, args.matrix))
     if not signals:
-        print(f"no packet_*.csv files in {nodes_dir}", file=sys.stderr)
-        return EXIT_USAGE
-    report = packet_gram_report(signals, ts, m, window, args.tol)
+        raise ValueError(f"no packet_*.csv files in {nodes_dir}")
+    report = packet_gram_report(signals, ts, args.matrix, args.window, args.tol)
     write_json(args.report, report)
-    if not report["ok"]:
-        print(f"verification failed: gram residual {report['max_off_identity']:.3e}",
-              file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    return _verdict(report["ok"], f"gram residual {report['max_off_identity']:.3e}")
 
 
 def _cmd_project(args) -> int:
@@ -368,13 +364,11 @@ def _cmd_project(args) -> int:
     from .wavelets import haar_filter_bank, haar_scaling, project
 
     ts = TranslationSet(N=args.N, r=args.r)
-    m = _parse_matrix(args.matrix)
-    window = _parse_window(args.window)
     f = read_signal_csv(args.infile)
     # the cascade's gate without its cascade: an admissible closed-form low-pass has
     # every lattice phase 1, so its scaling function is the indicator for any matrix
-    require_lowpass(haar_filter_bank(ts, m)[0], CASCADE_CODES)
-    result = project(f, haar_scaling(ts), ts, m, args.level, window)
+    require_lowpass(haar_filter_bank(ts, args.matrix)[0], CASCADE_CODES)
+    result = project(f, haar_scaling(ts), ts, args.matrix, args.level, args.window)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     write_signal_csv(args.out, result.signal)
@@ -390,34 +384,23 @@ def _cmd_crosscheck(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "matrix": _cmd_matrix,
-    "lct": _cmd_lct,
-    "haar": _cmd_haar,
-    "cascade": _cmd_cascade,
-    "verify": _cmd_verify,
-    "packets": _cmd_packets,
-    "project": _cmd_project,
-    "crosscheck": _cmd_crosscheck,
-}
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
-    parser = build_parser()
+    if cap := thread_cap():
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, str(cap))
     try:
-        args = parser.parse_args(_join_list_values(sys.argv[1:] if argv is None else list(argv)))
+        args = build_parser().parse_args(
+            _join_list_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (OSError, ValueError, RuntimeError) as exc:
         from .filters import FilterConditionError
         from .wavelets import ConvergenceError
 
         if isinstance(exc, (FilterConditionError, ConvergenceError)):
-            print(f"verification failed: {exc}", file=sys.stderr)
-            return EXIT_VERIFICATION
+            return _verdict(False, exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

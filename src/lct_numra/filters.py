@@ -200,13 +200,6 @@ def filter_eval(p: PeriodicFilterPair, u) -> np.ndarray:
     return complex(vals) if u_arr.ndim == 0 else vals
 
 
-def m0(p: PeriodicFilterPair, u) -> np.ndarray:
-    """Power profile |comp1(u)|^2 + |comp2(u)|^2 (nonnegative real)."""
-    c1, c2 = p.components_at(u)
-    vals = np.abs(c1) ** 2 + np.abs(c2) ** 2
-    return float(vals) if np.isscalar(u) else vals
-
-
 def _m0_samples(p: PeriodicFilterPair) -> np.ndarray:
     return np.abs(p.comp1) ** 2 + np.abs(p.comp2) ** 2
 

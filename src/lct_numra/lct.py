@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import thread_cap
 from .canonical import CanonicalMatrix, chirp_rate, kernel, require_valid
 from .sampling import Grid, SampledSignal, inner_product
 
@@ -101,14 +102,11 @@ def _reduction(quad, lin, const):
 
 def _threads(count: int) -> int:
     """Threads for a transform of ``count`` points: 1 below ``_SPLIT``, else at most 2,
-    capped by LCT_NUMRA_THREADS (0, unset or not an integer: the CPUs this process may use)."""
+    capped by ``thread_cap()`` of LCT_NUMRA_THREADS (0: the CPUs this process may use)."""
     if count < _SPLIT:
         return 1
-    try:
-        cap = int(os.environ.get("LCT_NUMRA_THREADS") or 0)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
+    cap = thread_cap()
+    if not cap:
         try:
             cap = len(os.sched_getaffinity(0))
         except AttributeError:  # no sched_getaffinity on this platform

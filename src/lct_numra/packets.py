@@ -264,6 +264,8 @@ class PacketBasis:
     residual: float | None = field(default=None)
 
     def __post_init__(self):
+        if not self.elements:
+            raise ValueError("a packet basis needs at least one element")
         _require_packets_of([e.node for e in self.elements], self.ts)
 
     @property

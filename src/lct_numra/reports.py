@@ -5,7 +5,9 @@ for a fixed configuration, carrying the config hash, the tolerance table,
 and per-condition residuals.  Condition codes: "2.21"/"2.22" bank
 orthonormality (plain/twisted), then ``filters.lowpass_residuals`` of filter 0:
 "L0" |L(0) - 1|, "2.33" quarter-period power profile, "3.4a"/"3.4b" scaling
-sums.  ``packet_gram_report`` is the ``packets gram`` report.
+sums.  A report takes one tolerance, ``DEFAULT_TOL`` unless given, and its
+table holds it for every code.  ``packet_gram_report`` is the ``packets gram``
+report.
 """
 
 from __future__ import annotations
@@ -18,24 +20,17 @@ from .io import config_hash
 from .sampling import SampledSignal, chirped_translate_gram, identity_deviation
 from .wavelets import default_time_grid, haar_scaling, n2_reference_wavelets
 
-#: Default per-condition tolerances for verification reports.
-DEFAULT_TOLERANCES = {
-    "2.21": 1e-10,
-    "2.22": 1e-10,
-    "2.33": 1e-10,
-    "3.4a": 1e-10,
-    "3.4b": 1e-10,
-    "L0": 1e-10,
-}
+#: The tolerance of every condition in a verification report.
+DEFAULT_TOL = 1e-10
 
 
-def _report(config: dict, residuals: dict[str, float], tolerances: dict | None) -> dict:
+def _report(config: dict, residuals: dict[str, float], tol: float) -> dict:
     """Report envelope: config hash (tolerances included), residuals, violations."""
-    tol = dict(DEFAULT_TOLERANCES if tolerances is None else tolerances)
-    violations = sorted(code for code, res in residuals.items() if not res <= tol[code])
+    tolerances = dict.fromkeys(residuals, tol)
+    violations = sorted(code for code, res in residuals.items() if not res <= tol)
     return {
-        "config_hash": config_hash({**config, "tolerances": tol}),
-        "tolerances": tol,
+        "config_hash": config_hash({**config, "tolerances": tolerances}),
+        "tolerances": tolerances,
         "residuals": residuals,
         "violations": violations,
         "ok": not violations,
@@ -62,20 +57,20 @@ def packet_gram_report(signals: list[SampledSignal], ts: TranslationSet, m: Cano
     }
 
 
-def lowpass_report(pair: PeriodicFilterPair, tolerances: dict | None = None) -> dict:
+def lowpass_report(pair: PeriodicFilterPair, tol: float = DEFAULT_TOL) -> dict:
     """Residuals of every admissibility condition for a single low-pass pair."""
     config = {"translation": pair.ts.to_dict(), "u_count": pair.u_grid.count}
-    return _report(config, bank_residuals([pair]), tolerances)
+    return _report(config, bank_residuals([pair]), tol)
 
 
-def bank_report(bank: list[PeriodicFilterPair], tolerances: dict | None = None) -> dict:
+def bank_report(bank: list[PeriodicFilterPair], tol: float = DEFAULT_TOL) -> dict:
     """Worst-case residuals over all filter pairs of a bank."""
     config = {
         "translation": bank[0].ts.to_dict(),
         "u_count": bank[0].u_grid.count,
         "size": len(bank),
     }
-    return _report(config, bank_residuals(bank), tolerances)
+    return _report(config, bank_residuals(bank), tol)
 
 
 def _gram_stats(g: np.ndarray) -> dict:

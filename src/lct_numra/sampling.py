@@ -186,14 +186,6 @@ def norm(f: SampledSignal) -> float:
     return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
 
 
-def rel_l2_error(got: SampledSignal, ref: SampledSignal) -> float:
-    """||got - ref||_2 / ||ref||_2; both signals must share one grid."""
-    w = _common_grid([got, ref]).trapezoid_weights()
-    num = np.sqrt(np.sum(np.abs(got.values - ref.values) ** 2 * w))
-    den = np.sqrt(np.sum(np.abs(ref.values) ** 2 * w))
-    return float(num / den)
-
-
 def chirp_phase(m: CanonicalMatrix, t, shift: float) -> np.ndarray:
     """Modulation exp(-i pi r (t^2 - shift^2)) of translated bases, r = ``chirp_rate(m)``.
 

@@ -13,7 +13,6 @@ from lct_numra.filters import (
     complete_filters,
     default_u_count,
     filter_eval,
-    m0,
     omega_enumerate,
 )
 from lct_numra.reports import bank_report
@@ -28,6 +27,13 @@ M2111 = CanonicalMatrix(2, 1, 1, 1)
 def u_grid(ts):
     count = default_u_count(ts)
     return Grid(t_min=0.0, step=0.5 / count, count=count)
+
+
+def m0(p: PeriodicFilterPair, u):
+    """Power profile |comp1(u)|^2 + |comp2(u)|^2 (nonnegative real)."""
+    c1, c2 = p.components_at(u)
+    vals = np.abs(c1) ** 2 + np.abs(c2) ** 2
+    return float(vals) if np.isscalar(u) else vals
 
 
 def constant_pair(ts, c1, c2):

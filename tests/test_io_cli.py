@@ -28,7 +28,7 @@ from lct_numra.io import (
 )
 from lct_numra.lct import LctSpectrum, ilct, induced_omega_grid, lct_direct, lct_fast
 from lct_numra.reports import bank_report, lowpass_report, packet_gram_report
-from lct_numra.sampling import Grid, SampledSignal, gaussian, numra_grid, rel_l2_error
+from lct_numra.sampling import Grid, SampledSignal, gaussian, numra_grid
 from lct_numra import lct, wavelets
 from lct_numra.packets import generate_packets
 from lct_numra.wavelets import (
@@ -40,6 +40,8 @@ from lct_numra.wavelets import (
     haar_scaling,
     project,
 )
+
+from signal_reference import rel_l2_error
 
 
 class TestSerialization:
@@ -222,6 +224,13 @@ class TestReports:
         }
         assert report["ok"] and report["violations"] == []
 
+    def test_one_tolerance_for_every_code(self):
+        bank = haar_filter_bank(self.ts, self.m)
+        assert bank_report(bank) == bank_report(bank, 1e-10)
+        report = bank_report(bank, 1e-30)
+        assert report["tolerances"] == {code: 1e-30 for code in report["residuals"]}
+        assert report["violations"] == sorted(report["residuals"]) and not report["ok"]
+
 
 class TestThreadCap:
     def test_cap_is_set_before_numpy_is_imported(self):
@@ -348,7 +357,8 @@ class TestMatrixCommand:
         assert payload["ok"] is False
         assert payload["matrix"]["a"] is None and payload["det"] is None
         assert payload["violations"][0] == f"non-finite entry: a = {text.split(',')[0]}"
-        assert "violation: non-finite entry: a =" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"verification failed: {'; '.join(payload['violations'])}\n")
 
     def test_permissive_downgrades_to_warning(self, capsys):
         assert main(["matrix", "--matrix", "0,1,2,-1", "--allow-nonunimodular"]) == 0
@@ -478,12 +488,26 @@ class TestHaarCommand:
         assert "tail deviation" in capsys.readouterr().err
         assert not (out / "phi.csv").exists()
 
+    def test_failed_verification_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "fam"
+        assert main(["haar", "--N", "2", "--matrix", "2,1,1,1", "--out-dir", str(out),
+                     "--tol", "0"]) == 2
+        violations = read_json(out / "verify.json")["violations"]
+        assert violations
+        assert capsys.readouterr().err == (
+            f"verification failed: condition(s) {', '.join(violations)}\n")
+
     def test_verify_report_content(self, tmp_path):
         out = tmp_path / "fam"
         assert main(["haar", "--N", "2", "--matrix", "2,1,1,1", "--out-dir", str(out)]) == 0
         payload = read_json(out / "verify.json")
         assert payload["ok"]
         assert max(payload["residuals"].values()) <= 1e-10
+
+
+#: The parser's refusal of a --t-grid value, up to the value.
+T_GRID_REFUSED = ("argument --t-grid: must be t_min,step,count with t_min finite, "
+                  "step finite and > 0 and count an integer > 0, got")
 
 
 class TestLctCommand:
@@ -591,13 +615,14 @@ class TestLctCommand:
         out = tmp_path / "f.csv"
         assert main(["lct", "inv", "--matrix", "2,1,1,1", f"--t-grid={t_grid}",
                      "--in", str(spec), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: --t-grid '{t_grid}' is not three numbers t_min,step,count\n")
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: {T_GRID_REFUSED} '{t_grid}'\n")
+        assert err.startswith("usage: lct-numra lct") and err.count("error: ") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("t_grid", ["0,nan,8", "0,inf,8", "nan,0.5,8"])
     def test_inverse_nonfinite_t_grid_exit_one(self, tmp_path, capsys, t_grid):
-        # refused when the grid is made, before any inverse runs
+        # refused by the parser, which makes the grid, before any input is read
         g = Grid(-8.0, 16.0 / 256, 256)
         spec = tmp_path / "F.csv"
         write_spectrum_csv(spec, lct_fast(gaussian(g), CanonicalMatrix(2, 1, 1, 1)))
@@ -605,8 +630,8 @@ class TestLctCommand:
         assert main(["lct", "inv", "--matrix", "2,1,1,1", f"--t-grid={t_grid}",
                      "--in", str(spec), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: t_min must be finite and step finite and positive: Grid(")
-        assert err.count("\n") == 1
+        assert err.endswith(f"error: {T_GRID_REFUSED} '{t_grid}'\n")
+        assert err.startswith("usage: lct-numra lct") and err.count("error: ") == 1
         assert not out.exists()
 
     def test_inverse_refuses_omega_header(self, tmp_path, capsys):
@@ -787,6 +812,15 @@ class TestPacketsCommand:
         assert "Traceback" not in run.stderr
         assert not out.exists()
 
+    def test_gram_on_empty_directory_exits_one(self, tmp_path, capsys):
+        nodes = tmp_path / "pk"
+        nodes.mkdir()
+        report = tmp_path / "gram.json"
+        assert main(["packets", "gram", "--nodes", str(nodes), "--window=-1,1",
+                     "--matrix", "0,1,-1,0", "--N", "1", "--report", str(report)]) == 1
+        assert capsys.readouterr().err == f"error: no packet_*.csv files in {nodes}\n"
+        assert not report.exists()
+
     def test_gram_without_packet_0_exits_one(self, tmp_path, capsys):
         nodes = tmp_path / "pk"
         write_signal_csv(nodes / "packet_1.csv", gaussian(Grid(-2.0, 2.0**-6, 256)))
@@ -863,7 +897,9 @@ class TestWindowRefused:
         out = tmp_path / "phi.csv"
         assert main(["cascade", "--filters", str(fpath), "--window=3,-1",
                      "--out", str(out)]) == 1
-        assert "window '3,-1'" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "error: argument --window: must be two finite numbers lo,hi with lo < hi, "
+            "got '3,-1'\n")
         assert not out.exists()
 
 
@@ -1041,26 +1077,39 @@ class TestGramChecksWhatGenWrote:
                                 | {("read_json", f"packet_{n}.json"): 1 for n in range(4)})
 
 
-#: (command, arguments that run cheaply, numeric options); {d} is a scratch directory.
+#: (command, arguments that run cheaply, numeric and list options); {d} is a scratch
+#: directory.
 SWEEP = [
     (["haar"], ["--N", "1", "--matrix", "0,1,-1,0", "--step", "0.0625", "--out-dir", "{d}/h"],
-     ["N", "r", "step", "tol"]),
+     ["N", "r", "step", "tol", "matrix"]),
     (["cascade"], ["--filters", "{d}/f.csv", "--step", "0.0625", "--out", "{d}/c.csv"],
-     ["J", "tol", "step"]),
+     ["J", "tol", "step", "window"]),
     (["verify"], ["--filters", "{d}/f.csv", "--report", "{d}/v.json"], ["tol"]),
     (["packets", "gen"], ["--n-max", "1", "--N", "1", "--matrix", "0,1,-1,0", "--step",
-                          "0.0625", "--out-dir", "{d}/g"], ["n-max", "N", "r", "step"]),
+                          "0.0625", "--out-dir", "{d}/g"], ["n-max", "N", "r", "step", "matrix",
+                                                            "window"]),
     (["packets", "gram"], ["--nodes", "{d}/pk", "--window=-1,1", "--N", "1", "--matrix",
-                           "0,1,-1,0", "--report", "{d}/q.json"], ["N", "r", "tol"]),
+                           "0,1,-1,0", "--report", "{d}/q.json"], ["N", "r", "tol", "window",
+                                                                   "matrix"]),
     (["project"], ["--in", "{d}/s.csv", "--N", "1", "--matrix", "0,1,-1,0", "--level", "0",
-                   "--window=-1,1", "--out", "{d}/p.csv"], ["N", "r", "level"]),
+                   "--window=-1,1", "--out", "{d}/p.csv"], ["N", "r", "level", "matrix", "window"]),
     (["crosscheck"], ["--step", "0.0625", "--out", "{d}/x.json"], ["step"]),
+    (["matrix"], [], ["matrix"]),
+    (["lct", "fwd"], ["--matrix", "2,1,1,1", "--in", "{d}/s.csv", "--out", "{d}/F2.csv"],
+     ["matrix"]),
+    (["lct", "inv"], ["--matrix", "2,1,1,1", "--in", "{d}/F.csv", "--out", "{d}/i.csv"],
+     ["matrix", "t-grid"]),
 ]
+
+#: Values that each list option refuses.
+LIST_VALUES = {"matrix": ["1,2", "a,b,c,d"], "window": ["3,-1", "1,nan", "x"],
+               "t-grid": ["1,2", "0,nan,8"]}
 
 
 class TestNumbersRefusedBeforeWork:
-    """Every numeric option at 0, -1, nan, inf and a huge value: no traceback, and each
-    value outside its kind exits 1 with one ``error:`` line, before any work."""
+    """Every option at 0, -1, nan, inf and a huge value, and every list option at values
+    of the wrong form: no traceback, and each value outside its kind exits 1 with one
+    ``error:`` line, before any work."""
 
     @pytest.fixture(scope="class")
     def scratch(self, tmp_path_factory):
@@ -1068,6 +1117,8 @@ class TestNumbersRefusedBeforeWork:
         write_filter_csv(d / "f.csv", haar_filters(TranslationSet(1, 1), fourier()))
         write_signal_csv(d / "pk" / "packet_0.csv", gaussian(Grid(-2.0, 2.0**-6, 256)))
         write_signal_csv(d / "s.csv", gaussian(Grid(-2.0, 2.0**-6, 256)))
+        write_spectrum_csv(d / "F.csv", lct_fast(gaussian(Grid(-2.0, 2.0**-6, 256)),
+                                                 CanonicalMatrix(2, 1, 1, 1)))
         return d
 
     @pytest.mark.parametrize("command,args,options", SWEEP, ids=[" ".join(c[0]) for c in SWEEP])
@@ -1082,6 +1133,20 @@ class TestNumbersRefusedBeforeWork:
             if (value in ("nan", "inf") or (value == "-1" and option != "level")
                     or (value in ("1e300", str(10**30)) and integer)):
                 assert code == 1 and err.count("error: ") == 1, (option, err)
+
+    @pytest.mark.parametrize("command,args,options", SWEEP, ids=[" ".join(c[0]) for c in SWEEP])
+    @pytest.mark.parametrize("inputs", ["present", "missing"])
+    def test_lists(self, scratch, capsys, command, args, options, inputs):
+        # with the input files missing too, the refusal names the option, not a file
+        d = scratch if inputs == "present" else scratch / "missing"
+        args = [a.replace("{d}", str(d)) for a in args]
+        for option in (o for o in options if o in LIST_VALUES):
+            for value in LIST_VALUES[option]:
+                code = main([*command, *args, f"--{option}={value}"])
+                err = capsys.readouterr().err
+                assert code == 1 and err.count("error: ") == 1, (option, value, err)
+                assert f"error: argument --{option}: must be " in err, (option, value, err)
+                assert err.endswith(f", got '{value}'\n"), (option, value, err)
 
     def test_bounds_are_the_library_limits(self):
         from lct_numra.sampling import DEFAULT_LEVEL_BUDGET

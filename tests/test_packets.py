@@ -973,6 +973,12 @@ class TestReadThroughTheNode:
         assert packet_gram(nodes, ts, M2111, (-2.0, 2.0))[1] < 0.05
         assert max(fold_residuals(nodes[1], ts, oversample=1)) < 0.05
 
+    def test_empty_basis_refused(self, n2):
+        # an empty basis has no node to read a grid from: certify() raised a bare IndexError
+        ts = n2[0]
+        with pytest.raises(ValueError, match="at least one element"):
+            PacketBasis(ts, M2111, [])
+
     @pytest.mark.parametrize("other", [TranslationSet(1, 1), TranslationSet(2, 3)])
     def test_bank_of_another_set_refused(self, n2, other):
         ts, bank, grid, scaling, _ = n2

@@ -20,10 +20,11 @@ from lct_numra.sampling import (
     inner_product,
     norm,
     numra_grid,
-    rel_l2_error,
     translate_chirp,
 )
 from lct_numra.filters import TranslationSet
+
+from signal_reference import rel_l2_error
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 

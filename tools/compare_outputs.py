@@ -11,9 +11,9 @@ directory, with the BLAS pools pinned to one thread; a short library script
 deficits, oversample-1 wavelets, the AC-11 packet bases' residuals,
 coefficients and syntheses, and chirped translates as ``.npy`` files.  The
 inputs (a 2^17-row signal, two 8- and 4-row signal files whose t column is
-off their grid, a filter file whose u column is off its grid, and two signal
-files whose sidecar step is not finite) are written once, by PARENT, and
-read by both.
+off their grid, a filter file whose u column is off its grid, two signal
+files whose sidecar step is not finite, and an empty directory) are written
+once, by PARENT, and read by both.
 
 For every output file the script prints "byte-identical", or the largest
 difference of its numbers relative to the largest |number| in the file, or
@@ -96,10 +96,21 @@ COMMANDS += [
                              "--out", "{out}/F-nan-step.csv"]),
     ("lct-fwd-inf-sidecar", ["lct", "fwd", "--matrix", M, "--in", "{in}/inf-step.csv",
                              "--out", "{out}/F-inf-step.csv"]),
+    # failed verifications at tolerance 0: exit 2, the report still written
+    ("haar-2-tol0", ["haar", "--N", "2", "--matrix", M, "--tol", "0",
+                     "--out-dir", "{out}/haar-2-tol0"]),
+    ("verify-haar-2-0-tol0", ["verify", "--filters", "{out}/haar-2/filters_0.csv", "--tol", "0",
+                              "--report", "{out}/verify-haar-2-0-tol0.json"]),
+    # refused with exit 1: a directory without packet files, and a window with lo > hi
+    ("packets-gram-empty", ["packets", "gram", "--nodes", "{in}/empty", "--window=-2,2.0001",
+                            "--N", "1", "--matrix", "0,1,-1,0",
+                            "--report", "{out}/gram-empty.json"]),
+    ("cascade-window-reversed", ["cascade", "--filters", "{out}/haar-1/filters_0.csv",
+                                 "--window=3,-1", "--out", "{out}/cascade-reversed.csv"]),
 ]
 
 INPUTS = """
-import json, sys
+import json, os, sys
 from lct_numra.canonical import CanonicalMatrix
 from lct_numra.filters import TranslationSet
 from lct_numra.io import write_filter_csv, write_signal_csv
@@ -120,6 +131,8 @@ with open(sys.argv[1] + "/u-seven.csv") as fh:
     lines = fh.read().splitlines(keepends=True)
 with open(sys.argv[1] + "/u-seven.csv", "w") as fh:
     fh.write(lines[0] + "".join("7," + line.split(",", 1)[1] for line in lines[1:]))
+# a directory without packet files
+os.mkdir(sys.argv[1] + "/empty")
 # two-row signals whose sidecar step is NaN or Infinity
 for name, step in [("nan-step", "NaN"), ("inf-step", "Infinity")]:
     with open(f"{sys.argv[1]}/{name}.csv", "w") as fh:
