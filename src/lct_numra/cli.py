@@ -1,5 +1,8 @@
 """Command-line entry point.
 
+Each command takes only the options it reads: ``lct fwd`` makes a spectrum file of a
+signal file, and ``lct inv`` a signal file of a spectrum file on ``--t-grid``.
+
 Exit codes: 0 success, 1 usage or I/O error, 2 verification failure (a
 residual above its tolerance; the report is still written).  A non-zero exit
 prints one line that names its cause:
@@ -141,16 +144,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lct", help="forward/inverse LCT of a signal file, kernel "
                        "exp{i pi (a t^2 - 2 t u + d u^2) / b} / sqrt(i b); spectra are in u")
-    p.set_defaults(run=_cmd_lct)
-    p.add_argument("direction", choices=["fwd", "inv"])
-    p.add_argument("--matrix", type=_MATRIX, required=True)
-    p.add_argument("--method", choices=["direct", "fast"], default=None,
-                   help="fwd: fast by default; inv: fast when the grids pair up, "
-                   "else direct (O(n^2), with a warning)")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--t-grid", type=_T_GRID, default=None,
-                   help="t_min,step,count for inv (default: the grid recorded with the spectrum)")
+    lsub = p.add_subparsers(dest="direction", required=True)
+    f = lsub.add_parser("fwd", help="spectrum of a signal file")
+    f.set_defaults(run=_cmd_lct_fwd)
+    i = lsub.add_parser("inv", help="signal of a spectrum file")
+    i.set_defaults(run=_cmd_lct_inv)
+    for q in (f, i):
+        q.add_argument("--matrix", type=_MATRIX, required=True)
+        q.add_argument("--in", dest="infile", required=True)
+        q.add_argument("--out", required=True)
+    f.add_argument("--method", choices=["direct", "fast"], default="fast",
+                   help="fast (default), or direct: O(n^2) on the induced u grid")
+    i.add_argument("--method", choices=["direct", "fast"], default=None,
+                   help="default: fast when the grids pair up, else direct "
+                   "(O(n^2), with a warning)")
+    i.add_argument("--t-grid", type=_T_GRID, default=None,
+                   help="t_min,step,count (default: the grid recorded with the spectrum)")
 
     p = sub.add_parser("haar", help="emit a Haar-type family and its verification")
     p.set_defaults(run=_cmd_haar)
@@ -249,30 +258,34 @@ def _cmd_matrix(args) -> int:
     return _verdict(report.ok, "; ".join(report.violations))
 
 
-def _cmd_lct(args) -> int:
-    from .io import read_signal_csv, read_spectrum_csv, write_signal_csv, write_spectrum_csv
-    from .lct import ilct, induced_omega_grid, lct_direct, lct_fast
+def _cmd_lct_fwd(args) -> int:
+    from .io import read_signal_csv, write_spectrum_csv
+    from .lct import induced_omega_grid, lct_direct, lct_fast
 
-    m = args.matrix
-    if args.direction == "fwd":
-        sig = read_signal_csv(args.infile)
-        if args.method != "direct":
-            spec = lct_fast(sig, m)
-        else:
-            spec = lct_direct(sig, m, induced_omega_grid(sig.grid, m))
-        write_spectrum_csv(args.out, spec)
+    sig, m = read_signal_csv(args.infile), args.matrix
+    if args.method == "fast":
+        spec = lct_fast(sig, m)
     else:
-        spec = read_spectrum_csv(args.infile)
-        grid = args.t_grid or spec.t_grid
-        if grid is None:
-            raise ValueError(f"{args.infile}: no source t_grid in the sidecar; "
-                             "pass --t-grid t_min,step,count")
-        with warnings.catch_warnings(record=True) as caught:  # the fallback's cost, as CLI text
-            warnings.simplefilter("always")
-            sig = ilct(spec, m, grid, method=args.method or "auto")
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-        write_signal_csv(args.out, sig)
+        spec = lct_direct(sig, m, induced_omega_grid(sig.grid, m))
+    write_spectrum_csv(args.out, spec)
+    return EXIT_OK
+
+
+def _cmd_lct_inv(args) -> int:
+    from .io import read_spectrum_csv, write_signal_csv
+    from .lct import ilct
+
+    spec = read_spectrum_csv(args.infile)
+    grid = args.t_grid or spec.t_grid
+    if grid is None:
+        raise ValueError(f"{args.infile}: no source t_grid in the sidecar; "
+                         "pass --t-grid t_min,step,count")
+    with warnings.catch_warnings(record=True) as caught:  # the fallback's cost, as CLI text
+        warnings.simplefilter("always")
+        sig = ilct(spec, args.matrix, grid, method=args.method or "auto")
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    write_signal_csv(args.out, sig)
     return EXIT_OK
 
 

@@ -7,6 +7,9 @@ variable u is
 
     L(u) = comp1(u mod 1/2) + exp(-2 pi i u r / N) * comp2(u mod 1/2).
 
+The samples fix their lattice, stated here alone: ``count`` samples sit on
+``sample_grid(count)`` over [0, 1/2), and a shift step 1/(4N) is count/(2N) of them.
+
 ``PeriodicFilterPair.components_at`` is the one evaluator of the
 components: a pair whose samples are a short trigonometric polynomial sums
 its Fourier terms, as a polynomial in z^g of z = exp(-4 pi i (u mod 1/2))
@@ -99,6 +102,11 @@ def default_u_count(ts: TranslationSet) -> int:
     return ((4096 + block - 1) // block) * block
 
 
+def sample_grid(count: int) -> Grid:
+    """The grid of ``count`` component samples: count points over [0, 1/2)."""
+    return Grid(t_min=0.0, step=0.5 / count, count=count)
+
+
 #: Largest residual of each low-pass condition that ``require_lowpass`` accepts:
 #: L(0) = 1 to rounding, each sum (2.33, 3.4a, 3.4b) to 1e-8.
 _LOWPASS_TOL = {"L0": 1e-10, "2.33": 1e-8, "3.4a": 1e-8, "3.4b": 1e-8}
@@ -114,35 +122,36 @@ _MAX_SPAN = 64
 _EXACT_RTOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicFilterPair:
     """Half-periodic component pair sampled on a uniform grid over [0, 1/2).
 
-    The samples are the filter.  Their inverse DFT gives the terms
-    c_k exp(-4 pi i k u), bin k >= count/2 standing for k - count.  When
-    the nonzero terms span at most ``_MAX_SPAN`` bins and ``components_at``
-    reproduces every sample from them to rounding (``_EXACT_RTOL``), the
-    pair is ``exact`` and evaluates from them at any u (``_sparse``: lowest
-    nonzero bin, stride g of the others, their terms); otherwise lookups
-    take the nearest sample.
+    The samples are the filter: their count, a multiple of 4N, sets the
+    read-only ``u_grid`` (``sample_grid(count)``).  Pairs compare by identity,
+    as hats do; compare their samples to compare filters.  The samples'
+    inverse DFT gives the terms c_k exp(-4 pi i k u), bin k >= count/2
+    standing for k - count.  When the nonzero terms span at most
+    ``_MAX_SPAN`` bins and ``components_at`` reproduces every sample from
+    them to rounding (``_EXACT_RTOL``), the pair is ``exact`` and evaluates
+    from them at any u (``_sparse``: lowest nonzero bin, stride g of the
+    others, their terms); otherwise lookups take the nearest sample.
     """
 
     ts: TranslationSet
-    u_grid: Grid
     comp1: np.ndarray
     comp2: np.ndarray
-    _sparse: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    u_grid: Grid = field(init=False)
+    _sparse: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        count = self.u_grid.count
-        if count % (4 * self.ts.N) != 0:
-            raise ValueError("u grid count must be a multiple of 4N")
-        if abs(self.u_grid.t_min) > 1e-12 or abs(self.u_grid.step * count - 0.5) > 1e-12:
-            raise ValueError("u grid must cover [0, 1/2)")
+        count = np.size(self.comp1)
+        if count == 0 or count % (4 * self.ts.N) != 0:
+            raise ValueError("sample count must be a positive multiple of 4N")
+        object.__setattr__(self, "u_grid", sample_grid(count))
         for name in ("comp1", "comp2"):
             arr = np.asarray(getattr(self, name), dtype=np.complex128)
             if arr.shape != (count,):
-                raise ValueError(f"{name} length must match the u grid")
+                raise ValueError(f"{name} must be {count} samples, as comp1 is")
             arr = np.ascontiguousarray(arr)  # for the float view: copies strided input only
             if not np.all(np.isfinite(arr.view(np.float64))):
                 raise ValueError(f"{name} must be finite")
@@ -173,11 +182,6 @@ class PeriodicFilterPair:
     def exact(self) -> bool:
         """True when the pair evaluates from its Fourier terms, not by nearest sample."""
         return self._sparse is not None
-
-    @property
-    def shift_stride(self) -> int:
-        """Grid indices per shift step 1/(4N)."""
-        return self.u_grid.count // (2 * self.ts.N)
 
     def components_at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Component values at arbitrary u, reduced mod 1/2: the nearest sample, or
@@ -215,13 +219,17 @@ def check_m0_period(p: PeriodicFilterPair) -> float:
     return float(np.max(np.abs(np.roll(samples, -quarter) - samples)))
 
 
-def shift_sums(x: np.ndarray, stride: int, ts: TranslationSet) -> tuple[np.ndarray, np.ndarray]:
+def shift_sums(x: np.ndarray, ts: TranslationSet) -> tuple[np.ndarray, np.ndarray]:
     """Plain and twisted sums of one sampled period over its 2N shifts.
 
-    ``stride`` is the number of samples in one shift, a 2N-th of the
-    period.  Returns plain = sum_p x(. + p*stride) and twisted =
-    sum_p exp(-i pi r p / N) x(. + p*stride), p = 0..2N-1.
+    One shift is the stride len(x)/(2N) samples, a 2N-th of the period; a
+    length that 2N does not divide is refused (a ValueError).  Returns
+    plain = sum_p x(. + p*stride) and twisted = sum_p exp(-i pi r p / N)
+    x(. + p*stride), p = 0..2N-1, summed shift by shift.
     """
+    stride, rest = divmod(len(x), 2 * ts.N)
+    if rest:
+        raise ValueError(f"{len(x)} samples do not split into 2N = {2 * ts.N} shifts")
     phases = np.exp(-1j * np.pi * ts.r * np.arange(2 * ts.N) / ts.N)
     plain = np.zeros_like(x)
     twisted = np.zeros(x.shape, dtype=np.complex128)
@@ -244,11 +252,11 @@ def check_orthonormality(
     """
     if pl.ts != pk.ts:
         raise FilterConditionError("filter pairs have different translation sets")
-    if pl.u_grid != pk.u_grid:
-        raise FilterConditionError("filter pairs have different u grids")
+    if pl.u_grid.count != pk.u_grid.count:
+        raise FilterConditionError("filter pairs have different sample counts")
     term = pl.comp1 * np.conj(pk.comp1)
     term += pl.comp2 * np.conj(pk.comp2)
-    plain, twisted = shift_sums(term, pl.shift_stride, pl.ts)
+    plain, twisted = shift_sums(term, pl.ts)
     target = 1.0 if same_index else 0.0
     res21 = float(np.max(np.abs(plain - target)))
     res22 = float(np.max(np.abs(twisted)))
@@ -261,7 +269,7 @@ def check_scaling_conditions(p0: PeriodicFilterPair) -> tuple[float, float]:
     Sum over the 2N shifts of m0 must equal 1 (code "3.4a"); the twisted
     sum must vanish (code "3.4b").
     """
-    plain, twisted = shift_sums(_m0_samples(p0), p0.shift_stride, p0.ts)
+    plain, twisted = shift_sums(_m0_samples(p0), p0.ts)
     res_a = float(np.max(np.abs(plain - 1.0)))
     res_b = float(np.max(np.abs(twisted)))
     return res_a, res_b
@@ -326,7 +334,7 @@ def complete_filters(p0: PeriodicFilterPair) -> list[PeriodicFilterPair]:
     require_lowpass(p0, ("2.33", "3.4a", "3.4b"))
     N = p0.ts.N
     two_n = 2 * N
-    base = p0.shift_stride  # samples per base cell; shift p starts at p * base
+    base = p0.u_grid.count // two_n  # samples per base cell; shift p starts at p * base
     v0 = np.stack([p0.comp1, p0.comp2], -1).reshape(two_n, base, 2).transpose(1, 0, 2)
     aligners = _aligners(v0[:, :N], v0[:, N:])  # (samples, N, 2, 2): block p onto p + N
     seeds = np.zeros((base, N, 2, two_n, 2), dtype=np.complex128)
@@ -358,7 +366,7 @@ def complete_filters(p0: PeriodicFilterPair) -> list[PeriodicFilterPair]:
         basis.append(vec)
         used[rows, best_idx] = True
     comps = np.stack(basis[1:]).transpose(0, 3, 2, 1).reshape(two_n - 1, 2, -1)
-    return [PeriodicFilterPair(p0.ts, p0.u_grid, c1, c2) for c1, c2 in comps]
+    return [PeriodicFilterPair(p0.ts, c1, c2) for c1, c2 in comps]
 
 
 def bank_residuals(bank: list[PeriodicFilterPair]) -> dict[str, float]:

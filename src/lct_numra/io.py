@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import CanonicalMatrix
-from .filters import PeriodicFilterPair, TranslationSet
+from .filters import PeriodicFilterPair, TranslationSet, sample_grid
 from .lct import LctSpectrum
 from .sampling import _ALIGN_TOL, Grid, SampledSignal
 
@@ -184,10 +184,9 @@ def write_filter_csv(path: str | Path, pair: PeriodicFilterPair) -> None:
 
 
 def read_filter_csv(path: str | Path) -> PeriodicFilterPair:
-    """A filter pair; its u column must be its u grid's points exactly (%.17g round-trips)."""
+    """A filter pair; its u column must be ``filters.sample_grid``'s points exactly."""
     path = Path(path)
     u, re1, im1, re2, im2 = _read_columns(path, ["u", "re1", "im1", "re2", "im2"])
     ts = _from_sidecar(TranslationSet, read_json(_sidecar(path)), _sidecar(path))
-    grid = Grid(t_min=0.0, step=0.5 / len(u), count=len(u))
-    _require_on_grid(path, "u", u, grid, 0.0)
-    return PeriodicFilterPair(ts, grid, re1 + 1j * im1, re2 + 1j * im2)
+    _require_on_grid(path, "u", u, sample_grid(len(u)), 0.0)
+    return PeriodicFilterPair(ts, re1 + 1j * im1, re2 + 1j * im2)

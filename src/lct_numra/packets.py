@@ -132,8 +132,8 @@ def packet_hat(
     """Packet hat from the digit filters continued with the low-pass tail.
 
     ``bank`` holds the 2N filters with index 0 the low-pass.  The tail
-    comes from ``scaling``, the cascade of the low-pass filter, so the
-    index recursion
+    comes from ``scaling``, the cascade of that low-pass filter (a bank whose
+    filter 0 has other samples is refused), so the index recursion
 
         hat(W_{2Nn + k})(u) = L_k(u/2N) hat(W_n)(u/2N)
 
@@ -148,12 +148,15 @@ def packet_hat(
 def _nodes(indices, bank, scaling: CascadeResult, grid: Grid | None, oversample) -> list[PacketNode]:
     """The nodes of ``indices`` on ``grid`` (default: the cascade's), their lattice values
     evaluated in one pass; a bank of other than the 2N filters of the scaling's translation
-    set, or a digit it lacks, is refused."""
-    ts = scaling.engine.lowpass.ts
-    if any(pair.ts != ts for pair in bank):
-        raise ValueError(f"bank filters are not all of the scaling's {ts}")
-    if len(bank) != 2 * ts.N:
+    set, one whose filter 0 has other samples than the scaling's low-pass, or a digit it
+    lacks, is refused."""
+    low = scaling.engine.lowpass
+    if any(pair.ts != low.ts for pair in bank):
+        raise ValueError(f"bank filters are not all of the scaling's {low.ts}")
+    if len(bank) != 2 * low.ts.N:
         raise ValueError("bank must hold 2N filters")
+    if not (np.array_equal(bank[0].comp1, low.comp1) and np.array_equal(bank[0].comp2, low.comp2)):
+        raise ValueError("bank filter 0 is not the scaling's low-pass")
     if any(d < 0 or d >= len(bank) for idx in indices for d in idx.digits):
         raise ValueError("digit out of range for this bank")
     grid = scaling.grid if grid is None else grid
@@ -354,7 +357,7 @@ def fold_residuals(
     """
     served_engine([node.hat], node.grid, oversample=oversample)
     h = _lattice_fold([node], ts)[:, 0, 0].real
-    plain, twisted = shift_sums(h, round(SPAN / 2), ts)
+    plain, twisted = shift_sums(h, ts)
     res_plain = float(np.max(np.abs(plain - 2.0)))
     res_twist = float(np.max(np.abs(twisted)))
     return res_plain, res_twist

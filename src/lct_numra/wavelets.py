@@ -43,6 +43,7 @@ from .filters import (
     default_u_count,
     filter_eval,
     require_lowpass,
+    sample_grid,
     translations,
 )
 from .sampling import (
@@ -473,9 +474,7 @@ def haar_filter_bank(
     """
     require_valid(m, allow_nonunimodular=permissive)
     coeffs = chirp_phase(m, 0.0, 4.0 * np.arange(ts.N))  # phases c_k of the 4k translates
-    count = default_u_count(ts)
-    grid = Grid(t_min=0.0, step=0.5 / count, count=count)
-    u = grid.points()
+    u = sample_grid(default_u_count(ts)).points()
     basis = [np.exp(-8j * np.pi * u * k) for k in range(ts.N)]
     bank = []
     for d in range(ts.N):
@@ -484,13 +483,14 @@ def haar_filter_bank(
         for ck, term in zip(twisted, basis):
             acc += ck * term
         acc /= 2 * ts.N
-        bank += [PeriodicFilterPair(ts, grid, acc, sign * acc) for sign in (1.0, -1.0)]
+        bank += [PeriodicFilterPair(ts, acc, sign * acc) for sign in (1.0, -1.0)]
     return bank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletFamily:
-    """A scaling function, its 2N - 1 wavelets, and the generating filters."""
+    """A scaling function, its 2N - 1 wavelets, and the generating filters; families
+    compare by identity, as their filters and hat do."""
 
     ts: TranslationSet
     m: CanonicalMatrix

@@ -4,8 +4,7 @@ import functools
 
 import numpy as np
 
-from lct_numra.filters import PeriodicFilterPair, default_u_count, filter_eval
-from lct_numra.sampling import Grid
+from lct_numra.filters import PeriodicFilterPair, default_u_count, filter_eval, sample_grid
 
 
 def product_hat(hat, u) -> np.ndarray:
@@ -68,8 +67,7 @@ def bins_pair(ts, bins):
     Each component sums unimodular terms exp(-4 pi i k u), scaled by
     1/(2 len(bins)); the closed form reduces u mod 1/2 and, in the phase, mod N.
     """
-    count = default_u_count(ts)
-    grid = Grid(0.0, 0.5 / count, count)
+    grid = sample_grid(default_u_count(ts))
     coef = np.exp(1j * np.outer([1.0, -0.7], np.arange(1, len(bins) + 1))) / (2 * len(bins))
 
     def components(u):
@@ -79,4 +77,4 @@ def bins_pair(ts, bins):
         c1, c2 = components(np.mod(u, 0.5))
         return c1 + np.exp(-2j * np.pi * np.mod(u, ts.N) * ts.r / ts.N) * c2
 
-    return PeriodicFilterPair(ts, grid, *components(grid.points())), closed
+    return PeriodicFilterPair(ts, *components(grid.points())), closed

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,12 @@ from lct_numra.filters import (
     default_u_count,
     filter_eval,
     omega_enumerate,
+    sample_grid,
+    shift_sums,
 )
 from lct_numra.reports import bank_report
 from lct_numra.sampling import Grid, SampledSignal, numra_grid
-from lct_numra.wavelets import frequency_samples, haar_filter_bank, haar_filters
+from lct_numra.wavelets import frequency_samples, haar_family, haar_filter_bank, haar_filters
 
 from hat_reference import ExactRows, bins_pair
 
@@ -25,8 +29,7 @@ M2111 = CanonicalMatrix(2, 1, 1, 1)
 
 
 def u_grid(ts):
-    count = default_u_count(ts)
-    return Grid(t_min=0.0, step=0.5 / count, count=count)
+    return sample_grid(default_u_count(ts))
 
 
 def m0(p: PeriodicFilterPair, u):
@@ -38,14 +41,14 @@ def m0(p: PeriodicFilterPair, u):
 
 def constant_pair(ts, c1, c2):
     grid = u_grid(ts)
-    return PeriodicFilterPair(ts, grid, np.full(grid.count, c1, dtype=complex),
+    return PeriodicFilterPair(ts, np.full(grid.count, c1, dtype=complex),
                               np.full(grid.count, c2, dtype=complex))
 
 
 def ramp_pair(ts):
     """comp1(u) = u on [0, 1/2), comp2 = 0: no short trigonometric polynomial."""
     grid = u_grid(ts)
-    return PeriodicFilterPair(ts, grid, grid.points().astype(complex),
+    return PeriodicFilterPair(ts, grid.points().astype(complex),
                               np.zeros(grid.count, dtype=complex))
 
 
@@ -118,7 +121,7 @@ class TestFilterEval:
         # the samples are the whole filter: a pair rebuilt from them is the same filter
         ts = TranslationSet(1, 1)
         exact = haar_filters(ts, M2111)
-        sampled = PeriodicFilterPair(ts, exact.u_grid, exact.comp1, exact.comp2)
+        sampled = PeriodicFilterPair(ts, exact.comp1, exact.comp2)
         u = np.linspace(0, 0.5, 333, endpoint=False)
         np.testing.assert_allclose(
             filter_eval(sampled, u), filter_eval(exact, u), atol=1e-12
@@ -168,7 +171,7 @@ class TestFilterEval:
             pairs = haar_filter_bank(ts, M2111)
         else:
             ramp = u_grid(ts).points().astype(complex)
-            pairs = [PeriodicFilterPair(ts, u_grid(ts), ramp, 1j * ramp)]
+            pairs = [PeriodicFilterPair(ts, ramp, 1j * ramp)]
         u = np.random.default_rng(11).integers(-2**12, 2**12, 1000) / 2.0**8
         for p in pairs:
             assert p.exact == exact
@@ -256,12 +259,18 @@ class TestOrthonormality:
         with pytest.raises(FilterConditionError):
             check_orthonormality(a, b, same_index=False)
 
+    def test_mismatched_counts_rejected(self):
+        ts = TranslationSet(1, 1)
+        a, b = constant_pair(ts, 0.5, 0.5), PeriodicFilterPair(ts, np.ones(8), np.ones(8))
+        with pytest.raises(FilterConditionError, match="different sample counts"):
+            check_orthonormality(a, b, same_index=False)
+
     def test_unimodular_rescaling_invariance(self):
         ts = TranslationSet(2, 1)
         base = haar_filters(ts, M2111)
         r21_base, _ = check_orthonormality(base, base, same_index=True)
         phase = np.exp(0.7j)
-        scaled = PeriodicFilterPair(ts, base.u_grid, phase * base.comp1, phase * base.comp2)
+        scaled = PeriodicFilterPair(ts, phase * base.comp1, phase * base.comp2)
         r21_scaled, _ = check_orthonormality(scaled, scaled, same_index=True)
         assert r21_scaled == pytest.approx(r21_base, abs=1e-12)
 
@@ -277,9 +286,25 @@ class TestScalingConditions:
     def test_doubled_filter_detected(self):
         ts = TranslationSet(1, 1)
         base = haar_filters(ts, M2111)
-        doubled = PeriodicFilterPair(ts, base.u_grid, 2 * base.comp1, 2 * base.comp2)
+        doubled = PeriodicFilterPair(ts, 2 * base.comp1, 2 * base.comp2)
         ra, _ = check_scaling_conditions(doubled)
         assert ra == pytest.approx(3.0)
+
+
+class TestShiftSums:
+    @pytest.mark.parametrize("N,r", [(1, 1), (2, 3), (3, 5)])
+    def test_stride_is_a_2n_th_of_the_length(self, N, r):
+        ts = TranslationSet(N, r)
+        x = np.random.default_rng(N).normal(size=24 * N) + 0j
+        plain, twisted = shift_sums(x, ts)
+        shifted = [x[(np.arange(x.size) + p * 12) % x.size] for p in range(2 * N)]  # 24N / 2N
+        twists = np.exp(-1j * np.pi * r * np.arange(2 * N) / N)
+        np.testing.assert_allclose(plain, sum(shifted), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(twisted, twists @ np.array(shifted), rtol=0, atol=1e-13)
+
+    def test_length_2n_does_not_divide_refused(self):
+        with pytest.raises(ValueError, match=r"10 samples do not split into 2N = 6 shifts"):
+            shift_sums(np.ones(10), TranslationSet(3, 1))
 
 
 def per_sample_completion(p0):
@@ -288,7 +313,7 @@ def per_sample_completion(p0):
     Returns (2N - 1, 2, count) components of the high-pass pairs.
     """
     N = p0.ts.N
-    two_n, base = 2 * N, p0.shift_stride
+    two_n, base = 2 * N, p0.u_grid.count // (2 * N)
     out = np.zeros((two_n - 1, 2, p0.u_grid.count), dtype=complex)
 
     def dot(a, b):
@@ -339,8 +364,8 @@ class TestCompletion:
                                   "2-frft0.3"])
     def test_matches_per_sample_reference(self, N, r, m):
         # the closed-form low-pass sampled on 128N points keeps the reference loop short
-        ts, grid = TranslationSet(N, r), Grid(0.0, 0.5 / (128 * N), 128 * N)
-        p0 = PeriodicFilterPair(ts, grid, *haar_filters(ts, m).components_at(grid.points()))
+        ts, grid = TranslationSet(N, r), sample_grid(128 * N)
+        p0 = PeriodicFilterPair(ts, *haar_filters(ts, m).components_at(grid.points()))
         got = np.array([[h.comp1, h.comp2] for h in complete_filters(p0)])
         assert np.max(np.abs(got - per_sample_completion(p0))) <= 1e-15
 
@@ -398,7 +423,7 @@ class TestBankResiduals:
     def test_nan_pair_residual_kept(self):
         # components near 1e200 overflow the products; the twisted sum turns NaN
         p0 = haar_filters(TranslationSet(1, 1), M2111)
-        big = PeriodicFilterPair(p0.ts, p0.u_grid, 1e200 * p0.comp1, 1e200 * p0.comp2)
+        big = PeriodicFilterPair(p0.ts, 1e200 * p0.comp1, 1e200 * p0.comp2)
         with np.errstate(all="ignore"):
             r21, r22 = check_orthonormality(big, big, same_index=True)
             res = bank_residuals([big])
@@ -407,26 +432,46 @@ class TestBankResiduals:
 
 
 class TestPairValidation:
-    def test_grid_must_cover_half_period(self):
-        ts = TranslationSet(1, 1)
-        bad = Grid(0.0, 0.25 / 256, 256)  # covers [0, 1/4)
-        with pytest.raises(ValueError, match="cover"):
-            PeriodicFilterPair(ts, bad, np.zeros(256), np.zeros(256))
-
     def test_count_multiple_of_4n(self):
         ts = TranslationSet(3, 1)
-        bad = Grid(0.0, 0.5 / 4096, 4096)  # 4096 not divisible by 12
-        with pytest.raises(ValueError, match="4N"):
-            PeriodicFilterPair(ts, bad, np.zeros(4096), np.zeros(4096))
+        with pytest.raises(ValueError, match="4N"):  # 4096 not divisible by 12
+            PeriodicFilterPair(ts, np.zeros(4096), np.zeros(4096))
+        with pytest.raises(ValueError, match="positive multiple of 4N"):
+            PeriodicFilterPair(ts, np.zeros(0), np.zeros(0))
+
+    def test_grid_follows_sample_count(self):
+        # the samples are the lattice: count points over [0, 1/2), set by no argument
+        ts = TranslationSet(3, 1)
+        p = PeriodicFilterPair(ts, np.ones(120), np.zeros(120))
+        assert p.u_grid == sample_grid(120) == Grid(0.0, 0.5 / 120, 120)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.u_grid = sample_grid(240)
+        with pytest.raises(TypeError):
+            PeriodicFilterPair(ts, sample_grid(120), np.ones(120), np.zeros(120))
+
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(ValueError, match="comp2 must be 120 samples, as comp1 is"):
+            PeriodicFilterPair(TranslationSet(3, 1), np.ones(120), np.zeros(240))
+
+    def test_pairs_compare_by_identity(self):
+        # equal samples, two pairs: == compared the sample arrays and raised "The truth
+        # value of an array ... is ambiguous", in a bank's ``in`` and a family's == too
+        ts = TranslationSet(2, 1)
+        a, b = haar_filter_bank(ts, M2111), haar_filter_bank(ts, M2111)
+        assert a[0] == a[0] and a[0] != b[0]
+        assert a[0] in a and b[0] not in a
+        assert len({*a, *b}) == 8
+        grid = numra_grid(ts, (-2.0, 2.0), refinement=64)
+        fam_a, fam_b = (haar_family(ts, M2111, grid=grid, oversample=1) for _ in range(2))
+        assert fam_a == fam_a and fam_a != fam_b
 
     def test_strided_input_accepted_and_checked(self):
         # both constructors take every other column of a stacked array as it is
         # and still refuse a NaN in it; a contiguous input is kept, not copied
         ts = TranslationSet(2, 1)
-        grid = u_grid(ts)
         bank = haar_filter_bank(ts, M2111)
         st = np.stack([bank[1].comp1, bank[1].comp2], axis=1)
-        p = PeriodicFilterPair(ts, grid, st[:, 0], st[:, 1])
+        p = PeriodicFilterPair(ts, st[:, 0], st[:, 1])
         np.testing.assert_array_equal(p.comp1, bank[1].comp1)
         np.testing.assert_array_equal(p.comp2, bank[1].comp2)
         x = np.exp(1j * np.arange(16.0))
@@ -435,7 +480,7 @@ class TestPairValidation:
         assert np.shares_memory(SampledSignal(Grid(0.0, 1.0, 16), x).values, x)
         st[5, 1] = x[6] = np.nan
         with pytest.raises(ValueError, match="comp2 must be finite"):
-            PeriodicFilterPair(ts, grid, st[:, 0], st[:, 1])
+            PeriodicFilterPair(ts, st[:, 0], st[:, 1])
         with pytest.raises(ValueError, match="finite"):
             SampledSignal(Grid(0.0, 1.0, 8), x[::2])
         with pytest.raises(ValueError, match="length"):

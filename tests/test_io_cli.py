@@ -389,9 +389,7 @@ class TestVerifyCommand:
         assert all(res <= 1e-10 for res in payload["residuals"].values())
 
     def test_zero_filters_fail_naming_condition(self, tmp_path, capsys):
-        ts = TranslationSet(1, 1)
-        grid = Grid(0.0, 0.5 / 4096, 4096)
-        pair = PeriodicFilterPair(ts, grid, np.zeros(4096), np.zeros(4096))
+        pair = PeriodicFilterPair(TranslationSet(1, 1), np.zeros(4096), np.zeros(4096))
         fpath = tmp_path / "zero.csv"
         write_filter_csv(fpath, pair)
         report = tmp_path / "report.json"
@@ -406,7 +404,7 @@ class TestVerifyCommand:
     def test_nan_residuals_are_violations(self, tmp_path):
         # components near 1e200 overflow: 2.21/3.4a are inf, 2.22/2.33/3.4b NaN, L0 about 1e200
         p0 = haar_filters(TranslationSet(1, 1), CanonicalMatrix(2, 1, 1, 1))
-        big = PeriodicFilterPair(p0.ts, p0.u_grid, 1e200 * p0.comp1, 1e200 * p0.comp2)
+        big = PeriodicFilterPair(p0.ts, 1e200 * p0.comp1, 1e200 * p0.comp2)
         fpath = tmp_path / "big.csv"
         write_filter_csv(fpath, big)
         report = tmp_path / "report.json"
@@ -634,6 +632,19 @@ class TestLctCommand:
         assert err.startswith("usage: lct-numra lct") and err.count("error: ") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("inputs", ["present", "missing"])
+    def test_forward_refuses_t_grid(self, tmp_path, capsys, inputs):
+        # only lct inv reads a time grid: lct fwd took this one, ignored it and exited 0
+        fpath, out = tmp_path / "f.csv", tmp_path / "F.csv"
+        if inputs == "present":
+            write_signal_csv(fpath, gaussian(Grid(-8.0, 16.0 / 256, 256)))
+        assert main(["lct", "fwd", "--matrix", "2,1,1,1", "--in", str(fpath), "--out", str(out),
+                     "--t-grid=0,0.5,8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lct-numra") and err.count("error: ") == 1
+        assert err.endswith("lct-numra: error: unrecognized arguments: --t-grid=0,0.5,8\n")
+        assert not out.exists()
+
     def test_inverse_refuses_omega_header(self, tmp_path, capsys):
         # a spectrum written with an x column "omega" has a grid 2 pi wider than the
         # induced one: refused by its header, not inverted by quadrature
@@ -695,7 +706,7 @@ class TestCascadeCommand:
         # extension, so it has no short Fourier series
         base = haar_filters(TranslationSet(1, 1), fourier())
         phase = np.exp(1j * np.sin(2 * np.pi * base.u_grid.points()))
-        pair = PeriodicFilterPair(base.ts, base.u_grid, phase * base.comp1, phase * base.comp2)
+        pair = PeriodicFilterPair(base.ts, phase * base.comp1, phase * base.comp2)
         assert not pair.exact
         fpath = tmp_path / "filters.csv"
         write_filter_csv(fpath, pair)
@@ -709,7 +720,7 @@ class TestCascadeCommand:
         # the truncated tail (its deviation and J) and nearest-sample rows, as the library has them
         base = haar_filters(TranslationSet(1, 1), fourier())
         phase = 1.0 if exact else np.exp(1j * np.sin(2 * np.pi * base.u_grid.points()))
-        pair = PeriodicFilterPair(base.ts, base.u_grid, phase * base.comp1, phase * base.comp2)
+        pair = PeriodicFilterPair(base.ts, phase * base.comp1, phase * base.comp2)
         fpath = tmp_path / "filters.csv"
         write_filter_csv(fpath, pair)
         out = tmp_path / "phi.csv"
@@ -743,7 +754,7 @@ class TestCascadeCommand:
 
     def test_inadmissible_filter_exit_two(self, tmp_path, capsys):
         base = haar_filters(TranslationSet(1, 1), fourier())
-        doubled = PeriodicFilterPair(base.ts, base.u_grid, 2 * base.comp1, 2 * base.comp2)
+        doubled = PeriodicFilterPair(base.ts, 2 * base.comp1, 2 * base.comp2)
         fpath = tmp_path / "filters.csv"
         write_filter_csv(fpath, doubled)
         assert main([

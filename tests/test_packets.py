@@ -18,10 +18,13 @@ from lct_numra.filters import (
     PeriodicFilterPair,
     TranslationSet,
     complete_filters,
+    default_u_count,
     filter_eval,
     omega_enumerate,
+    sample_grid,
     translations,
 )
+from lct_numra.io import read_filter_csv, write_filter_csv
 from lct_numra.packets import (
     BasisElement,
     CoefficientTable,
@@ -642,7 +645,7 @@ class TestHatEngine:
         monkeypatch.setattr(wavelets, "_BLOCK", 1000)
         base = haar_filter_bank(TranslationSet(1, 1), fourier())[0]
         phase = np.exp(1j * np.sin(2 * np.pi * base.u_grid.points()))
-        pair = PeriodicFilterPair(base.ts, base.u_grid, phase * base.comp1, phase * base.comp2)
+        pair = PeriodicFilterPair(base.ts, phase * base.comp1, phase * base.comp2)
         assert not pair.exact
         grid = numra_grid(base.ts, (-2.0, 2.0), refinement=64)
         engine = wavelets.HatEngine(pair, grid, oversample=1, J=20, depth=0)
@@ -698,7 +701,7 @@ class TestHatEngine:
 
         base = haar_filter_bank(TranslationSet(1, 1), fourier())[0]
         phase = np.exp(1j * np.sin(2 * np.pi * base.u_grid.points()))
-        pair = PeriodicFilterPair(base.ts, base.u_grid, phase * base.comp1, phase * base.comp2)
+        pair = PeriodicFilterPair(base.ts, phase * base.comp1, phase * base.comp2)
         grid = numra_grid(base.ts, (-2.0, 2.0), refinement=64)
         whole = wavelets.HatEngine(pair, grid, oversample=1, J=20, depth=2)
         monkeypatch.setattr(wavelets, "_BLOCK", 1000)
@@ -988,6 +991,23 @@ class TestReadThroughTheNode:
         mixed = bank[:3] + foreign[-1:]  # 2N filters, the last of another set
         with pytest.raises(ValueError, match=re.escape(f"not all of the scaling's {ts}")):
             generate_packets(3, mixed, grid=grid, oversample=1)
+
+    def test_bank_of_another_lowpass_refused(self, tmp_path):
+        # the N = 1 db2 low-pass (taps (1 +- sqrt 3)/8, (3 +- sqrt 3)/8) cascaded and paired
+        # with the Haar bank: packets 0..3 were accepted and their Gram residual read 0.375
+        ts = TranslationSet(1, 1)
+        taps = np.array([1 + np.sqrt(3), 3 + np.sqrt(3), 3 - np.sqrt(3), 1 - np.sqrt(3)]) / 8
+        z = np.exp(-4j * np.pi * sample_grid(default_u_count(ts)).points())
+        db2 = PeriodicFilterPair(ts, taps[0] + taps[2] * z, taps[1] + taps[3] * z)
+        grid = numra_grid(ts, (-6.0, 7.0), refinement=1024)
+        scaling = cascade(db2, grid=grid, oversample=1, depth=2)
+        with pytest.raises(ValueError, match="bank filter 0 is not the scaling's low-pass"):
+            packet_hat(digits(1, 1), haar_filter_bank(ts, fourier()), scaling=scaling)
+        # the samples decide: db2 read back from its file is the scaling's low-pass
+        write_filter_csv(tmp_path / "db2.csv", db2)
+        own = [read_filter_csv(tmp_path / "db2.csv"), *complete_filters(db2)]
+        nodes = [packet_hat(digits(n, 1), own, scaling=scaling) for n in range(4)]
+        assert packet_gram(nodes, ts, fourier(), (-2.0, 2.0))[1] < 1e-5
 
     def test_lattice_owns_the_oversample(self, n2):
         # an oversample-1 cascade serves its own grid without a restated oversample

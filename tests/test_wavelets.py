@@ -195,7 +195,7 @@ class TestCascade:
     def test_rejects_filter_without_unit_response(self):
         ts = TranslationSet(1, 1)
         base = haar_filters(ts, fourier())
-        doubled = PeriodicFilterPair(ts, base.u_grid, 2 * base.comp1, 2 * base.comp2)
+        doubled = PeriodicFilterPair(ts, 2 * base.comp1, 2 * base.comp2)
         with pytest.raises(FilterConditionError):
             cascade(doubled)
 
@@ -231,7 +231,7 @@ class TestWaveletFromFilters:
         result = cascade(p0, J=20, tol=1e-5)
 
         count = p0.u_grid.count
-        pk = PeriodicFilterPair(ts, p0.u_grid, np.full(count, -0.5, dtype=complex),
+        pk = PeriodicFilterPair(ts, np.full(count, -0.5, dtype=complex),
                                 np.full(count, 0.5, dtype=complex))
         psi_hat = result.hat.child(pk)
         u = np.linspace(-3.0, 3.0, 601)

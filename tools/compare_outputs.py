@@ -8,8 +8,9 @@ PARENT and CHANGE are checkout roots (their ``src/`` is put on PYTHONPATH) or
 ``python -m lct_numra.cli`` from each root into that root's own temporary
 directory, with the BLAS pools pinned to one thread; a short library script
 (``LIBRARY``) also saves engine tails, cascade signals, packet hats and band
-deficits, oversample-1 wavelets, the AC-11 packet bases' residuals,
-coefficients and syntheses, and chirped translates as ``.npy`` files.  The
+deficits, oversample-1 wavelets, two completed Haar banks, the AC-11 packet
+bases' residuals, coefficients and syntheses, and chirped translates as
+``.npy`` files.  The
 inputs (a 2^17-row signal, two 8- and 4-row signal files whose t column is
 off their grid, a filter file whose u column is off its grid, two signal
 files whose sidecar step is not finite, and an empty directory) are written
@@ -79,6 +80,10 @@ COMMANDS += [
     ("crosscheck", ["crosscheck", "--out", "{out}/crosscheck.json"]),
     ("lct-fwd", ["lct", "fwd", "--matrix", M, "--in", "{in}/f.csv", "--out", "{out}/F.csv"]),
     ("lct-inv", ["lct", "inv", "--matrix", M, "--in", "{out}/F.csv", "--out", "{out}/f_inv.csv"]),
+    # a time grid is an lct inv option: lct fwd refuses it with exit 1, and a tree that
+    # ignores it writes lct-fwd's F.csv again, byte for byte
+    ("lct-fwd-t-grid", ["lct", "fwd", "--matrix", M, "--in", "{in}/f.csv", "--t-grid=0,0.5,8",
+                        "--out", "{out}/F.csv"]),
     # signal files whose t column is off their grid: refused with exit 1
     ("lct-fwd-moved", ["lct", "fwd", "--matrix", M, "--in", "{in}/moved.csv",
                        "--out", "{out}/F-moved.csv"]),
@@ -142,15 +147,16 @@ for name, step in [("nan-step", "NaN"), ("inf-step", "Infinity")]:
 """
 
 #: Library outputs no CLI file carries: engine tail T_0, its tail deviation, the
-#: cascade signal, the lattice hats and band deficits of packets 0..3, and at N = 2 the
-#: oversample-1 wavelets of ``haar_family``; of the AC-11 parent and
+#: cascade signal, the lattice hats and band deficits of packets 0..3, at N = 2 the
+#: oversample-1 wavelets of ``haar_family``, and at (N, r) = (2, 1) and (3, 1) the
+#: components of ``complete_filters`` of the low-pass; of the AC-11 parent and
 #: children bases, the certify residual, the coefficients of a random signal and
 #: their synthesis; and chirped translates under two matrices, one leaving the window.
 LIBRARY = """
 import sys
 import numpy as np
 from lct_numra.canonical import CanonicalMatrix, fourier
-from lct_numra.filters import TranslationSet
+from lct_numra.filters import TranslationSet, complete_filters
 from lct_numra.packets import (BasisElement, PacketBasis, generate_packets, packet_analyze,
                                packet_synthesize)
 from lct_numra.sampling import SampledSignal, indicator, numra_grid, translate_chirp
@@ -172,6 +178,9 @@ for N, r in [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)]:
         fam = haar_family(ts, CanonicalMatrix(2, 1, 1, 1), grid=grid, oversample=1)
         for k, psi in enumerate(fam.psi, start=1):
             np.save(f"{out}-psi{k}.npy", psi.values)
+    if r == 1 and N > 1:  # the CLI completes no bank
+        for k, high in enumerate(complete_filters(bank[0]), start=1):
+            np.save(f"{out}-completed{k}.npy", np.stack([high.comp1, high.comp2]))
 ts = TranslationSet(1, 1)
 grid = numra_grid(ts, (-6.0, 6.0), refinement=8192)
 nodes = generate_packets(3, haar_filter_bank(ts, fourier()), grid=grid, oversample=1)
