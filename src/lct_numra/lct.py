@@ -55,7 +55,7 @@ _SPLIT = 1 << 17  # counts from which a transform takes the radix-2 step (at 2^1
 _TWIDDLES: dict[tuple[int, int], tuple] = {}  # (size class, sign) -> (count, w^j for j < _FILL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LctSpectrum(SampledSignal):
     """Transform values: a signal sampled on a uniform grid of the output variable u.
 

@@ -315,9 +315,10 @@ class PacketBasis:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTable:
-    """Rows (n, level, lambda) with the corresponding coefficients."""
+    """Rows (n, level, lambda) with the corresponding coefficients; tables compare by
+    identity, as signals do."""
 
     rows: tuple[tuple[int, int, float], ...]
     values: np.ndarray

@@ -124,9 +124,10 @@ def numra_grid(ts, window: tuple[float, float], *, refinement: int = 1) -> Grid:
     return Grid(t_min=i_lo * step, step=step, count=count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSignal:
-    """Complex samples of a function on a uniform grid (zero outside)."""
+    """Complex samples of a function on a uniform grid (zero outside); signals compare
+    by identity, as filter pairs do: compare their values to compare functions."""
 
     grid: Grid
     values: np.ndarray

@@ -12,8 +12,9 @@ L_d(u/(2N)^j) on one frequency lattice.  ``cascade`` creates a
 ``HatEngine`` there that evaluates each row, as an array on its period
 multiplied in by broadcasting, and retains only the cascade tails in
 use, never a row; an exact row is one small matrix product of two tables
-of roots of unity.  A ``HatFunction`` takes its lattice values from the
-engine.
+of roots of unity.  Every product multiplies its rows in ascending j, as
+the formula reads, so a hat's lattice bits depend on the hat alone.  A
+``HatFunction`` takes its lattice values from the engine.
 
 Every lattice has step 1/``SPAN`` and every synthesis one time period of
 ``SPAN`` = 16, centred on 0.  That period holds every grid window the CLI
@@ -124,13 +125,19 @@ class HatEngine:
     every order = SPAN*N*(2N)^j points of e, whatever form the pair takes.
     Each row is evaluated as one array on its period P (``_period``: the
     order where that divides n, else all n points) and multiplied into a
-    lattice array by broadcasting, ``target.reshape(-1, P) *= period``.  One
-    pass over the low-pass rows builds the tails of all requested depths: a
-    core of the rows all of them hold, tiled into each tail, then each
-    tail's few edge rows.  The constructor builds tails 0..``depth``; digit
-    rows of node hats are evaluated once per ``lattice`` call and multiplied
-    into every hat that uses them.  A tail deeper than the first pass costs
-    a second pass.
+    lattice array by broadcasting, ``target.reshape(-1, P) *= period``.
+    Every product is the formula's, accumulated times row in ascending j:
+    T_s = ((L_0(u/(2N)^{s+1}) L_0(u/(2N)^{s+2})) ...) L_0(u/(2N)^{s+J}),
+    each row on its period (the periods are nested divisors of n), and a hat
+    multiplies its digit rows into its tail in ascending j.  So a hat's bits
+    depend on the hat alone, not on what else a pass builds, and a tail
+    grown by one row is the tail built at that depth.  One pass evaluates
+    each low-pass row that a requested tail holds once and multiplies it into
+    every such tail, deepest first, so the shallowest takes the row's buffer.
+    The constructor builds tails 0..``depth``; digit rows of node hats are
+    evaluated once per ``lattice`` call and multiplied into every hat that
+    uses them.  A tail deeper than the first pass costs a second pass, which
+    evaluates its rows again.
 
     Row j of an exact pair sums 2K terms c_t q^(s_t e), q = exp(-2 pi
     i/order), s = 2N(lo + g b) for comp1 and 2N(lo + g b) + r for comp2
@@ -139,8 +146,7 @@ class HatEngine:
     phase s*e reduced exactly in int64 (``_roots``; an order past int64
     needs none, as |s*e| < order/2).  A row of another pair is
     ``filter_eval`` (nearest stored sample) on its P points, ``_BLOCK`` at a
-    time.  The periods are nested divisors of n, so the core forms on the
-    longest.  Products run accumulated times row.
+    time.
     """
 
     def __init__(self, lowpass: PeriodicFilterPair, grid: Grid, *, oversample: int, J: int,
@@ -171,46 +177,31 @@ class HatEngine:
         return (outer @ _roots(s, np.arange(w), order)).ravel()[:size]
 
     def _build_tails(self, depths) -> None:
-        new = sorted(set(depths) - set(self._tails))
-        if not new:
-            return
-        J, lo, hi, low = self.J, new[0], new[-1], self.lowpass
-        # the rows all new tails hold (but row J of a new T_0, checked), on nested periods
-        core = [j for j in range(hi + 1, lo + J + 1) if not (lo == 0 and j == J)]
-        acc = np.ones(1, dtype=np.complex128)
-        for j in core:
-            row = self._period(low, j)
-            np.multiply(acc, row.reshape(-1, acc.size), out=row.reshape(-1, acc.size))
-            acc = row
-        tails = {s: np.tile(acc, self.n // acc.size) for s in new}
-        del acc  # freed before the edge rows: the tails hold the core now
-        for j in sorted(set(range(lo + 1, hi + J + 1)) - set(core)):  # the edge rows
-            users = [s for s in new if s < j <= s + J]
-            if not users:
-                continue
-            row = self._period(low, j)
-            for s in reversed(users):  # T_0 last: row J's buffer may take its product
-                t = tails[s].reshape(-1, row.size)
-                if s == 0 and j == J:
-                    full = row.reshape(t.shape) if row.size == t.size else np.empty_like(t)
-                    np.multiply(t, row.reshape(1, -1), out=full)
-                    t -= full  # T_0's last factor moves it by |full - t|
-                    self.tail_deviation = float(np.max(np.abs(t)))
-                    tails[0] = full.ravel()
-                    del t  # the old T_0, freed before the next row
-                else:
-                    t *= row
-            del row  # freed before the next row is evaluated
-        for t in tails.values():
+        new = sorted(set(depths) - set(self._tails), reverse=True)  # deepest first
+        tails = {s: np.ones(1, dtype=np.complex128) for s in new}
+        for j in sorted({j for s in new for j in range(s + 1, s + self.J + 1)}):
+            row = self._period(self.lowpass, j)
+            users = [s for s in new if s < j <= s + self.J]
+            for s in users:  # the shallowest last: it takes row's buffer
+                acc = tails[s].reshape(1, -1)
+                view = row.reshape(-1, acc.size)
+                # in place into acc itself: numpy copies an input that another view as out aliases
+                same = acc if acc.size == row.size else None
+                tails[s] = np.multiply(acc, view, out=view if s == users[-1] else same)
+                if s == 0 and j == self.J:  # T_0's last factor moves it by |acc - T_0|
+                    self.tail_deviation = float(np.max(np.abs(np.subtract(acc, view, out=same))))
+            del row, acc, view, same  # freed before the next row is evaluated
+        for s, t in tails.items():
+            t = t.ravel() if t.size == self.n else np.tile(t.ravel(), self.n // t.size)
             t.flags.writeable = False
-        self._tails.update(tails)
+            self._tails[s] = t
 
     def lattice(self, hats) -> list[np.ndarray]:
         """Lattice values of hats bound to this engine, read-only and stored on each hat.
 
         Each digit row is evaluated once, on its period, and multiplied into
-        every hat that needs values; a hat evaluates at most once while it
-        lives, and its values die with it.
+        every hat that needs values, in ascending j; a hat evaluates at most
+        once while it lives, and its values die with it.
         """
         todo = {id(h): h for h in hats if h._values is None}
         self._build_tails({h.depth for h in todo.values()})
@@ -222,7 +213,7 @@ class HatEngine:
             for i, pair in enumerate(h.filters):
                 j = h.level + i + 1
                 rows.setdefault((id(pair), j), (pair, j, []))[2].append(values)
-        for pair, j, targets in rows.values():
+        for pair, j, targets in sorted(rows.values(), key=lambda r: r[1]):  # ascending j
             row = self._period(pair, j)
             for t in targets:
                 view = t.reshape(-1, row.size)
@@ -393,7 +384,8 @@ def cascade(
     between the J-term and (J-1)-term products must be at most ``tol``,
     otherwise a ConvergenceError carries the deviation.  The lattice
     engine also builds the tails of depths 1..``depth`` in the same pass
-    (packets with up to ``depth`` digits, and coarser bases, need them).
+    (packets with up to ``depth`` digits, and coarser bases, need them);
+    each tail is its own rows in ascending j, so ``depth`` moves no bit of phi.
     The hat holds its lattice values, and no inverse FFT is made before the
     first read of ``signal``.  J < 1 is refused: an empty product has no
     tail to check.  So is a J whose deepest row period SPAN*N*(2N)^(J+depth),
@@ -446,15 +438,13 @@ def haar_scaling(ts: TranslationSet, grid: Grid | None = None) -> SampledSignal:
     return indicator(haar_support_intervals(ts), grid)
 
 
-def haar_filters(
-    ts: TranslationSet, m: CanonicalMatrix, *, permissive: bool = False
-) -> PeriodicFilterPair:
+def haar_filters(ts: TranslationSet, m: CanonicalMatrix) -> PeriodicFilterPair:
     """Low-pass pair of the Haar-type family: filter 0 of ``haar_filter_bank``.
 
     Both components equal (1/2N) sum_k c_k exp(-8 pi i u k) with the
     unimodular lattice phases c_k; sampled exactly from the closed form.
     """
-    return haar_filter_bank(ts, m, permissive=permissive)[0]
+    return haar_filter_bank(ts, m)[0]
 
 
 def haar_filter_bank(
@@ -490,14 +480,13 @@ def haar_filter_bank(
 @dataclass(frozen=True, eq=False)
 class WaveletFamily:
     """A scaling function, its 2N - 1 wavelets, and the generating filters; families
-    compare by identity, as their filters and hat do."""
+    compare by identity, as their filters and signals do."""
 
     ts: TranslationSet
     m: CanonicalMatrix
     phi: SampledSignal
     psi: tuple[SampledSignal, ...]
     filters: tuple[PeriodicFilterPair, ...]
-    phi_hat: HatFunction
 
     def __post_init__(self):
         phi_norm = norm(self.phi)
@@ -517,14 +506,14 @@ def haar_family(
     permissive: bool = False,
 ) -> WaveletFamily:
     """Complete Haar-type family: exact scaling samples, spectral wavelets (packet hats
-    1..2N-1 of the cascade, one temporary hat at a time; phi's hat is not synthesised)."""
+    1..2N-1 of the cascade, one temporary hat at a time; phi's hat is neither synthesised
+    nor kept)."""
     if grid is None:
         grid = default_time_grid(ts)
     bank = haar_filter_bank(ts, m, permissive=permissive)
     result = cascade(bank[0], grid=grid, oversample=oversample, depth=1)
     psi = tuple(hat_to_signal(result.hat.child(pk), grid) for pk in bank[1:])
-    return WaveletFamily(ts=ts, m=m, phi=haar_scaling(ts, grid), psi=psi, filters=tuple(bank),
-                         phi_hat=result.hat)
+    return WaveletFamily(ts=ts, m=m, phi=haar_scaling(ts, grid), psi=psi, filters=tuple(bank))
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +521,10 @@ def haar_family(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionResult:
+    """P_j f, its coefficients and its warnings; results compare by identity, as signals do."""
+
     signal: SampledSignal
     coefficients: dict[float, complex]
     warnings: tuple[str, ...]

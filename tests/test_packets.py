@@ -18,10 +18,8 @@ from lct_numra.filters import (
     PeriodicFilterPair,
     TranslationSet,
     complete_filters,
-    default_u_count,
     filter_eval,
     omega_enumerate,
-    sample_grid,
     translations,
 )
 from lct_numra.io import read_filter_csv, write_filter_csv
@@ -64,6 +62,7 @@ from lct_numra.wavelets import (
 
 import basis_reference
 from hat_reference import ExactRows, bins_pair, product_hat
+from smooth_banks import DB2_TAPS, n1_pair
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 
@@ -695,8 +694,8 @@ class TestHatEngine:
     def test_nearest_sample_tails_are_blockwise_filter_eval(self, monkeypatch):
         # every row of a nearest-sample low-pass is filter_eval on its period,
         # block by block, so the tails do not depend on the block size, and
-        # the deepest tail, whose rows all follow the shared core, is the
-        # product formula bit for bit
+        # every tail, its rows multiplied in ascending j, is the product
+        # formula bit for bit
         import lct_numra.wavelets as wavelets
 
         base = haar_filter_bank(TranslationSet(1, 1), fourier())[0]
@@ -714,8 +713,7 @@ class TestHatEngine:
             np.testing.assert_array_equal(blocked._tails[s], whole._tails[s])
             hat = HatFunction(blocked).dilated(s)
             assert np.max(np.abs(blocked._tails[s] - product_hat(hat, u))) <= 1e-14
-        np.testing.assert_array_equal(blocked._tails[2],
-                                      product_hat(HatFunction(blocked, (), 2), u))
+            np.testing.assert_array_equal(blocked._tails[s], product_hat(hat, u))
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_lattice_hats_match_product_formula(self, N):
@@ -731,6 +729,78 @@ class TestHatEngine:
                 hat = node.dilated(level)
                 got = scaling.engine.lattice([hat])[0]
                 assert np.max(np.abs(got - product_hat(hat, u))) <= 1e-14
+
+
+class TestBitsFollowTheHat:
+    """A hat's lattice values depend on the hat alone: each tail multiplies its rows
+    in ascending j, and each hat its digit rows, whatever else one pass builds."""
+
+    @staticmethod
+    def haar(N):
+        ts = TranslationSet(N, 1)
+        return haar_filter_bank(ts, M2111), numra_grid(ts, (-2.0, 2.0), refinement=64)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_cascade_depth_does_not_move_phi(self, N):
+        bank, grid = self.haar(N)
+        alone = cascade(bank[0], grid=grid, oversample=1, depth=0)
+        for depth in (1, 2, 3):
+            res = cascade(bank[0], grid=grid, oversample=1, depth=depth)
+            np.testing.assert_array_equal(res.hat._values, alone.hat._values)
+            assert res.tail_deviation == alone.tail_deviation
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_shared_packets_do_not_depend_on_n_max(self, N):
+        # generate_packets(k + 1) builds one more tail where packet k + 1 has one
+        # more digit than packet k
+        bank, grid = self.haar(N)
+        before = None
+        for k in range((2 * N) ** 2 + 1):
+            hats = [node.hat.engine.lattice([node.hat])[0]
+                    for node in generate_packets(k, bank, grid=grid, oversample=1)]
+            for n, (old, got) in enumerate(zip(before or [], hats)):
+                np.testing.assert_array_equal(got, old, err_msg=f"packet {n} at n_max {k}")
+            before = hats
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_hat_alone_equals_hat_in_batch(self, N):
+        # the batch inserts digit rows 2 and 3 before the three-digit hat's row 1
+        bank, grid = self.haar(N)
+        n = (2 * N) ** 2 + 1
+
+        def hats(engine):
+            deep = [HatFunction(engine, tuple(bank[d] for d in digits(m, N).digits), 1)
+                    for m in (2 * N, 2 * N + 1)]
+            return deep + [HatFunction(engine, tuple(bank[d] for d in digits(n, N).digits))]
+
+        engine = cascade(bank[0], grid=grid, oversample=1, depth=3).engine
+        batch = engine.lattice(hats(engine))
+        for hat, got in zip(hats(engine), batch):
+            np.testing.assert_array_equal(engine.lattice([hat])[0], got)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_gapped_depths_are_separate_builds(self, N, monkeypatch):
+        # depths 1 and 5 at J = 1 hold rows 2 and 6, and no row between them is evaluated
+        import lct_numra.wavelets as wavelets
+
+        bank, grid = self.haar(N)
+        real = wavelets.HatEngine._period
+        rows = []
+
+        def counting(engine, pair, j):
+            rows.append(j)
+            return real(engine, pair, j)
+
+        engine = wavelets.HatEngine(bank[0], grid, oversample=1, J=1, depth=0)
+        monkeypatch.setattr(wavelets.HatEngine, "_period", counting)
+        engine.lattice([HatFunction(engine, (), 1), HatFunction(engine, (), 5)])
+        assert rows == [2, 6]
+        for s in (1, 5):
+            separate = wavelets.HatEngine(bank[0], grid, oversample=1, J=1, depth=0)
+            separate.lattice([HatFunction(separate, (), s)])
+            np.testing.assert_array_equal(engine._tails[s], separate._tails[s])
+            row = np.resize(real(engine, bank[0], s + 1), engine.n)  # T_s = 1 x row s + 1
+            np.testing.assert_array_equal(engine._tails[s], row)
 
 
 def count_lattice_iffts(monkeypatch, grid) -> list:
@@ -996,9 +1066,7 @@ class TestReadThroughTheNode:
         # the N = 1 db2 low-pass (taps (1 +- sqrt 3)/8, (3 +- sqrt 3)/8) cascaded and paired
         # with the Haar bank: packets 0..3 were accepted and their Gram residual read 0.375
         ts = TranslationSet(1, 1)
-        taps = np.array([1 + np.sqrt(3), 3 + np.sqrt(3), 3 - np.sqrt(3), 1 - np.sqrt(3)]) / 8
-        z = np.exp(-4j * np.pi * sample_grid(default_u_count(ts)).points())
-        db2 = PeriodicFilterPair(ts, taps[0] + taps[2] * z, taps[1] + taps[3] * z)
+        db2 = n1_pair(DB2_TAPS)
         grid = numra_grid(ts, (-6.0, 7.0), refinement=1024)
         scaling = cascade(db2, grid=grid, oversample=1, depth=2)
         with pytest.raises(ValueError, match="bank filter 0 is not the scaling's low-pass"):

@@ -361,6 +361,24 @@ class TestDilateChirp:
 
 
 class TestSignalInvariants:
+    def test_results_compare_by_identity(self):
+        # equal samples, two objects: == compared the value arrays and raised "The truth
+        # value of an array ... is ambiguous", and so did ``in`` on a list of them
+        from lct_numra.lct import lct_fast
+        from lct_numra.packets import CoefficientTable
+        from lct_numra.wavelets import ProjectionResult
+
+        g = std_grid(lo=-4.0, hi=4.0)
+        pairs = [(gaussian(g), gaussian(g)),
+                 (lct_fast(gaussian(g), M2111), lct_fast(gaussian(g), M2111))]
+        pairs += [(CoefficientTable(((0, 0, 0.0), (0, 0, 1.0)), np.ones(2)),
+                   CoefficientTable(((0, 0, 0.0), (0, 0, 1.0)), np.ones(2)))]
+        pairs += [tuple(ProjectionResult(sig, {0.0: 1.0 + 0j}, ()) for sig in pairs[0])]
+        for a, b in pairs:
+            assert a == a and a != b
+            assert a in [b, a] and a not in [b]
+            assert len({a, b}) == 2
+
     def test_rejects_nonfinite(self):
         g = Grid(0.0, 0.5, 4)
         with pytest.raises(ValueError):

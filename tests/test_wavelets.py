@@ -42,6 +42,7 @@ from lct_numra.wavelets import (
 
 from hat_reference import product_hat
 from project_reference import project_loop
+from smooth_banks import DB2_TAPS, eigenvalue_one_multiplicity, stretched_haar_taps
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 
@@ -141,7 +142,7 @@ class TestHaarFilters:
         bad = CanonicalMatrix(0, 1, 2, -1)
         with pytest.raises(MatrixError):
             haar_filters(TranslationSet(2, 1), bad)
-        p = haar_filters(TranslationSet(2, 1), bad, permissive=True)
+        p = haar_filter_bank(TranslationSet(2, 1), bad, permissive=True)[0]
         assert filter_eval(p, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -379,11 +380,21 @@ class TestProjection:
             assert np.max(np.abs(res.signal.values - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+class TestLawtonOracle:
+    @pytest.mark.parametrize("taps,want", [
+        ([0.5, 0.5], 1),
+        (DB2_TAPS, 1),
+        (stretched_haar_taps(3), 2),  # phi = chi[0,3]/3: its translates are not orthonormal
+        (stretched_haar_taps(5), 2),
+    ], ids=["haar", "db2", "stretched3", "stretched5"])
+    def test_eigenvalue_one_is_simple_for_orthonormal_filters(self, taps, want):
+        assert eigenvalue_one_multiplicity(taps) == want
+
+
 class TestFamilyPipeline:
     def test_family_invariants(self, fine_family_fourier):
         _, fam = fine_family_fourier
         assert norm(fam.phi) == pytest.approx(1.0, abs=0.02)
-        assert product_hat(fam.phi_hat, np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-6)
         assert len(fam.psi) == 1
         assert len(fam.filters) == 2
 

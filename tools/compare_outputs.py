@@ -19,7 +19,10 @@ once, by PARENT, and read by both.
 For every output file the script prints "byte-identical", or the largest
 difference of its numbers relative to the largest |number| in the file, or
 that the text around the numbers differs.  It also prints each command's exit
-code on both sides.  It exits 1 if any file, file list or exit code differs.
+code on both sides, and in one line whether, inside each checkout, one packet
+tree written at two n-max (``NMAX_PAIR``) has byte-identical files where both
+runs wrote one.  It exits 1 if any file, file list, exit code or shared packet
+file differs.
 The file is not named ``test_*.py`` so the repository's test run does not
 collect it; it moves no bound.
 """
@@ -59,6 +62,9 @@ for _fam in ("haar-1", "haar-2", "haar-2-r3", "haar-3"):
 COMMANDS += [
     ("packets-gen-1", ["packets", "gen", "--n-max", "3", "--N", "1", "--matrix", "0,1,-1,0",
                        "--step", str(2.0**-12), "--out-dir", "{out}/packets-1"]),
+    # the same tree to packet 1 only: one tail fewer (NMAX_PAIR)
+    ("packets-gen-1-nmax1", ["packets", "gen", "--n-max", "1", "--N", "1", "--matrix", "0,1,-1,0",
+                             "--step", str(2.0**-12), "--out-dir", "{out}/packets-1-nmax1"]),
     ("packets-gram-1", ["packets", "gram", "--nodes", "{out}/packets-1", "--window=-2,2.0001",
                         "--N", "1", "--matrix", "0,1,-1,0", "--report", "{out}/gram-1.json"]),
     # packets of another translation set than the options give: refused with exit 1
@@ -113,6 +119,10 @@ COMMANDS += [
     ("cascade-window-reversed", ["cascade", "--filters", "{out}/haar-1/filters_0.csv",
                                  "--window=3,-1", "--out", "{out}/cascade-reversed.csv"]),
 ]
+
+#: Output directories of one packet tree at two n-max; the packet files both hold must agree
+#: byte for byte inside each checkout, as a packet's bits depend on the packet alone.
+NMAX_PAIR = ("packets-1", "packets-1-nmax1")
 
 INPUTS = """
 import json, os, sys
@@ -255,6 +265,14 @@ def compare_file(a: Path, b: Path) -> str | None:
     return f"max relative difference {np.max(np.abs(num_a - num_b)) / scale:.3g}"
 
 
+def compare_nmax_pair(out: Path) -> tuple[list[str], list[str]]:
+    """The ``packet_*`` files both ``NMAX_PAIR`` directories under ``out`` hold, and those
+    of them that differ."""
+    a, b = (out / name for name in NMAX_PAIR)
+    shared = sorted({p.name for p in a.glob("packet_*")} & {p.name for p in b.glob("packet_*")})
+    return shared, [name for name in shared if compare_file(a / name, b / name)]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -281,6 +299,13 @@ def main(argv: list[str]) -> int:
                 status = compare_file(outs[0] / rel, outs[1] / rel) or "byte-identical"
             same &= status == "byte-identical"
             print(f"{status}  {rel}")
+        sides = []
+        for side, out in zip(("parent", "change"), outs):
+            shared, differ = compare_nmax_pair(out)
+            same &= bool(shared) and not differ
+            sides.append(f"{side} {len(shared)} shared, "
+                         + (f"{', '.join(differ)} differ" if differ else "byte-identical"))
+        print(f"n-max pair {' / '.join(NMAX_PAIR)}: " + "; ".join(sides))
         print(f"{len(files[0] | files[1])} files, {len(codes[0])} exit codes: "
               + ("all identical" if same else "DIFFERENCES"))
     return 0 if same else 1
