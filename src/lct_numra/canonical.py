@@ -44,13 +44,6 @@ class CanonicalMatrix:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CanonicalMatrix":
-        return cls(float(obj["a"]), float(obj["b"]), float(obj["c"]), float(obj["d"]))
-
 
 @dataclass(frozen=True)
 class MatrixReport:

@@ -33,6 +33,7 @@ import os
 import re
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 from . import thread_cap
@@ -244,13 +245,7 @@ def _cmd_matrix(args) -> int:
 
     m = args.matrix
     report = validate(m, allow_nonunimodular=args.allow_nonunimodular)
-    payload = {
-        "matrix": m.to_dict(),
-        "det": report.det,
-        "ok": report.ok,
-        "violations": list(report.violations),
-        "permissive": bool(args.allow_nonunimodular),
-    }
+    payload = {"matrix": asdict(m), **asdict(report), "permissive": args.allow_nonunimodular}
     if args.report:
         write_json(args.report, payload)
     if report.ok and args.allow_nonunimodular and not validate(m).ok:
@@ -305,7 +300,7 @@ def _cmd_haar(args) -> int:
     for k, pair in enumerate(fam.filters):
         write_filter_csv(out / f"filters_{k}.csv", pair)
     report = bank_report(list(fam.filters), args.tol)
-    report["matrix"] = args.matrix.to_dict()
+    report["matrix"] = asdict(args.matrix)
     write_json(out / "verify.json", report)
     return _verdict(report["ok"], f"condition(s) {', '.join(report['violations'])}")
 
@@ -349,8 +344,8 @@ def _cmd_packets_gen(args) -> int:
     out = Path(args.out_dir)
     for node in nodes:
         write_signal_csv(out / f"packet_{node.index.n}.csv", node.signal,
-                         band_deficit=node.band_deficit, translation=ts.to_dict(),
-                         matrix=args.matrix.to_dict())
+                         band_deficit=node.band_deficit, translation=asdict(ts),
+                         matrix=asdict(args.matrix))
     return EXIT_OK
 
 

@@ -58,6 +58,8 @@ class TranslationSet:
     r: int
 
     def __post_init__(self):
+        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "r", int(self.r))
         if self.N < 1:
             raise ValueError("N must be a positive integer")
         if not (1 <= self.r <= 2 * self.N - 1):
@@ -70,13 +72,6 @@ class TranslationSet:
     @property
     def dilation(self) -> int:
         return 2 * self.N
-
-    def to_dict(self) -> dict:
-        return {"N": self.N, "r": self.r}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TranslationSet":
-        return cls(int(obj["N"]), int(obj["r"]))
 
 
 def omega_enumerate(ts: TranslationSet, window: tuple[float, float]) -> list[float]:

@@ -18,6 +18,7 @@ import os
 import tempfile
 import warnings
 from collections.abc import Iterable, Iterator
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +70,10 @@ def _sidecar(path: Path) -> Path:
 
 
 def _from_sidecar(cls, meta: dict, sidecar: Path):
-    """``cls.from_dict(meta)``; a missing key or a refused value is named with the sidecar's path."""
+    """The record ``cls`` from its fields' keys in ``meta`` (others are ignored); a missing
+    key or a refused value is named with the sidecar's path."""
     try:
-        return cls.from_dict(meta)
+        return cls(**{f.name: meta[f.name] for f in fields(cls)})
     except KeyError as exc:
         raise ValueError(f"{sidecar}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:  # TypeError: a null value
@@ -114,7 +116,7 @@ def _write_sampled(path: str | Path, x_name: str, grid: Grid, values: np.ndarray
     path = Path(path)
     atomic_write_text(path, _columns_csv([x_name, "re", "im"],
                                          [grid.points(), values.real, values.imag]))
-    write_json(_sidecar(path), {**grid.to_dict(), **sidecar})
+    write_json(_sidecar(path), {**asdict(grid), **sidecar})
 
 
 def _read_sampled(path: str | Path, x_name: str) -> tuple[Grid, np.ndarray, dict]:
@@ -162,7 +164,7 @@ def read_packet_csv(path: str | Path, ts: TranslationSet, m: CanonicalMatrix) ->
 
 def write_spectrum_csv(path: str | Path, spectrum: LctSpectrum) -> None:
     """Spectrum CSV, columns (u, re, im); the sidecar records the source time grid when known."""
-    extra = {} if spectrum.t_grid is None else {"t_grid": spectrum.t_grid.to_dict()}
+    extra = {} if spectrum.t_grid is None else {"t_grid": asdict(spectrum.t_grid)}
     _write_sampled(path, "u", spectrum.grid, spectrum.values, **extra)
 
 
@@ -180,7 +182,7 @@ def write_filter_csv(path: str | Path, pair: PeriodicFilterPair) -> None:
         ["u", "re1", "im1", "re2", "im2"],
         [pair.u_grid.points(), pair.comp1.real, pair.comp1.imag, pair.comp2.real, pair.comp2.imag],
     ))
-    write_json(_sidecar(path), pair.ts.to_dict())
+    write_json(_sidecar(path), asdict(pair.ts))
 
 
 def read_filter_csv(path: str | Path) -> PeriodicFilterPair:

@@ -264,7 +264,7 @@ class PacketBasis:
     ts: TranslationSet
     m: CanonicalMatrix
     elements: list[BasisElement]
-    residual: float | None = field(default=None)
+    residual: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         if not self.elements:

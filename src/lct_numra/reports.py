@@ -12,6 +12,8 @@ report.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from .canonical import CanonicalMatrix, validate
@@ -43,8 +45,8 @@ def packet_gram_report(signals: list[SampledSignal], ts: TranslationSet, m: Cano
     above ``tol`` or NaN."""
     off = identity_deviation(chirped_translate_gram(signals, translations(ts, window), m))
     config = {
-        "matrix": m.to_dict(),
-        "translation": ts.to_dict(),
+        "matrix": asdict(m),
+        "translation": asdict(ts),
         "window": list(window),
         "count": len(signals),
     }
@@ -59,14 +61,14 @@ def packet_gram_report(signals: list[SampledSignal], ts: TranslationSet, m: Cano
 
 def lowpass_report(pair: PeriodicFilterPair, tol: float = DEFAULT_TOL) -> dict:
     """Residuals of every admissibility condition for a single low-pass pair."""
-    config = {"translation": pair.ts.to_dict(), "u_count": pair.u_grid.count}
+    config = {"translation": asdict(pair.ts), "u_count": pair.u_grid.count}
     return _report(config, bank_residuals([pair]), tol)
 
 
 def bank_report(bank: list[PeriodicFilterPair], tol: float = DEFAULT_TOL) -> dict:
     """Worst-case residuals over all filter pairs of a bank."""
     config = {
-        "translation": bank[0].ts.to_dict(),
+        "translation": asdict(bank[0].ts),
         "u_count": bank[0].u_grid.count,
         "size": len(bank),
     }
@@ -96,8 +98,8 @@ def anomalous_n2_report(*, step: float = 2.0**-10) -> dict:
     ts = TranslationSet(N=2, r=1)
     lambda_window = (-4.0, 4.0)
     report_cfg = {
-        "matrix": m.to_dict(),
-        "translation": ts.to_dict(),
+        "matrix": asdict(m),
+        "translation": asdict(ts),
         "step": step,
         "lambda_window": list(lambda_window),
     }

@@ -99,13 +99,6 @@ class Grid:
         """Exact index of a grid point; raises OffGridError otherwise."""
         return self.steps(t - self.t_min)
 
-    def to_dict(self) -> dict:
-        return {"t_min": self.t_min, "step": self.step, "count": self.count}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Grid":
-        return cls(float(obj["t_min"]), float(obj["step"]), int(obj["count"]))
-
 
 def numra_grid(ts, window: tuple[float, float], *, refinement: int = 1) -> Grid:
     """Grid compatible with a translation set: step = 1/(2N*K), K = ``refinement``.

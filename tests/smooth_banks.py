@@ -1,5 +1,11 @@
 """Uniform (N = 1) low-pass filters from their taps, and Lawton's orthonormality oracle.
 
+Every two-band filter of length 2K whose taps are orthonormal to their even shifts
+comes from K rotation angles through the paraunitary lattice of Vaidyanathan & Hoang
+(IEEE Trans. ASSP 36(1), 1988): ``lattice_taps``, with ``lattice_angles`` the
+``hypothesis`` strategy that draws them at K = 1..4 (the tests fix its seed).  Angles
+at 0 give stretched filters, so Lawton's test below still decides the scaling function.
+
 A filter with taps h_0..h_{L-1}, sum h = 1, is L(u) = sum_n h_n exp(-2 pi i n u).  On
 the translation set {0, 1} + 2Z its pair holds the even taps in comp1 and the odd taps
 in comp2, each a polynomial in z = exp(-4 pi i u).  Lawton (J. Math. Phys. 32(1),
@@ -9,6 +15,7 @@ whose conditions hold, they are orthonormal exactly when eigenvalue 1 of
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from lct_numra.filters import PeriodicFilterPair, TranslationSet, default_u_count, sample_grid
 
@@ -21,6 +28,31 @@ def stretched_haar_taps(k: int) -> np.ndarray:
     taps = np.zeros(k + 1)
     taps[[0, k]] = 0.5
     return taps
+
+
+def lattice_taps(angles) -> np.ndarray:
+    """The 2K taps, sum 1, of the paraunitary low-pass with lattice rotation angles
+    theta_0..theta_{K-1} summing to pi/4.
+
+    [H0; H1] starts as R(theta_0) [1; z^-1] and each further angle takes it to
+    R(theta_k) [H0; z^-2 H1], so [H0; H1](1) = R(sum theta) [1; 1] and H0(1) = sqrt 2;
+    the taps are H0's divided by sqrt 2.
+    """
+    h0, h1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    for k, theta in enumerate(angles):
+        if k:
+            h0, h1 = np.append(h0, [0.0, 0.0]), np.insert(h1, 0, [0.0, 0.0])
+        c, s = np.cos(theta), np.sin(theta)
+        h0, h1 = c * h0 + s * h1, c * h1 - s * h0
+    return h0 / np.sqrt(2.0)
+
+
+#: Rotation angles of ``lattice_taps`` at K = 1..4: K - 1 free in [-pi, pi), the last
+#: completing the sum pi/4 (K = 1 is Haar).
+lattice_angles = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.floats(-np.pi, np.pi, exclude_max=True), min_size=k - 1,
+                       max_size=k - 1)
+).map(lambda free: [*free, np.pi / 4 - sum(free)])
 
 
 def n1_pair(taps) -> PeriodicFilterPair:

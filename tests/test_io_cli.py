@@ -6,6 +6,7 @@ import sys
 import threading
 import warnings
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from lct_numra.canonical import CanonicalMatrix, fourier, fresnel
 from lct_numra.cli import main
 from lct_numra.filters import PeriodicFilterPair, TranslationSet, filter_eval
 from lct_numra.io import (
+    atomic_write_text,
     config_hash,
     read_filter_csv,
     read_json,
@@ -45,6 +47,21 @@ from signal_reference import rel_l2_error
 
 
 class TestSerialization:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # a chunk that raises half-way: the temp file is removed, the error re-raised, and
+        # the file that was there is left whole
+        path = tmp_path / "out.txt"
+        path.write_text("before\n")
+
+        def chunks():
+            yield "first\n"
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            atomic_write_text(path, chunks())
+        assert path.read_text() == "before\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
     def test_signal_round_trip_exact(self, tmp_path):
         g = Grid(-2.0, 2.0**-6, 256)
         rng = np.random.default_rng(1)
@@ -250,6 +267,11 @@ class TestThreadCap:
                               text=True, check=True)
         state = json.loads(proc.stdout)
         assert state == {"before": False, "code": 0, "openblas": "3", "after": True}
+
+    @pytest.mark.parametrize("text", ["two", "1.5", " "])
+    def test_non_integer_cap_reads_zero(self, monkeypatch, text):
+        monkeypatch.setenv("LCT_NUMRA_THREADS", text)
+        assert lct_numra.thread_cap() == 0
 
     def test_library_reads_the_cap(self, monkeypatch):
         # 0 or unset: two threads where two CPUs are usable; the BLAS variables play no part
@@ -728,7 +750,7 @@ class TestCascadeCommand:
         meta = read_strict_json(tmp_path / "phi.json")
         grid = default_time_grid(pair.ts, (-1.0, 3.0), 2.0**-10)
         res = cascade(read_filter_csv(fpath), J=22, tol=1e-5, grid=grid, depth=0)
-        assert meta == {**grid.to_dict(), "tail_deviation": res.tail_deviation,
+        assert meta == {**asdict(grid), "tail_deviation": res.tail_deviation,
                         "J": res.engine.J, "nearest_sample": not exact}
         assert read_signal_csv(out).grid == grid
 
@@ -792,8 +814,8 @@ class TestPacketsCommand:
         for node in nodes:
             path = out / f"packet_{node.index.n}.csv"
             meta = read_strict_json(path.with_suffix(".json"))
-            assert meta == {**grid.to_dict(), "band_deficit": node.band_deficit,
-                            "translation": {"N": 1, "r": 1}, "matrix": fourier().to_dict()}
+            assert meta == {**asdict(grid), "band_deficit": node.band_deficit,
+                            "translation": {"N": 1, "r": 1}, "matrix": asdict(fourier())}
             assert 0.0 < meta["band_deficit"] < 1e-2
             back = read_signal_csv(path)
             assert back.grid == grid

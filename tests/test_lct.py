@@ -230,6 +230,12 @@ class TestInverse:
         with pytest.raises(ValueError, match="even count"):
             ilct(spec, M2111, g, method="fast")
 
+    def test_unknown_method_refused(self):
+        g = grid_n(256)
+        spec = lct_fast(gaussian(g), M2111)
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            ilct(spec, M2111, g, method="bogus")
+
     def test_fast_requires_induced_grid(self):
         g = grid_n(256)
         spec = LctSpectrum(Grid(-1.0, 0.01, 256), np.zeros(256))

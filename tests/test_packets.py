@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lct_numra
@@ -38,6 +38,7 @@ from lct_numra.packets import (
     packet_synthesize,
     reconstruct,
 )
+from lct_numra.reports import bank_report, lowpass_report
 from lct_numra.sampling import (
     SampledSignal,
     chirp_phase,
@@ -51,6 +52,7 @@ from lct_numra.sampling import (
 )
 from lct_numra.wavelets import (
     SPAN,
+    ConvergenceError,
     HatFunction,
     cascade,
     default_time_grid,
@@ -58,11 +60,18 @@ from lct_numra.wavelets import (
     haar_family,
     haar_filter_bank,
     hat_to_signal,
+    two_scale_residual,
 )
 
 import basis_reference
 from hat_reference import ExactRows, bins_pair, product_hat
-from smooth_banks import DB2_TAPS, n1_pair
+from smooth_banks import (
+    DB2_TAPS,
+    eigenvalue_one_multiplicity,
+    lattice_angles,
+    lattice_taps,
+    n1_pair,
+)
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
 
@@ -106,6 +115,11 @@ class TestDigits:
             PacketIndex(0, (0,))
         with pytest.raises(ValueError):
             digits(-1, 1)
+
+    def test_negative_packet_count_refused(self):
+        bank = haar_filter_bank(TranslationSet(1, 1), fourier())
+        with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
+            generate_packets(-1, bank)
 
 
 @pytest.fixture(scope="module")
@@ -387,6 +401,45 @@ class TestFoldSums:
                 fold_residuals(nodes[1], ts, oversample=other)
 
 
+#: TestFoldSums' N = 1 grid, where Haar's packets 0..2 fold to within 1e-3.
+DRAW_GRID = numra_grid(TranslationSet(1, 1), (-4.0, 4.0), refinement=8192)
+
+
+class TestLatticeDraws:
+    """N = 1 low-passes from the paraunitary lattice (``smooth_banks``), at fixed seeds
+    and draw counts: what holds for every draw today."""
+
+    @seed(1988)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(angles=lattice_angles)
+    def test_filter_conditions_and_completion(self, angles):
+        p = n1_pair(lattice_taps(angles))
+        assert p.exact
+        assert lowpass_report(p)["ok"]
+        assert bank_report([p, *complete_filters(p)])["ok"]
+
+    @seed(1988)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(angles=lattice_angles)
+    def test_residuals_where_the_cascade_converges(self, angles):
+        # Valid draws whose J = 20 tail exceeds the cascade's tol are refused (the fixed
+        # depth is too shallow for them) and checked no further.  T_0 - R_1 T_1 =
+        # T_0 (1 - R_{J+1}) is the next row's step, 1/(2N) of the tail deviation once the
+        # tail is geometric, so the two-scale residual meets the cascade's tol.  The fold
+        # sums hold for orthonormal packets, so only where Lawton's eigenvalue 1 is simple:
+        # angles at 0 give stretched filters, which no refusal covers yet.
+        taps = lattice_taps(angles)
+        p = n1_pair(taps)
+        try:
+            nodes = generate_packets(2, [p, *complete_filters(p)], grid=DRAW_GRID, oversample=1)
+        except ConvergenceError:
+            return
+        assert two_scale_residual(nodes[0].hat) <= 1e-5
+        if eigenvalue_one_multiplicity(taps) == 1:
+            for node in nodes:
+                assert max(fold_residuals(node, p.ts)) <= 1e-3
+
+
 class TestBandDeficit:
     @pytest.mark.parametrize("r", [1, 3])
     def test_is_one_minus_gram_diagonal(self, r):
@@ -428,6 +481,41 @@ class TestBasisGate:
         assert basis.certify() > 1e-3
         f = SampledSignal(basis.elements[0].node.signal.grid,
                           basis.elements[0].node.signal.values)
+        with pytest.raises(UncertifiedBasisError, match="residual"):
+            packet_analyze(f, basis)
+
+    def test_nodes_on_two_grids_refused(self, haar1_nodes):
+        ts = TranslationSet(1, 1)
+        coarse = generate_packets(0, haar_filter_bank(ts, fourier()),
+                                  grid=numra_grid(ts, (-6.0, 6.0), refinement=64), oversample=1)
+        basis = PacketBasis(ts, fourier(), [BasisElement(haar1_nodes[0], 0, 0.0),
+                                            BasisElement(coarse[0], 0, 1.0)])
+        with pytest.raises(ValueError, match="share one grid"):
+            basis.certify()
+
+    def test_signal_and_table_must_fit_the_basis(self, haar1_nodes):
+        ts = TranslationSet(1, 1)
+        basis = make_basis(haar1_nodes, ts, fourier(), [(0, 0, [0.0, 1.0])])
+        basis.certify()
+        other = numra_grid(ts, (-6.0, 6.0), refinement=64)
+        with pytest.raises(ValueError, match="must live on the signal grid"):
+            packet_analyze(SampledSignal(other, np.ones(other.count)), basis)
+        table = CoefficientTable(rows=((0, 0, 0.0),), values=np.ones(1))
+        with pytest.raises(ValueError, match="does not match the basis"):
+            packet_synthesize(table, basis)
+
+    def test_certificate_cannot_be_passed_in(self, haar1_nodes):
+        # packet 0 twice at lam = 0, given residual=0.0, was analysed without refusal,
+        # though certify() on the same elements reads 0.998
+        ts = TranslationSet(1, 1)
+        elements = [BasisElement(haar1_nodes[0], 0, 0.0)] * 2
+        with pytest.raises(TypeError, match="residual"):
+            PacketBasis(ts, fourier(), elements, residual=0.0)
+        basis = PacketBasis(ts, fourier(), elements)
+        f = haar1_nodes[0].signal
+        with pytest.raises(UncertifiedBasisError, match="certified"):
+            packet_analyze(f, basis)
+        assert basis.certify() > 0.99
         with pytest.raises(UncertifiedBasisError, match="residual"):
             packet_analyze(f, basis)
 

@@ -61,6 +61,11 @@ class TestGrid:
         with pytest.raises(OffGridError):
             g.index_of(0.3)
 
+    def test_numra_grid_refuses_off_step_start(self):
+        # step 1/2 at N = 1, refinement 1: a window from 0.1 starts between two points
+        with pytest.raises(OffGridError, match="window start must be a multiple"):
+            numra_grid(TranslationSet(1, 1), (0.1, 2.0))
+
     def test_numra_grid_alignment(self):
         ts = TranslationSet(2, 1)
         g = numra_grid(ts, (-2.0, 2.0), refinement=8 * 4**2)
@@ -383,6 +388,10 @@ class TestSignalInvariants:
         g = Grid(0.0, 0.5, 4)
         with pytest.raises(ValueError):
             SampledSignal(g, np.array([1.0, np.nan, 0.0, 0.0]))
+
+    def test_gram_of_no_signal_is_empty(self):
+        g = gram_matrix([])
+        assert g.shape == (0, 0) and g.dtype == np.complex128
 
     def test_rejects_length_mismatch(self):
         g = Grid(0.0, 0.5, 4)

@@ -24,6 +24,7 @@ from lct_numra.sampling import (
 )
 from lct_numra.wavelets import (
     ConvergenceError,
+    WaveletFamily,
     cascade,
     default_time_grid,
     grid_samples,
@@ -199,6 +200,19 @@ class TestCascade:
         doubled = PeriodicFilterPair(ts, 2 * base.comp1, 2 * base.comp2)
         with pytest.raises(FilterConditionError):
             cascade(doubled)
+
+    def test_refuses_grid_without_integral_lattice(self):
+        # SPAN/step = 16/0.3 points: no lattice synthesises onto this grid
+        with pytest.raises(ValueError, match="integral transform size"):
+            cascade(haar_filters(TranslationSet(1, 1), fourier()), grid=Grid(0.0, 0.3, 8),
+                    oversample=1)
+
+    def test_hats_of_two_engines_refused(self):
+        p0 = haar_filters(TranslationSet(1, 1), fourier())
+        grid = numra_grid(p0.ts, (-2.0, 2.0), refinement=64)
+        hats = [cascade(p0, grid=grid, oversample=1, depth=0).hat for _ in range(2)]
+        with pytest.raises(ValueError, match="must share one engine"):
+            served_engine(hats, grid)
 
     def test_rejects_nan_scaling_residual(self, monkeypatch):
         # max(0.0, nan) is 0.0, so a gate on the largest residual would pass this
@@ -392,6 +406,16 @@ class TestLawtonOracle:
 
 
 class TestFamilyPipeline:
+    @pytest.mark.parametrize("scale, match", [(2.0, "norm .* is not 1 within 2%"),
+                                              (-1.0, "mean value .* differs from 1")])
+    def test_scaling_function_refused(self, scale, match):
+        # twice the unit indicator has norm 2; its negative has norm 1 and mean value -1
+        ts = TranslationSet(1, 1)
+        grid = numra_grid(ts, (-1.0, 2.0), refinement=64)
+        phi = SampledSignal(grid, scale * haar_scaling(ts, grid).values)
+        with pytest.raises(ValueError, match=match):
+            WaveletFamily(ts, fourier(), phi, (), ())
+
     def test_family_invariants(self, fine_family_fourier):
         _, fam = fine_family_fourier
         assert norm(fam.phi) == pytest.approx(1.0, abs=0.02)

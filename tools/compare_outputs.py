@@ -17,12 +17,12 @@ files whose sidecar step is not finite, and an empty directory) are written
 once, by PARENT, and read by both.
 
 For every output file the script prints "byte-identical", or the largest
-difference of its numbers relative to the largest |number| in the file, or
-that the text around the numbers differs.  It also prints each command's exit
-code on both sides, and in one line whether, inside each checkout, one packet
-tree written at two n-max (``NMAX_PAIR``) has byte-identical files where both
-runs wrote one.  It exits 1 if any file, file list, exit code or shared packet
-file differs.
+difference of its numbers relative to the largest |number| in the file (to 1
+in a band-deficit file, ``*-deficit.npy``), or that the text around the numbers
+differs.  It also prints each command's exit code on both sides, and in one
+line whether, inside each checkout, one packet tree written at two n-max
+(``NMAX_PAIR``) has byte-identical files where both runs wrote one.  It exits
+1 if any file, file list, exit code or shared packet file differs.
 The file is not named ``test_*.py`` so the repository's test run does not
 collect it; it moves no bound.
 """
@@ -84,6 +84,11 @@ COMMANDS += [
     ("project-2-down", ["project", "--in", "{in}/f.csv", "--N", "2", "--matrix", M,
                         "--level", "-1", "--window=-4,4", "--out", "{out}/project-2-down.csv"]),
     ("crosscheck", ["crosscheck", "--out", "{out}/crosscheck.json"]),
+    # matrix reports: valid, accepted in permissive mode, and refused with exit 2
+    ("matrix", ["matrix", "--matrix", M, "--report", "{out}/matrix.json"]),
+    ("matrix-permissive", ["matrix", "--matrix", "0,1,2,-1", "--allow-nonunimodular",
+                           "--report", "{out}/matrix-permissive.json"]),
+    ("matrix-nan", ["matrix", "--matrix", "nan,1,-1,0", "--report", "{out}/matrix-nan.json"]),
     ("lct-fwd", ["lct", "fwd", "--matrix", M, "--in", "{in}/f.csv", "--out", "{out}/F.csv"]),
     ("lct-inv", ["lct", "inv", "--matrix", M, "--in", "{out}/F.csv", "--out", "{out}/f_inv.csv"]),
     # a time grid is an lct inv option: lct fwd refuses it with exit 1, and a tree that
@@ -261,7 +266,8 @@ def compare_file(a: Path, b: Path) -> str | None:
     (text_a, num_a), (text_b, num_b) = _numbers(a), _numbers(b)
     if text_a != text_b or num_a.shape != num_b.shape:
         return "text differs"
-    scale = np.max(np.abs(num_a), initial=0.0) or 1.0
+    # a band deficit d = 1 - sum|hat|^2/SPAN is rounded at the scale of 1, not of d
+    scale = 1.0 if a.name.endswith("-deficit.npy") else np.max(np.abs(num_a), initial=0.0) or 1.0
     return f"max relative difference {np.max(np.abs(num_a - num_b)) / scale:.3g}"
 
 
