@@ -16,11 +16,11 @@ low-pass filter) owns the translation set, its lattice the oversample, and
 its hat the level's (2N)^{-level/2}; a ``ts`` or ``oversample`` given beside
 the nodes is checked against them.  Each hat, dilated or not, is
 synthesised at most once, on the first read of ``HatFunction.periodic``: a
-node is a ``wavelets.SampledHat``, so one that only the lattice sums read is
-never synthesised.  Packet 0 is the cascade's own hat; a basis cuts its
-atoms from one dilated hat per (node, level), and makes no (atoms x count)
-array.  A basis keeps its atoms unchirped, since the chirps cancel in the
-Gram; analysis and synthesis are ``sampling.chirped_coefficients`` and
+node (``wavelets.PacketNode``) makes its signal on first read, so one that
+only the lattice sums read is never synthesised.  Packet 0 is the cascade's
+own node, the scaling function; a basis cuts its atoms from one dilated hat
+per (node, level), and makes no (atoms x count) array.  A basis keeps its
+atoms unchirped, since the chirps cancel in the Gram; analysis and synthesis are ``sampling.chirped_coefficients`` and
 ``sampling.chirped_sum`` of those atoms, and bases must be Gram-certified
 before use.
 ``packet_gram`` is the band-limited Gram over one synthesis period: no grid
@@ -51,9 +51,9 @@ from .sampling import (
 )
 from .wavelets import (
     SPAN,
-    CascadeResult,
     HatFunction,
-    SampledHat,
+    PacketIndex,
+    PacketNode,
     _lattice_size,
     _roots,
     cascade,
@@ -69,22 +69,6 @@ class UncertifiedBasisError(RuntimeError):
 
 #: Largest certified residual of a basis that analysis and synthesis accept.
 _CERTIFY_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class PacketIndex:
-    """Nonnegative integer with its base-2N digit expansion (least significant first)."""
-
-    n: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("packet index must be nonnegative")
-        if self.n >= 1 and (not self.digits or self.digits[-1] == 0):
-            raise ValueError("last digit must be nonzero for n >= 1")
-        if self.n == 0 and self.digits:
-            raise ValueError("index 0 has the empty expansion")
 
 
 def digits(n: int, N: int) -> PacketIndex:
@@ -103,29 +87,11 @@ def reconstruct(idx: PacketIndex, N: int) -> int:
     return sum(d * (2 * N) ** i for i, d in enumerate(idx.digits))
 
 
-@dataclass(frozen=True)
-class PacketNode(SampledHat):
-    """One packet: its index and its level-0 hat on the grid of its time samples.
-
-    A node that only lattice sums read (``packet_gram``, ``fold_residuals``,
-    ``band_deficit``) is never inverse-transformed.
-    """
-
-    index: PacketIndex = field(kw_only=True)
-
-    @property
-    def band_deficit(self) -> float:
-        """d = 1 - sum |hat|^2 / SPAN over the lattice, the norm its band misses: 1 - Re G_nn
-        of ``packet_gram`` (the summed diagonal of ``_lattice_fold``)."""
-        values = self.hat.engine.lattice([self.hat])[0]
-        return 1.0 - float(np.vdot(values, values).real) / SPAN
-
-
 def packet_hat(
     idx: PacketIndex,
     bank: list[PeriodicFilterPair],
     *,
-    scaling: CascadeResult,
+    scaling: PacketNode,
     grid: Grid | None = None,
     oversample: int | None = None,
 ) -> PacketNode:
@@ -145,7 +111,7 @@ def packet_hat(
     return _nodes([idx], bank, scaling, grid, oversample)[0]
 
 
-def _nodes(indices, bank, scaling: CascadeResult, grid: Grid | None, oversample) -> list[PacketNode]:
+def _nodes(indices, bank, scaling: PacketNode, grid: Grid | None, oversample) -> list[PacketNode]:
     """The nodes of ``indices`` on ``grid`` (default: the cascade's), their lattice values
     evaluated in one pass; a bank of other than the 2N filters of the scaling's translation
     set, one whose filter 0 has other samples than the scaling's low-pass, or a digit it
@@ -188,7 +154,7 @@ def generate_packets(
 
 def _require_packets_of(nodes, ts: TranslationSet) -> None:
     """Refuse nodes whose bank, the owner of their translation set, is not of ``ts``."""
-    if any(node.hat.engine.lowpass.ts != ts for node in nodes):
+    if any(node.engine.lowpass.ts != ts for node in nodes):
         raise ValueError(f"nodes are not packets of {ts}")
 
 
@@ -198,7 +164,7 @@ def _lattice_fold(nodes: list[PacketNode], ts: TranslationSet) -> np.ndarray:
     per block of ``_GRAM_BLOCK`` values, transposed in turn, so no hat stack is made."""
     _require_packets_of(nodes, ts)
     period = round(SPAN) * ts.N
-    values = [node.hat.engine.lattice([node.hat])[0] for node in nodes]
+    values = [node.engine.lattice([node.hat])[0] for node in nodes]
     rows = [v.reshape(-1, period) for v in values]
     per_block = max(1, _GRAM_BLOCK // (len(values) * period))
     fold = np.zeros((period, len(values), len(values)), dtype=np.complex128)
@@ -219,13 +185,17 @@ def packet_gram(
     Band-limited, grid-free, translates circular with period ``SPAN``, node-major as
     ``chirped_translate_gram``'s.  Each lam - mu is a multiple of 1/N: with F the ``_lattice_fold``
     over SPAN*N residues e, G_0 = (1/SPAN) sum_e F[e] exp(-2 pi i e N (lam - mu)/(SPAN N)),
-    each phase reduced exactly, and G = D G_0 D^H.  ``ts`` must be the nodes' own."""
+    each phase reduced exactly, and G = D G_0 D^H: one matrix product of the shift pairs'
+    phases (x y, e) with the fold (e, i k), transposed to node-major order.  ``ts`` must be
+    the nodes' own."""
     lambdas = translations(ts, lambda_window)
     fold = _lattice_fold(nodes, ts)
     shifts = np.round(np.asarray(lambdas) * ts.N).astype(np.int64)
     d = _roots(shifts, np.arange(len(fold)), len(fold))
     d *= chirp_phase(m, 0.0, lambdas)[:, None]  # D's phase on each shift's row
-    g = np.einsum("xp,pik,yp->ixky", d, fold / SPAN, d.conj()).reshape(len(d) * len(nodes), -1)
+    pairs = (d[:, None, :] * d.conj()).reshape(len(d) ** 2, -1)
+    g = (pairs @ fold.reshape(len(fold), -1) / SPAN).reshape(len(d), len(d), len(nodes), -1)
+    g = g.transpose(2, 0, 3, 1).reshape(len(nodes) * len(d), -1)
     return g, identity_deviation(g)
 
 

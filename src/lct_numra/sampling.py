@@ -105,16 +105,16 @@ def numra_grid(ts, window: tuple[float, float], *, refinement: int = 1) -> Grid:
 
     Every element of the translation set then maps grid points to grid
     points, and with K a multiple of (2N)^J so does every dilation by
-    (2N)^j, |j| <= J.
+    (2N)^j, |j| <= J.  Both window ends must be multiples of the step.
     """
     two_n = 2 * ts.N
     step = 1.0 / (two_n * refinement)
-    t_lo, t_hi = window
-    i_lo = round(t_lo / step)
-    if abs(i_lo * step - t_lo) > _ALIGN_TOL * step:
-        raise OffGridError("window start must be a multiple of the grid step")
-    count = int(round((t_hi - t_lo) / step))
-    return Grid(t_min=i_lo * step, step=step, count=count)
+    ends = []
+    for name, t in zip(("start", "end"), window):
+        ends.append(round(t / step))
+        if abs(ends[-1] * step - t) > _ALIGN_TOL * step:
+            raise OffGridError(f"window {name} must be a multiple of the grid step")
+    return Grid(t_min=ends[0] * step, step=step, count=ends[1] - ends[0])
 
 
 @dataclass(frozen=True, eq=False)

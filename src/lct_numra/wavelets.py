@@ -24,9 +24,10 @@ A hat is evaluated and synthesised at most once while it lives: it stores
 the values ``HatEngine.lattice`` gives it and ``HatFunction.periodic``, the
 one inverse FFT at every level, of which ``grid_samples`` cuts every grid
 signal and basis atom (at oversample 1, read-only windows).  A lattice owns
-its oversample, the fine steps per grid step (``_oversample``).  A
-``SampledHat`` (the cascade's result, a packet node) makes its signal on
-first read.  The wavelets are the one-digit packet hats L_k(u/2N) hat(phi)(u/2N).
+its oversample, the fine steps per grid step (``_oversample``).  A hat on
+the grid of its time samples is a ``PacketNode``, which makes its signal on
+first read; the cascade returns packet 0, the scaling function.  The wavelets
+are the one-digit packet hats L_k(u/2N) hat(phi)(u/2N).
 """
 
 from __future__ import annotations
@@ -340,30 +341,51 @@ def hat_to_signal(hat: HatFunction, grid: Grid, *, oversample: int | None = None
 
 
 @dataclass(frozen=True)
-class SampledHat:
-    """A hat and the grid of its time samples; ``signal``, ``hat_to_signal`` at the
-    lattice's oversample, is made on first read and kept."""
+class PacketIndex:
+    """Nonnegative integer with its base-2N digit expansion (least significant first)."""
+
+    n: int
+    digits: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("packet index must be nonnegative")
+        if self.n >= 1 and (not self.digits or self.digits[-1] == 0):
+            raise ValueError("last digit must be nonzero for n >= 1")
+        if self.n == 0 and self.digits:
+            raise ValueError("index 0 has the empty expansion")
+
+
+@dataclass(frozen=True)
+class PacketNode:
+    """One packet: its index and its level-0 hat on the grid of its time samples; the
+    cascade returns packet 0.  ``signal``, ``hat_to_signal`` at the lattice's oversample,
+    is made on first read and kept, so a node that only lattice sums read is never
+    inverse-transformed."""
 
     hat: HatFunction
     grid: Grid
+    index: PacketIndex = PacketIndex(0, ())
 
     @cached_property
     def signal(self) -> SampledSignal:
         return hat_to_signal(self.hat, self.grid)
 
-
-@dataclass(frozen=True)
-class CascadeResult(SampledHat):
-    """Scaling function returned by the cascade: its evaluated hat on its grid."""
-
     @property
     def engine(self) -> HatEngine:
-        """The lattice engine shared by every hat built on this cascade."""
+        """The lattice engine shared by every hat built on this node's cascade."""
         return self.hat.engine
 
     @property
     def tail_deviation(self) -> float:
         return self.engine.tail_deviation
+
+    @property
+    def band_deficit(self) -> float:
+        """d = 1 - sum |hat|^2 / SPAN over the lattice, the norm its band misses: 1 - Re G_nn
+        of ``packets.packet_gram`` (the summed diagonal of its lattice fold)."""
+        values = self.engine.lattice([self.hat])[0]
+        return 1.0 - float(np.vdot(values, values).real) / SPAN
 
 
 def cascade(
@@ -374,8 +396,8 @@ def cascade(
     grid: Grid | None = None,
     oversample: int = 16,
     depth: int = 2,
-) -> CascadeResult:
-    """Scaling function from the truncated product of dilated filter responses.
+) -> PacketNode:
+    """Scaling function, packet 0, from the truncated product of dilated filter responses.
 
     hat(phi)(u) = prod_{j=1..J} L(u / (2N)^j).  ``p0`` must pass
     ``filters.require_lowpass`` for ``CASCADE_CODES`` (L(0) = 1 and the
@@ -407,7 +429,7 @@ def cascade(
         )
     hat = HatFunction(engine)
     engine.lattice([hat])
-    return CascadeResult(hat, grid)
+    return PacketNode(hat, grid)
 
 
 def two_scale_residual(phi_hat: HatFunction) -> float:

@@ -8,7 +8,8 @@ at 0 give stretched filters, so Lawton's test below still decides the scaling fu
 
 A filter with taps h_0..h_{L-1}, sum h = 1, is L(u) = sum_n h_n exp(-2 pi i n u).  On
 the translation set {0, 1} + 2Z its pair holds the even taps in comp1 and the odd taps
-in comp2, each a polynomial in z = exp(-4 pi i u).  Lawton (J. Math. Phys. 32(1),
+in comp2, each a polynomial in z = exp(-4 pi i u); ``n2_lift_bank`` lifts the filter and
+its alternating flip to an exact bank on {0, r/2} + 2Z.  Lawton (J. Math. Phys. 32(1),
 1991) tests the integer translates of the cascade's scaling function: for a filter
 whose conditions hold, they are orthonormal exactly when eigenvalue 1 of
 ``lawton_matrix`` is simple.
@@ -62,6 +63,24 @@ def n1_pair(taps) -> PeriodicFilterPair:
     taps = np.asarray(taps, dtype=float)
     comp1, comp2 = (np.polyval(taps[start::2][::-1], z) for start in (0, 1))
     return PeriodicFilterPair(ts, comp1, comp2)
+
+
+def n2_lift_bank(taps, r: int = 1) -> list[PeriodicFilterPair]:
+    """The exact N = 2 bank {(m/2, +-m/2), (g/2, +-g/2)} on {0, r/2} + 2Z, filter 2d + s
+    being (A_d, (-1)^s A_d) as in ``haar_filter_bank``.
+
+    m(z) = sum_n taps[n] z^n in z = exp(-8 pi i u), and g is its alternating flip,
+    g_k = (-1)^k taps[L-1-k].  Filter 0, comp1 = comp2 = m/2, is the lift of the N = 1
+    low-pass; Haar's taps (1/2, 1/2) give ``haar_filter_bank`` at lattice phases 1.
+    """
+    ts = TranslationSet(2, r)
+    z = np.exp(-8j * np.pi * sample_grid(default_u_count(ts)).points())
+    taps = np.asarray(taps, dtype=float)
+    bank = []
+    for t in (taps, (-1.0) ** np.arange(taps.size) * taps[::-1]):
+        half = np.polyval(t[::-1], z) / 2
+        bank += [PeriodicFilterPair(ts, half, sign * half) for sign in (1.0, -1.0)]
+    return bank
 
 
 def lawton_matrix(taps) -> np.ndarray:

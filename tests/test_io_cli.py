@@ -935,6 +935,17 @@ class TestWindowRefused:
             "got '3,-1'\n")
         assert not out.exists()
 
+    def test_cascade_off_step_end(self, tmp_path, capsys):
+        # step 2^-10: an end at 2.3 was moved to 2.2998 (3379 samples) without a word
+        fpath = tmp_path / "filters.csv"
+        write_filter_csv(fpath, haar_filters(TranslationSet(1, 1), fourier()))
+        out = tmp_path / "phi.csv"
+        assert main(["cascade", "--filters", str(fpath), "--window=-1,2.3",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: window end must be a multiple of the grid step\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("step", ["0", "-1", "inf", "nan"])
 class TestStepRefused:

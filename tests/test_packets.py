@@ -28,6 +28,7 @@ from lct_numra.packets import (
     CoefficientTable,
     PacketBasis,
     PacketIndex,
+    PacketNode,
     UncertifiedBasisError,
     digits,
     fold_residuals,
@@ -71,6 +72,7 @@ from smooth_banks import (
     lattice_angles,
     lattice_taps,
     n1_pair,
+    n2_lift_bank,
 )
 
 M2111 = CanonicalMatrix(2, 1, 1, 1)
@@ -148,6 +150,17 @@ class TestPacketHat:
         node = packet_hat(digits(0, ts.N), bank, scaling=scaling, grid=grid, oversample=1)
         u = np.linspace(-4, 4, 401)
         np.testing.assert_array_equal(product_hat(node.hat, u), product_hat(scaling.hat, u))
+
+    def test_cascade_is_packet_zero(self, haar1, haar1_nodes):
+        # the cascade returns packet 0's node; every node of one cascade reads its engine
+        ts, bank, grid, scaling = haar1
+        assert isinstance(scaling, PacketNode)
+        assert scaling.index.n == 0 and scaling.index.digits == ()
+        node0 = generate_packets(0, bank, grid=grid, oversample=1)[0]
+        assert scaling.band_deficit == node0.band_deficit
+        for node in haar1_nodes.values():
+            assert node.engine is scaling.engine
+            assert node.tail_deviation == scaling.tail_deviation
 
     def test_first_indices_are_wavelet_hats(self, haar1):
         ts, bank, grid, scaling = haar1
@@ -438,6 +451,45 @@ class TestLatticeDraws:
         if eigenvalue_one_multiplicity(taps) == 1:
             for node in nodes:
                 assert max(fold_residuals(node, p.ts)) <= 1e-3
+
+
+LIFT_GRID = numra_grid(TranslationSet(2, 1), (-4.0, 4.0), refinement=1024)
+
+
+class TestLiftedDraws:
+    """The N = 2 lifts of ``TestLatticeDraws``' filters and their exact banks
+    (``smooth_banks.n2_lift_bank``) at fixed seeds and draw counts.  The (2, 3) lifts pass
+    every filter condition without an orthonormal scaling function, so nothing past the
+    conditions is asserted there."""
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_haar_lift_is_the_haar_bank(self, r):
+        # Haar's taps (1/2, 1/2) lift to the closed-form bank at lattice phases 1
+        ts = TranslationSet(2, r)
+        for got, want in zip(n2_lift_bank([0.5, 0.5], r), haar_filter_bank(ts, fourier())):
+            np.testing.assert_allclose(got.comp1, want.comp1, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got.comp2, want.comp2, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("r", [1, 3])
+    @seed(2010)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(angles=lattice_angles)
+    def test_filter_conditions_and_exact_bank(self, r, angles):
+        bank = n2_lift_bank(lattice_taps(angles), r)
+        assert all(p.exact for p in bank)
+        assert lowpass_report(bank[0])["ok"]
+        assert bank_report(bank)["ok"]
+
+    @seed(2010)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(angles=lattice_angles)
+    def test_two_scale_residual_where_the_cascade_converges(self, angles):
+        low = n2_lift_bank(lattice_taps(angles), 1)[0]
+        try:
+            scaling = cascade(low, grid=LIFT_GRID, oversample=1)
+        except ConvergenceError:
+            return
+        assert two_scale_residual(scaling.hat) <= 1e-5
 
 
 class TestBandDeficit:

@@ -65,6 +65,9 @@ class TestGrid:
         # step 1/2 at N = 1, refinement 1: a window from 0.1 starts between two points
         with pytest.raises(OffGridError, match="window start must be a multiple"):
             numra_grid(TranslationSet(1, 1), (0.1, 2.0))
+        # and an end between two points was moved to the nearest one
+        with pytest.raises(OffGridError, match="window end must be a multiple"):
+            numra_grid(TranslationSet(1, 1), (0.0, 2.1))
 
     def test_numra_grid_alignment(self):
         ts = TranslationSet(2, 1)

@@ -123,6 +123,12 @@ COMMANDS += [
                             "--report", "{out}/gram-empty.json"]),
     ("cascade-window-reversed", ["cascade", "--filters", "{out}/haar-1/filters_0.csv",
                                  "--window=3,-1", "--out", "{out}/cascade-reversed.csv"]),
+    # a window end between two grid points: refused with exit 1
+    ("cascade-window-off-step", ["cascade", "--filters", "{out}/haar-1/filters_0.csv",
+                                 "--window=-1,2.3", "--out", "{out}/cascade-off-step.csv"]),
+    ("packets-gen-window-off-step", ["packets", "gen", "--n-max", "1", "--N", "1",
+                                     "--matrix", M, "--window=-4,4.3",
+                                     "--out-dir", "{out}/packets-off-step"]),
 ]
 
 #: Output directories of one packet tree at two n-max; the packet files both hold must agree
