@@ -108,6 +108,11 @@ def _t_grid(text: str):
 #: A tolerance bounds a residual, which is >= 0; a grid step is > 0.
 _TOL = _number(float, 0.0, sys.float_info.max, "a finite number >= 0")
 _STEP = _number(float, 2.0**-1074, sys.float_info.max, "a finite number > 0")
+#: The grid step ``--step`` aims at when it is not given.
+_DEFAULT_STEP = 2.0**-10
+_STEP_HELP = ("target grid step (default 2^-10); the grid takes 1/(2N k), k the whole number "
+              "nearest 1/(2N step), so that the translations fall on it, and a given step "
+              "that this moves is named on stderr")
 #: The closed-form bank of N has terms on the Fourier bins 0, 2, ..., 2(N - 1), and a pair
 #: is exact (evaluated from its terms, not by nearest sample) only while they span fewer
 #: than ``filters._MAX_SPAN`` = 64 bins: N <= 32, and r <= 2N - 1 <= 63.
@@ -169,7 +174,7 @@ def build_parser() -> _Parser:
     p.add_argument("--matrix", type=_MATRIX, required=True)
     p.add_argument("--allow-nonunimodular", action="store_true")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--step", type=_STEP, default=2.0**-10)
+    p.add_argument("--step", type=_STEP, default=None, help=_STEP_HELP)
     p.add_argument("--tol", type=_TOL, default=1e-10)
 
     p = sub.add_parser("cascade", help="scaling function from a low-pass filter file")
@@ -178,7 +183,7 @@ def build_parser() -> _Parser:
     p.add_argument("--J", type=_J, default=20)
     p.add_argument("--tol", type=_TOL, default=1e-5)
     p.add_argument("--out", required=True)
-    p.add_argument("--step", type=_STEP, default=2.0**-10)
+    p.add_argument("--step", type=_STEP, default=None, help=_STEP_HELP)
     p.add_argument("--window", type=_WINDOW, default="-1,3",
                    help="time window lo,hi of the output grid, inside [-8, 8)")
 
@@ -197,7 +202,7 @@ def build_parser() -> _Parser:
     g.add_argument("--r", type=_R, default=1)
     g.add_argument("--matrix", type=_MATRIX, required=True)
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--step", type=_STEP, default=2.0**-10)
+    g.add_argument("--step", type=_STEP, default=None, help=_STEP_HELP)
     g.add_argument("--window", type=_WINDOW, default="-4,5",
                    help="time window lo,hi of the packet grid, inside [-8, 8)")
     q = psub.add_parser("gram", help="Gram certification of generated packets")
@@ -226,7 +231,7 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(run=_cmd_crosscheck)
     p.add_argument("--out", required=True)
-    p.add_argument("--step", type=_STEP, default=2.0**-10)
+    p.add_argument("--step", type=_STEP, default=None, help=_STEP_HELP)
 
     return parser
 
@@ -237,6 +242,22 @@ def _verdict(ok: bool, cause) -> int:
         return EXIT_OK
     print(f"verification failed: {cause}", file=sys.stderr)
     return EXIT_VERIFICATION
+
+
+def _grid_step(step, ts) -> float:
+    """The target step of ``--step`` (``_DEFAULT_STEP`` when not given).  A given step that
+    ``default_time_grid`` moves by more than ``_ALIGN_TOL`` relative is named on stderr
+    with the step the grid uses; the default is rounded without a word."""
+    from .sampling import _ALIGN_TOL
+    from .wavelets import default_time_grid
+
+    if step is None:
+        return _DEFAULT_STEP
+    used = default_time_grid(ts, target_step=step).step
+    if abs(used - step) > _ALIGN_TOL * step:
+        print(f"warning: --step {step!r} is not 1/(2N k) for a whole k at N = {ts.N}; "
+              f"the grid step is {used!r}", file=sys.stderr)
+    return step
 
 
 def _cmd_matrix(args) -> int:
@@ -291,7 +312,7 @@ def _cmd_haar(args) -> int:
     from .wavelets import default_time_grid, haar_family
 
     ts = TranslationSet(N=args.N, r=args.r)
-    grid = default_time_grid(ts, target_step=args.step)
+    grid = default_time_grid(ts, target_step=_grid_step(args.step, ts))
     fam = haar_family(ts, args.matrix, grid=grid, permissive=args.allow_nonunimodular)
     out = Path(args.out_dir)
     write_signal_csv(out / "phi.csv", fam.phi)
@@ -313,7 +334,7 @@ def _cmd_cascade(args) -> int:
     if not pair.exact:
         print(f"warning: {args.filters} is not a short trigonometric polynomial; "
               "evaluated by nearest sample", file=sys.stderr)
-    grid = default_time_grid(pair.ts, args.window, target_step=args.step)
+    grid = default_time_grid(pair.ts, args.window, target_step=_grid_step(args.step, pair.ts))
     result = cascade(pair, J=args.J, tol=args.tol, grid=grid, depth=0)
     # the sidecar records the approximations: the truncated tail and nearest-sample rows
     write_signal_csv(args.out, result.signal, tail_deviation=result.tail_deviation,
@@ -338,7 +359,7 @@ def _cmd_packets_gen(args) -> int:
 
     ts = TranslationSet(N=args.N, r=args.r)
     bank = haar_filter_bank(ts, args.matrix)
-    grid = default_time_grid(ts, window=args.window, target_step=args.step)
+    grid = default_time_grid(ts, window=args.window, target_step=_grid_step(args.step, ts))
     # oversample 1 keeps every packet in the band the Gram quadrature resolves
     nodes = generate_packets(args.n_max, bank, grid=grid, oversample=1)
     out = Path(args.out_dir)
@@ -384,10 +405,11 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    from .filters import TranslationSet
     from .io import write_json
     from .reports import anomalous_n2_report
 
-    report = anomalous_n2_report(step=args.step)
+    report = anomalous_n2_report(step=_grid_step(args.step, TranslationSet(2, 1)))
     write_json(args.out, report)
     return EXIT_OK
 

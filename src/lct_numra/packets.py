@@ -9,9 +9,11 @@ with the low-pass cascade tail:
 
 for digits d_0..d_{q-1} (the packet recursion of Coifman & Wickerhauser,
 IEEE Trans. IT 38(2), 1992); packets 1..2N-1 are the wavelets.  All
-packets of one cascade share its ``wavelets.HatEngine``, and a node's hat
-keeps its lattice values, so bases and fold sums over it evaluate no filter
-again.  A packet is read through its node: its bank (the engine's
+packets of one cascade share its ``wavelets.HatEngine``, which keeps one
+tail per depth and each digit row once read; a node's hat keeps no lattice
+array, so a packet set costs its tails and its syntheses, and bases and fold
+sums form the values they read from the engine's tails and rows, evaluating
+no filter again.  A packet is read through its node: its bank (the engine's
 low-pass filter) owns the translation set, its lattice the oversample, and
 its hat the level's (2N)^{-level/2}; a ``ts`` or ``oversample`` given beside
 the nodes is checked against them.  Each hat, dilated or not, is
@@ -25,8 +27,9 @@ atoms unchirped, since the chirps cancel in the Gram; analysis and synthesis are
 before use.
 ``packet_gram`` is the band-limited Gram over one synthesis period: no grid
 enters it, its translates are circular with period ``SPAN``, and it comes
-from one fold of the hats' values, which ``fold_residuals`` shares; the
-Gram on the signals' grid is ``sampling.chirped_translate_gram``.
+from one fold of the hats' values, formed a block at a time, which
+``fold_residuals`` shares; the Gram on the signals' grid is
+``sampling.chirped_translate_gram``.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .wavelets import (
     HatFunction,
     PacketIndex,
     PacketNode,
+    _form,
     _lattice_size,
     _roots,
     cascade,
@@ -103,19 +107,20 @@ def packet_hat(
 
         hat(W_{2Nn + k})(u) = L_k(u/2N) hat(W_n)(u/2N)
 
-    holds exactly along the code path.  The node's hat holds its values on
-    the cascade's lattice, and its periodic samples once they are first
-    read; a grid (default: the cascade's) that lattice does not serve, at
-    its own oversample or one given, is refused here.  Index 0 is the cascade's.
+    holds exactly along the code path.  The node's hat lives on the
+    cascade's lattice, its values formed from the cascade's tails and rows
+    when read, and keeps its periodic samples once they are first read; a
+    grid (default: the cascade's) that lattice does not serve, at its own
+    oversample or one given, is refused here.  Index 0 is the cascade's.
     """
     return _nodes([idx], bank, scaling, grid, oversample)[0]
 
 
 def _nodes(indices, bank, scaling: PacketNode, grid: Grid | None, oversample) -> list[PacketNode]:
-    """The nodes of ``indices`` on ``grid`` (default: the cascade's), their lattice values
-    evaluated in one pass; a bank of other than the 2N filters of the scaling's translation
-    set, one whose filter 0 has other samples than the scaling's low-pass, or a digit it
-    lacks, is refused."""
+    """The nodes of ``indices`` on ``grid`` (default: the cascade's), whose values nothing
+    evaluates until a read needs them; a bank of other than the 2N filters of the scaling's
+    translation set, one whose filter 0 has other samples than the scaling's low-pass, or a
+    digit it lacks, is refused."""
     low = scaling.engine.lowpass
     if any(pair.ts != low.ts for pair in bank):
         raise ValueError(f"bank filters are not all of the scaling's {low.ts}")
@@ -128,7 +133,7 @@ def _nodes(indices, bank, scaling: PacketNode, grid: Grid | None, oversample) ->
     grid = scaling.grid if grid is None else grid
     hats = [HatFunction(scaling.engine, tuple(bank[d] for d in idx.digits)) if idx.digits
             else scaling.hat for idx in indices]
-    served_engine(hats, grid, oversample=oversample).lattice(hats)
+    served_engine(hats, grid, oversample=oversample)
     return [PacketNode(hat, grid, index=idx) for idx, hat in zip(indices, hats)]
 
 
@@ -139,7 +144,7 @@ def generate_packets(
     grid: Grid | None = None,
     oversample: int = 16,
 ) -> list[PacketNode]:
-    """Packets 0..n_max sharing one cascade, one lattice pass and one time grid; n_max + 1
+    """Packets 0..n_max sharing one cascade, its tails and one time grid; n_max + 1
     orthonormal packets of SPAN translates each need as many dimensions of the lattice."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -161,17 +166,25 @@ def _require_packets_of(nodes, ts: TranslationSet) -> None:
 def _lattice_fold(nodes: list[PacketNode], ts: TranslationSet) -> np.ndarray:
     """F[e, i, k] = sum of hat_i conj(hat_k) over u = e'/SPAN, e' = e mod SPAN*N, for packets
     of ``ts`` on one lattice that SPAN*N divides (a ValueError otherwise): one batched product
-    per block of ``_GRAM_BLOCK`` values, transposed in turn, so no hat stack is made."""
+    per block of ``_GRAM_BLOCK`` values, each hat's share formed from its engine's tail and
+    rows (``wavelets._form``) and transposed in turn, so no lattice array or hat stack is
+    made."""
     _require_packets_of(nodes, ts)
     period = round(SPAN) * ts.N
-    values = [node.engine.lattice([node.hat])[0] for node in nodes]
-    rows = [v.reshape(-1, period) for v in values]
-    per_block = max(1, _GRAM_BLOCK // (len(values) * period))
-    fold = np.zeros((period, len(values), len(values)), dtype=np.complex128)
-    for lo in range(0, max(map(len, rows)), per_block):  # unequal lattices fail to stack
-        block = np.stack([r[lo:lo + per_block].T for r in rows], axis=1)  # (rho, hat, row)
+    n = nodes[0].engine.n
+    if n % period or any(node.engine.n != n for node in nodes):
+        raise ValueError(f"the hats must share one lattice that {period} divides")
+    factors = [node.engine.factors(node.hat) for node in nodes]
+    step = max(1, _GRAM_BLOCK // (len(nodes) * period)) * period
+    values = np.empty(step, dtype=np.complex128)
+    fold = np.zeros((period, len(nodes), len(nodes)), dtype=np.complex128)
+    for lo in range(0, n, step):
+        share = values[:min(step, n - lo)]
+        block = np.empty((period, len(nodes), share.size // period), dtype=np.complex128)
+        for i, (tail, rows) in enumerate(factors):  # (rho, hat, row)
+            block[:, i] = _form(tail, rows, share, lo).reshape(-1, period).T
         fold += block @ block.conj().transpose(0, 2, 1)
-    return np.roll(fold, -(values[0].size // 2), axis=0)  # rows from rho = k mod period to e
+    return np.roll(fold, -(n // 2), axis=0)  # rows from rho = k mod period to e
 
 
 def packet_gram(
@@ -189,13 +202,15 @@ def packet_gram(
     phases (x y, e) with the fold (e, i k), transposed to node-major order.  ``ts`` must be
     the nodes' own."""
     lambdas = translations(ts, lambda_window)
-    fold = _lattice_fold(nodes, ts)
+    period = round(SPAN) * ts.N
     shifts = np.round(np.asarray(lambdas) * ts.N).astype(np.int64)
-    d = _roots(shifts, np.arange(len(fold)), len(fold))
+    d = _roots(shifts, np.arange(period), period)
     d *= chirp_phase(m, 0.0, lambdas)[:, None]  # D's phase on each shift's row
     pairs = (d[:, None, :] * d.conj()).reshape(len(d) ** 2, -1)
-    g = (pairs @ fold.reshape(len(fold), -1) / SPAN).reshape(len(d), len(d), len(nodes), -1)
-    g = g.transpose(2, 0, 3, 1).reshape(len(nodes) * len(d), -1)
+    g = pairs @ _lattice_fold(nodes, ts).reshape(period, -1)  # the fold is freed here
+    g /= SPAN
+    g = g.reshape(len(d), len(d), len(nodes), -1).transpose(2, 0, 3, 1)
+    g = g.reshape(len(nodes) * len(d), -1)
     return g, identity_deviation(g)
 
 
@@ -219,11 +234,11 @@ class PacketBasis:
     Nyquist-rate quadrature of atom products is alias-free.  ``ts`` sets the
     dilations and delays, so nodes of another translation set are refused.
     Each atom is a read-only window (``wavelets.grid_samples``) of one
-    synthesis per (node, level), which its windows keep alive; the dilated
-    hats are evaluated in one pass from the rows and tails the nodes' engine
-    holds.  Only an atom whose cut wraps the period is a copy, so no
-    (atoms x count) array is made and the memory of a basis does not grow
-    with its translates.  These atoms are unchirped, and ``sampling``
+    synthesis per (node, level), which its windows keep alive; the tails of
+    the dilated hats are built in one pass, and each synthesis forms its
+    values from the tails and rows the nodes' engine holds.  Only an atom
+    whose cut wraps the period is a copy, so no (atoms x count) array is
+    made and the memory of a basis does not grow with its translates.  These atoms are unchirped, and ``sampling``
     chirps them (``signals``, analysis and synthesis), so the chirped Gram
     is D G_0 D^H with D diagonal and unimodular, and max |G - I| =
     max |G_0 - I|.  ``certify`` stores
@@ -251,8 +266,9 @@ class PacketBasis:
         if any(e.node.grid != grid for e in self.elements):
             raise ValueError("all basis nodes must share one grid")
         hats = {(id(e.node.hat), e.level): e.node.hat.dilated(e.level) for e in self.elements}
-        # the dilated hats in one pass, so rows they share are evaluated once
-        served_engine([*hats.values()], grid, oversample=1).lattice(hats.values())
+        # the tails of the dilated hats in one pass, so rows they share are evaluated once
+        served_engine([*hats.values()], grid, oversample=1)._build_tails(
+            {h.depth for h in hats.values()})
         atoms = []
         for e in self.elements:
             delay = grid.steps(e.lam / self.ts.dilation**e.level)  # at oversample 1

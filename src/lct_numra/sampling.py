@@ -42,8 +42,8 @@ _ALIGN_TOL = 1e-9
 #: Largest |j| that dilate accepts.
 DEFAULT_LEVEL_BUDGET = 16
 
-#: Columns per block of ``weighted_gram``, and samples (or one cell) per block of
-#: ``chirped_translate_gram``; bounds their conjugate temporaries.
+#: Columns per block of ``weighted_gram`` and ``chirped_sum``, and samples (or one cell) per
+#: block of ``chirped_translate_gram``; bounds their temporaries.
 _GRAM_BLOCK = 1 << 14
 
 
@@ -228,11 +228,15 @@ def chirped_coefficients(f: SampledSignal, atoms, lambdas, m: CanonicalMatrix) -
 
 def chirped_sum(coeffs, atoms, lambdas, m: CanonicalMatrix, grid: Grid) -> SampledSignal:
     """Sum of c * atom * chirp_phase(m, t, lam) over coefficients, unchirped atoms (any
-    iterable) on ``grid`` and shifts: one scaled sum into one scratch array, modulated once."""
+    iterable) on ``grid`` and shifts: each scaled atom is added one column block of
+    ``_GRAM_BLOCK`` samples at a time through one block-sized scratch, in atom order at
+    every sample, and the sum is modulated once."""
     acc = np.zeros(grid.count, dtype=np.complex128)
-    term = np.empty_like(acc)
+    term = np.empty(min(_GRAM_BLOCK, grid.count), dtype=np.complex128)
     for c, atom in zip(coeffs * chirp_phase(m, 0.0, np.asarray(lambdas, dtype=float)), atoms):
-        acc += np.multiply(atom, c, out=term)
+        for a in range(0, grid.count, _GRAM_BLOCK):
+            block = acc[a:a + _GRAM_BLOCK]
+            block += np.multiply(atom[a:a + _GRAM_BLOCK], c, out=term[:block.size])
     acc *= _time_chirp(grid, m)
     return SampledSignal(grid, acc)
 
@@ -354,5 +358,10 @@ def gram_matrix(system: list[SampledSignal]) -> np.ndarray:
 
 
 def identity_deviation(g: np.ndarray) -> float:
-    """Max |G - I| of a square Gram matrix (0 for the empty one)."""
-    return float(np.max(np.abs(g - np.eye(g.shape[0])))) if g.size else 0.0
+    """Max |G - I| of a square Gram matrix (0 for the empty one): |G| off the diagonal and
+    |G_ii - 1| on it, through one real array the size of G."""
+    if not g.size:
+        return 0.0
+    dev = np.abs(g)
+    np.fill_diagonal(dev, np.abs(np.diagonal(g) - 1.0))
+    return float(np.max(dev))

@@ -9,25 +9,27 @@ integer subsampling.
 
 Every scaling, wavelet and packet hat is a product of filter rows
 L_d(u/(2N)^j) on one frequency lattice.  ``cascade`` creates a
-``HatEngine`` there that evaluates each row, as an array on its period
-multiplied in by broadcasting, and retains only the cascade tails in
-use, never a row; an exact row is one small matrix product of two tables
-of roots of unity.  Every product multiplies its rows in ascending j, as
-the formula reads, so a hat's lattice bits depend on the hat alone.  A
-``HatFunction`` takes its lattice values from the engine.
+``HatEngine`` there that evaluates each row as an array on its period,
+multiplied in by broadcasting.  It keeps the cascade tails in use and each
+digit row that a read has needed; an exact row is one small matrix product
+of two tables of roots of unity.  Every product multiplies its rows in
+ascending j, as the formula reads, so a hat's lattice bits depend on the
+hat alone.  A ``HatFunction`` holds no lattice array: its values are formed
+from its tail and rows where they are read (``_form``), whole or a block of
+lattice points at a time.
 
 Every lattice has step 1/``SPAN`` and every synthesis one time period of
 ``SPAN`` = 16, centred on 0.  That period holds every grid window the CLI
 and the benchmark use; a grid outside [-8, 8) is refused, not wrapped.
 
-A hat is evaluated and synthesised at most once while it lives: it stores
-the values ``HatEngine.lattice`` gives it and ``HatFunction.periodic``, the
-one inverse FFT at every level, of which ``grid_samples`` cuts every grid
-signal and basis atom (at oversample 1, read-only windows).  A lattice owns
-its oversample, the fine steps per grid step (``_oversample``).  A hat on
-the grid of its time samples is a ``PacketNode``, which makes its signal on
-first read; the cascade returns packet 0, the scaling function.  The wavelets
-are the one-digit packet hats L_k(u/2N) hat(phi)(u/2N).
+A hat is synthesised at most once while it lives: ``HatFunction.periodic``,
+the one inverse FFT at every level, forms the values in its own buffer and
+keeps the result, of which ``grid_samples`` cuts every grid signal and basis
+atom (at oversample 1, read-only windows).  A lattice owns its oversample,
+the fine steps per grid step (``_oversample``).  A hat on the grid of its
+time samples is a ``PacketNode``, which makes its signal on first read; the
+cascade returns packet 0, the scaling function.  The wavelets are the
+one-digit packet hats L_k(u/2N) hat(phi)(u/2N).
 """
 
 from __future__ import annotations
@@ -116,8 +118,9 @@ class HatEngine:
 
     Bound to a low-pass filter and the size ``n`` of the lattice u = e/SPAN,
     e = k - n//2, of ``frequency_samples(grid, oversample)``; it holds the
-    filter, n, J, the cascade tails and ``tail_deviation``, and no row.  A
-    node with digit filters L_{d_0}..L_{d_{q-1}} at level l has the hat
+    filter, n, J, the cascade tails, ``tail_deviation`` and the digit rows
+    read so far.  A node with digit filters L_{d_0}..L_{d_{q-1}} at level l
+    has the hat
 
         prod_i L_{d_i}(u/(2N)^{l+i+1}) * T_{l+q}(u),
         T_s(u) = prod_{j=s+1..s+J} L_0(u/(2N)^j),
@@ -130,15 +133,16 @@ class HatEngine:
     Every product is the formula's, accumulated times row in ascending j:
     T_s = ((L_0(u/(2N)^{s+1}) L_0(u/(2N)^{s+2})) ...) L_0(u/(2N)^{s+J}),
     each row on its period (the periods are nested divisors of n), and a hat
-    multiplies its digit rows into its tail in ascending j.  So a hat's bits
-    depend on the hat alone, not on what else a pass builds, and a tail
-    grown by one row is the tail built at that depth.  One pass evaluates
-    each low-pass row that a requested tail holds once and multiplies it into
-    every such tail, deepest first, so the shallowest takes the row's buffer.
-    The constructor builds tails 0..``depth``; digit rows of node hats are
-    evaluated once per ``lattice`` call and multiplied into every hat that
-    uses them.  A tail deeper than the first pass costs a second pass, which
-    evaluates its rows again.
+    is its tail times its digit rows in ascending j (``factors``, ``_form``).
+    So a hat's bits depend on the hat alone, not on what else a pass builds
+    or where its values are formed, and a tail grown by one row is the tail
+    built at that depth.  One pass evaluates each low-pass row that a
+    requested tail holds once and multiplies it into every such tail,
+    deepest first, so the shallowest takes the row's buffer.  The
+    constructor builds tails 0..``depth``; a tail deeper than the first pass
+    costs a second pass, which evaluates its rows again.  A digit row is
+    evaluated on the first read that needs it and kept on its period, so
+    each is evaluated at most once per engine.
 
     Row j of an exact pair sums 2K terms c_t q^(s_t e), q = exp(-2 pi
     i/order), s = 2N(lo + g b) for comp1 and 2N(lo + g b) + r for comp2
@@ -156,6 +160,8 @@ class HatEngine:
         self.n = _lattice_size(grid, oversample)
         self.J = J
         self._tails: dict[int, np.ndarray] = {}
+        #: Digit rows by (id(pair), j), each with its pair, which keeps the id unique.
+        self._rows: dict[tuple[int, int], tuple[PeriodicFilterPair, np.ndarray]] = {}
         #: Max |T_0 - prod_{j<J} L_0(u/(2N)^j)| over the lattice.
         self.tail_deviation = 0.0
         self._build_tails(range(depth + 1))
@@ -197,31 +203,57 @@ class HatEngine:
             t.flags.writeable = False
             self._tails[s] = t
 
-    def lattice(self, hats) -> list[np.ndarray]:
-        """Lattice values of hats bound to this engine, read-only and stored on each hat.
+    def factors(self, hat: "HatFunction") -> tuple[np.ndarray, list[np.ndarray]]:
+        """The tail of ``hat`` and its digit rows in ascending j, each row on its period,
+        read-only; a row not yet read is evaluated here and kept."""
+        self._build_tails({hat.depth})
+        rows = []
+        for i, pair in enumerate(hat.filters):
+            j = hat.level + i + 1
+            if (id(pair), j) not in self._rows:
+                row = self._period(pair, j)
+                row.flags.writeable = False
+                self._rows[id(pair), j] = (pair, row)
+            rows.append(self._rows[id(pair), j][1])
+        return self._tails[hat.depth], rows
 
-        Each digit row is evaluated once, on its period, and multiplied into
-        every hat that needs values, in ascending j; a hat evaluates at most
-        once while it lives, and its values die with it.
-        """
-        todo = {id(h): h for h in hats if h._values is None}
-        self._build_tails({h.depth for h in todo.values()})
-        rows: dict[tuple[int, int], tuple[PeriodicFilterPair, int, list]] = {}
-        for h in todo.values():
-            tail = self._tails[h.depth]
-            values = tail.copy() if h.filters else tail
-            object.__setattr__(h, "_values", values)
-            for i, pair in enumerate(h.filters):
-                j = h.level + i + 1
-                rows.setdefault((id(pair), j), (pair, j, []))[2].append(values)
-        for pair, j, targets in sorted(rows.values(), key=lambda r: r[1]):  # ascending j
-            row = self._period(pair, j)
-            for t in targets:
-                view = t.reshape(-1, row.size)
-                view *= row
-        for h in todo.values():
-            h._values.flags.writeable = False
-        return [h._values for h in hats]
+    def lattice(self, hats) -> list[np.ndarray]:
+        """Lattice values of hats bound to this engine, read-only: a hat without digit rows
+        reads its tail, any other a fresh array (``_form``) that no one keeps.  The tails
+        the hats need are built in one pass."""
+        self._build_tails({h.depth for h in hats})
+        out = []
+        for h in hats:
+            tail, rows = self.factors(h)
+            values = _form(tail, rows, np.empty(self.n, dtype=np.complex128)) if rows else tail
+            values.flags.writeable = False
+            out.append(values)
+        return out
+
+
+def _form(tail: np.ndarray, rows, out: np.ndarray, start: int = 0) -> np.ndarray:
+    """Lattice points start..start + out.size of a tail times rows, into ``out``.
+
+    The tail's points are copied and each row, periodic on the lattice, is
+    multiplied in place in the order given: the products of the hat whatever
+    the block, as each point is the same chain of multiplies.  Where ``out``
+    crosses a multiple of a row's period P, it is cut there: a head up to the
+    first, whole periods by broadcasting, and a rest.
+    """
+    out[:] = tail[start:start + out.size]
+    for row in rows:
+        p, k = row.size, start % row.size
+        if k + out.size <= p:  # inside one period
+            out *= row[k:k + out.size]
+            continue
+        head = -k % p
+        out[:head] *= row[k:k + head]
+        whole = (out.size - head) // p * p
+        periods = out[head:head + whole].reshape(-1, p)
+        periods *= row
+        rest = out[head + whole:]
+        rest *= row[:rest.size]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,14 +261,14 @@ class HatFunction:
     """Packet-type hat prod_i L_{d_i}(u/(2N)^{level+i+1}) * T_{level+q}(u).
 
     ``filters`` are the digit filters, least significant first; the empty
-    tuple at level 0 is the scaling function.  Lattice values come from
-    ``engine``, whose low-pass filter owns N and the translation set.
+    tuple at level 0 is the scaling function.  Lattice values are formed from
+    ``engine``'s tail and rows where they are read (``HatEngine.factors``), and
+    not kept; the engine's low-pass filter owns N and the translation set.
     """
 
     engine: HatEngine
     filters: tuple[PeriodicFilterPair, ...] = ()
     level: int = 0
-    _values: np.ndarray | None = field(default=None, init=False, repr=False)
     _periodic: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
@@ -246,11 +278,12 @@ class HatFunction:
     def periodic(self) -> np.ndarray:
         """``periodic_samples`` of (2N)^{-level/2} times this hat's lattice values (at level
         >= 1 the normalised dilate), read-only and stored on the hat, so it is synthesised
-        once whatever reads it."""
+        once whatever reads it.  The values are formed in the transform's own buffer."""
         if self._periodic is None:
-            values = self.engine.lattice([self])[0]
-            scale = float(self.engine.lowpass.ts.dilation) ** (-self.level / 2.0)
-            fine = periodic_samples(scale * values if self.level else values)
+            fine = _form(*self.engine.factors(self), np.empty(self.engine.n, dtype=np.complex128))
+            if self.level:
+                fine *= float(self.engine.lowpass.ts.dilation) ** (-self.level / 2.0)
+            fine = periodic_samples(fine)
             fine.flags.writeable = False
             object.__setattr__(self, "_periodic", fine)
         return self._periodic
@@ -286,22 +319,22 @@ def default_time_grid(ts: TranslationSet, window=(-1.0, 3.0), target_step=2.0**-
 
 
 def periodic_samples(values: np.ndarray) -> np.ndarray:
-    """One period of the inverse transform of lattice values, on the fine step SPAN/n.
+    """One period of the inverse transform of lattice values, on the fine step SPAN/n,
+    made in place: ``values`` is overwritten and returned.
 
     The inverse 2pi-convention transform of values on u = e/SPAN is periodic
     with period ``SPAN``; sample i is at time (i - n//2) SPAN/n, so every
     window inside [-SPAN/2, SPAN/2) is one run.  At even n (lattice sizes
     are multiples of SPAN) both half-period shifts of the FFT are signs: the
-    odd values of one copy change sign, the inverse FFT runs in place, and
-    the scale n/SPAN carries the signs (-1)^(i - n//2) of the samples.
+    odd values change sign, the inverse FFT runs in place, and the scale
+    n/SPAN carries the signs (-1)^(i - n//2) of the samples.
     """
-    fine = values.copy()
-    fine[1::2] *= -1
-    np.fft.ifft(fine, out=fine)  # the out= keyword needs numpy >= 2.0
+    values[1::2] *= -1
+    np.fft.ifft(values, out=values)  # the out= keyword needs numpy >= 2.0
     scale = (-1) ** (values.size // 2) * values.size / SPAN
-    fine[::2] *= scale
-    fine[1::2] *= -scale
-    return fine
+    values[::2] *= scale
+    values[1::2] *= -scale
+    return values
 
 
 def grid_samples(fine: np.ndarray, grid: Grid, *, oversample: int, delay: int = 0) -> np.ndarray:
@@ -361,7 +394,8 @@ class PacketNode:
     """One packet: its index and its level-0 hat on the grid of its time samples; the
     cascade returns packet 0.  ``signal``, ``hat_to_signal`` at the lattice's oversample,
     is made on first read and kept, so a node that only lattice sums read is never
-    inverse-transformed."""
+    inverse-transformed.  A node keeps no lattice array: its hat's values are formed
+    from the engine's tail and rows by whatever reads them."""
 
     hat: HatFunction
     grid: Grid
@@ -408,8 +442,8 @@ def cascade(
     engine also builds the tails of depths 1..``depth`` in the same pass
     (packets with up to ``depth`` digits, and coarser bases, need them);
     each tail is its own rows in ascending j, so ``depth`` moves no bit of phi.
-    The hat holds its lattice values, and no inverse FFT is made before the
-    first read of ``signal``.  J < 1 is refused: an empty product has no
+    The hat's lattice values are the engine's tail T_0, and no inverse FFT is
+    made before the first read of ``signal``.  J < 1 is refused: an empty product has no
     tail to check.  So is a J whose deepest row period SPAN*N*(2N)^(J+depth),
     a float divisor of its phases (``_roots``), reaches 2^1023.
     """
@@ -427,9 +461,7 @@ def cascade(
             f"cascade tail deviation {deviation:.3e} exceeds tol {tol:.3e} at J={J}",
             deviation,
         )
-    hat = HatFunction(engine)
-    engine.lattice([hat])
-    return PacketNode(hat, grid)
+    return PacketNode(HatFunction(engine), grid)
 
 
 def two_scale_residual(phi_hat: HatFunction) -> float:

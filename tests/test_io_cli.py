@@ -965,6 +965,40 @@ class TestStepRefused:
         assert not out.exists()
 
 
+class TestStepRounded:
+    """The grid step is 1/(2N k) for a whole k: a given --step that this moves is named in
+    one warning line, and the run writes what that step would; the default is silent."""
+
+    def test_cascade_names_the_step_used(self, tmp_path, capsys):
+        fpath = tmp_path / "filters.csv"
+        write_filter_csv(fpath, haar_filters(TranslationSet(1, 1), fourier()))
+        err = {}
+        for step in ("0.3", "0.25"):
+            assert main(["cascade", "--filters", str(fpath), "--step", step,
+                         "--out", str(tmp_path / f"phi-{step}.csv")]) == 0
+            err[step] = capsys.readouterr().err
+        assert err["0.3"] == ("warning: --step 0.3 is not 1/(2N k) for a whole k at N = 1; "
+                              "the grid step is 0.25\n")
+        assert err["0.25"] == ""
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / f"phi-0.3{suffix}").read_bytes()
+                    == (tmp_path / f"phi-0.25{suffix}").read_bytes())
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_default_step_is_silent(self, tmp_path, capsys, N):
+        from lct_numra.cli import _grid_step
+
+        ts = TranslationSet(N, 1)
+        assert _grid_step(None, ts) == 2.0**-10
+        assert capsys.readouterr().err == ""
+        # given, 2^-10 moves at N = 3 only (to 1/1026), and is named
+        assert _grid_step(2.0**-10, ts) == 2.0**-10
+        assert ("the grid step is 0.000974658869395711" in capsys.readouterr().err) == (N == 3)
+        assert main(["packets", "gen", "--n-max", "0", "--N", str(N), "--matrix", "0,1,-1,0",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestProjectCommand:
     def test_runs(self, tmp_path):
         g = Grid(-8.0, 2.0**-10, 16 * 1024)

@@ -317,6 +317,34 @@ class TestLatticeGramAC10:
         assert peak <= 0.25 * lattice_bytes
 
 
+class TestDepthThreeTreeGram:
+    """ROADMAP item 13's memory question: all 64 N = 2 packets of depth <= 3 go through
+    ``packet_gram`` with nothing lattice-sized kept per packet.  No basis is certified:
+    at 1e-3 these fail on band alone until a certificate carries item 2's nu."""
+
+    def test_peak_memory_is_the_tails_and_the_gram(self):
+        # about 3 s on a 2-core Xeon: 64 x 8 translates, folded a block at a time
+        ts = TranslationSet(2, 1)
+        bank = haar_filter_bank(ts, M2111)
+        grid = numra_grid(ts, (-5.0, 7.0), refinement=2048)
+        tracemalloc.start()
+        try:
+            nodes = generate_packets(63, bank, grid=grid, oversample=1)
+            tracemalloc.reset_peak()  # the cascade's own peak is TestCascadeAC10's
+            g, off = packet_gram(nodes, ts, M2111, (-4.0, 4.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        engine = nodes[0].engine
+        lattice_bytes = 16 * engine.n
+        tails = sum(t.nbytes for t in engine._tails.values())
+        assert tails == 4 * lattice_bytes and g.shape == (64 * 8, 64 * 8)
+        # the four tails, the Gram and its node-major copy, and a fraction of a lattice
+        # array (the rows, the fold and its blocks); the 64 kept hats were 64 arrays
+        assert peak <= tails + 2 * g.nbytes + 0.25 * lattice_bytes
+        assert abs(off - max(node.band_deficit for node in nodes)) <= 1e-15
+
+
 class TestCascadeAC10:
     def test_peak_memory_in_lattice_arrays(self):
         # at row J: the three tails, row J holding T_0's product and |their
@@ -703,10 +731,10 @@ class TestSubspaceSplit:
 
 class TestHatEngine:
     def test_each_row_evaluated_once_per_tree(self, monkeypatch):
-        # generate, certify a level-1 and a level-0 basis, fold: every filter
-        # row L_d(u/(2N)^j) is evaluated once per lattice pass that needs it,
-        # on exactly one period of the lattice, or on the whole lattice when
-        # its period does not divide it
+        # generate, certify a level-1 and a level-0 basis, fold: every low-pass
+        # row of a tail is evaluated once per tail pass, and every digit row once
+        # per engine when a read first needs it, on exactly one period of the
+        # lattice, or on the whole lattice when its period does not divide it
         import lct_numra.wavelets as wavelets
 
         real = wavelets.HatEngine._period
@@ -731,13 +759,12 @@ class TestHatEngine:
             order = 16 * 2 * 4**j
             return min(order, n) if n % order == 0 else n
 
-        # tails of depth 0..2 take the low-pass rows 1..22 (J = 20); the digit
-        # rows are L_0, L_1, L_2, L_3 at level 1 and L_1 at level 2, so the
-        # low-pass row at level 1 is evaluated twice: for the tails and for
-        # digit 0 of packet 4
+        # tails of depth 0..2 take the low-pass rows 1..22 (J = 20); the bases
+        # and the fold read packets 0..3, whose digit rows are L_1, L_2, L_3 at
+        # level 1; nothing reads packet 4, so its rows L_0 at level 1 and L_1
+        # at level 2 are not evaluated
         want = Counter(((id(bank[0]), j), once(j)) for j in range(1, 23))
-        want.update(((id(bank[d]), 1), once(1)) for d in (0, 1, 2, 3))
-        want[(id(bank[1]), 2), once(2)] += 1
+        want.update(((id(bank[d]), 1), once(1)) for d in (1, 2, 3))
         assert Counter(calls) == want
         assert [once(j) for j in (1, 2, 3, 4)] == [128, 512, 2048, n]
 
@@ -886,7 +913,8 @@ class TestBitsFollowTheHat:
         alone = cascade(bank[0], grid=grid, oversample=1, depth=0)
         for depth in (1, 2, 3):
             res = cascade(bank[0], grid=grid, oversample=1, depth=depth)
-            np.testing.assert_array_equal(res.hat._values, alone.hat._values)
+            np.testing.assert_array_equal(res.engine.lattice([res.hat])[0],
+                                          alone.engine.lattice([alone.hat])[0])
             assert res.tail_deviation == alone.tail_deviation
 
     @pytest.mark.parametrize("N", [1, 2, 3])
@@ -1010,21 +1038,48 @@ class TestOneSynthesisPerHat:
         assert len(fam.psi) == 2 * N - 1
         assert len(calls) == 2 * N - 1
 
-    def test_a_hat_evaluates_and_synthesises_once(self, small):
-        # hats with digit filters that no caller kept: a second read returns the same array
+    def test_rows_evaluate_once_and_nodes_keep_no_lattice_array(self, small, monkeypatch):
+        # a digit row is evaluated once per engine however often its hats are read, a
+        # hat is synthesised once, and a node keeps no lattice array: its values are
+        # formed from the engine's tails and rows where they are read
+        import lct_numra.wavelets as wavelets
+
         ts, bank, grid = small
+        real = wavelets.HatEngine._period
+        rows = []
+
+        def counting(engine, pair, j):
+            rows.append((id(pair), j))
+            return real(engine, pair, j)
+
         engine = cascade(bank[0], J=20, tol=1e-5, grid=grid, oversample=1).engine
+        monkeypatch.setattr(wavelets.HatEngine, "_period", counting)
+        calls = count_lattice_iffts(monkeypatch, grid)
         hat = HatFunction(engine, (bank[1], bank[2]))
         values = engine.lattice([hat])[0]
-        assert engine.lattice([hat])[0] is values
+        twin = HatFunction(engine, (bank[1], bank[2]))
+        for got in engine.lattice([hat, twin]):
+            np.testing.assert_array_equal(got, values)
         fine = hat.periodic()
         assert hat.periodic() is fine
-        other = HatFunction(engine, (bank[3],))  # synthesised before its values are asked for
+        other = HatFunction(engine, (bank[3], bank[2]))  # shares L_2 at j = 2
         samples = other.periodic()
-        assert other.periodic() is samples
-        assert engine.lattice([other])[0] is other._values
-        for a in (values, fine, other._values, samples):
+        engine.lattice([other])
+        assert len(calls) == 2  # one inverse FFT per hat
+        assert sorted(rows) == sorted([(id(bank[1]), 1), (id(bank[2]), 2), (id(bank[3]), 1)])
+        for a in (values, fine, samples):
             assert not a.flags.writeable
+        # AC-10's lattice: the five nodes keep nothing beyond the cascade's tails
+        grid = numra_grid(ts, (-5.0, 7.0), refinement=4096)
+        tracemalloc.start()
+        try:
+            nodes = generate_packets(4, bank, grid=grid, oversample=1)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        engine = nodes[0].engine
+        assert sorted(engine._tails) == [0, 1, 2]
+        assert kept - sum(t.nbytes for t in engine._tails.values()) < 16 * engine.n
 
     def test_cut_atoms_equal_cold_synthesis(self, small):
         # every atom against its hat's lattice values computed afresh,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from lct_numra.sampling import (
     GridMismatchError,
     OffGridError,
     SampledSignal,
+    _GRAM_BLOCK,
     chirp_phase,
     chirped_coefficients,
     chirped_sum,
@@ -289,6 +292,29 @@ class TestChirpedAtoms:
         out = chirped_sum(coeffs, atoms, self.LAMS, M2111, g)
         again = chirped_sum(coeffs, (a for a in atoms), self.LAMS, M2111, g)
         np.testing.assert_array_equal(again.values, out.values)
+
+    def test_sum_keeps_one_grid_array_and_one_block(self):
+        # three whole column blocks and a part: the blocks are added in atom order at
+        # every sample, so the sum is the whole-array sum bit for bit; the sum is the
+        # only grid-sized array, beside one block and the signal's finiteness check
+        # (two booleans a sample, an eighth of the sum)
+        g = Grid(-2.0, 2.0**-12, 3 * _GRAM_BLOCK + 5)
+        rng = np.random.default_rng(5)
+        atoms = [rng.normal(size=g.count) + 1j * rng.normal(size=g.count) for _ in self.LAMS]
+        coeffs = rng.normal(size=len(atoms)) + 1j * rng.normal(size=len(atoms))
+        want = np.zeros(g.count, dtype=np.complex128)
+        for c, atom in zip(coeffs * chirp_phase(M2111, 0.0, np.array(self.LAMS)), atoms):
+            want += atom * c
+        want *= chirp_phase(M2111, g.points(), 0.0)
+        chirped_sum(coeffs, atoms, self.LAMS, M2111, g)  # the time chirp is made and kept
+        tracemalloc.start()
+        try:
+            out = chirped_sum(coeffs, atoms, self.LAMS, M2111, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out.values, want)
+        assert peak <= 1.25 * want.nbytes + 16 * _GRAM_BLOCK
 
 
 class TestChirpPhase:

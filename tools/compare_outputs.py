@@ -8,13 +8,12 @@ PARENT and CHANGE are checkout roots (their ``src/`` is put on PYTHONPATH) or
 ``python -m lct_numra.cli`` from each root into that root's own temporary
 directory, with the BLAS pools pinned to one thread; a short library script
 (``LIBRARY``) also saves engine tails, cascade signals, packet hats and band
-deficits, oversample-1 wavelets, two completed Haar banks, the AC-11 packet
-bases' residuals, coefficients and syntheses, and chirped translates as
-``.npy`` files.  The
-inputs (a 2^17-row signal, two 8- and 4-row signal files whose t column is
-off their grid, a filter file whose u column is off its grid, two signal
-files whose sidecar step is not finite, and an empty directory) are written
-once, by PARENT, and read by both.
+deficits, oversample-1 wavelets, two completed Haar banks, the AC-10 Gram, the
+AC-11 packet bases' residuals, coefficients and syntheses, and chirped
+translates as ``.npy`` files.  The inputs (a 2^17-row signal, two 8- and
+4-row signal files whose t column is off their grid, a filter file whose u
+column is off its grid, two signal files whose sidecar step is not finite,
+and an empty directory) are written once, by PARENT, and read by both.
 
 For every output file the script prints "byte-identical", or the largest
 difference of its numbers relative to the largest |number| in the file (to 1
@@ -129,6 +128,9 @@ COMMANDS += [
     ("packets-gen-window-off-step", ["packets", "gen", "--n-max", "1", "--N", "1",
                                      "--matrix", M, "--window=-4,4.3",
                                      "--out-dir", "{out}/packets-off-step"]),
+    # a step the grid rounds (0.3 to 0.25): exit 0, written as at step 0.25
+    ("cascade-step-rounded", ["cascade", "--filters", "{out}/haar-1/filters_0.csv",
+                              "--step", "0.3", "--out", "{out}/cascade-step-rounded.csv"]),
 ]
 
 #: Output directories of one packet tree at two n-max; the packet files both hold must agree
@@ -170,16 +172,17 @@ for name, step in [("nan-step", "NaN"), ("inf-step", "Infinity")]:
 #: Library outputs no CLI file carries: engine tail T_0, its tail deviation, the
 #: cascade signal, the lattice hats and band deficits of packets 0..3, at N = 2 the
 #: oversample-1 wavelets of ``haar_family``, and at (N, r) = (2, 1) and (3, 1) the
-#: components of ``complete_filters`` of the low-pass; of the AC-11 parent and
-#: children bases, the certify residual, the coefficients of a random signal and
-#: their synthesis; and chirped translates under two matrices, one leaving the window.
+#: components of ``complete_filters`` of the low-pass; the AC-10 ``packet_gram`` Gram
+#: (packets 0..4, N = 2, r = 1); of the AC-11 parent and children bases, the certify
+#: residual, the coefficients of a random signal and their synthesis; and chirped
+#: translates under two matrices, one leaving the window.
 LIBRARY = """
 import sys
 import numpy as np
 from lct_numra.canonical import CanonicalMatrix, fourier
 from lct_numra.filters import TranslationSet, complete_filters
 from lct_numra.packets import (BasisElement, PacketBasis, generate_packets, packet_analyze,
-                               packet_synthesize)
+                               packet_gram, packet_synthesize)
 from lct_numra.sampling import SampledSignal, indicator, numra_grid, translate_chirp
 from lct_numra.wavelets import cascade, haar_family, haar_filter_bank
 for N, r in [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)]:
@@ -192,7 +195,7 @@ for N, r in [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)]:
     np.save(f"{out}-tail_deviation.npy", res.tail_deviation)
     np.save(f"{out}-phi.npy", res.signal.values)
     for node in generate_packets(3, bank, grid=grid, oversample=1):
-        np.save(f"{out}-packet{node.index.n}-hat.npy", node.hat._values)
+        np.save(f"{out}-packet{node.index.n}-hat.npy", node.hat.engine.lattice([node.hat])[0])
         if hasattr(node, "band_deficit"):  # a checkout without band deficits saves none
             np.save(f"{out}-packet{node.index.n}-deficit.npy", node.band_deficit)
     if N == 2:  # the CLI's haar runs at oversample 16 only
@@ -202,6 +205,12 @@ for N, r in [(1, 1), (2, 1), (2, 3), (3, 1), (3, 5)]:
     if r == 1 and N > 1:  # the CLI completes no bank
         for k, high in enumerate(complete_filters(bank[0]), start=1):
             np.save(f"{out}-completed{k}.npy", np.stack([high.comp1, high.comp2]))
+ts = TranslationSet(2, 1)
+grid = numra_grid(ts, (-5.0, 7.0), refinement=4096)
+nodes = generate_packets(4, haar_filter_bank(ts, CanonicalMatrix(2, 1, 1, 1)), grid=grid,
+                         oversample=1)
+gram, _ = packet_gram(nodes, ts, CanonicalMatrix(2, 1, 1, 1), (-4.0, 4.0 + 1e-9))
+np.save(f"{sys.argv[1]}/lib/2-1-gram.npy", gram)
 ts = TranslationSet(1, 1)
 grid = numra_grid(ts, (-6.0, 6.0), refinement=8192)
 nodes = generate_packets(3, haar_filter_bank(ts, fourier()), grid=grid, oversample=1)
