@@ -340,7 +340,7 @@ class TestDepthThreeTreeGram:
         tails = sum(t.nbytes for t in engine._tails.values())
         assert tails == 4 * lattice_bytes and g.shape == (64 * 8, 64 * 8)
         # the four tails, the Gram and its node-major copy, and a fraction of a lattice
-        # array (the rows, the fold and its blocks); the 64 kept hats were 64 arrays
+        # array (the rows, the fold and its blocks); the kept hats were 63 more arrays
         assert peak <= tails + 2 * g.nbytes + 0.25 * lattice_bytes
         assert abs(off - max(node.band_deficit for node in nodes)) <= 1e-15
 
@@ -1064,6 +1064,7 @@ class TestOneSynthesisPerHat:
         assert hat.periodic() is fine
         other = HatFunction(engine, (bank[3], bank[2]))  # shares L_2 at j = 2
         samples = other.periodic()
+        assert other.periodic() is samples
         engine.lattice([other])
         assert len(calls) == 2  # one inverse FFT per hat
         assert sorted(rows) == sorted([(id(bank[1]), 1), (id(bank[2]), 2), (id(bank[3]), 1)])
